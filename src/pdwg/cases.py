@@ -56,7 +56,7 @@ class CaseSpec:
 
     def g2(self, x, y, normal):
         """Conormal flux a grad(u) . n on Gamma_n for the outward unit
-        normal of the square."""
+        normal of the square: one normal (2,) or one per point (npts, 2)."""
         if self.grad_u is None:
             raise ValueError(f"case {self.case_id} carries no gradient, g2 unavailable")
         gx, gy = self.grad_u(x, y)
@@ -66,7 +66,7 @@ class CaseSpec:
             np.broadcast_to(np.asarray(gy, dtype=float), shape),
         ])
         flux = self.a.flux(x, y, vec)
-        return flux @ np.asarray(normal, dtype=float)
+        return np.sum(flux * np.asarray(normal, dtype=float), axis=-1)
 
 
 @dataclass(frozen=True)

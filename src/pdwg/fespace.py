@@ -30,6 +30,8 @@ __all__ = [
     "edge_quad",
     "tri_mass",
     "edge_mass",
+    "gram",
+    "sample",
     "DofMap",
     "WeakFunction",
     "l2_project_element",
@@ -70,9 +72,14 @@ class ElementBasis:
         pts = np.atleast_2d(pts)
         X = (pts[..., 0] - center[..., 0]) / scale
         Y = (pts[..., 1] - center[..., 1]) / scale
-        P = self.exponents[:, 0]
-        Q = self.exponents[:, 1]
-        return X[..., None] ** P * Y[..., None] ** Q
+        # each power once per point (one broadcast pow, as X**P would
+        # compute it), then gathered per basis function in C order
+        powers = np.arange(self.degree + 1)
+        xp = X[..., None] ** powers
+        yp = Y[..., None] ** powers
+        out = np.take(xp, self.exponents[:, 0], axis=-1)
+        out *= np.take(yp, self.exponents[:, 1], axis=-1)
+        return out
 
     def grad(self, pts, center, scale):
         """Basis gradients at pts, shape (npts, dim, 2); leading axes
@@ -185,39 +192,49 @@ def quadrature_for_degree(k):
 
 
 def tri_quad(mesh, t, rule):
-    """Physical quadrature points and weights on triangle t."""
-    a, b, c = mesh.tri_vertices(t)
+    """Physical quadrature points and weights on triangle t; an index
+    array t adds its shape as leading axes: (..., nq, 2) and (..., nq)."""
+    a, b, c = (mesh.vertices[mesh.triangles[t, i]][..., None, :] for i in range(3))
     ref = rule.tri_points
-    pts = a + np.outer(ref[:, 0], b - a) + np.outer(ref[:, 1], c - a)
-    wts = rule.tri_weights * (2.0 * mesh.tri_areas[t])
+    pts = a + ref[:, 0, None] * (b - a) + ref[:, 1, None] * (c - a)
+    wts = rule.tri_weights * (2.0 * mesh.tri_areas[t])[..., None]
     return pts, wts
 
 
 def edge_quad(mesh, e, rule):
-    """Physical points, ds-weights and edge-basis coordinates on edge e."""
-    lo, hi = mesh.edges[e]
-    direction = mesh.vertices[hi] - mesh.vertices[lo]
-    pts = mesh.edge_midpoints[e] + np.outer(rule.edge_points, direction)
-    wts = rule.edge_weights * mesh.edge_lengths[e]
+    """Physical points, ds-weights and edge-basis coordinates on edge e,
+    in the global edge orientation; an index array e adds leading axes."""
+    lo, hi = mesh.edges[e, 0], mesh.edges[e, 1]
+    direction = (mesh.vertices[hi] - mesh.vertices[lo])[..., None, :]
+    pts = mesh.edge_midpoints[e][..., None, :] + rule.edge_points[:, None] * direction
+    wts = rule.edge_weights * mesh.edge_lengths[e][..., None]
     return pts, wts, rule.edge_points
 
 
+def _tri_basis_values(mesh, t, k, pts):
+    """P_k basis of triangle t (or of each triangle of an index array t)
+    at pts of shape (..., npts, 2)."""
+    return element_basis(k).eval(pts, mesh.tri_centroids[t][..., None, :],
+                                 mesh.h_tri[t][..., None])
+
+
+def gram(vals, wts):
+    """Weighted Gram matrices vals^T diag(wts) vals, batched over the
+    leading axes of vals (..., npts, dim) and wts (..., npts)."""
+    return vals.swapaxes(-1, -2) @ (wts[..., None] * vals)
+
+
 def tri_mass(mesh, t, k, rule=None):
-    """Local mass matrix of P_k on triangle t."""
-    rule = rule or quadrature_for_degree(k)
-    basis = element_basis(k)
-    pts, wts = tri_quad(mesh, t, rule)
-    vals = basis.eval(pts, mesh.tri_centroids[t], mesh.h_tri[t])
-    return vals.T @ (wts[:, None] * vals)
+    """Local mass matrix of P_k on triangle t (stacked for an index array)."""
+    pts, wts = tri_quad(mesh, t, rule or quadrature_for_degree(k))
+    return gram(_tri_basis_values(mesh, t, k, pts), wts)
 
 
 def edge_mass(mesh, e, k, rule=None):
-    """Local mass matrix of P_k on edge e."""
+    """Local mass matrix of P_k on edge e (stacked for an index array)."""
     rule = rule or quadrature_for_degree(k)
-    basis = edge_basis(k)
     _, wts, tc = edge_quad(mesh, e, rule)
-    vals = basis.eval(tc)
-    return vals.T @ (wts[:, None] * vals)
+    return gram(edge_basis(k).eval(tc), wts)
 
 
 class DofMap:
@@ -237,34 +254,37 @@ class DofMap:
         self.n_interior = mesh.n_triangles * self.interior_dim
         self.n_dofs = self.n_interior + mesh.n_edges * self.edge_dim
 
-        nloc = self.interior_dim + 3 * self.edge_dim
-        cell = np.zeros((mesh.n_triangles, nloc), dtype=int)
-        for t in range(mesh.n_triangles):
-            cell[t, : self.interior_dim] = self.interior_block(t)
-            for loc in range(3):
-                lo = self.interior_dim + loc * self.edge_dim
-                cell[t, lo : lo + self.edge_dim] = self.edge_block(mesh.tri_edges[t, loc])
+        cell = np.concatenate([
+            self.interior_block(np.arange(mesh.n_triangles)),
+            self.edge_block(mesh.tri_edges).reshape(mesh.n_triangles, -1),
+        ], axis=1)
         cell.setflags(write=False)
         self.cell_dof_array = cell
 
-        u_fixed = np.zeros(self.n_dofs, dtype=bool)
-        lam_fixed = np.zeros(self.n_dofs, dtype=bool)
-        if config is not None:
-            for e in config.gamma_d_edges:
-                u_fixed[self.edge_block(e)] = True
-            for e in config.gamma_n_complement_edges:
-                lam_fixed[self.edge_block(e)] = True
-        u_fixed.setflags(write=False)
-        lam_fixed.setflags(write=False)
-        self.u_fixed = u_fixed
-        self.lam_fixed = lam_fixed
+        self.u_fixed, self.lam_fixed = self.fixed_masks(config)
 
     def interior_block(self, t):
-        return np.arange(t * self.interior_dim, (t + 1) * self.interior_dim)
+        """Dofs of the interior block of triangle t; (..., dim) for an index array."""
+        return np.asarray(t)[..., None] * self.interior_dim + np.arange(self.interior_dim)
 
     def edge_block(self, e):
-        start = self.n_interior + e * self.edge_dim
-        return np.arange(start, start + self.edge_dim)
+        """Dofs of the block of edge e; (..., k+1) for an index array."""
+        return self.n_interior + np.asarray(e)[..., None] * self.edge_dim + np.arange(self.edge_dim)
+
+    def fixed_masks(self, config):
+        """Read-only dof masks (u_fixed, lam_fixed) of a boundary
+        configuration; nothing is fixed when config is None."""
+        if config is None:
+            flags = (np.zeros(self.mesh.n_edges, dtype=bool),) * 2
+        else:
+            flags = (config.in_gamma_d, self.mesh.is_boundary_edge & ~config.in_gamma_n)
+        masks = []
+        for edge_flags in flags:
+            mask = np.zeros(self.n_dofs, dtype=bool)
+            mask[self.n_interior:] = np.repeat(edge_flags, self.edge_dim)
+            mask.setflags(write=False)
+            masks.append(mask)
+        return tuple(masks)
 
     def cell_dofs(self, t):
         return self.cell_dof_array[t]
@@ -333,60 +353,61 @@ class WeakFunction:
     __rmul__ = __mul__
 
 
-def _scalar_values(f, x, y):
-    vals = np.asarray(f(x, y), dtype=float)
-    if vals.ndim == 0:
-        vals = np.full(np.shape(x), float(vals))
-    return vals
+def sample(f, pts):
+    """Scalar data f(x, y) at pts (..., 2), shape (...): one call of f on
+    the flattened coordinates, a constant result broadcast."""
+    x, y = pts[..., 0].ravel(), pts[..., 1].ravel()
+    vals = np.broadcast_to(np.asarray(f(x, y), dtype=float), x.shape)
+    return vals.reshape(pts.shape[:-1])
+
+
+def _project(vals, wts, fvals):
+    """L2 projection coefficients, batched over leading axes: basis values
+    (..., npts, dim), weights and data values (..., npts)."""
+    rhs = vals.swapaxes(-1, -2) @ (wts * fvals)[..., None]
+    return np.linalg.solve(gram(vals, wts), rhs)[..., 0]
 
 
 def l2_project_element(f, mesh, t, k, rule=None):
-    """Coefficients of the L2 projection of f onto P_k of triangle t."""
-    rule = rule or quadrature_for_degree(k)
-    basis = element_basis(k)
-    pts, wts = tri_quad(mesh, t, rule)
-    vals = basis.eval(pts, mesh.tri_centroids[t], mesh.h_tri[t])
-    mass = vals.T @ (wts[:, None] * vals)
-    rhs = vals.T @ (wts * _scalar_values(f, pts[:, 0], pts[:, 1]))
-    return np.linalg.solve(mass, rhs)
+    """Coefficients of the L2 projection of f onto P_k of triangle t; an
+    index array t gives (..., dim) with one call of f on all points."""
+    pts, wts = tri_quad(mesh, t, rule or quadrature_for_degree(k))
+    return _project(_tri_basis_values(mesh, t, k, pts), wts, sample(f, pts))
 
 
 def l2_project_edge(f, mesh, e, k, rule=None):
-    """Coefficients of the L2 projection of f onto P_k of edge e."""
-    rule = rule or quadrature_for_degree(k)
-    basis = edge_basis(k)
-    pts, wts, tc = edge_quad(mesh, e, rule)
-    vals = basis.eval(tc)
-    mass = vals.T @ (wts[:, None] * vals)
-    rhs = vals.T @ (wts * _scalar_values(f, pts[:, 0], pts[:, 1]))
-    return np.linalg.solve(mass, rhs)
+    """Coefficients of the L2 projection of f onto P_k of edge e; an index
+    array e gives (..., k+1) with one call of f on all points."""
+    pts, wts, tc = edge_quad(mesh, e, rule or quadrature_for_degree(k))
+    return _project(edge_basis(k).eval(tc), wts, sample(f, pts))
 
 
-def l2_project_weak(u, mesh, k, rule=None):
+def l2_project_weak(u, mesh, k, rule=None, ops=None):
     """Projection of u into the weak space: elementwise L2 projection in
-    the interior blocks and edgewise L2 projection in the edge blocks."""
-    rule = rule or quadrature_for_degree(k)
-    wf = WeakFunction(mesh, k)
-    for t in range(mesh.n_triangles):
-        wf.coeffs[wf.dofmap.interior_block(t)] = l2_project_element(u, mesh, t, k, rule)
-    for e in range(mesh.n_edges):
-        wf.coeffs[wf.dofmap.edge_block(e)] = l2_project_edge(u, mesh, e, k, rule)
+    the interior blocks and edgewise L2 projection in the edge blocks, with
+    one call of u per point set.  Given the level's LocalOperators as ops,
+    its dof map, rule, triangle points and P_k table are reused."""
+    if ops is None:
+        rule = rule or quadrature_for_degree(k)
+        t = np.arange(mesh.n_triangles)
+        pts, wts = tri_quad(mesh, t, rule)
+        vals, dofmap = _tri_basis_values(mesh, t, k, pts), None
+    else:
+        rule, pts, wts, vals, dofmap = ops.rule, ops.tri_pts, ops.tri_wts, ops.vk, ops.dofmap
+    wf = WeakFunction(mesh, k, dofmap=dofmap)
+    n_int = wf.dofmap.n_interior
+    wf.coeffs[:n_int] = _project(vals, wts, sample(u, pts)).ravel()
+    wf.coeffs[n_int:] = l2_project_edge(u, mesh, np.arange(mesh.n_edges), k, rule).ravel()
     return wf
 
 
 def l2_project_vector(q, mesh, k, rule=None):
     """Componentwise L2 projection of a vector field onto piecewise
     [P_{k-1}]^2; q(x, y) returns the component pair.  Shape (T, 2, dim)."""
-    rule = rule or quadrature_for_degree(k)
-    basis = element_basis(k - 1)
-    out = np.zeros((mesh.n_triangles, 2, basis.dim))
-    for t in range(mesh.n_triangles):
-        pts, wts = tri_quad(mesh, t, rule)
-        vals = basis.eval(pts, mesh.tri_centroids[t], mesh.h_tri[t])
-        mass = vals.T @ (wts[:, None] * vals)
-        qx, qy = q(pts[:, 0], pts[:, 1])
-        qx = np.broadcast_to(np.asarray(qx, dtype=float), pts[:, 0].shape)
-        qy = np.broadcast_to(np.asarray(qy, dtype=float), pts[:, 0].shape)
-        out[t, 0] = np.linalg.solve(mass, vals.T @ (wts * qx))
-        out[t, 1] = np.linalg.solve(mass, vals.T @ (wts * qy))
-    return out
+    t = np.arange(mesh.n_triangles)
+    pts, wts = tri_quad(mesh, t, rule or quadrature_for_degree(k))
+    vals = _tri_basis_values(mesh, t, k - 1, pts)
+    x, y = pts[..., 0].ravel(), pts[..., 1].ravel()
+    comps = np.stack([np.broadcast_to(np.asarray(c, dtype=float), x.shape).reshape(wts.shape)
+                      for c in q(x, y)], axis=1)
+    return _project(vals[:, None], wts[:, None], comps)

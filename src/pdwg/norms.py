@@ -17,13 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fespace import (
-    element_basis,
-    gradient_coefficient_maps,
-    l2_project_weak,
-    quadrature_for_degree,
-    tri_quad,
-)
+from .fespace import gradient_coefficient_maps, l2_project_weak, quadrature_for_degree, tri_mass
 from .weakops import IDENTITY, LocalOperators
 
 __all__ = [
@@ -68,44 +62,35 @@ class InteriorField:
     def value(self, t, pts):
         return self.wf.interior_value(t, pts)
 
-    def l2_norm(self, rule=None):
-        rule = rule or quadrature_for_degree(self.k)
-        basis = element_basis(self.k)
-        total = 0.0
-        for t in range(self.mesh.n_triangles):
-            pts, wts = tri_quad(self.mesh, t, rule)
-            vals = basis.eval(pts, self.mesh.tri_centroids[t], self.mesh.h_tri[t])
-            mass = vals.T @ (wts[:, None] * vals)
-            c = self.coeffs(t)
-            total += c @ mass @ c
-        return float(np.sqrt(max(total, 0.0)))
+    def l2_norm(self, rule=None, ops=None):
+        """L2 norm of v_0; the P_k mass matrices come from ops when given."""
+        t = np.arange(self.mesh.n_triangles)
+        c = self.wf.interior_coeffs(t)
+        mass = tri_mass(self.mesh, t, self.k, rule) if ops is None else ops.mass_k
+        return float(np.sqrt(max(np.einsum("ti,tij,tj->", c, mass, c), 0.0)))
 
 
-def error_fields(u_h, u_exact, mesh, k=None, rule=None):
+def error_fields(u_h, u_exact, mesh, k=None, rule=None, ops=None):
     """Difference to the projected exact solution: e_h = u_h - Q_h u,
-    returned with the evaluator of its interior part e_0."""
+    returned with the evaluator of its interior part e_0.  Q_h u reuses
+    the tables of ops when given."""
     k = u_h.k if k is None else k
     if k != u_h.k:
         raise ValueError("degree does not match the weak function")
-    e_h = u_h - l2_project_weak(u_exact, mesh, k, rule)
+    e_h = u_h - l2_project_weak(u_exact, mesh, k, rule, ops)
     return e_h, InteriorField(e_h)
 
 
-def broken_h1(e0, mesh, rule=None):
-    """Elementwise L2 norm of the interior gradient, summed over the mesh."""
+def broken_h1(e0, mesh, rule=None, ops=None):
+    """Elementwise L2 norm of the interior gradient, summed over the mesh;
+    the P_{k-1} mass matrices come from ops when given."""
     k = e0.k
-    rule = rule or quadrature_for_degree(k)
-    rbasis = element_basis(k - 1)
-    total = 0.0
-    for t in range(mesh.n_triangles):
-        dx, dy = gradient_coefficient_maps(k, mesh.h_tri[t])
-        gx = dx @ e0.coeffs(t)
-        gy = dy @ e0.coeffs(t)
-        pts, wts = tri_quad(mesh, t, rule)
-        vals = rbasis.eval(pts, mesh.tri_centroids[t], mesh.h_tri[t])
-        mass = vals.T @ (wts[:, None] * vals)
-        total += gx @ mass @ gx + gy @ mass @ gy
-    return float(np.sqrt(max(total, 0.0)))
+    gamma = _interior_gradient_coefficients(e0.wf, mesh, k)
+    if ops is None:
+        mass = tri_mass(mesh, np.arange(mesh.n_triangles), k - 1, rule or quadrature_for_degree(k))
+    else:
+        mass = ops.mass_r
+    return float(np.sqrt(max(np.einsum("tci,tij,tcj->", gamma, mass, gamma), 0.0)))
 
 
 def stabilizer_seminorm(v, mesh, k=None, rule=None, ops=None):
@@ -116,97 +101,62 @@ def stabilizer_seminorm(v, mesh, k=None, rule=None, ops=None):
     return float(np.sqrt(max(ops.stabilizer_value(v), 0.0)))
 
 
-def _weak_gradient_coefficients(v, mesh, k, rule, ops):
-    if ops is not None:
-        return ops.gradient_coefficients(v)
-    from .weakops import weak_gradient_map
-
-    out = np.empty((mesh.n_triangles, 2, element_basis(k - 1).dim))
-    for t in range(mesh.n_triangles):
-        gmap = weak_gradient_map(mesh, t, k, rule)
-        out[t] = (gmap @ v.local_coeffs(t)).reshape(2, -1)
-    return out
-
-
 def _interior_gradient_coefficients(v, mesh, k):
-    out = np.empty((mesh.n_triangles, 2, element_basis(k - 1).dim))
-    for t in range(mesh.n_triangles):
-        dx, dy = gradient_coefficient_maps(k, mesh.h_tri[t])
-        c = v.interior_coeffs(t)
-        out[t, 0] = dx @ c
-        out[t, 1] = dy @ c
-    return out
+    """Coefficients (T, 2, dim P_{k-1}) of the gradient of v_0."""
+    dx, dy = gradient_coefficient_maps(k, 1.0)
+    c = v.interior_coeffs(np.arange(mesh.n_triangles))
+    return np.stack([c @ dx.T, c @ dy.T], axis=1) / mesh.h_tri[:, None, None]
 
 
-def _divergence_term(gamma, mesh, k, a, rule):
+def _divergence_term(gamma, ops, a):
     """sum_T h_T^2 ||div(a G)||_T^2 for the per-triangle coefficient
     array gamma of G, using the product rule grad(a).G + a div(G)."""
-    rbasis = element_basis(k - 1)
-    verts = mesh.vertices[mesh.triangles]                   # (T, 3, 2)
-    ref = rule.tri_points
-    pts = (verts[:, None, 0]
-           + ref[None, :, 0, None] * (verts[:, None, 1] - verts[:, None, 0])
-           + ref[None, :, 1, None] * (verts[:, None, 2] - verts[:, None, 0]))
-    wts = rule.tri_weights * (2.0 * mesh.tri_areas[:, None])
-    center = mesh.tri_centroids[:, None, :]
-    scale = mesh.h_tri[:, None]
-    vals = rbasis.eval(pts, center, scale)                  # (T, nq, m)
-    grads = rbasis.grad(pts, center, scale)                 # (T, nq, m, 2)
     # field values (T, nq, 2) and derivatives d_i G_j as (T, nq, i, j)
-    gvals = np.einsum("tnm,tjm->tnj", vals, gamma)
-    gder = np.einsum("tjm,tnmi->tnij", gamma, grads)
-    x, y = pts[..., 0].ravel(), pts[..., 1].ravel()
+    gvals = np.einsum("tnm,tjm->tnj", ops.vr, gamma)
+    gder = np.einsum("tjm,tnmi->tnij", gamma, ops.gr)
+    x, y = ops.tri_pts[..., 0].ravel(), ops.tri_pts[..., 1].ravel()
     if a.is_matrix:
-        if not a.is_constant:
-            raise NotImplementedError(
-                "divergence term for a variable matrix coefficient is not supported"
-            )
         div = np.einsum("ij,tnij->tn", a.const, gder)
     else:
-        avals = a.scalar_values(x, y).reshape(wts.shape)
-        div = avals * (gder[..., 0, 0] + gder[..., 1, 1])
+        div = a.scalar_values(x, y).reshape(ops.tri_wts.shape) * (gder[..., 0, 0] + gder[..., 1, 1])
         if not a.is_constant:
-            agrad = a.grad_values(x, y).reshape(gvals.shape)
-            div += np.einsum("tni,tni->tn", agrad, gvals)
-    return float(mesh.h_tri**2 @ np.einsum("tn,tn->t", wts, div**2))
+            div += np.einsum("tni,tni->tn", a.grad_values(x, y).reshape(gvals.shape), gvals)
+    return float(ops.h**2 @ np.einsum("tn,tn->t", ops.tri_wts, div**2))
 
 
-def _jump_term(gamma, mesh, k, a, rule, include_boundary):
+def _jump_term(gamma, ops, a, include_boundary):
     """sum over interior edges and flagged boundary edges of
     w_e ||[a G . n]||_e^2 against the fixed global edge normal."""
-    rbasis = element_basis(k - 1)
-    edges = np.nonzero(~mesh.is_boundary_edge | include_boundary)[0]
-    # first and last adjacent triangle; the same one on boundary edges
-    adj = np.array([(mesh.edge_tris[e][0], mesh.edge_tris[e][-1]) for e in edges],
-                   dtype=int).reshape(-1, 2)
-    interior = adj[:, 0] != adj[:, 1]
-    direction = mesh.vertices[mesh.edges[edges, 1]] - mesh.vertices[mesh.edges[edges, 0]]
-    pts = mesh.edge_midpoints[edges, None, :] + rule.edge_points[:, None] * direction[:, None, :]
-    wts = rule.edge_weights * mesh.edge_lengths[edges, None]
+    mesh = ops.mesh
+    edges = np.flatnonzero(~mesh.is_boundary_edge | include_boundary)
+    # (triangle, local edge) slots of both sides; one slot twice on boundary edges
+    slots = ops.edge_slots[edges]
+    tris = slots // 3
+    mq = ops.edge_wts.shape[-1]
+    pts = ops.edge_pts.reshape(-1, mq, 2)[slots[:, 0]]
+    wts = ops.edge_wts.reshape(-1, mq)[slots[:, 0]]
     x, y = pts[..., 0].ravel(), pts[..., 1].ravel()
+    vals = ops.edge_vr.reshape(-1, mq, ops.edge_vr.shape[-1])
     normal = mesh.edge_normals[edges]
     traces = []
     for side in (0, 1):
-        t = adj[:, side]
-        vals = rbasis.eval(pts, mesh.tri_centroids[t, None, :], mesh.h_tri[t, None])
-        gvals = np.einsum("enm,ejm->enj", vals, gamma[t]).reshape(-1, 2)
-        flux = a.flux(x, y, gvals).reshape(pts.shape)
+        gvals = np.einsum("enm,ejm->enj", vals[slots[:, side]], gamma[tris[:, side]])
+        flux = a.flux(x, y, gvals.reshape(-1, 2)).reshape(pts.shape)
         traces.append(np.einsum("enj,ej->en", flux, normal))
-    jump = traces[0] - np.where(interior[:, None], traces[1], 0.0)
-    weight = mesh.h_tri[adj].max(axis=1)
+    jump = traces[0] - np.where((slots[:, 0] != slots[:, 1])[:, None], traces[1], 0.0)
+    weight = mesh.h_tri[tris].max(axis=1)
     return float(weight @ np.einsum("en,en->e", wts, jump**2))
 
 
 def _residual_terms(v, mesh, config, a, k, rule, ops, grad_mode, include_boundary):
-    rule = rule or quadrature_for_degree(k)
-    if grad_mode == "weak":
-        gamma = _weak_gradient_coefficients(v, mesh, k, rule, ops)
-    else:
-        gamma = _interior_gradient_coefficients(v, mesh, k)
     if ops is None:
         ops = LocalOperators(mesh, k, a, rule)
-    div = _divergence_term(gamma, mesh, k, a, rule)
-    jump = _jump_term(gamma, mesh, k, a, rule, include_boundary)
+    if grad_mode == "weak":
+        gamma = ops.gradient_coefficients(v)
+    else:
+        gamma = _interior_gradient_coefficients(v, mesh, k)
+    div = _divergence_term(gamma, ops, a)
+    jump = _jump_term(gamma, ops, a, include_boundary)
     stab = ops.stabilizer_value(v)
     return div, jump, stab
 
@@ -263,14 +213,14 @@ def error_report(u_h, lam_h, u_exact, mesh, config, a=IDENTITY, k=None, rule=Non
     """Collect every error functional of one solve.  The multiplier error
     is lam_h itself (its exact counterpart vanishes)."""
     k = _check_degree(u_h, k)
-    rule = rule or quadrature_for_degree(k)
     if ops is None:
         ops = LocalOperators(mesh, k, a, rule)
-    e_h, e0 = error_fields(u_h, u_exact, mesh, k, rule)
+    rule = ops.rule
+    e_h, e0 = error_fields(u_h, u_exact, mesh, k, rule, ops)
     stab = stabilizer_seminorm(e_h, mesh, k, rule, ops)
     report = ErrorReport(
-        l2_e0=e0.l2_norm(rule),
-        h1_e0=broken_h1(e0, mesh, rule),
+        l2_e0=e0.l2_norm(rule, ops),
+        h1_e0=broken_h1(e0, mesh, rule, ops),
         resid_u=residual_norm_primal(e_h, mesh, config, a, k, rule, ops),
         resid_lambda=residual_norm_multiplier(lam_h, mesh, config, a, k, rule, ops),
         stab_u=stab,

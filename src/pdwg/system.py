@@ -21,16 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .fespace import (
-    DofMap,
-    WeakFunction,
-    edge_basis,
-    edge_quad,
-    element_basis,
-    l2_project_edge,
-    quadrature_for_degree,
-    tri_quad,
-)
+from .fespace import DofMap, WeakFunction, l2_project_edge, sample
 from .weakops import LocalOperators
 
 __all__ = [
@@ -68,12 +59,12 @@ class SaddleSystem:
     """Assembled free-dof system, ordered primal block then multiplier
     block, plus the lift data needed to reconstruct full fields."""
 
-    matrix: sp.csr_matrix
+    matrix: sp.csc_matrix
     rhs: np.ndarray
     mesh: object
     config: object
     k: int
-    dofmap: DofMap
+    dofmap: DofMap                   # the level's layout; u_free/lam_free carry the split
     u_free: np.ndarray
     lam_free: np.ndarray
     u_fixed_values: np.ndarray       # full-length vector, zero on free dofs
@@ -84,11 +75,40 @@ class SaddleSystem:
         return self.matrix.shape[0]
 
 
-def _accumulate(coo_rows, coo_cols, coo_data, dofs, local):
-    n = len(dofs)
-    coo_rows.append(np.repeat(dofs, n))
-    coo_cols.append(np.tile(dofs, n))
-    coo_data.append(local.ravel())
+def _free_blocks(ops, u_fixed, lam_fixed):
+    """The free-dof matrix [[-S_ff, K_fg], [K_fg^T, S_gg]] and the lift
+    columns [[S_fp], [K_gp]] (p: fixed primal dofs), both assembled straight
+    from the stacked local matrices.  A global entry sums at most two local
+    ones (an edge has at most two triangles), so it does not depend on the
+    order of the sum."""
+    uf, lf, up = np.flatnonzero(~u_fixed), np.flatnonzero(~lam_fixed), np.flatnonzero(u_fixed)
+    nloc = ops.cell_dofs.shape[1]
+
+    def entries(dofs, offset=0):
+        # row and column position of every local matrix entry in the block
+        # of dofs, -1 outside it
+        pos = np.full(ops.dofmap.n_dofs, -1, dtype=np.int32)
+        pos[dofs] = offset + np.arange(len(dofs))
+        local = pos[ops.cell_dofs]
+        return np.repeat(local, nloc, axis=1).ravel(), np.tile(local, (1, nloc)).ravel()
+
+    def coo(blocks, shape):
+        triplets = [[], [], []]
+        for block in blocks:
+            keep = (block[0] >= 0) & (block[1] >= 0)
+            for out, part in zip(triplets, block):
+                out.append(part[keep])
+        r, c, v = (np.concatenate(parts) for parts in triplets)
+        return sp.coo_matrix((v, (r, c)), shape=shape)
+
+    (ru, cu), (rl, cl), (_, cp) = entries(uf), entries(lf, len(uf)), entries(up)
+    stab, diff = ops.stabilizers.ravel(), ops.diffusion_forms.ravel()
+    n_free = len(uf) + len(lf)
+    # CSC is the format the sparse LU takes, so solve needs no second copy
+    matrix = coo([(ru, cu, -stab), (ru, cl, diff), (cl, ru, diff), (rl, cl, stab)],
+                 (n_free, n_free)).tocsc()
+    lift_cols = coo([(ru, cp, stab), (rl, cp, diff)], (n_free, len(up))).tocsr()
+    return matrix, lift_cols, uf, lf, up
 
 
 def assemble(mesh, config, case, k=1, rule=None, ops=None):
@@ -96,75 +116,46 @@ def assemble(mesh, config, case, k=1, rule=None, ops=None):
 
     The right-hand side collects (f, w_0) over elements and <g2, w_b> over
     the Gamma_n edges; the projected Dirichlet data Q_b g1 is eliminated
-    into the right-hand side.
+    into the right-hand side.  Dof layout, quadrature and local matrices
+    come from ops, built here when not given.
     """
     if config.mesh is not mesh:
         raise ValueError("boundary configuration belongs to a different mesh")
-    rule = rule or quadrature_for_degree(k)
     if ops is None:
         ops = LocalOperators(mesh, k, case.a, rule)
     if config.gamma_n_edges.size and case.grad_u is None:
         raise ValueError("case provides no flux data g2 but Gamma_n is nonempty")
 
-    dofmap = DofMap(mesh, k, config)
+    dofmap = ops.dofmap
     n_dofs = dofmap.n_dofs
-
-    s_rows, s_cols, s_data = [], [], []
-    k_rows, k_cols, k_data = [], [], []
     rhs_full = np.zeros(n_dofs)
-    kbasis = element_basis(k)
-    for t in range(mesh.n_triangles):
-        dofs = dofmap.cell_dofs(t)
-        _accumulate(s_rows, s_cols, s_data, dofs, ops.stabilizers[t])
-        _accumulate(k_rows, k_cols, k_data, dofs, ops.diffusion_forms[t])
-        pts, wts = tri_quad(mesh, t, rule)
-        fvals = np.asarray(case.f(pts[:, 0], pts[:, 1]), dtype=float)
-        if fvals.ndim == 0:
-            fvals = np.full(len(wts), float(fvals))
-        vals = kbasis.eval(pts, mesh.tri_centroids[t], mesh.h_tri[t])
-        rhs_full[dofmap.interior_block(t)] += vals.T @ (wts * fvals)
+    # matrix-vector products per triangle and edge, as a loop would form them
+    load = ops.vk.swapaxes(1, 2) @ (ops.tri_wts * sample(case.f, ops.tri_pts))[..., None]
+    rhs_full[: dofmap.n_interior] = load.ravel()
+    gn = config.gamma_n_edges
+    if gn.size:
+        # the one adjacent triangle of a boundary edge gives its outward normal
+        slot = ops.edge_slots[gn, 0]
+        pts = ops.edge_pts.reshape(-1, *ops.edge_pts.shape[2:])[slot]
+        wts = ops.edge_wts.reshape(-1, ops.edge_wts.shape[-1])[slot]
+        normals = np.repeat(ops.normals.reshape(-1, 2)[slot], wts.shape[1], axis=0)
+        g2 = case.g2(pts[..., 0].ravel(), pts[..., 1].ravel(), normals)
+        rhs_full[dofmap.edge_block(gn)] = (ops.beta.T @ (wts * g2.reshape(wts.shape))[..., None])[..., 0]
 
-    ebasis = edge_basis(k)
-    for e in config.gamma_n_edges:
-        t0 = mesh.edge_tris[e][0]
-        n_out = mesh.outward_normal(t0, e)
-        pts, wts, tc = edge_quad(mesh, e, rule)
-        g2vals = np.asarray(case.g2(pts[:, 0], pts[:, 1], n_out), dtype=float)
-        rhs_full[dofmap.edge_block(e)] += ebasis.eval(tc).T @ (wts * g2vals)
-
-    stab = sp.coo_matrix(
-        (np.concatenate(s_data), (np.concatenate(s_rows), np.concatenate(s_cols))),
-        shape=(n_dofs, n_dofs),
-    ).tocsr()
-    diff = sp.coo_matrix(
-        (np.concatenate(k_data), (np.concatenate(k_rows), np.concatenate(k_cols))),
-        shape=(n_dofs, n_dofs),
-    ).tocsr()
-
+    gd = config.gamma_d_edges
     u_fixed_values = np.zeros(n_dofs)
-    for e in config.gamma_d_edges:
-        u_fixed_values[dofmap.edge_block(e)] = l2_project_edge(case.g1, mesh, e, k, rule)
+    if gd.size:
+        u_fixed_values[dofmap.edge_block(gd)] = l2_project_edge(case.g1, mesh, gd, ops.k, ops.rule)
 
-    uf = dofmap.u_free
-    lf = dofmap.lam_free
-    up = np.nonzero(dofmap.u_fixed)[0]
-
-    s_ff = stab[uf][:, uf]
-    k_fg = diff[uf][:, lf]
-    s_gg = stab[lf][:, lf]
-    matrix = sp.bmat([[-s_ff, k_fg], [k_fg.T, s_gg]], format="csr")
-
-    lift = u_fixed_values[up]
-    rhs = np.concatenate([
-        stab[uf][:, up] @ lift,
-        rhs_full[lf] - diff[lf][:, up] @ lift,
-    ])
+    matrix, lift_cols, uf, lf, up = _free_blocks(ops, *dofmap.fixed_masks(config))
+    lifted = lift_cols @ u_fixed_values[up]
+    rhs = np.concatenate([lifted[: len(uf)], rhs_full[lf] - lifted[len(uf):]])
     return SaddleSystem(
         matrix=matrix,
         rhs=rhs,
         mesh=mesh,
         config=config,
-        k=k,
+        k=ops.k,
         dofmap=dofmap,
         u_free=uf,
         lam_free=lf,
@@ -242,8 +233,8 @@ def solve(system):
     lam_coeffs = np.zeros(system.dofmap.n_dofs)
     lam_coeffs[system.lam_free] = x[nf:]
     return (
-        WeakFunction(system.mesh, system.k, u_coeffs),
-        WeakFunction(system.mesh, system.k, lam_coeffs),
+        WeakFunction(system.mesh, system.k, u_coeffs, dofmap=system.dofmap),
+        WeakFunction(system.mesh, system.k, lam_coeffs, dofmap=system.dofmap),
     )
 
 

@@ -17,10 +17,10 @@ import numpy as np
 
 from .fespace import (
     DofMap,
-    dim_pk,
     edge_basis,
     edge_quad,
     element_basis,
+    gram,
     quadrature_for_degree,
     tri_quad,
 )
@@ -37,21 +37,20 @@ __all__ = [
 
 
 class Diffusion:
-    """Diffusion coefficient a(x, y): a positive scalar or a symmetric
-    positive definite 2x2 matrix, constant or callable.
+    """Diffusion coefficient a(x, y): a positive scalar, constant or
+    callable, or a constant symmetric positive definite 2x2 matrix.
 
-    For callables, pass matrix=True when the callable returns (npts, 2, 2)
-    matrices.  grad is an optional callable returning the gradient
-    (npts, 2) of a scalar coefficient; residual norms need it whenever the
-    scalar coefficient is not constant.
+    grad is an optional callable returning the gradient (npts, 2) of a
+    callable coefficient; residual norms need it whenever the coefficient
+    is not constant.
     """
 
-    def __init__(self, value=1.0, grad=None, matrix=None):
+    def __init__(self, value=1.0, grad=None):
         self.grad = grad
         if callable(value):
             self.fn = value
             self.const = None
-            self.is_matrix = bool(matrix)
+            self.is_matrix = False
             self.is_constant = False
         else:
             arr = np.asarray(value, dtype=float)
@@ -82,16 +81,6 @@ class Diffusion:
             vals = np.full(np.shape(x), float(vals))
         return vals
 
-    def matrix_values(self, x, y):
-        n = np.size(x)
-        if self.is_constant:
-            if self.is_matrix:
-                return np.broadcast_to(self.const, (n, 2, 2))
-            return self.const * np.broadcast_to(np.eye(2), (n, 2, 2))
-        if self.is_matrix:
-            return np.asarray(self.fn(x, y), dtype=float).reshape(n, 2, 2)
-        return self.scalar_values(x, y)[:, None, None] * np.eye(2)[None, :, :]
-
     def grad_values(self, x, y):
         """Gradient of a scalar coefficient; zero for constants."""
         if self.is_matrix:
@@ -107,59 +96,120 @@ class Diffusion:
     def flux(self, x, y, vec):
         """a times a vector field sampled at points; vec has shape (npts, 2)."""
         vec = np.asarray(vec, dtype=float)
-        if not self.is_matrix:
-            return self.scalar_values(x, y)[:, None] * vec
-        mats = self.matrix_values(x, y)
-        return np.einsum("nij,nj->ni", mats, vec)
+        if self.is_matrix:
+            return vec @ self.const.T
+        return self.scalar_values(x, y)[:, None] * vec
 
 
 IDENTITY = Diffusion(1.0)
 
 
-def _edge_data(mesh, t, loc, rule):
-    e = mesh.tri_edges[t, loc]
-    sign = mesh.tri_edge_signs[t, loc]
-    pts, wts, tc = edge_quad(mesh, e, rule)
-    return e, sign * mesh.edge_normals[e], pts, wts, tc
+class _Tables:
+    """Quadrature and basis tables of the triangles tris, batched along a
+    leading triangle axis T:
+
+    tri_pts (T, nq, 2), tri_wts (T, nq)   physical triangle rule
+    edge_pts (T, 3, mq, 2), edge_wts (T, 3, mq)
+                                          local edge l = (v_l, v_{l+1}), points
+                                          in the global edge orientation
+    normals (T, 3, 2)                     outward unit normals of the local edges
+    vk, vr (T, nq, dim)                   P_k and P_{k-1} values
+    gr (T, nq, dim_r, 2)                  P_{k-1} gradients
+    edge_vk, edge_vr (T, 3, mq, dim)      P_k and P_{k-1} traces on the local edges
+    beta (mq, k+1)                        edge basis
+    mass_r (T, dim_r, dim_r)              P_{k-1} mass matrices
+    """
+
+    def __init__(self, mesh, k, rule, tris):
+        self.mesh = mesh
+        self.k = k
+        self.rule = rule
+        self.h = mesh.h_tri[tris]
+        center = mesh.tri_centroids[tris][:, None, :]
+        scale = self.h[:, None]
+        kbasis = element_basis(k)
+        rbasis = element_basis(k - 1)
+        self.tri_pts, self.tri_wts = tri_quad(mesh, tris, rule)
+        edges = mesh.tri_edges[tris]
+        self.edge_pts, self.edge_wts, _ = edge_quad(mesh, edges, rule)
+        self.normals = mesh.tri_edge_signs[tris][..., None] * mesh.edge_normals[edges]
+        # the graded P_{k-1} basis is the leading part of the P_k basis
+        self.vk = kbasis.eval(self.tri_pts, center, scale)
+        self.vr = self.vk[..., : rbasis.dim]
+        self.gr = rbasis.grad(self.tri_pts, center, scale)
+        self.edge_vk = kbasis.eval(self.edge_pts, center[:, None], scale[:, None])
+        self.edge_vr = self.edge_vk[..., : rbasis.dim]
+        self.beta = edge_basis(k).eval(rule.edge_points)
+        self.mass_r = gram(self.vr, self.tri_wts)
+
+
+# The kernels below keep the operation order of a per-triangle loop (3-operand
+# einsums, one Gram product per local edge, summed in edge order), so every
+# local matrix is bit-identical to the one computed triangle by triangle.
+# This matters beyond taste: at k=3 the gauge-singular cases t3-t5 leave one
+# multiplier kernel direction to roundoff, and their results move with the
+# last bit of the matrix.
+
+
+def _grad_maps(tab):
+    """Weak-gradient maps (T, 2 dim_r, nloc) from the defining equations
+    (G, psi)_T = -(v_0, div psi)_T + <v_b, psi . n>_{dT}, one per component."""
+    nt, dimk, dimr, dime = len(tab.h), tab.vk.shape[-1], tab.vr.shape[-1], tab.beta.shape[-1]
+    rhs = np.empty((nt, 2, dimr, dimk + 3 * dime))
+    for c in range(2):
+        # interior columns: -(v_0, div psi)_T
+        rhs[:, c, :, :dimk] = -np.einsum("tn,tnj,tni->tji", tab.tri_wts, tab.gr[..., c], tab.vk)
+    # edge columns: <v_b, psi . n>_{dT} with the outward normal
+    block = np.einsum("tln,tlnj,nm->tljm", tab.edge_wts, tab.edge_vr, tab.beta)
+    for loc in range(3):
+        cols = slice(dimk + loc * dime, dimk + (loc + 1) * dime)
+        for c in range(2):
+            rhs[:, c, :, cols] = tab.normals[:, loc, c, None, None] * block[:, loc]
+    return np.linalg.solve(tab.mass_r[:, None], rhs).reshape(nt, 2 * dimr, -1)
+
+
+def _stabilizers(tab):
+    """Matrices (T, nloc, nloc) of h_T^{-1} sum_e int_e (v_0 - v_b)^2."""
+    nt, _, mq, dimk = tab.edge_vk.shape
+    dime = tab.beta.shape[-1]
+    z = np.zeros((nt, 3, mq, dimk + 3 * dime))
+    z[..., :dimk] = tab.edge_vk
+    for loc in range(3):
+        z[:, loc, :, dimk + loc * dime : dimk + (loc + 1) * dime] = -tab.beta
+    mat = gram(z[:, 0], tab.edge_wts[:, 0])
+    for loc in (1, 2):
+        mat += gram(z[:, loc], tab.edge_wts[:, loc])
+    mat /= tab.h[:, None, None]
+    return 0.5 * (mat + mat.swapaxes(1, 2))
+
+
+def _diffusion_forms(tab, a, gmaps):
+    """Matrices (T, nloc, nloc) of b_T(u, v) = (a grad_w u, grad_w v)_T."""
+    nt, dimr = len(tab.h), tab.vr.shape[-1]
+    mass2 = np.zeros((nt, 2, dimr, 2, dimr))
+    if a.is_matrix:
+        for i in range(2):
+            for j in range(2):
+                mass2[:, i, :, j] = gram(tab.vr, tab.tri_wts * a.const[i, j])
+    else:
+        pts = tab.tri_pts.reshape(-1, 2)
+        avals = a.scalar_values(pts[:, 0], pts[:, 1]).reshape(tab.tri_wts.shape)
+        if np.any(avals <= 0):
+            raise ValueError("diffusion coefficient not positive at a quadrature point")
+        mass2[:, 0, :, 0] = mass2[:, 1, :, 1] = gram(tab.vr, tab.tri_wts * avals)
+    form = gmaps.swapaxes(1, 2) @ mass2.reshape(nt, 2 * dimr, 2 * dimr) @ gmaps
+    return 0.5 * (form + form.swapaxes(1, 2))
+
+
+def _one_triangle(mesh, t, k, rule):
+    return _Tables(mesh, k, rule or quadrature_for_degree(k), np.array([t]))
 
 
 def weak_gradient_map(mesh, t, k, rule=None):
     """Matrix (2*dim P_{k-1}, nloc) sending the local dof vector
     [interior | edge0 | edge1 | edge2] to the stacked (x-part, y-part)
     coefficients of the discrete weak gradient."""
-    rule = rule or quadrature_for_degree(k)
-    center = mesh.tri_centroids[t]
-    scale = mesh.h_tri[t]
-    kbasis = element_basis(k)
-    rbasis = element_basis(k - 1)
-    ebasis = edge_basis(k)
-    dimr = rbasis.dim
-    nloc = kbasis.dim + 3 * ebasis.dim
-
-    pts, wts = tri_quad(mesh, t, rule)
-    vk = kbasis.eval(pts, center, scale)
-    vr = rbasis.eval(pts, center, scale)
-    gr = rbasis.grad(pts, center, scale)
-    mass_r = vr.T @ (wts[:, None] * vr)
-
-    rhs = np.zeros((2 * dimr, nloc))
-    # interior columns: -(v_0, div psi)_T
-    rhs[:dimr, : kbasis.dim] = -np.einsum("n,nj,ni->ji", wts, gr[:, :, 0], vk)
-    rhs[dimr:, : kbasis.dim] = -np.einsum("n,nj,ni->ji", wts, gr[:, :, 1], vk)
-    # edge columns: <v_b, psi . n>_{dT} with the outward normal
-    for loc in range(3):
-        _, n_out, epts, ewts, tc = _edge_data(mesh, t, loc, rule)
-        beta = ebasis.eval(tc)
-        chi = rbasis.eval(epts, center, scale)
-        block = np.einsum("n,nj,nm->jm", ewts, chi, beta)
-        cols = slice(kbasis.dim + loc * ebasis.dim, kbasis.dim + (loc + 1) * ebasis.dim)
-        rhs[:dimr, cols] = n_out[0] * block
-        rhs[dimr:, cols] = n_out[1] * block
-
-    gmap = np.empty_like(rhs)
-    gmap[:dimr] = np.linalg.solve(mass_r, rhs[:dimr])
-    gmap[dimr:] = np.linalg.solve(mass_r, rhs[dimr:])
-    return gmap
+    return _grad_maps(_one_triangle(mesh, t, k, rule))[0]
 
 
 def weak_gradient(mesh, t, k, local_dofs, rule=None, gmap=None):
@@ -177,80 +227,39 @@ def local_stabilizer(mesh, t, k, rule=None):
     """Matrix of the quadratic form h_T^{-1} sum_e int_e (v_0 - v_b)^2 on
     the local dofs; symmetric positive semidefinite, vanishing exactly
     when v_b matches the trace of v_0 on every edge."""
-    rule = rule or quadrature_for_degree(k)
-    center = mesh.tri_centroids[t]
-    scale = mesh.h_tri[t]
-    kbasis = element_basis(k)
-    ebasis = edge_basis(k)
-    nloc = kbasis.dim + 3 * ebasis.dim
-
-    mat = np.zeros((nloc, nloc))
-    for loc in range(3):
-        _, _, epts, ewts, tc = _edge_data(mesh, t, loc, rule)
-        z = np.zeros((len(ewts), nloc))
-        z[:, : kbasis.dim] = kbasis.eval(epts, center, scale)
-        cols = slice(kbasis.dim + loc * ebasis.dim, kbasis.dim + (loc + 1) * ebasis.dim)
-        z[:, cols] = -ebasis.eval(tc)
-        mat += z.T @ (ewts[:, None] * z)
-    mat /= mesh.h_tri[t]
-    return 0.5 * (mat + mat.T)
+    return _stabilizers(_one_triangle(mesh, t, k, rule))[0]
 
 
 def local_diffusion_form(mesh, t, k, a=IDENTITY, rule=None, gmap=None):
     """Matrix of b_T(u, v) = (a grad_w u, grad_w v)_T on the local dofs."""
-    rule = rule or quadrature_for_degree(k)
-    if gmap is None:
-        gmap = weak_gradient_map(mesh, t, k, rule)
-    rbasis = element_basis(k - 1)
-    dimr = rbasis.dim
-    pts, wts = tri_quad(mesh, t, rule)
-    vr = rbasis.eval(pts, mesh.tri_centroids[t], mesh.h_tri[t])
-
-    mass2 = np.zeros((2 * dimr, 2 * dimr))
-    if a.is_matrix:
-        mats = a.matrix_values(pts[:, 0], pts[:, 1])
-        if np.any(np.linalg.eigvalsh(mats) <= 0):
-            raise ValueError("diffusion coefficient not positive definite at a quadrature point")
-        for i in range(2):
-            for j in range(2):
-                mass2[i * dimr : (i + 1) * dimr, j * dimr : (j + 1) * dimr] = vr.T @ (
-                    (wts * mats[:, i, j])[:, None] * vr
-                )
-    else:
-        avals = a.scalar_values(pts[:, 0], pts[:, 1])
-        if np.any(avals <= 0):
-            raise ValueError("diffusion coefficient not positive at a quadrature point")
-        mass_a = vr.T @ ((wts * avals)[:, None] * vr)
-        mass2[:dimr, :dimr] = mass_a
-        mass2[dimr:, dimr:] = mass_a
-
-    form = gmap.T @ mass2 @ gmap
-    return 0.5 * (form + form.T)
+    tab = _one_triangle(mesh, t, k, rule)
+    gmaps = _grad_maps(tab) if gmap is None else gmap[None]
+    return _diffusion_forms(tab, a, gmaps)[0]
 
 
-class LocalOperators:
-    """Per-triangle weak-gradient maps and local form matrices, stacked
-    into arrays for reuse across assembly and norm evaluation."""
+class LocalOperators(_Tables):
+    """Discretization context of one level (mesh, k, a, rule): the
+    quadrature and basis tables of every triangle, the level's single
+    DofMap, the edge adjacency, and the stacked weak-gradient maps,
+    stabilizers and diffusion forms.  assemble, solve and error_report
+    all read the same instance."""
 
     def __init__(self, mesh, k, a=IDENTITY, rule=None):
-        self.mesh = mesh
-        self.k = k
-        self.a = a
-        self.rule = rule or quadrature_for_degree(k)
         self.dofmap = DofMap(mesh, k)
+        super().__init__(mesh, k, rule or quadrature_for_degree(k), np.arange(mesh.n_triangles))
+        self.a = a
         self.cell_dofs = self.dofmap.cell_dof_array
-
-        nt = mesh.n_triangles
-        dimr = dim_pk(k - 1)
-        nloc = self.cell_dofs.shape[1]
-        self.grad_maps = np.empty((nt, 2 * dimr, nloc))
-        self.stabilizers = np.empty((nt, nloc, nloc))
-        self.diffusion_forms = np.empty((nt, nloc, nloc))
-        for t in range(nt):
-            gmap = weak_gradient_map(mesh, t, k, self.rule)
-            self.grad_maps[t] = gmap
-            self.stabilizers[t] = local_stabilizer(mesh, t, k, self.rule)
-            self.diffusion_forms[t] = local_diffusion_form(mesh, t, k, a, self.rule, gmap=gmap)
+        # first and last (triangle, local edge) slot of every edge as flat
+        # indices into the (T, 3) tables; the same slot twice on boundary edges
+        flat = mesh.tri_edges.ravel()
+        counts = np.bincount(flat, minlength=mesh.n_edges)
+        first = np.cumsum(counts) - counts
+        self.edge_slots = np.argsort(flat, kind="stable")[
+            np.column_stack([first, first + counts - 1])]
+        self.mass_k = gram(self.vk, self.tri_wts)
+        self.grad_maps = _grad_maps(self)
+        self.stabilizers = _stabilizers(self)
+        self.diffusion_forms = _diffusion_forms(self, a, self.grad_maps)
 
     def gradient_coefficients(self, v):
         """Weak-gradient coefficients of every triangle, shape (T, 2, dimr)."""

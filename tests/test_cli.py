@@ -225,3 +225,47 @@ def test_markdown_failed_level_row():
     report = make_report([0.4, None], ns=[2, 4])
     text = emit(report, "markdown")
     assert "failed" in text
+
+
+def test_one_dofmap_and_a_fixed_number_of_case_calls_per_level(monkeypatch):
+    # every layer of a level reads the one LocalOperators context, and the
+    # case's closed forms are called on whole point sets, not per element
+    import dataclasses
+    from collections import Counter
+
+    from pdwg import fespace
+
+    builds = []
+    real_init = fespace.DofMap.__init__
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(args)
+        real_init(self, *args, **kwargs)
+
+    calls = Counter()
+    real_get_case = cli.get_case
+
+    def counting(name, fn):
+        def wrapped(x, y):
+            calls[name] += 1
+            return fn(x, y)
+        return wrapped
+
+    def counting_get_case(case_id):
+        case = real_get_case(case_id)
+        return dataclasses.replace(case, **{name: counting(name, getattr(case, name))
+                                            for name in ("u", "grad_u", "f")})
+
+    monkeypatch.setattr(fespace.DofMap, "__init__", counting_init)
+    monkeypatch.setattr(cli, "get_case", counting_get_case)
+    per_level = {}
+    for n in (2, 8):
+        builds.clear()
+        calls.clear()
+        run_study("t6", [n], k=2)
+        assert len(builds) == 1
+        per_level[n] = dict(calls)
+    assert per_level[2] == per_level[8]
+    builds.clear()
+    run_study("t3", [1, 2, 4])
+    assert len(builds) == 3

@@ -8,6 +8,7 @@ from pdwg.fespace import DofMap, l2_project_weak
 from pdwg.mesh import BoundaryConfig, build_uniform_mesh, classify_boundary
 from pdwg.norms import error_fields, residual_norm_multiplier, residual_norm_primal
 from pdwg.system import (
+    _PIVOT_TOL,
     SingularSystemError,
     assemble,
     condition_estimate,
@@ -277,3 +278,23 @@ def test_solver_residual_is_small():
 
     scale = np.linalg.norm(system.rhs) + spla.norm(system.matrix, np.inf) * np.linalg.norm(x)
     assert resid <= 1e-9 * scale
+
+
+def sparse_lu_pivot_ratio(case_id, k, n):
+    """min/max |U_ii| of the sparse LU that solve factors first."""
+    import scipy.sparse.linalg as spla
+
+    case = get_case(case_id)
+    mesh = build_uniform_mesh(n)
+    config = classify_boundary(mesh, case.dirichlet_sides, case.neumann_sides)
+    pivots = np.abs(spla.splu(assemble(mesh, config, case, k).matrix.tocsc()).U.diagonal())
+    return pivots.min() / pivots.max()
+
+
+def test_pivot_tolerance_keeps_a_decade_on_both_sides():
+    # the kernel test cuts between regular and gauge-singular pivot ratios,
+    # which approach each other under refinement: the smallest regular
+    # ratio measured (t6, k=3, n=16: 4.3e-9) and the largest gauge ratio
+    # (t3, k=1, n=32: 4.7e-13) must both stay a factor 10 clear of it
+    assert sparse_lu_pivot_ratio("t6", 3, 16) >= 10 * _PIVOT_TOL
+    assert sparse_lu_pivot_ratio("t3", 1, 32) <= _PIVOT_TOL / 10

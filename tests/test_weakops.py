@@ -1,10 +1,13 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from pdwg.cases import get_case
 from pdwg.fespace import (
     DofMap,
+    WeakFunction,
     dim_pk,
     edge_basis,
     edge_quad,
@@ -14,7 +17,8 @@ from pdwg.fespace import (
     quadrature_for_degree,
     tri_quad,
 )
-from pdwg.mesh import Mesh, build_uniform_mesh
+from pdwg.mesh import Mesh, build_uniform_mesh, classify_boundary
+from pdwg.system import assemble
 from pdwg.weakops import (
     Diffusion,
     IDENTITY,
@@ -349,3 +353,142 @@ def test_local_operators_match_module_functions():
         assert np.allclose(ops.grad_maps[t], weak_gradient_map(mesh, t, 1, ops.rule))
         assert np.allclose(ops.stabilizers[t], local_stabilizer(mesh, t, 1, ops.rule))
         assert np.allclose(ops.diffusion_forms[t], local_diffusion_form(mesh, t, 1, IDENTITY, ops.rule))
+
+
+def jittered_mesh(n=4, seed=8):
+    """build_uniform_mesh(n) with every interior vertex moved by up to h/4
+    in each coordinate, so that no two triangles share a shape."""
+    base = build_uniform_mesh(n)
+    verts = base.vertices.copy()
+    interior = np.all((verts > 0.0) & (verts < 1.0), axis=1)
+    rng = np.random.default_rng(seed)
+    verts[interior] += rng.uniform(-0.25, 0.25, (int(interior.sum()), 2)) / n
+    return Mesh(verts, base.triangles)
+
+
+def loop_local_matrices(mesh, t, k, a, rule):
+    """Per-triangle reference for the weak-gradient map, the stabilizer and
+    the diffusion form, written from the defining formulas one triangle and
+    one local edge at a time."""
+    center, scale = mesh.tri_centroids[t], mesh.h_tri[t]
+    kbasis, rbasis, ebasis = element_basis(k), element_basis(k - 1), edge_basis(k)
+    dk, dr, de = kbasis.dim, rbasis.dim, ebasis.dim
+    nloc = dk + 3 * de
+    pts, wts = tri_quad(mesh, t, rule)
+    vk = kbasis.eval(pts, center, scale)
+    vr = rbasis.eval(pts, center, scale)
+    gr = rbasis.grad(pts, center, scale)
+    mass_r = vr.T @ (wts[:, None] * vr)
+    rhs = np.zeros((2 * dr, nloc))
+    stab = np.zeros((nloc, nloc))
+    for c in range(2):
+        rhs[c * dr : (c + 1) * dr, :dk] = -np.einsum("n,nj,ni->ji", wts, gr[:, :, c], vk)
+    for loc in range(3):
+        e = mesh.tri_edges[t, loc]
+        n_out = mesh.tri_edge_signs[t, loc] * mesh.edge_normals[e]
+        epts, ewts, tc = edge_quad(mesh, e, rule)
+        cols = slice(dk + loc * de, dk + (loc + 1) * de)
+        block = np.einsum("n,nj,nm->jm", ewts, rbasis.eval(epts, center, scale), ebasis.eval(tc))
+        rhs[:dr, cols] = n_out[0] * block
+        rhs[dr:, cols] = n_out[1] * block
+        z = np.zeros((len(ewts), nloc))
+        z[:, :dk] = kbasis.eval(epts, center, scale)
+        z[:, cols] = -ebasis.eval(tc)
+        stab += z.T @ (ewts[:, None] * z)
+    gmap = np.vstack([np.linalg.solve(mass_r, rhs[:dr]), np.linalg.solve(mass_r, rhs[dr:])])
+    mass2 = np.zeros((2 * dr, 2 * dr))
+    for i in range(2):
+        for j in range(2):
+            if a.is_matrix:
+                aij = np.full(len(wts), a.const[i, j])
+            else:
+                aij = a.scalar_values(pts[:, 0], pts[:, 1]) * (i == j)
+            mass2[i * dr : (i + 1) * dr, j * dr : (j + 1) * dr] = vr.T @ ((wts * aij)[:, None] * vr)
+    return gmap, stab / scale, gmap.T @ mass2 @ gmap
+
+
+def loop_project(u, mesh, k, rule):
+    """Q_h u triangle by triangle and edge by edge."""
+    wf = WeakFunction(mesh, k)
+    for t in range(mesh.n_triangles):
+        pts, wts = tri_quad(mesh, t, rule)
+        vals = element_basis(k).eval(pts, mesh.tri_centroids[t], mesh.h_tri[t])
+        wf.coeffs[wf.dofmap.interior_block(t)] = np.linalg.solve(
+            vals.T @ (wts[:, None] * vals), vals.T @ (wts * u(pts[:, 0], pts[:, 1])))
+    for e in range(mesh.n_edges):
+        pts, wts, tc = edge_quad(mesh, e, rule)
+        vals = edge_basis(k).eval(tc)
+        wf.coeffs[wf.dofmap.edge_block(e)] = np.linalg.solve(
+            vals.T @ (wts[:, None] * vals), vals.T @ (wts * u(pts[:, 0], pts[:, 1])))
+    return wf
+
+
+def loop_assemble(mesh, config, case, k, rule):
+    """Dense free-dof matrix, right-hand side and Dirichlet lift built from
+    the per-triangle reference, with the load, the Gamma_n flux and the
+    projected g1 integrated one triangle or edge at a time."""
+    dm = DofMap(mesh, k, config)
+    stab = np.zeros((dm.n_dofs, dm.n_dofs))
+    diff = np.zeros_like(stab)
+    load = np.zeros(dm.n_dofs)
+    for t in range(mesh.n_triangles):
+        _, s_t, b_t = loop_local_matrices(mesh, t, k, case.a, rule)
+        dofs = np.concatenate([dm.interior_block(t)] + [dm.edge_block(e) for e in mesh.tri_edges[t]])
+        stab[np.ix_(dofs, dofs)] += s_t
+        diff[np.ix_(dofs, dofs)] += b_t
+        pts, wts = tri_quad(mesh, t, rule)
+        vals = element_basis(k).eval(pts, mesh.tri_centroids[t], mesh.h_tri[t])
+        load[dm.interior_block(t)] += vals.T @ (wts * case.f(pts[:, 0], pts[:, 1]))
+    for e in config.gamma_n_edges:
+        pts, wts, tc = edge_quad(mesh, e, rule)
+        g2 = case.g2(pts[:, 0], pts[:, 1], mesh.outward_normal(mesh.edge_tris[e][0], e))
+        load[dm.edge_block(e)] += edge_basis(k).eval(tc).T @ (wts * g2)
+    lift = np.zeros(dm.n_dofs)
+    projected = loop_project(case.g1, mesh, k, rule)
+    for e in config.gamma_d_edges:
+        lift[dm.edge_block(e)] = projected.edge_coeffs(e)
+    uf, lf, up = dm.u_free, dm.lam_free, np.flatnonzero(dm.u_fixed)
+    matrix = np.block([[-stab[np.ix_(uf, uf)], diff[np.ix_(uf, lf)]],
+                       [diff[np.ix_(uf, lf)].T, stab[np.ix_(lf, lf)]]])
+    rhs = np.concatenate([stab[np.ix_(uf, up)] @ lift[up],
+                          load[lf] - diff[np.ix_(lf, up)] @ lift[up]])
+    return matrix, rhs, lift
+
+
+def assert_close(batched, reference):
+    scale = np.max(np.abs(reference))
+    assert np.max(np.abs(np.asarray(batched) - reference)) <= 1e-12 * scale
+
+
+COEFFICIENTS = {
+    "identity": IDENTITY,
+    "variable": Diffusion(lambda x, y: 1.0 + x * y, grad=lambda x, y: np.column_stack([y, x])),
+    "matrix": Diffusion([[2.0, 0.5], [0.5, 1.0]]),
+}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("coefficient", sorted(COEFFICIENTS))
+def test_batched_context_matches_loop_on_jittered_mesh(k, coefficient):
+    a = COEFFICIENTS[coefficient]
+    mesh = jittered_mesh()
+    ops = LocalOperators(mesh, k, a)
+    for t in range(mesh.n_triangles):
+        gmap, stab, diff = loop_local_matrices(mesh, t, k, a, ops.rule)
+        assert_close(ops.grad_maps[t], gmap)
+        assert_close(ops.stabilizers[t], stab)
+        assert_close(ops.diffusion_forms[t], diff)
+
+    # Cauchy data on the bottom, Dirichlet on the left, flux on the right
+    case = dataclasses.replace(get_case("t6"), a=a, dirichlet_sides=("bottom", "left"),
+                               neumann_sides=("bottom", "right"))
+    config = classify_boundary(mesh, case.dirichlet_sides, case.neumann_sides)
+    system = assemble(mesh, config, case, k, ops=ops)
+    matrix, rhs, lift = loop_assemble(mesh, config, case, k, ops.rule)
+    assert_close(system.matrix.toarray(), matrix)
+    assert_close(system.rhs, rhs)
+    assert_close(system.u_fixed_values, lift)
+
+    projected = loop_project(case.u, mesh, k, ops.rule).coeffs
+    assert_close(l2_project_weak(case.u, mesh, k, ops.rule).coeffs, projected)
+    assert_close(l2_project_weak(case.u, mesh, k, ops=ops).coeffs, projected)

@@ -35,15 +35,13 @@ __all__ = [
 
 # relative residual bound accepted from the direct solver
 _RESIDUAL_TOL = 1e-9
-# pivot ratio (min/max |U_ii| of the sparse LU) at or below which the
-# factorization is probed for a kernel.  Measured over the catalog for
-# n <= 16 (n <= 32 at k=1): gauge-singular systems reach at most 4.7e-13
-# (k=1, n=32), regular ones fall to 1.5e-6 at k=2 and to 3.6e-8 (n=8)
-# and 4.3e-9 (n=16) at k=3.  The cutoff sits near the geometric middle:
-# 200x above the gauge side, 40x below the regular side at n=16.  Both
-# sides drift 6-8x per mesh doubling, towards each other, so n >= 64 at
-# k=1 or n >= 32 at k=3 needs the margin measured again.
-_PIVOT_TOL = 1e-10
+# relative residual ||A v||_2 / ||A||_1 of the normalized inverse-iteration
+# probe v at or below which v is taken as a kernel vector.  Measured over
+# the catalog for n <= 16 (n <= 32 at k=1) and t1/t3 at k=3, n=32: gauge
+# systems reach at most 1.3e-16, regular ones 6.8e-13 (t1, k=3, n=32), so
+# the cutoff keeps 70x on both sides.  The regular side falls 50-70x per
+# doubling at k=3: beyond n=32 it needs better-conditioned local bases
+_KERNEL_TOL = 1e-14
 # largest system whose inverse condition_estimate forms exactly
 _DENSE_COND_LIMIT = 800
 
@@ -163,30 +161,28 @@ def assemble(mesh, config, case, k=1, rule=None, ops=None):
     )
 
 
-def _gauge_kernel(lu, n_primal):
-    """Kernel test shared by solve and condition_estimate: None for a
-    regular factorization, else the unit kernel vector of a pure
-    multiplier gauge.  Raises SingularSystemError when the factorization
+def _gauge_kernel(lu, matrix, n_primal, norm):
+    """Kernel test shared by solve and condition_estimate (norm: the 1-norm
+    of matrix): None for a regular matrix, else the unit kernel vector of a
+    pure multiplier gauge.  Raises SingularSystemError when the factorization
     is unusable or the kernel reaches the first n_primal (primal) dofs."""
-    pivots = np.abs(lu.U.diagonal())
-    if pivots.min() > _PIVOT_TOL * pivots.max():
-        return None
-    # a roundoff-size pivot flags an exact kernel; one inverse-iteration
-    # step isolates it.  A kernel confined to the multiplier block is a
-    # pure gauge: the primal field stays unique.  In the catalog only
+    # an exact kernel dominates one inverse-iteration step, whose residual
+    # then falls to roundoff.  A kernel confined to the multiplier block is
+    # a pure gauge: the primal field stays unique.  In the catalog only
     # t3-t5 have one, lam = x (zero on the left side, the one side outside
     # Gamma_n, and flux-free on top, the one side outside Gamma_d)
     n = lu.shape[0]
     probe = lu.solve(np.full(n, 1.0 / np.sqrt(n)))
-    norm = np.linalg.norm(probe)
-    if not np.isfinite(norm) or norm == 0.0:
+    size = np.linalg.norm(probe)
+    if not np.isfinite(size) or size == 0.0:
         raise SingularSystemError("singular system: factorization is unusable")
-    null_dir = probe / norm
+    null_dir = probe / size
+    residual = np.linalg.norm(matrix @ null_dir) / norm
+    if residual > _KERNEL_TOL:
+        return None
     if np.linalg.norm(null_dir[:n_primal]) > 1e-6:
-        raise SingularSystemError(
-            "singular system: the primal field is not unique "
-            f"(pivot ratio {pivots.min() / pivots.max():.2e})"
-        )
+        raise SingularSystemError("singular system: the primal field is not "
+                                  f"unique (kernel probe residual {residual:.2e})")
     return null_dir
 
 
@@ -194,18 +190,22 @@ def solve(system):
     """Factorize and solve; returns the primal and multiplier fields with
     the fixed boundary values merged back in."""
     matrix = system.matrix.tocsc()
+    # 1-norm (largest absolute column sum, reduced per CSC column), which is
+    # the inf-norm up to roundoff as the matrix is symmetric
+    norm = abs(matrix).sum(axis=0).max()
     try:
         lu = spla.splu(matrix)
     except RuntimeError as exc:
         raise SingularSystemError(f"direct factorization failed: {exc}") from exc
     nf = len(system.u_free)
-    null_dir = _gauge_kernel(lu, nf)
+    null_dir = _gauge_kernel(lu, matrix, nf, norm)
     if null_dir is None:
         x = lu.solve(system.rhs)
     else:
         # bordered system: pin the kernel component to zero, which both
         # regularizes the factorization and returns the minimal
         # representative across the multiplier gauge
+        del lu  # one factorization alive at a time
         n = matrix.shape[0]
         col = sp.csc_matrix(null_dir.reshape(n, 1))
         bordered = sp.bmat([[matrix, col], [col.T, None]], format="csc")
@@ -222,7 +222,7 @@ def solve(system):
         # defect (quadrature-level), not a solver error
         residual_vec = residual_vec - (residual_vec @ null_dir) * null_dir
     residual = np.linalg.norm(residual_vec)
-    scale = np.linalg.norm(system.rhs) + spla.norm(matrix, np.inf) * np.linalg.norm(x)
+    scale = np.linalg.norm(system.rhs) + norm * np.linalg.norm(x)
     if residual > _RESIDUAL_TOL * max(scale, 1e-300):
         raise SingularSystemError(
             f"solver residual {residual:.2e} exceeds {_RESIDUAL_TOL:.0e} * {scale:.2e}"
@@ -252,27 +252,27 @@ def condition_estimate(system):
     n = matrix.shape[0]
     if n == 0:
         return 0.0
+    norm = abs(matrix).sum(axis=0).max()
     try:
         lu = spla.splu(matrix)
-        null_dir = _gauge_kernel(lu, len(getattr(system, "u_free", range(n))))
+        null_dir = _gauge_kernel(lu, matrix, len(getattr(system, "u_free", range(n))), norm)
         if null_dir is not None:
+            del lu  # one factorization alive at a time
             keep = np.delete(np.arange(n), np.argmax(np.abs(null_dir)))
             matrix = matrix[keep][:, keep]
             n -= 1
+            norm = abs(matrix).sum(axis=0).max()
             lu = spla.splu(matrix)
             # the quotient is all primal here: a second kernel raises
-            _gauge_kernel(lu, n)
+            _gauge_kernel(lu, matrix, n, norm)
     except (RuntimeError, SingularSystemError):
         return math.inf
     if n <= _DENSE_COND_LIMIT:
         inv_norm = np.linalg.norm(lu.solve(np.eye(n)), 1)
     else:
         inv_norm = spla.onenormest(spla.LinearOperator(
-            (n, n),
-            matvec=lu.solve,
-            rmatvec=lambda b: lu.solve(b, trans="T"),
-        ))
-    return float(spla.norm(matrix, 1) * inv_norm)
+            (n, n), matvec=lu.solve, rmatvec=lambda b: lu.solve(b, trans="T")))
+    return float(norm * inv_norm)
 
 
 def matrix_to_coordinate_text(matrix):

@@ -1,15 +1,18 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
-from pdwg.cases import CaseSpec, get_case
+import pdwg.system
+from pdwg.cases import CaseSpec, case_ids, get_case
 from pdwg.fespace import DofMap, l2_project_weak
 from pdwg.mesh import BoundaryConfig, build_uniform_mesh, classify_boundary
 from pdwg.norms import error_fields, residual_norm_multiplier, residual_norm_primal
 from pdwg.system import (
-    _PIVOT_TOL,
     SingularSystemError,
+    _gauge_kernel,
     assemble,
     condition_estimate,
     matrix_to_coordinate_text,
@@ -280,21 +283,82 @@ def test_solver_residual_is_small():
     assert resid <= 1e-9 * scale
 
 
-def sparse_lu_pivot_ratio(case_id, k, n):
-    """min/max |U_ii| of the sparse LU that solve factors first."""
-    import scipy.sparse.linalg as spla
-
+def kernel_test(case_id, k, n):
+    """_gauge_kernel on the factorization that solve makes first."""
     case = get_case(case_id)
     mesh = build_uniform_mesh(n)
     config = classify_boundary(mesh, case.dirichlet_sides, case.neumann_sides)
-    pivots = np.abs(spla.splu(assemble(mesh, config, case, k).matrix.tocsc()).U.diagonal())
-    return pivots.min() / pivots.max()
+    system = assemble(mesh, config, case, k)
+    matrix = system.matrix
+    norm = abs(matrix).sum(axis=0).max()
+    return _gauge_kernel(spla.splu(matrix), matrix, len(system.u_free), norm)
 
 
-def test_pivot_tolerance_keeps_a_decade_on_both_sides():
-    # the kernel test cuts between regular and gauge-singular pivot ratios,
-    # which approach each other under refinement: the smallest regular
-    # ratio measured (t6, k=3, n=16: 4.3e-9) and the largest gauge ratio
-    # (t3, k=1, n=32: 4.7e-13) must both stay a factor 10 clear of it
-    assert sparse_lu_pivot_ratio("t6", 3, 16) >= 10 * _PIVOT_TOL
-    assert sparse_lu_pivot_ratio("t3", 1, 32) <= _PIVOT_TOL / 10
+def test_kernel_tolerance_keeps_a_decade_on_both_sides(monkeypatch):
+    # the kernel test cuts between the relative probe residuals of regular
+    # and gauge-singular systems: the smallest regular one at n <= 16 (t1,
+    # k=3, n=16: 4.8e-11) and the largest gauge one at n <= 32 (t3, k=1,
+    # n=32: 1.2e-16) must both stay a factor 10 clear of the cutoff.  (t1
+    # at k=3, n=32 reads 6.8e-13, also a decade clear, but its LU takes
+    # 0.9 GB)
+    tol = pdwg.system._KERNEL_TOL
+    monkeypatch.setattr(pdwg.system, "_KERNEL_TOL", 10 * tol)
+    assert kernel_test("t1", 3, 16) is None
+    monkeypatch.setattr(pdwg.system, "_KERNEL_TOL", tol / 10)
+    assert kernel_test("t3", 1, 32) is not None
+
+
+def test_kernel_test_flags_exactly_the_gauge_cases():
+    # only t3-t5 leave the multiplier a kernel (lam = x, and a second
+    # direction at k=3)
+    flagged = {
+        (case_id, k, n)
+        for case_id in case_ids() for k in (1, 2, 3) for n in (1, 2, 4)
+        if kernel_test(case_id, k, n) is not None
+    }
+    assert flagged == {
+        (case_id, k, n) for case_id in ("t3", "t4", "t5") for k in (1, 2, 3) for n in (1, 2, 4)
+    }
+
+
+def test_primal_non_uniqueness_reports_the_probe_residual():
+    with pytest.raises(SingularSystemError, match="kernel probe residual"):
+        solve(no_boundary_data_system())
+
+
+class NoFactorCopies:
+    """Stands in for a SuperLU object; building the L or U copy fails."""
+
+    def __init__(self, lu):
+        self._lu = lu
+
+    def __getattr__(self, name):
+        if name in ("L", "U"):
+            raise AssertionError(f"the factorization's {name} was copied")
+        return getattr(self._lu, name)
+
+
+@pytest.mark.parametrize("case_id,per_call", [("t6", 1), ("t3", 2)])
+def test_one_factorization_alive_and_no_factor_copies(monkeypatch, case_id, per_call):
+    # solve and condition_estimate never read L or U, and free each
+    # factorization before the next one starts (t3 factors twice: once
+    # to find the gauge, once for the bordered or the quotient matrix)
+    real_splu = spla.splu
+    made = []
+
+    def splu(*args, **kwargs):
+        assert all(ref() is None for ref in made), "an earlier factorization is alive"
+        lu = NoFactorCopies(real_splu(*args, **kwargs))
+        made.append(weakref.ref(lu))
+        return lu
+
+    monkeypatch.setattr(pdwg.system.spla, "splu", splu)
+    case = get_case(case_id)
+    mesh = build_uniform_mesh(8)
+    config = classify_boundary(mesh, case.dirichlet_sides, case.neumann_sides)
+    system = assemble(mesh, config, case, 1)
+    assert system.n_free > pdwg.system._DENSE_COND_LIMIT
+    solve(system)
+    assert len(made) == per_call
+    assert math.isfinite(condition_estimate(system))
+    assert len(made) == 2 * per_call

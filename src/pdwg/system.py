@@ -38,12 +38,28 @@ _RESIDUAL_TOL = 1e-9
 # relative residual ||A v||_2 / ||A||_1 of the normalized inverse-iteration
 # probe v at or below which v is taken as a kernel vector.  Measured over
 # the catalog for n <= 16 (n <= 32 at k=1) and t1/t3 at k=3, n=32: gauge
-# systems reach at most 1.3e-16, regular ones 6.8e-13 (t1, k=3, n=32), so
-# the cutoff keeps 70x on both sides.  The regular side falls 50-70x per
-# doubling at k=3: beyond n=32 it needs better-conditioned local bases
+# systems reach at most 2.9e-16 (t3-t5, k=1, n=32), regular ones 6.8e-13
+# (t1, k=3, n=32), so the cutoff keeps 35x and 70x.  The regular side falls
+# 50-70x per doubling at k=3: beyond n=32 it needs better-conditioned local
+# bases
 _KERNEL_TOL = 1e-14
 # largest system whose inverse condition_estimate forms exactly
 _DENSE_COND_LIMIT = 800
+# SuperLU options for k=1: minimum degree on A+A^T in symmetric mode, an
+# ordering for a symmetric matrix such as this one.  k >= 2 keeps SuperLU's
+# defaults (COLAMD, partial pivoting).  LU entries and factor time of t6,
+# one thread, best of three (one run where the symmetric ordering collapses):
+#   k, n | symmetric, threshold 0.1 | defaults             | verdict
+#   1, 32 | 1.66M, 0.15 s           | 8.06M, 0.60 s        | symmetric wins
+#   2, 16 | 22.1M, 8.4 s            | 4.38M, 0.30 s        | symmetric collapses
+#   3, 16 | 85.4M, 69 s             | 9.56M, 0.70 s        | symmetric collapses
+# The interior diagonal pivots pass the 0.1 threshold at k=1 only: the
+# local interior block's condition number is 37, 2.5e4 and 3.9e6 at k=1, 2,
+# 3.  Lower thresholds do not rescue k >= 2: 0.01 still takes 87.1M, 68 s at
+# k=3, and at k=2 it is fast (0.83M, 0.05 s) but moves t1/t2 l2_e0 at n=8
+# from 7.5e-12 to 2.5e-10
+_SYMMETRIC_LU = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
+                     options=dict(SymmetricMode=True))
 
 
 class SingularSystemError(RuntimeError):
@@ -161,6 +177,12 @@ def assemble(mesh, config, case, k=1, rule=None, ops=None):
     )
 
 
+def _factor(matrix, k):
+    """Sparse LU of a free-dof matrix of degree k; an unknown degree (None)
+    takes SuperLU's defaults, as k >= 2 does."""
+    return spla.splu(matrix, **(_SYMMETRIC_LU if k == 1 else {}))
+
+
 def _gauge_kernel(lu, matrix, n_primal, norm):
     """Kernel test shared by solve and condition_estimate (norm: the 1-norm
     of matrix): None for a regular matrix, else the unit kernel vector of a
@@ -194,7 +216,7 @@ def solve(system):
     # the inf-norm up to roundoff as the matrix is symmetric
     norm = abs(matrix).sum(axis=0).max()
     try:
-        lu = spla.splu(matrix)
+        lu = _factor(matrix, system.k)
     except RuntimeError as exc:
         raise SingularSystemError(f"direct factorization failed: {exc}") from exc
     nf = len(system.u_free)
@@ -210,7 +232,7 @@ def solve(system):
         col = sp.csc_matrix(null_dir.reshape(n, 1))
         bordered = sp.bmat([[matrix, col], [col.T, None]], format="csc")
         try:
-            x = spla.splu(bordered).solve(np.append(system.rhs, 0.0))[:n]
+            x = _factor(bordered, system.k).solve(np.append(system.rhs, 0.0))[:n]
         except RuntimeError as exc:
             raise SingularSystemError(f"singular system: {exc}") from exc
     if not np.all(np.isfinite(x)):
@@ -253,8 +275,9 @@ def condition_estimate(system):
     if n == 0:
         return 0.0
     norm = abs(matrix).sum(axis=0).max()
+    k = getattr(system, "k", None)
     try:
-        lu = spla.splu(matrix)
+        lu = _factor(matrix, k)
         null_dir = _gauge_kernel(lu, matrix, len(getattr(system, "u_free", range(n))), norm)
         if null_dir is not None:
             del lu  # one factorization alive at a time
@@ -262,7 +285,7 @@ def condition_estimate(system):
             matrix = matrix[keep][:, keep]
             n -= 1
             norm = abs(matrix).sum(axis=0).max()
-            lu = spla.splu(matrix)
+            lu = _factor(matrix, k)
             # the quotient is all primal here: a second kernel raises
             _gauge_kernel(lu, matrix, n, norm)
     except (RuntimeError, SingularSystemError):

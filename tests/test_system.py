@@ -12,6 +12,7 @@ from pdwg.mesh import BoundaryConfig, build_uniform_mesh, classify_boundary
 from pdwg.norms import error_fields, residual_norm_multiplier, residual_norm_primal
 from pdwg.system import (
     SingularSystemError,
+    _factor,
     _gauge_kernel,
     assemble,
     condition_estimate,
@@ -283,22 +284,26 @@ def test_solver_residual_is_small():
     assert resid <= 1e-9 * scale
 
 
-def kernel_test(case_id, k, n):
-    """_gauge_kernel on the factorization that solve makes first."""
+def catalog_system(case_id, k, n):
     case = get_case(case_id)
     mesh = build_uniform_mesh(n)
     config = classify_boundary(mesh, case.dirichlet_sides, case.neumann_sides)
-    system = assemble(mesh, config, case, k)
+    return assemble(mesh, config, case, k)
+
+
+def kernel_test(case_id, k, n):
+    """_gauge_kernel on the factorization that solve makes first."""
+    system = catalog_system(case_id, k, n)
     matrix = system.matrix
     norm = abs(matrix).sum(axis=0).max()
-    return _gauge_kernel(spla.splu(matrix), matrix, len(system.u_free), norm)
+    return _gauge_kernel(_factor(matrix, system.k), matrix, len(system.u_free), norm)
 
 
 def test_kernel_tolerance_keeps_a_decade_on_both_sides(monkeypatch):
     # the kernel test cuts between the relative probe residuals of regular
     # and gauge-singular systems: the smallest regular one at n <= 16 (t1,
     # k=3, n=16: 4.8e-11) and the largest gauge one at n <= 32 (t3, k=1,
-    # n=32: 1.2e-16) must both stay a factor 10 clear of the cutoff.  (t1
+    # n=32: 2.9e-16) must both stay a factor 10 clear of the cutoff.  (t1
     # at k=3, n=32 reads 6.8e-13, also a decade clear, but its LU takes
     # 0.9 GB)
     tol = pdwg.system._KERNEL_TOL
@@ -353,12 +358,53 @@ def test_one_factorization_alive_and_no_factor_copies(monkeypatch, case_id, per_
         return lu
 
     monkeypatch.setattr(pdwg.system.spla, "splu", splu)
-    case = get_case(case_id)
-    mesh = build_uniform_mesh(8)
-    config = classify_boundary(mesh, case.dirichlet_sides, case.neumann_sides)
-    system = assemble(mesh, config, case, 1)
+    system = catalog_system(case_id, 1, 8)
     assert system.n_free > pdwg.system._DENSE_COND_LIMIT
     solve(system)
     assert len(made) == per_call
     assert math.isfinite(condition_estimate(system))
     assert len(made) == 2 * per_call
+
+
+def record_factorizations(monkeypatch):
+    """Route pdwg.system's splu through a recorder: one (number of
+    positional arguments, keyword arguments, LU fill) per call."""
+    real_splu = spla.splu
+    calls = []
+
+    def splu(*args, **kwargs):
+        lu = real_splu(*args, **kwargs)
+        calls.append((len(args), kwargs, lu.nnz))
+        return lu
+
+    monkeypatch.setattr(pdwg.system.spla, "splu", splu)
+    return calls
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_symmetric_ordering_at_k1_only(monkeypatch, k):
+    # the matrix is symmetric, and at k=1 its interior diagonal pivots
+    # pass a 0.1 threshold, so minimum degree on A+A^T in symmetric mode
+    # applies; at k >= 2 they do not and the fill grows 5-9x, so those
+    # degrees keep SuperLU's defaults.  Every factorization takes the same
+    # options, the gauge (t3) ones included
+    calls = record_factorizations(monkeypatch)
+    for case_id in ("t6", "t3"):
+        system = catalog_system(case_id, k, 4)
+        solve(system)
+        condition_estimate(system)
+    assert len(calls) == 6  # t6: 1 + 1, t3: 2 + 2
+    symmetric = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
+                     options=dict(SymmetricMode=True))
+    assert all(n_args == 1 and kwargs == (symmetric if k == 1 else {})
+               for n_args, kwargs, _ in calls)
+
+
+def test_k1_gauge_solve_stays_regular_sized(monkeypatch):
+    # the bordered matrix adds one dense row and column; under the
+    # symmetric ordering its LU stays the size of the first one (1.56x at
+    # t3, k=1, n=16, where COLAMD's reaches 7.1x)
+    calls = record_factorizations(monkeypatch)
+    solve(catalog_system("t3", 1, 16))
+    (_, _, first), (_, _, bordered) = calls
+    assert bordered <= 2 * first

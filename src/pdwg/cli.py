@@ -84,7 +84,7 @@ class ConvergenceReport:
         return orders
 
 
-def run_study(case_id, levels, k=1, dump_matrix=None, rule=None):
+def run_study(case_id, levels, k=1, dump_matrix=None):
     """Build, solve and measure one case on every refinement level.
 
     A singular level is recorded as failed and the study continues.
@@ -104,12 +104,12 @@ def run_study(case_id, levels, k=1, dump_matrix=None, rule=None):
         start = time.perf_counter()
         mesh = build_uniform_mesh(n)
         config = classify_boundary(mesh, case.dirichlet_sides, case.neumann_sides)
-        ops = LocalOperators(mesh, k, case.a, rule)
-        system = assemble(mesh, config, case, k, rule, ops)
+        ops = LocalOperators(mesh, k, case.a)
+        system = assemble(mesh, config, case, k, ops)
         last_system = system
         try:
             u_h, lam_h = solve(system)
-            report = error_report(u_h, lam_h, case.u, mesh, config, case.a, k, rule, ops)
+            report = error_report(u_h, lam_h, case.u, mesh, config, case.a, k, ops)
             message = ""
         except SingularSystemError as exc:
             report = None

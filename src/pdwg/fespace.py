@@ -286,9 +286,6 @@ class DofMap:
             masks.append(mask)
         return tuple(masks)
 
-    def cell_dofs(self, t):
-        return self.cell_dof_array[t]
-
     @property
     def u_free(self):
         return np.nonzero(~self.u_fixed)[0]

@@ -46,6 +46,9 @@ class Mesh:
     triangles : (T, 3) int array, counter-clockwise vertex triples
     edges : (E, 2) int array, each row a sorted vertex pair (lo, hi)
     edge_tris : tuple of 1- or 2-tuples, triangles adjacent to each edge
+    edge_slots : (E, 2) int array, first and last (triangle, local edge)
+        slot 3 t + loc of each edge, flat indices into (T, 3) tables; the
+        same slot twice on boundary edges
     tri_edges : (T, 3) int array, edge index of local edge (v_i, v_{i+1})
     tri_edge_signs : (T, 3) int array, +1 where the global edge normal
         already points out of the triangle, -1 otherwise
@@ -75,6 +78,8 @@ class Mesh:
         edge_index: dict[tuple[int, int], int] = {}
         edge_list: list[tuple[int, int]] = []
         adjacency: list[list[int]] = []
+        first: list[int] = []                # first and last slot 3 t + loc of each edge
+        last: list[int] = []
         tri_edges = np.zeros_like(triangles)
         for t in range(len(triangles)):
             for loc in range(3):
@@ -87,12 +92,17 @@ class Mesh:
                     edge_index[key] = e
                     edge_list.append(key)
                     adjacency.append([])
+                    first.append(3 * t + loc)
+                    last.append(3 * t + loc)
+                else:
+                    last[e] = 3 * t + loc
                 adjacency[e].append(t)
                 tri_edges[t, loc] = e
         if any(len(adj) > 2 for adj in adjacency):
             raise ValueError("non-manifold mesh: an edge with more than 2 triangles")
         self.edges = np.array(edge_list, dtype=int)
         self.edge_tris = tuple(tuple(adj) for adj in adjacency)
+        self.edge_slots = np.column_stack([first, last])
         self.tri_edges = tri_edges
 
         tangents = v[self.edges[:, 1]] - v[self.edges[:, 0]]
@@ -117,7 +127,7 @@ class Mesh:
         self.is_boundary_edge = counts == 1
         self.boundary_edges = np.nonzero(self.is_boundary_edge)[0]
 
-        for arr in (self.vertices, self.triangles, self.edges, self.tri_edges,
+        for arr in (self.vertices, self.triangles, self.edges, self.edge_slots, self.tri_edges,
                     self.tri_edge_signs, self.edge_lengths, self.edge_normals,
                     self.edge_midpoints, self.tri_areas, self.tri_centroids,
                     self.h_tri, self.is_boundary_edge, self.boundary_edges):
@@ -177,11 +187,6 @@ class BoundaryConfig:
     def gamma_n_complement_edges(self):
         """Boundary edges not in Gamma_n."""
         return np.nonzero(self.mesh.is_boundary_edge & ~self.in_gamma_n)[0]
-
-    @property
-    def gamma_d_complement_edges(self):
-        """Boundary edges not in Gamma_d."""
-        return np.nonzero(self.mesh.is_boundary_edge & ~self.in_gamma_d)[0]
 
 
 def build_uniform_mesh(n):

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fespace import gradient_coefficient_maps, l2_project_weak, quadrature_for_degree, tri_mass
-from .weakops import IDENTITY, LocalOperators
+from .fespace import gradient_coefficient_maps, l2_project_weak
+from .weakops import LocalOperators
 
 __all__ = [
     "ErrorReport",
@@ -56,48 +56,40 @@ class InteriorField:
         self.mesh = wf.mesh
         self.k = wf.k
 
-    def coeffs(self, t):
-        return self.wf.interior_coeffs(t)
-
     def value(self, t, pts):
         return self.wf.interior_value(t, pts)
 
-    def l2_norm(self, rule=None, ops=None):
-        """L2 norm of v_0; the P_k mass matrices come from ops when given."""
-        t = np.arange(self.mesh.n_triangles)
-        c = self.wf.interior_coeffs(t)
-        mass = tri_mass(self.mesh, t, self.k, rule) if ops is None else ops.mass_k
+    def l2_norm(self, ops=None):
+        """L2 norm of v_0 with the P_k mass matrices of the level's context."""
+        mass = LocalOperators.of(ops, self.mesh, self.k).mass_k
+        c = self.wf.interior_coeffs(np.arange(self.mesh.n_triangles))
         return float(np.sqrt(max(np.einsum("ti,tij,tj->", c, mass, c), 0.0)))
 
 
-def error_fields(u_h, u_exact, mesh, k=None, rule=None, ops=None):
+# Every functional below takes the level's LocalOperators as ops and builds
+# it when not given; a context of another mesh, degree or coefficient raises
+# ValueError.  The coefficient a defaults to the context's (the identity
+# when there is none).
+
+
+def error_fields(u_h, u_exact, mesh, k=None, ops=None):
     """Difference to the projected exact solution: e_h = u_h - Q_h u,
-    returned with the evaluator of its interior part e_0.  Q_h u reuses
-    the tables of ops when given."""
-    k = u_h.k if k is None else k
-    if k != u_h.k:
-        raise ValueError("degree does not match the weak function")
-    e_h = u_h - l2_project_weak(u_exact, mesh, k, rule, ops)
+    returned with the evaluator of its interior part e_0."""
+    ops = LocalOperators.of(ops, mesh, _check_degree(u_h, k))
+    e_h = u_h - l2_project_weak(u_exact, mesh, ops.k, ops=ops)
     return e_h, InteriorField(e_h)
 
 
-def broken_h1(e0, mesh, rule=None, ops=None):
-    """Elementwise L2 norm of the interior gradient, summed over the mesh;
-    the P_{k-1} mass matrices come from ops when given."""
-    k = e0.k
-    gamma = _interior_gradient_coefficients(e0.wf, mesh, k)
-    if ops is None:
-        mass = tri_mass(mesh, np.arange(mesh.n_triangles), k - 1, rule or quadrature_for_degree(k))
-    else:
-        mass = ops.mass_r
+def broken_h1(e0, mesh, ops=None):
+    """Elementwise L2 norm of the interior gradient, summed over the mesh."""
+    mass = LocalOperators.of(ops, mesh, e0.k).mass_r
+    gamma = _interior_gradient_coefficients(e0.wf, mesh, e0.k)
     return float(np.sqrt(max(np.einsum("tci,tij,tcj->", gamma, mass, gamma), 0.0)))
 
 
-def stabilizer_seminorm(v, mesh, k=None, rule=None, ops=None):
+def stabilizer_seminorm(v, mesh, k=None, ops=None):
     """sqrt(s(v, v))."""
-    k = v.k if k is None else k
-    if ops is None:
-        ops = LocalOperators(mesh, k, rule=rule)
+    ops = LocalOperators.of(ops, mesh, _check_degree(v, k))
     return float(np.sqrt(max(ops.stabilizer_value(v), 0.0)))
 
 
@@ -108,9 +100,10 @@ def _interior_gradient_coefficients(v, mesh, k):
     return np.stack([c @ dx.T, c @ dy.T], axis=1) / mesh.h_tri[:, None, None]
 
 
-def _divergence_term(gamma, ops, a):
+def _divergence_term(gamma, ops):
     """sum_T h_T^2 ||div(a G)||_T^2 for the per-triangle coefficient
     array gamma of G, using the product rule grad(a).G + a div(G)."""
+    a = ops.a
     # field values (T, nq, 2) and derivatives d_i G_j as (T, nq, i, j)
     gvals = np.einsum("tnm,tjm->tnj", ops.vr, gamma)
     gder = np.einsum("tjm,tnmi->tnij", gamma, ops.gr)
@@ -124,13 +117,13 @@ def _divergence_term(gamma, ops, a):
     return float(ops.h**2 @ np.einsum("tn,tn->t", ops.tri_wts, div**2))
 
 
-def _jump_term(gamma, ops, a, include_boundary):
+def _jump_term(gamma, ops, include_boundary):
     """sum over interior edges and flagged boundary edges of
     w_e ||[a G . n]||_e^2 against the fixed global edge normal."""
     mesh = ops.mesh
     edges = np.flatnonzero(~mesh.is_boundary_edge | include_boundary)
     # (triangle, local edge) slots of both sides; one slot twice on boundary edges
-    slots = ops.edge_slots[edges]
+    slots = mesh.edge_slots[edges]
     tris = slots // 3
     mq = ops.edge_wts.shape[-1]
     pts = ops.edge_pts.reshape(-1, mq, 2)[slots[:, 0]]
@@ -141,24 +134,22 @@ def _jump_term(gamma, ops, a, include_boundary):
     traces = []
     for side in (0, 1):
         gvals = np.einsum("enm,ejm->enj", vals[slots[:, side]], gamma[tris[:, side]])
-        flux = a.flux(x, y, gvals.reshape(-1, 2)).reshape(pts.shape)
+        flux = ops.a.flux(x, y, gvals.reshape(-1, 2)).reshape(pts.shape)
         traces.append(np.einsum("enj,ej->en", flux, normal))
     jump = traces[0] - np.where((slots[:, 0] != slots[:, 1])[:, None], traces[1], 0.0)
     weight = mesh.h_tri[tris].max(axis=1)
     return float(weight @ np.einsum("en,en->e", wts, jump**2))
 
 
-def _residual_terms(v, mesh, config, a, k, rule, ops, grad_mode, include_boundary):
-    if ops is None:
-        ops = LocalOperators(mesh, k, a, rule)
-    if grad_mode == "weak":
+def _residual_terms(v, ops, weak, include_boundary):
+    """The squared pieces (divergence, jump, stabilizer) of v's residual
+    norm, from the weak gradient when weak is set, else the interior one."""
+    if weak:
         gamma = ops.gradient_coefficients(v)
     else:
-        gamma = _interior_gradient_coefficients(v, mesh, k)
-    div = _divergence_term(gamma, ops, a)
-    jump = _jump_term(gamma, ops, a, include_boundary)
-    stab = ops.stabilizer_value(v)
-    return div, jump, stab
+        gamma = _interior_gradient_coefficients(v, ops.mesh, ops.k)
+    return (_divergence_term(gamma, ops), _jump_term(gamma, ops, include_boundary),
+            ops.stabilizer_value(v))
 
 
 def _check_degree(v, k):
@@ -168,64 +159,56 @@ def _check_degree(v, k):
     return k
 
 
-def residual_terms_primal(v, mesh, config, a=IDENTITY, k=None, rule=None, ops=None):
+def residual_terms_primal(v, mesh, config, a=None, k=None, ops=None):
     """Squared pieces (divergence, jump, stabilizer) of the primal
     residual norm; the jump set is interior edges plus Gamma_n."""
-    k = _check_degree(v, k)
-    return _residual_terms(v, mesh, config, a, k, rule, ops, "weak", config.in_gamma_n)
+    ops = LocalOperators.of(ops, mesh, _check_degree(v, k), a)
+    return _residual_terms(v, ops, True, config.in_gamma_n)
 
 
-def residual_norm_primal(v, mesh, config, a=IDENTITY, k=None, rule=None, ops=None):
+def residual_norm_primal(v, mesh, config, a=None, k=None, ops=None):
     """Scaled residual norm of a primal-field weak function."""
-    terms = residual_terms_primal(v, mesh, config, a, k, rule, ops)
+    terms = residual_terms_primal(v, mesh, config, a, k, ops)
     return float(np.sqrt(max(sum(terms), 0.0)))
 
 
-def residual_terms_multiplier(v, mesh, config, a=IDENTITY, k=None, rule=None, ops=None):
+def residual_terms_multiplier(v, mesh, config, a=None, k=None, ops=None):
     """Squared pieces of the multiplier residual norm; the jump set is
     interior edges plus the boundary minus Gamma_d."""
-    k = _check_degree(v, k)
-    include = mesh.is_boundary_edge & ~config.in_gamma_d
-    return _residual_terms(v, mesh, config, a, k, rule, ops, "weak", include)
+    ops = LocalOperators.of(ops, mesh, _check_degree(v, k), a)
+    return _residual_terms(v, ops, True, mesh.is_boundary_edge & ~config.in_gamma_d)
 
 
-def residual_norm_multiplier(v, mesh, config, a=IDENTITY, k=None, rule=None, ops=None):
+def residual_norm_multiplier(v, mesh, config, a=None, k=None, ops=None):
     """Scaled residual norm of a multiplier-field weak function."""
-    terms = residual_terms_multiplier(v, mesh, config, a, k, rule, ops)
+    terms = residual_terms_multiplier(v, mesh, config, a, k, ops)
     return float(np.sqrt(max(sum(terms), 0.0)))
 
 
-def strong_residual_norms(v, mesh, config, a=IDENTITY, k=None, rule=None, ops=None):
+def strong_residual_norms(v, mesh, config, a=None, k=None, ops=None):
     """The pair of residual norms built from the interior gradient of v
     instead of the weak gradient: (primal edge set, multiplier edge set)."""
-    k = _check_degree(v, k)
-    primal = _residual_terms(v, mesh, config, a, k, rule, ops, "strong", config.in_gamma_n)
-    include = mesh.is_boundary_edge & ~config.in_gamma_d
-    multiplier = _residual_terms(v, mesh, config, a, k, rule, ops, "strong", include)
-    return (
-        float(np.sqrt(max(sum(primal), 0.0))),
-        float(np.sqrt(max(sum(multiplier), 0.0))),
+    ops = LocalOperators.of(ops, mesh, _check_degree(v, k), a)
+    return tuple(
+        float(np.sqrt(max(sum(_residual_terms(v, ops, False, include)), 0.0)))
+        for include in (config.in_gamma_n, mesh.is_boundary_edge & ~config.in_gamma_d)
     )
 
 
-def error_report(u_h, lam_h, u_exact, mesh, config, a=IDENTITY, k=None, rule=None,
-                 ops=None, with_strong=False):
+def error_report(u_h, lam_h, u_exact, mesh, config, a=None, k=None, ops=None,
+                 with_strong=False):
     """Collect every error functional of one solve.  The multiplier error
     is lam_h itself (its exact counterpart vanishes)."""
-    k = _check_degree(u_h, k)
-    if ops is None:
-        ops = LocalOperators(mesh, k, a, rule)
-    rule = ops.rule
-    e_h, e0 = error_fields(u_h, u_exact, mesh, k, rule, ops)
-    stab = stabilizer_seminorm(e_h, mesh, k, rule, ops)
+    ops = LocalOperators.of(ops, mesh, _check_degree(u_h, k), a)
+    e_h, e0 = error_fields(u_h, u_exact, mesh, ops=ops)
     report = ErrorReport(
-        l2_e0=e0.l2_norm(rule, ops),
-        h1_e0=broken_h1(e0, mesh, rule, ops),
-        resid_u=residual_norm_primal(e_h, mesh, config, a, k, rule, ops),
-        resid_lambda=residual_norm_multiplier(lam_h, mesh, config, a, k, rule, ops),
-        stab_u=stab,
+        l2_e0=e0.l2_norm(ops),
+        h1_e0=broken_h1(e0, mesh, ops),
+        resid_u=residual_norm_primal(e_h, mesh, config, ops=ops),
+        resid_lambda=residual_norm_multiplier(lam_h, mesh, config, ops=ops),
+        stab_u=stabilizer_seminorm(e_h, mesh, ops=ops),
     )
     if with_strong:
-        report.strong_u, _ = strong_residual_norms(e_h, mesh, config, a, k, rule, ops)
-        _, report.strong_lambda = strong_residual_norms(lam_h, mesh, config, a, k, rule, ops)
+        report.strong_u, _ = strong_residual_norms(e_h, mesh, config, ops=ops)
+        _, report.strong_lambda = strong_residual_norms(lam_h, mesh, config, ops=ops)
     return report

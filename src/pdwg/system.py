@@ -125,18 +125,18 @@ def _free_blocks(ops, u_fixed, lam_fixed):
     return matrix, lift_cols, uf, lf, up
 
 
-def assemble(mesh, config, case, k=1, rule=None, ops=None):
+def assemble(mesh, config, case, k=1, ops=None):
     """Assemble the saddle-point system for one manufactured case.
 
     The right-hand side collects (f, w_0) over elements and <g2, w_b> over
     the Gamma_n edges; the projected Dirichlet data Q_b g1 is eliminated
     into the right-hand side.  Dof layout, quadrature and local matrices
-    come from ops, built here when not given.
+    come from ops, the context of (mesh, k, case.a), built here when not
+    given; a context of another level raises ValueError.
     """
     if config.mesh is not mesh:
         raise ValueError("boundary configuration belongs to a different mesh")
-    if ops is None:
-        ops = LocalOperators(mesh, k, case.a, rule)
+    ops = LocalOperators.of(ops, mesh, k, case.a)
     if config.gamma_n_edges.size and case.grad_u is None:
         raise ValueError("case provides no flux data g2 but Gamma_n is nonempty")
 
@@ -149,7 +149,7 @@ def assemble(mesh, config, case, k=1, rule=None, ops=None):
     gn = config.gamma_n_edges
     if gn.size:
         # the one adjacent triangle of a boundary edge gives its outward normal
-        slot = ops.edge_slots[gn, 0]
+        slot = mesh.edge_slots[gn, 0]
         pts = ops.edge_pts.reshape(-1, *ops.edge_pts.shape[2:])[slot]
         wts = ops.edge_wts.reshape(-1, ops.edge_wts.shape[-1])[slot]
         normals = np.repeat(ops.normals.reshape(-1, 2)[slot], wts.shape[1], axis=0)
@@ -159,7 +159,7 @@ def assemble(mesh, config, case, k=1, rule=None, ops=None):
     gd = config.gamma_d_edges
     u_fixed_values = np.zeros(n_dofs)
     if gd.size:
-        u_fixed_values[dofmap.edge_block(gd)] = l2_project_edge(case.g1, mesh, gd, ops.k, ops.rule)
+        u_fixed_values[dofmap.edge_block(gd)] = l2_project_edge(case.g1, mesh, gd, k, ops.rule)
 
     matrix, lift_cols, uf, lf, up = _free_blocks(ops, *dofmap.fixed_masks(config))
     lifted = lift_cols @ u_fixed_values[up]
@@ -169,7 +169,7 @@ def assemble(mesh, config, case, k=1, rule=None, ops=None):
         rhs=rhs,
         mesh=mesh,
         config=config,
-        k=ops.k,
+        k=k,
         dofmap=dofmap,
         u_free=uf,
         lam_free=lf,
@@ -266,8 +266,10 @@ def condition_estimate(system):
     A pure multiplier gauge (see solve) is factored out: the estimate is
     then that of the matrix with the dof of largest kernel component
     removed (row and column), i.e. of the system on the gauge quotient.
-    +inf when the factorization fails or the primal field is not unique;
-    a system without a u_free block split counts as all primal.  Small
+    +inf when the factorization fails or the primal field is not unique,
+    and also on t3-t5 at k=3, whose primal field is unique: the quotient
+    keeps the second kernel direction, so its kernel test raises.  A
+    system without a u_free block split counts as all primal.  Small
     matrices are inverted exactly from the LU factors, the rest go
     through the Higham-Tisseur 1-norm estimator."""
     matrix = system.matrix.tocsc()

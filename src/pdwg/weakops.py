@@ -238,28 +238,34 @@ def local_diffusion_form(mesh, t, k, a=IDENTITY, rule=None, gmap=None):
 
 
 class LocalOperators(_Tables):
-    """Discretization context of one level (mesh, k, a, rule): the
-    quadrature and basis tables of every triangle, the level's single
-    DofMap, the edge adjacency, and the stacked weak-gradient maps,
-    stabilizers and diffusion forms.  assemble, solve and error_report
-    all read the same instance."""
+    """Discretization context of one level (mesh, k, a), with the rule
+    quadrature_for_degree(k) kept as rule: the quadrature and basis tables
+    of every triangle, the level's single DofMap, and the stacked
+    weak-gradient maps, stabilizers and diffusion forms.  assemble, solve
+    and error_report all read the same instance."""
 
-    def __init__(self, mesh, k, a=IDENTITY, rule=None):
+    def __init__(self, mesh, k, a=IDENTITY):
         self.dofmap = DofMap(mesh, k)
-        super().__init__(mesh, k, rule or quadrature_for_degree(k), np.arange(mesh.n_triangles))
+        super().__init__(mesh, k, quadrature_for_degree(k), np.arange(mesh.n_triangles))
         self.a = a
         self.cell_dofs = self.dofmap.cell_dof_array
-        # first and last (triangle, local edge) slot of every edge as flat
-        # indices into the (T, 3) tables; the same slot twice on boundary edges
-        flat = mesh.tri_edges.ravel()
-        counts = np.bincount(flat, minlength=mesh.n_edges)
-        first = np.cumsum(counts) - counts
-        self.edge_slots = np.argsort(flat, kind="stable")[
-            np.column_stack([first, first + counts - 1])]
         self.mass_k = gram(self.vk, self.tri_wts)
         self.grad_maps = _grad_maps(self)
         self.stabilizers = _stabilizers(self)
         self.diffusion_forms = _diffusion_forms(self, a, self.grad_maps)
+
+    @classmethod
+    def of(cls, ops, mesh, k, a=None):
+        """The context of (mesh, k, a): a new one when ops is None (a None
+        meaning the identity), else ops after checking that it was built for
+        this mesh object, degree and, when a is given, coefficient object."""
+        if ops is None:
+            return cls(mesh, k, IDENTITY if a is None else a)
+        for what, same in (("mesh", ops.mesh is mesh), ("degree", ops.k == k),
+                           ("coefficient", a is None or ops.a is a)):
+            if not same:
+                raise ValueError(f"discretization context built for another {what}")
+        return ops
 
     def gradient_coefficients(self, v):
         """Weak-gradient coefficients of every triangle, shape (T, 2, dimr)."""

@@ -1,9 +1,12 @@
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from pdwg import cli
+from pdwg.cases import case_ids
 from pdwg.cli import (
     CSV_HEADER,
     ConvergenceReport,
@@ -115,6 +118,17 @@ def test_cli_list_cases(capsys):
     assert main(["--list-cases"]) == 0
     out = capsys.readouterr().out
     assert "t1 " in out and "t14c" in out
+
+
+def test_module_entry_point_lists_every_case():
+    # python -m pdwg runs __main__.py, which no in-process test imports
+    src = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-m", "pdwg", "--list-cases"], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    listed = [line.split()[0] for line in proc.stdout.splitlines()]
+    assert listed == list(case_ids()) and len(listed) == 16
 
 
 def test_cli_requires_case():

@@ -131,6 +131,17 @@ def test_edge_weight_max_rule_two_triangles():
     assert edge_weight(mesh, shared[0]) == pytest.approx(1.0, abs=1e-15)
 
 
+@pytest.mark.parametrize("n", [1, 3, 8])
+def test_edge_slots_are_the_first_and_last_slot_of_each_edge(n):
+    mesh = build_uniform_mesh(n)
+    flat = mesh.tri_edges.ravel()
+    for e in range(mesh.n_edges):
+        slots = np.flatnonzero(flat == e)
+        assert tuple(mesh.edge_slots[e]) == (slots[0], slots[-1])
+        assert tuple(slots // 3) == mesh.edge_tris[e]
+    assert mesh.edge_slots.dtype.kind == "i" and not mesh.edge_slots.flags.writeable
+
+
 def test_edge_weight_invalid_index():
     mesh = build_uniform_mesh(1)
     with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import weakref
 
@@ -9,7 +10,7 @@ import pdwg.system
 from pdwg.cases import CaseSpec, case_ids, get_case
 from pdwg.fespace import DofMap, l2_project_weak
 from pdwg.mesh import BoundaryConfig, build_uniform_mesh, classify_boundary
-from pdwg.norms import error_fields, residual_norm_multiplier, residual_norm_primal
+from pdwg.norms import error_fields, error_report, residual_norm_multiplier, residual_norm_primal
 from pdwg.system import (
     SingularSystemError,
     _factor,
@@ -19,7 +20,7 @@ from pdwg.system import (
     matrix_to_coordinate_text,
     solve,
 )
-from pdwg.weakops import LocalOperators
+from pdwg.weakops import IDENTITY, Diffusion, LocalOperators
 
 
 def zero_data_case(d_sides, n_sides):
@@ -191,6 +192,28 @@ def test_mismatched_config_rejected():
     config = classify_boundary(mesh_a, {"bottom"}, {"bottom"})
     with pytest.raises(ValueError):
         assemble(mesh_b, config, case, 1)
+
+
+def test_context_of_another_level_is_refused():
+    # a context fixes the mesh, degree and coefficient of a level; one built
+    # for another level must raise, not silently stand in for this one
+    variable = Diffusion(lambda x, y: 1.0 + x * y, grad=lambda x, y: np.column_stack([y, x]))
+    case = dataclasses.replace(get_case("t6"), a=variable)
+    mesh = build_uniform_mesh(2)
+    config = classify_boundary(mesh, case.dirichlet_sides, case.neumann_sides)
+    for other, what in ((LocalOperators(mesh, 1, variable), "degree"),
+                        (LocalOperators(build_uniform_mesh(2), 2, variable), "mesh"),
+                        (LocalOperators(mesh, 2, IDENTITY), "coefficient")):
+        with pytest.raises(ValueError, match=what):
+            assemble(mesh, config, case, 2, ops=other)
+    ops = LocalOperators(mesh, 2, variable)
+    u_h, lam_h = solve(assemble(mesh, config, case, 2, ops=ops))
+    with pytest.raises(ValueError, match="coefficient"):
+        residual_norm_primal(u_h, mesh, config, IDENTITY, ops=ops)
+    with pytest.raises(ValueError, match="coefficient"):
+        error_report(u_h, lam_h, case.u, mesh, config, IDENTITY, ops=ops)
+    report = error_report(u_h, lam_h, case.u, mesh, config, variable, ops=ops)
+    assert report == error_report(u_h, lam_h, case.u, mesh, config, ops=ops)
 
 
 def test_missing_flux_data_rejected():

@@ -1,4 +1,4 @@
-"""Uniform triangulations of the unit square with edge adjacency and
+"""Uniform triangulations of the unit square with their edge tables and
 boundary classification.
 
 Edges carry one fixed global orientation: the tangent runs from the lower
@@ -9,6 +9,8 @@ well-defined and reproducible.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -35,20 +37,25 @@ SIDE_NORMALS = {
 }
 
 _SIDE_TOL = 1e-12
+# the sides of SIDES, in order, as the lines x[_SIDE_AXES] == _SIDE_VALUES
+_SIDE_AXES, _SIDE_VALUES = np.array([1, 0, 1, 0]), np.array([0.0, 1.0, 1.0, 0.0])
 
 
 class Mesh:
-    """Immutable triangle mesh with full edge/element adjacency.
+    """Immutable triangle mesh with its edge table: the edges, the triangles
+    on each edge and the edges of each triangle.
 
     Attributes
     ----------
     vertices : (V, 2) float array
     triangles : (T, 3) int array, counter-clockwise vertex triples
     edges : (E, 2) int array, each row a sorted vertex pair (lo, hi)
-    edge_tris : tuple of 1- or 2-tuples, triangles adjacent to each edge
     edge_slots : (E, 2) int array, first and last (triangle, local edge)
         slot 3 t + loc of each edge, flat indices into (T, 3) tables; the
-        same slot twice on boundary edges
+        same slot twice on boundary edges.  Edges are numbered in order of
+        first appearance, so the first slots increase.
+    edge_tris : tuple of 1- or 2-tuples, triangles adjacent to each edge,
+        read from edge_slots
     tri_edges : (T, 3) int array, edge index of local edge (v_i, v_{i+1})
     tri_edge_signs : (T, 3) int array, +1 where the global edge normal
         already points out of the triangle, -1 otherwise
@@ -63,6 +70,8 @@ class Mesh:
             raise ValueError("vertices must be an array of 2D points")
         if triangles.ndim != 2 or triangles.shape[1] != 3:
             raise ValueError("triangles must be vertex index triples")
+        if triangles.size and (triangles.min() < 0 or triangles.max() >= len(vertices)):
+            raise ValueError(f"vertex indices must lie in [0, {len(vertices)})")
         self.vertices = vertices
         self.triangles = triangles
 
@@ -75,35 +84,26 @@ class Mesh:
         self.tri_areas = 0.5 * cross
         self.tri_centroids = v[triangles].mean(axis=1)
 
-        edge_index: dict[tuple[int, int], int] = {}
-        edge_list: list[tuple[int, int]] = []
-        adjacency: list[list[int]] = []
-        first: list[int] = []                # first and last slot 3 t + loc of each edge
-        last: list[int] = []
-        tri_edges = np.zeros_like(triangles)
-        for t in range(len(triangles)):
-            for loc in range(3):
-                a = triangles[t, loc]
-                b = triangles[t, (loc + 1) % 3]
-                key = (a, b) if a < b else (b, a)
-                e = edge_index.get(key)
-                if e is None:
-                    e = len(edge_list)
-                    edge_index[key] = e
-                    edge_list.append(key)
-                    adjacency.append([])
-                    first.append(3 * t + loc)
-                    last.append(3 * t + loc)
-                else:
-                    last[e] = 3 * t + loc
-                adjacency[e].append(t)
-                tri_edges[t, loc] = e
-        if any(len(adj) > 2 for adj in adjacency):
+        # local edge l runs from v_l to v_{l+1}; number the sorted vertex
+        # pairs in order of first appearance over the slots 3 t + l
+        heads = np.roll(triangles, -1, axis=1)
+        lo = np.minimum(triangles, heads).ravel()
+        hi = np.maximum(triangles, heads).ravel()
+        _, first, inverse, counts = np.unique(
+            lo * len(v) + hi, return_index=True, return_inverse=True, return_counts=True)
+        if np.any(counts > 2):
             raise ValueError("non-manifold mesh: an edge with more than 2 triangles")
-        self.edges = np.array(edge_list, dtype=int)
-        self.edge_tris = tuple(tuple(adj) for adj in adjacency)
+        order = np.argsort(first)
+        first, counts = first[order], counts[order]
+        tri_edges = np.argsort(order)[inverse].reshape(triangles.shape)
+        # the slots sorted by edge: each edge's last slot ends its run
+        last = np.argsort(tri_edges.ravel(), kind="stable")[np.cumsum(counts) - 1]
+        self.edges = np.column_stack([lo[first], hi[first]])
         self.edge_slots = np.column_stack([first, last])
         self.tri_edges = tri_edges
+        # a counter-clockwise triangle has its outward normal on the tangent's
+        # right, so the global normal points out exactly where v_l < v_{l+1}
+        self.tri_edge_signs = np.where(triangles < heads, 1, -1)
 
         tangents = v[self.edges[:, 1]] - v[self.edges[:, 0]]
         self.edge_lengths = np.hypot(tangents[:, 0], tangents[:, 1])
@@ -113,18 +113,10 @@ class Mesh:
         )
         self.edge_midpoints = 0.5 * (v[self.edges[:, 0]] + v[self.edges[:, 1]])
 
-        # per-triangle outward sign of the global edge normal
-        mids = self.edge_midpoints[tri_edges]             # (T, 3, 2)
-        normals = self.edge_normals[tri_edges]            # (T, 3, 2)
-        towards = mids - self.tri_centroids[:, None, :]
-        dots = np.einsum("tlc,tlc->tl", normals, towards)
-        self.tri_edge_signs = np.where(dots > 0.0, 1, -1)
-
         self.h_tri = self.edge_lengths[tri_edges].max(axis=1)
         self.h = float(self.h_tri.max())
 
-        counts = np.array([len(adj) for adj in adjacency])
-        self.is_boundary_edge = counts == 1
+        self.is_boundary_edge = self.edge_slots[:, 0] == self.edge_slots[:, 1]
         self.boundary_edges = np.nonzero(self.is_boundary_edge)[0]
 
         for arr in (self.vertices, self.triangles, self.edges, self.edge_slots, self.tri_edges,
@@ -132,6 +124,13 @@ class Mesh:
                     self.edge_midpoints, self.tri_areas, self.tri_centroids,
                     self.h_tri, self.is_boundary_edge, self.boundary_edges):
             arr.setflags(write=False)
+
+    @cached_property
+    def edge_tris(self):
+        return tuple(
+            (first // 3,) if first == last else (first // 3, last // 3)
+            for first, last in self.edge_slots.tolist()
+        )
 
     @property
     def n_vertices(self):
@@ -201,22 +200,25 @@ def build_uniform_mesh(n):
     xg, yg = np.meshgrid(coords, coords)        # row-major in j (y), then i (x)
     vertices = np.column_stack([xg.ravel(), yg.ravel()])
 
-    def vid(i, j):
-        return j * (n + 1) + i
-
-    triangles = []
-    for j in range(n):
-        for i in range(n):
-            v00 = vid(i, j)
-            v10 = vid(i + 1, j)
-            v01 = vid(i, j + 1)
-            v11 = vid(i + 1, j + 1)
-            # negative-slope diagonal v01 -- v10
-            triangles.append((v00, v10, v01))
-            triangles.append((v10, v11, v01))
+    j, i = divmod(np.arange(n * n), n)          # sub-squares, row-major in j
+    v00 = j * (n + 1) + i
+    v10, v01 = v00 + 1, v00 + n + 1
+    # two triangles per sub-square, split along the diagonal v01 -- v10
+    triangles = np.stack([v00, v10, v01, v10, v01 + 1, v01], axis=1).reshape(-1, 3)
     mesh = Mesh(vertices, triangles)
     assert abs(mesh.tri_areas.sum() - 1.0) < 1e-12
     return mesh
+
+
+def _side_indices(mesh, edges):
+    """Index into SIDES of the first side each of the boundary edges lies on."""
+    pts = mesh.vertices[mesh.edges[edges]]                    # (m, 2, 2)
+    on = np.all(np.abs(pts[:, :, _SIDE_AXES] - _SIDE_VALUES) < _SIDE_TOL, axis=1)
+    off = ~on.any(axis=1)
+    if np.any(off):
+        raise ValueError(f"boundary edge {edges[off][0]} does not lie on an "
+                         "axis-aligned side of the unit square")
+    return on.argmax(axis=1)
 
 
 def boundary_side(mesh, e):
@@ -224,15 +226,7 @@ def boundary_side(mesh, e):
     boundary edge e lies on."""
     if not mesh.is_boundary_edge[e]:
         raise ValueError(f"edge {e} is not a boundary edge")
-    pts = mesh.vertices[mesh.edges[e]]
-    for side, (axis, value) in {
-        "bottom": (1, 0.0), "right": (0, 1.0), "top": (1, 1.0), "left": (0, 0.0),
-    }.items():
-        if np.all(np.abs(pts[:, axis] - value) < _SIDE_TOL):
-            return side
-    raise ValueError(
-        f"boundary edge {e} does not lie on an axis-aligned side of the unit square"
-    )
+    return SIDES[_side_indices(mesh, np.array([e]))[0]]
 
 
 def classify_boundary(mesh, dirichlet_sides, neumann_sides):
@@ -248,13 +242,10 @@ def classify_boundary(mesh, dirichlet_sides, neumann_sides):
             raise ValueError(f"unknown side {side!r}; expected one of {SIDES}")
     if not d_sides and not n_sides:
         raise ValueError("no boundary data anywhere: Gamma_d and Gamma_n both empty")
-    in_gamma_d = np.zeros(mesh.n_edges, dtype=bool)
-    in_gamma_n = np.zeros(mesh.n_edges, dtype=bool)
-    for e in mesh.boundary_edges:
-        side = boundary_side(mesh, e)
-        in_gamma_d[e] = side in d_sides
-        in_gamma_n[e] = side in n_sides
-    return BoundaryConfig(mesh, in_gamma_d, in_gamma_n)
+    named = np.array([[side in group for side in SIDES] for group in (d_sides, n_sides)])
+    flags = np.zeros((2, mesh.n_edges), dtype=bool)
+    flags[:, mesh.boundary_edges] = named[:, _side_indices(mesh, mesh.boundary_edges)]
+    return BoundaryConfig(mesh, *flags)
 
 
 def edge_weight(mesh, e):
@@ -262,7 +253,7 @@ def edge_weight(mesh, e):
     the adjacent triangles (the single one, on boundary edges)."""
     if not 0 <= e < mesh.n_edges:
         raise ValueError(f"edge index {e} out of range")
-    return float(max(mesh.h_tri[t] for t in mesh.edge_tris[e]))
+    return float(mesh.h_tri[mesh.edge_slots[e] // 3].max())
 
 
 def dump_mesh(mesh, config=None):

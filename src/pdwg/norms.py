@@ -152,6 +152,10 @@ def _residual_terms(v, ops, weak, include_boundary):
             ops.stabilizer_value(v))
 
 
+def _norm(terms):
+    return float(np.sqrt(max(sum(terms), 0.0)))
+
+
 def _check_degree(v, k):
     k = v.k if k is None else k
     if k != v.k:
@@ -168,8 +172,7 @@ def residual_terms_primal(v, mesh, config, a=None, k=None, ops=None):
 
 def residual_norm_primal(v, mesh, config, a=None, k=None, ops=None):
     """Scaled residual norm of a primal-field weak function."""
-    terms = residual_terms_primal(v, mesh, config, a, k, ops)
-    return float(np.sqrt(max(sum(terms), 0.0)))
+    return _norm(residual_terms_primal(v, mesh, config, a, k, ops))
 
 
 def residual_terms_multiplier(v, mesh, config, a=None, k=None, ops=None):
@@ -181,18 +184,15 @@ def residual_terms_multiplier(v, mesh, config, a=None, k=None, ops=None):
 
 def residual_norm_multiplier(v, mesh, config, a=None, k=None, ops=None):
     """Scaled residual norm of a multiplier-field weak function."""
-    terms = residual_terms_multiplier(v, mesh, config, a, k, ops)
-    return float(np.sqrt(max(sum(terms), 0.0)))
+    return _norm(residual_terms_multiplier(v, mesh, config, a, k, ops))
 
 
 def strong_residual_norms(v, mesh, config, a=None, k=None, ops=None):
     """The pair of residual norms built from the interior gradient of v
     instead of the weak gradient: (primal edge set, multiplier edge set)."""
     ops = LocalOperators.of(ops, mesh, _check_degree(v, k), a)
-    return tuple(
-        float(np.sqrt(max(sum(_residual_terms(v, ops, False, include)), 0.0)))
-        for include in (config.in_gamma_n, mesh.is_boundary_edge & ~config.in_gamma_d)
-    )
+    return tuple(_norm(_residual_terms(v, ops, False, include))
+                 for include in (config.in_gamma_n, mesh.is_boundary_edge & ~config.in_gamma_d))
 
 
 def error_report(u_h, lam_h, u_exact, mesh, config, a=None, k=None, ops=None,
@@ -209,6 +209,7 @@ def error_report(u_h, lam_h, u_exact, mesh, config, a=None, k=None, ops=None,
         stab_u=stabilizer_seminorm(e_h, mesh, ops=ops),
     )
     if with_strong:
-        report.strong_u, _ = strong_residual_norms(e_h, mesh, config, ops=ops)
-        _, report.strong_lambda = strong_residual_norms(lam_h, mesh, config, ops=ops)
+        report.strong_u = _norm(_residual_terms(e_h, ops, False, config.in_gamma_n))
+        report.strong_lambda = _norm(_residual_terms(
+            lam_h, ops, False, mesh.is_boundary_edge & ~config.in_gamma_d))
     return report

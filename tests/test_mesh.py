@@ -108,6 +108,20 @@ def test_clockwise_triangle_rejected():
         Mesh([(0, 0), (1, 0), (0, 1)], [(0, 2, 1)])
 
 
+@pytest.mark.parametrize("bad", [-1, 3])
+def test_vertex_index_out_of_range_rejected(bad):
+    # -1 would wrap to the last vertex, 3 == V would index past the end
+    with pytest.raises(ValueError, match="vertex indices"):
+        Mesh([(0, 0), (1, 0), (0, 1)], [(0, 1, bad)])
+
+
+def test_non_manifold_edge_rejected():
+    # three triangles on the edge (0,0)-(1,0): two above it, one below
+    verts = [(0, 0), (1, 0), (0.5, 1), (0.5, 2), (0.5, -1)]
+    with pytest.raises(ValueError, match="non-manifold"):
+        Mesh(verts, [(0, 1, 2), (0, 1, 3), (1, 0, 4)])
+
+
 def test_edge_weight_uniform_mesh():
     mesh = build_uniform_mesh(4)
     for e in range(mesh.n_edges):
@@ -140,6 +154,8 @@ def test_edge_slots_are_the_first_and_last_slot_of_each_edge(n):
         assert tuple(mesh.edge_slots[e]) == (slots[0], slots[-1])
         assert tuple(slots // 3) == mesh.edge_tris[e]
     assert mesh.edge_slots.dtype.kind == "i" and not mesh.edge_slots.flags.writeable
+    # edges numbered in order of first appearance: the dof layout depends on it
+    assert np.all(np.diff(mesh.edge_slots[:, 0]) > 0)
 
 
 def test_edge_weight_invalid_index():
@@ -198,6 +214,16 @@ def test_classify_rejects_unknown_side():
     mesh = build_uniform_mesh(2)
     with pytest.raises(ValueError):
         classify_boundary(mesh, {"north"}, set())
+
+
+def test_edge_off_the_square_rejected():
+    mesh = Mesh([(0, 0), (1, 0), (0, 1)], [(0, 1, 2)])
+    hypotenuse = [e for e in range(mesh.n_edges) if tuple(mesh.edges[e]) == (1, 2)][0]
+    with pytest.raises(ValueError, match="does not lie on"):
+        classify_boundary(mesh, {"bottom"}, {"left"})
+    with pytest.raises(ValueError, match="does not lie on"):
+        boundary_side(mesh, hypotenuse)
+    assert boundary_side(mesh, 0) == "bottom"
 
 
 def test_boundary_config_rejects_interior_flags():

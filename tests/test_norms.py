@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from pdwg import norms
 from pdwg.cases import get_case
 from pdwg.fespace import (
     WeakFunction,
@@ -310,13 +311,23 @@ def test_residual_pieces_match_loop_reference(k, coefficient):
         assert terms[1] == pytest.approx(jump, rel=1e-12)
 
 
-def test_error_report_fields_consistent():
+def test_error_report_fields_consistent(monkeypatch):
     case = get_case("t6")
     mesh = build_uniform_mesh(4)
     config = classify_boundary(mesh, case.dirichlet_sides, case.neumann_sides)
     ops = LocalOperators(mesh, 1, case.a)
     u_h, lam_h = solve(assemble(mesh, config, case, 1, ops=ops))
+    jump_calls = []
+    jump_term = norms._jump_term
+
+    def counted_jump_term(*args):
+        jump_calls.append(args)
+        return jump_term(*args)
+
+    monkeypatch.setattr(norms, "_jump_term", counted_jump_term)
     report = error_report(u_h, lam_h, case.u, mesh, config, case.a, ops=ops, with_strong=True)
+    # two weak residual norms and one strong norm of each field, nothing thrown away
+    assert len(jump_calls) == 4
     assert report.l2_e0 >= 0 and report.h1_e0 >= 0
     assert report.resid_u**2 >= report.stab_u**2 - 1e-14
     assert report.strong_u is not None and report.strong_lambda is not None
@@ -325,6 +336,8 @@ def test_error_report_fields_consistent():
     assert report.resid_u == pytest.approx(
         residual_norm_primal(e_h, mesh, config, case.a, ops=ops), rel=1e-12
     )
+    assert report.strong_u == strong_residual_norms(e_h, mesh, config, ops=ops)[0]
+    assert report.strong_lambda == strong_residual_norms(lam_h, mesh, config, ops=ops)[1]
 
 
 def test_degree_mismatch_rejected():

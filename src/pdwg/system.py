@@ -9,7 +9,10 @@ dofs fixed to zero on the complement of Gamma_n):
 
 After eliminating the fixed dofs and negating the first block row, the
 free-dof matrix [[-S_ff, K_fg], [K_fg^T, S_gg]] is symmetric indefinite
-and is factorized directly.
+and is factorized directly.  When the multiplier has a one-dimensional
+gauge kernel v, the same factorization solves the compatible data
+(I - v v^T) rhs and the kernel component is projected out of the result;
+only a second kernel direction sends the solve to a bordered matrix.
 """
 
 from __future__ import annotations
@@ -41,7 +44,9 @@ _RESIDUAL_TOL = 1e-9
 # systems reach at most 2.9e-16 (t3-t5, k=1, n=32), regular ones 6.8e-13
 # (t1, k=3, n=32), so the cutoff keeps 35x and 70x.  The regular side falls
 # 50-70x per doubling at k=3: beyond n=32 it needs better-conditioned local
-# bases
+# bases.  The second, projected probe on t3-t5 reads at most 1.1e-16 where
+# the kernel is two-dimensional (k=3) and at least 6.1e-10 where it is not
+# (k=2, n=16), falling about 18x per doubling
 _KERNEL_TOL = 1e-14
 # largest system whose inverse condition_estimate forms exactly
 _DENSE_COND_LIMIT = 800
@@ -183,18 +188,30 @@ def _factor(matrix, k):
     return spla.splu(matrix, **(_SYMMETRIC_LU if k == 1 else {}))
 
 
-def _gauge_kernel(lu, matrix, n_primal, norm):
+def _project_out(vec, unit):
+    """vec with its component along the unit vector removed."""
+    return vec - (vec @ unit) * unit
+
+
+def _gauge_kernel(lu, matrix, n_primal, norm, found=None):
     """Kernel test shared by solve and condition_estimate (norm: the 1-norm
     of matrix): None for a regular matrix, else the unit kernel vector of a
-    pure multiplier gauge.  Raises SingularSystemError when the factorization
-    is unusable or the kernel reaches the first n_primal (primal) dofs."""
+    pure multiplier gauge.  Given found, a unit kernel vector already
+    known, the test looks for a second kernel direction orthogonal to it.
+    Raises SingularSystemError when the factorization is unusable or the
+    kernel reaches the first n_primal (primal) dofs."""
     # an exact kernel dominates one inverse-iteration step, whose residual
     # then falls to roundoff.  A kernel confined to the multiplier block is
     # a pure gauge: the primal field stays unique.  In the catalog only
     # t3-t5 have one, lam = x (zero on the left side, the one side outside
-    # Gamma_n, and flux-free on top, the one side outside Gamma_d)
+    # Gamma_n, and flux-free on top, the one side outside Gamma_d), and at
+    # k=3 a second one, lam = x (y-1)^2 - x^3/3
     n = lu.shape[0]
-    probe = lu.solve(np.full(n, 1.0 / np.sqrt(n)))
+    start = np.full(n, 1.0 / np.sqrt(n))
+    if found is None:
+        probe = lu.solve(start)
+    else:
+        probe = _project_out(lu.solve(_project_out(start, found)), found)
     size = np.linalg.norm(probe)
     if not np.isfinite(size) or size == 0.0:
         raise SingularSystemError("singular system: factorization is unusable")
@@ -223,10 +240,16 @@ def solve(system):
     null_dir = _gauge_kernel(lu, matrix, nf, norm)
     if null_dir is None:
         x = lu.solve(system.rhs)
+    elif _gauge_kernel(lu, matrix, nf, norm, found=null_dir) is None:
+        # one gauge direction: the symmetric matrix's range is orthogonal
+        # to it, so the projected rhs is compatible data that the singular
+        # LU solves; projecting the result gives the minimal representative
+        # across the multiplier gauge
+        x = _project_out(lu.solve(_project_out(system.rhs, null_dir)), null_dir)
     else:
-        # bordered system: pin the kernel component to zero, which both
-        # regularizes the factorization and returns the minimal
-        # representative across the multiplier gauge
+        # a second kernel direction (t3-t5 at k=3): border the one found,
+        # which regularizes the factorization along it and pins its
+        # component to zero; the other is left to roundoff
         del lu  # one factorization alive at a time
         n = matrix.shape[0]
         col = sp.csc_matrix(null_dir.reshape(n, 1))
@@ -242,7 +265,7 @@ def solve(system):
     if null_dir is not None:
         # the component along the kernel image is a data-compatibility
         # defect (quadrature-level), not a solver error
-        residual_vec = residual_vec - (residual_vec @ null_dir) * null_dir
+        residual_vec = _project_out(residual_vec, null_dir)
     residual = np.linalg.norm(residual_vec)
     scale = np.linalg.norm(system.rhs) + norm * np.linalg.norm(x)
     if residual > _RESIDUAL_TOL * max(scale, 1e-300):

@@ -196,7 +196,7 @@ def test_csv_determinism_modulo_wall_time():
     def strip_wall(text):
         return "\n".join(",".join(line.split(",")[:-1]) for line in text.splitlines())
 
-    # t6 exercises the regular path, t3 the multiplier-gauge bordered path
+    # t6 exercises the regular path, t3 the projected multiplier-gauge path
     for case_id in ("t6", "t3"):
         first = emit(run_study(case_id, [1, 2, 4]), "csv")
         second = emit(run_study(case_id, [1, 2, 4]), "csv")

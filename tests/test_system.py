@@ -4,6 +4,7 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import pdwg.system
@@ -314,12 +315,18 @@ def catalog_system(case_id, k, n):
     return assemble(mesh, config, case, k)
 
 
-def kernel_test(case_id, k, n):
-    """_gauge_kernel on the factorization that solve makes first."""
+def kernel_test(case_id, k, n, second=False):
+    """_gauge_kernel on the factorization that solve makes first; with
+    second, the projected probe for a second direction, as solve runs it
+    once a first one is found (None without a first one)."""
     system = catalog_system(case_id, k, n)
     matrix = system.matrix
     norm = abs(matrix).sum(axis=0).max()
-    return _gauge_kernel(_factor(matrix, system.k), matrix, len(system.u_free), norm)
+    lu = _factor(matrix, system.k)
+    found = _gauge_kernel(lu, matrix, len(system.u_free), norm)
+    if not second or found is None:
+        return found
+    return _gauge_kernel(lu, matrix, len(system.u_free), norm, found=found)
 
 
 def test_kernel_tolerance_keeps_a_decade_on_both_sides(monkeypatch):
@@ -349,6 +356,48 @@ def test_kernel_test_flags_exactly_the_gauge_cases():
     }
 
 
+def test_second_probe_flags_exactly_the_two_dimensional_kernels():
+    # with the first kernel direction projected out, a second probe finds
+    # one only where the gauge kernel is two-dimensional: t3-t5 at k=3
+    # (lam = x (y-1)^2 - x^3/3).  Its relative residual reads at most
+    # 1.1e-16 at k=3 (n = 1..8), 90x under the cutoff, and at least 6.1e-10
+    # at k <= 2 (t3-t5, k=2, n=16), 6e4x over it; that side falls about 18x
+    # per doubling at k=2 and 4-5x at k=1
+    flagged = {
+        (case_id, k, n)
+        for case_id in case_ids() for k in (1, 2, 3) for n in (1, 2, 4)
+        if kernel_test(case_id, k, n, second=True) is not None
+    }
+    assert flagged == {(case_id, 3, n) for case_id in ("t3", "t4", "t5") for n in (1, 2, 4)}
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8])
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("case_id", ["t3", "t4", "t5"])
+def test_projected_gauge_solve_matches_the_bordered_solve(case_id, k, n):
+    # the oracle: the bordered matrix [[A, v], [v^T, 0]], factored here,
+    # returns the representative with v.x = 0, the one solve's projection
+    # picks from the singular LU.  Largest relative differences measured:
+    # 5.7e-11 on u (t5, k=2, n=8), 1.7e-7 on lam (t3, k=2, n=8, where the
+    # exact multiplier is 0 and the discrete one is small), and 4.3e-13 for
+    # v.x against |lam| (t3, k=2, n=4); each bound keeps at least 10x
+    system = catalog_system(case_id, k, n)
+    matrix, nf, n_free = system.matrix, len(system.u_free), system.n_free
+    v = kernel_test(case_id, k, n)
+    col = sp.csc_matrix(v.reshape(-1, 1))
+    bordered = sp.bmat([[matrix, col], [col.T, None]], format="csc")
+    want = spla.splu(bordered).solve(np.append(system.rhs, 0.0))[:n_free]
+    u_h, lam_h = solve(system)
+    got_u, got_lam = u_h.coeffs[system.u_free], lam_h.coeffs[system.lam_free]
+
+    def rel(a, b):
+        return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+    assert rel(got_u, want[:nf]) <= 1e-9
+    assert rel(got_lam, want[nf:]) <= 2e-6
+    assert abs(v[nf:] @ got_lam) <= 1e-11 * np.linalg.norm(got_lam)
+
+
 def test_primal_non_uniqueness_reports_the_probe_residual():
     with pytest.raises(SingularSystemError, match="kernel probe residual"):
         solve(no_boundary_data_system())
@@ -366,11 +415,12 @@ class NoFactorCopies:
         return getattr(self._lu, name)
 
 
-@pytest.mark.parametrize("case_id,per_call", [("t6", 1), ("t3", 2)])
-def test_one_factorization_alive_and_no_factor_copies(monkeypatch, case_id, per_call):
+@pytest.mark.parametrize("case_id,estimate_calls", [("t6", 1), ("t3", 2)])
+def test_one_factorization_alive_and_no_factor_copies(monkeypatch, case_id, estimate_calls):
     # solve and condition_estimate never read L or U, and free each
-    # factorization before the next one starts (t3 factors twice: once
-    # to find the gauge, once for the bordered or the quotient matrix)
+    # factorization before the next one starts.  solve factors once, t3's
+    # gauge included; condition_estimate factors t3 twice, once to find
+    # the gauge and once for the quotient matrix
     real_splu = spla.splu
     made = []
 
@@ -384,9 +434,9 @@ def test_one_factorization_alive_and_no_factor_copies(monkeypatch, case_id, per_
     system = catalog_system(case_id, 1, 8)
     assert system.n_free > pdwg.system._DENSE_COND_LIMIT
     solve(system)
-    assert len(made) == per_call
+    assert len(made) == 1
     assert math.isfinite(condition_estimate(system))
-    assert len(made) == 2 * per_call
+    assert len(made) == 1 + estimate_calls
 
 
 def record_factorizations(monkeypatch):
@@ -416,18 +466,19 @@ def test_symmetric_ordering_at_k1_only(monkeypatch, k):
         system = catalog_system(case_id, k, 4)
         solve(system)
         condition_estimate(system)
-    assert len(calls) == 6  # t6: 1 + 1, t3: 2 + 2
+    # t6: 1 + 1; t3: 1 + 2, and 2 + 2 at k=3, whose second kernel
+    # direction sends solve to the bordered matrix
+    assert len(calls) == (6 if k == 3 else 5)
     symmetric = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
                      options=dict(SymmetricMode=True))
     assert all(n_args == 1 and kwargs == (symmetric if k == 1 else {})
                for n_args, kwargs, _ in calls)
 
 
-def test_k1_gauge_solve_stays_regular_sized(monkeypatch):
-    # the bordered matrix adds one dense row and column; under the
-    # symmetric ordering its LU stays the size of the first one (1.56x at
-    # t3, k=1, n=16, where COLAMD's reaches 7.1x)
+@pytest.mark.parametrize("k,n", [(1, 16), (2, 8)])
+def test_gauge_solve_factors_once(monkeypatch, k, n):
+    # a one-dimensional gauge kernel is projected out of the solve on the
+    # LU that found it: no second, bordered factorization
     calls = record_factorizations(monkeypatch)
-    solve(catalog_system("t3", 1, 16))
-    (_, _, first), (_, _, bordered) = calls
-    assert bordered <= 2 * first
+    solve(catalog_system("t3", k, n))
+    assert len(calls) == 1

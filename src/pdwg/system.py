@@ -8,11 +8,15 @@ dofs fixed to zero on the complement of Gamma_n):
     s(lam_h, w) + b(u_h, w) = (f, w_0) + <g2, w_b>_Gamma_n  for all test w.
 
 After eliminating the fixed dofs and negating the first block row, the
-free-dof matrix [[-S_ff, K_fg], [K_fg^T, S_gg]] is symmetric indefinite
-and is factorized directly.  When the multiplier has a one-dimensional
-gauge kernel v, the same factorization solves the compatible data
+free-dof matrix [[-S_ff, K_fg], [K_fg^T, S_gg]] is symmetric indefinite.
+At k = 1 it is factorized directly.  At k >= 2 each triangle's interior
+dofs are condensed out (in an orthonormal interior basis) and the Schur
+matrix on the free edge dofs is factorized; the interiors are recovered
+triangle by triangle.  When the multiplier has a one-dimensional gauge
+kernel v, the same factorization solves the compatible data
 (I - v v^T) rhs and the kernel component is projected out of the result;
-only a second kernel direction sends the solve to a bordered matrix.
+only a second kernel direction sends the solve to the full matrix and a
+bordered one.
 """
 
 from __future__ import annotations
@@ -39,14 +43,16 @@ __all__ = [
 # relative residual bound accepted from the direct solver
 _RESIDUAL_TOL = 1e-9
 # relative residual ||A v||_2 / ||A||_1 of the normalized inverse-iteration
-# probe v at or below which v is taken as a kernel vector.  Measured over
-# the catalog for n <= 16 (n <= 32 at k=1) and t1/t3 at k=3, n=32: gauge
-# systems reach at most 2.9e-16 (t3-t5, k=1, n=32), regular ones 6.8e-13
-# (t1, k=3, n=32), so the cutoff keeps 35x and 70x.  The regular side falls
-# 50-70x per doubling at k=3: beyond n=32 it needs better-conditioned local
-# bases.  The second, projected probe on t3-t5 reads at most 1.1e-16 where
-# the kernel is two-dimensional (k=3) and at least 6.1e-10 where it is not
-# (k=2, n=16), falling about 18x per doubling
+# probe v at or below which v is taken as a kernel vector; A is the matrix
+# solve factors first, the Schur matrix at k >= 2.  Measured over the
+# catalog for n <= 16 (n <= 32 at k=1) and t1/t3 at k=2, 3, n=32: gauge
+# systems reach at most 2.9e-16 (t3-t5, k=1, n=32; 2.4e-16 at k=3, n=32),
+# regular ones 2.8e-12 (t1, k=3, n=32; the full matrix reads 6.8e-13), so
+# the cutoff keeps 35x and 280x.  The regular side still falls about 75x
+# per doubling at k=3: t1 at k=3, n=64 would read about 4e-14.  The second,
+# projected probe on t3-t5 reads at most 4.6e-16 where the kernel is
+# two-dimensional (k=3, n=32) and at least 7.6e-11 where it is not (k=2,
+# n=32; 1.4e-8 at n=16)
 _KERNEL_TOL = 1e-14
 # largest system whose inverse condition_estimate forms exactly
 _DENSE_COND_LIMIT = 800
@@ -87,6 +93,7 @@ class SaddleSystem:
     u_free: np.ndarray
     lam_free: np.ndarray
     u_fixed_values: np.ndarray       # full-length vector, zero on free dofs
+    ops: LocalOperators              # the level's context, whose local matrices solve condenses
     primal_rows_negated: bool = field(default=True)
 
     @property
@@ -94,39 +101,43 @@ class SaddleSystem:
         return self.matrix.shape[0]
 
 
+def _positions(ops, dofs, offset=0):
+    """Position (T, nloc) of every local dof in a block that numbers dofs
+    from offset on, -1 outside it."""
+    pos = np.full(ops.dofmap.n_dofs, -1, dtype=np.int32)
+    pos[dofs] = offset + np.arange(len(dofs))
+    return pos[ops.cell_dofs]
+
+
+def _coo(blocks, shape):
+    """Sum of stacked local matrices, each block a triple of row positions
+    (T, m), column positions (T, m') and values (T, m, m'); entries at a -1
+    position are dropped.  A global entry sums at most two local ones (an
+    edge has at most two triangles), so it does not depend on the order of
+    the sum."""
+    triplets = [[], [], []]
+    for rows, cols, vals in blocks:
+        r = np.repeat(rows, cols.shape[1], axis=1).ravel()
+        c = np.tile(cols, (1, rows.shape[1])).ravel()
+        keep = (r >= 0) & (c >= 0)
+        for out, part in zip(triplets, (r, c, vals.ravel())):
+            out.append(part[keep])
+    r, c, v = (np.concatenate(parts) for parts in triplets)
+    return sp.coo_matrix((v, (r, c)), shape=shape)
+
+
 def _free_blocks(ops, u_fixed, lam_fixed):
     """The free-dof matrix [[-S_ff, K_fg], [K_fg^T, S_gg]] and the lift
     columns [[S_fp], [K_gp]] (p: fixed primal dofs), both assembled straight
-    from the stacked local matrices.  A global entry sums at most two local
-    ones (an edge has at most two triangles), so it does not depend on the
-    order of the sum."""
+    from the stacked local matrices."""
     uf, lf, up = np.flatnonzero(~u_fixed), np.flatnonzero(~lam_fixed), np.flatnonzero(u_fixed)
-    nloc = ops.cell_dofs.shape[1]
-
-    def entries(dofs, offset=0):
-        # row and column position of every local matrix entry in the block
-        # of dofs, -1 outside it
-        pos = np.full(ops.dofmap.n_dofs, -1, dtype=np.int32)
-        pos[dofs] = offset + np.arange(len(dofs))
-        local = pos[ops.cell_dofs]
-        return np.repeat(local, nloc, axis=1).ravel(), np.tile(local, (1, nloc)).ravel()
-
-    def coo(blocks, shape):
-        triplets = [[], [], []]
-        for block in blocks:
-            keep = (block[0] >= 0) & (block[1] >= 0)
-            for out, part in zip(triplets, block):
-                out.append(part[keep])
-        r, c, v = (np.concatenate(parts) for parts in triplets)
-        return sp.coo_matrix((v, (r, c)), shape=shape)
-
-    (ru, cu), (rl, cl), (_, cp) = entries(uf), entries(lf, len(uf)), entries(up)
-    stab, diff = ops.stabilizers.ravel(), ops.diffusion_forms.ravel()
+    pu, pl, pp = _positions(ops, uf), _positions(ops, lf, len(uf)), _positions(ops, up)
+    stab, diff = ops.stabilizers, ops.diffusion_forms
     n_free = len(uf) + len(lf)
     # CSC is the format the sparse LU takes, so solve needs no second copy
-    matrix = coo([(ru, cu, -stab), (ru, cl, diff), (cl, ru, diff), (rl, cl, stab)],
-                 (n_free, n_free)).tocsc()
-    lift_cols = coo([(ru, cp, stab), (rl, cp, diff)], (n_free, len(up))).tocsr()
+    matrix = _coo([(pu, pu, -stab), (pu, pl, diff), (pl, pu, diff), (pl, pl, stab)],
+                  (n_free, n_free)).tocsc()
+    lift_cols = _coo([(pu, pp, stab), (pl, pp, diff)], (n_free, len(up))).tocsr()
     return matrix, lift_cols, uf, lf, up
 
 
@@ -179,13 +190,23 @@ def assemble(mesh, config, case, k=1, ops=None):
         u_free=uf,
         lam_free=lf,
         u_fixed_values=u_fixed_values,
+        ops=ops,
     )
 
 
 def _factor(matrix, k):
     """Sparse LU of a free-dof matrix of degree k; an unknown degree (None)
     takes SuperLU's defaults, as k >= 2 does."""
-    return spla.splu(matrix, **(_SYMMETRIC_LU if k == 1 else {}))
+    try:
+        return spla.splu(matrix, **(_SYMMETRIC_LU if k == 1 else {}))
+    except RuntimeError as exc:
+        raise SingularSystemError(f"direct factorization failed: {exc}") from exc
+
+
+def _one_norm(matrix):
+    """Largest absolute column sum, reduced per CSC column; the inf-norm up
+    to roundoff for these symmetric matrices."""
+    return abs(matrix).sum(axis=0).max()
 
 
 def _project_out(vec, unit):
@@ -225,27 +246,84 @@ def _gauge_kernel(lu, matrix, n_primal, norm, found=None):
     return null_dir
 
 
-def solve(system):
-    """Factorize and solve; returns the primal and multiplier fields with
-    the fixed boundary values merged back in."""
-    matrix = system.matrix.tocsc()
-    # 1-norm (largest absolute column sum, reduced per CSC column), which is
-    # the inf-norm up to roundoff as the matrix is symmetric
-    norm = abs(matrix).sum(axis=0).max()
-    try:
-        lu = _factor(matrix, system.k)
-    except RuntimeError as exc:
-        raise SingularSystemError(f"direct factorization failed: {exc}") from exc
-    nf = len(system.u_free)
-    null_dir = _gauge_kernel(lu, matrix, nf, norm)
+class _Condensation:
+    """Static condensation of a system onto its free edge dofs.  Interior
+    dofs couple only within their triangle, so each triangle's coupled
+    local matrix [[-S, B], [B, S]], split into interior (I) and edge (E)
+    dofs, gives the local Schur block M_EE - M_EI M_II^-1 M_IE; matrix sums
+    them over the free edge dofs, primal ones first.  The interior block is
+    eliminated in an orthonormal interior basis R = L^-T, L L^T = mass_k /
+    area (block-diagonal over u_0 and lam_0): at k = 2, 3 it takes the
+    local block's condition number from 2.5e4 and 3.9e6 to 6.1 and 16."""
+
+    def __init__(self, system):
+        ops, dofmap, nf = system.ops, system.dofmap, len(system.u_free)
+        n_int, dim = dofmap.n_interior, dofmap.interior_dim
+        n_tri = system.mesh.n_triangles
+        interior, edge = slice(None, dim), slice(dim, None)
+
+        def coupled(rows, cols):
+            # the rows x cols block of [[-S, B], [B, S]], fields stacked u then lam
+            stab, diff = ops.stabilizers[:, rows, cols], ops.diffusion_forms[:, rows, cols]
+            return np.block([[-stab, diff], [diff, stab]])
+
+        chol = np.linalg.cholesky(ops.mass_k / system.mesh.tri_areas[:, None, None])
+        self.basis = np.zeros((n_tri, 2 * dim, 2 * dim))
+        self.basis[:, :dim, :dim] = self.basis[:, dim:, dim:] = np.linalg.inv(chol).swapaxes(1, 2)
+        basis_t = self.basis.swapaxes(1, 2)
+        # the interior block and the interior rows, in the orthonormal basis
+        self.inner = basis_t @ coupled(interior, interior) @ self.basis
+        coupling = basis_t @ coupled(interior, edge)
+        # C = M_II^-1 M_IE, so the local Schur block is M_EE - M_IE^T C
+        self.coupling = np.linalg.solve(self.inner, coupling)
+        schur = coupled(edge, edge) - coupling.swapaxes(1, 2) @ self.coupling
+        self.edge_pos = np.concatenate([
+            _positions(ops, system.u_free[n_int:])[:, dim:],
+            _positions(ops, system.lam_free[n_int:], nf - n_int)[:, dim:]], axis=1)
+        self.n_primal = nf - n_int
+        n_edge = system.n_free - 2 * n_int
+        self.matrix = _coo([(self.edge_pos, self.edge_pos, schur)], (n_edge, n_edge)).tocsc()
+        # free-dof positions: every interior dof is free and leads its block
+        cells = dofmap.interior_block(np.arange(n_tri))
+        self.interior = np.concatenate([cells, nf + cells], axis=1)
+        self.edges = np.r_[n_int:nf, nf + n_int:system.n_free]
+
+    def solve(self, lu, rhs):
+        """Free-dof solution of A x = rhs, lu factoring the Schur matrix:
+        condense rhs, solve for the edge dofs, recover the interiors."""
+        y = np.einsum("tji,tj->ti", self.basis, rhs[self.interior])
+        shift = np.einsum("tji,tj->ti", self.coupling, y)
+        keep = self.edge_pos >= 0
+        edge_rhs = rhs[self.edges] - np.bincount(self.edge_pos[keep], weights=shift[keep],
+                                                 minlength=len(self.edges))
+        return self.expand(lu.solve(edge_rhs), np.linalg.solve(self.inner, y[..., None])[..., 0])
+
+    def expand(self, x_edge, z=0.0):
+        """Free-dof vector with edge part x_edge and each triangle's
+        interior from its local equations, M_II^-1 (b_I - M_IE x_E), given
+        M_II^-1 b_I in orthonormal coordinates as z (0: no interior data)."""
+        local = np.where(self.edge_pos >= 0, x_edge[self.edge_pos], 0.0)
+        interior = z - np.einsum("tij,tj->ti", self.coupling, local)
+        x = np.empty(len(self.edges) + self.interior.size)
+        x[self.edges] = x_edge
+        x[self.interior] = np.einsum("tij,tj->ti", self.basis, interior)
+        return x
+
+
+def _solve_full(matrix, rhs, k, n_primal, norm):
+    """Solution and gauge kernel vector (None without one) from an LU of the
+    full free-dof matrix: the path at k = 1 and of a two-dimensional gauge
+    kernel, and the reference for the condensed one."""
+    lu = _factor(matrix, k)
+    null_dir = _gauge_kernel(lu, matrix, n_primal, norm)
     if null_dir is None:
-        x = lu.solve(system.rhs)
-    elif _gauge_kernel(lu, matrix, nf, norm, found=null_dir) is None:
+        x = lu.solve(rhs)
+    elif _gauge_kernel(lu, matrix, n_primal, norm, found=null_dir) is None:
         # one gauge direction: the symmetric matrix's range is orthogonal
         # to it, so the projected rhs is compatible data that the singular
         # LU solves; projecting the result gives the minimal representative
         # across the multiplier gauge
-        x = _project_out(lu.solve(_project_out(system.rhs, null_dir)), null_dir)
+        x = _project_out(lu.solve(_project_out(rhs, null_dir)), null_dir)
     else:
         # a second kernel direction (t3-t5 at k=3): border the one found,
         # which regularizes the factorization along it and pins its
@@ -254,10 +332,44 @@ def solve(system):
         n = matrix.shape[0]
         col = sp.csc_matrix(null_dir.reshape(n, 1))
         bordered = sp.bmat([[matrix, col], [col.T, None]], format="csc")
-        try:
-            x = _factor(bordered, system.k).solve(np.append(system.rhs, 0.0))[:n]
-        except RuntimeError as exc:
-            raise SingularSystemError(f"singular system: {exc}") from exc
+        x = _factor(bordered, k).solve(np.append(rhs, 0.0))[:n]
+    return x, null_dir
+
+
+def _solve_condensed(system):
+    """Solution and gauge kernel vector as _solve_full gives them, from an
+    LU of the Schur matrix on the free edge dofs; None when the Schur
+    matrix has a second gauge direction, which the full path handles."""
+    cond = _Condensation(system)
+    schur, n_primal = cond.matrix, cond.n_primal
+    norm = _one_norm(schur)
+    lu = _factor(schur, system.k)
+    edge_dir = _gauge_kernel(lu, schur, n_primal, norm)
+    if edge_dir is None:
+        return cond.solve(lu, system.rhs), None
+    if _gauge_kernel(lu, schur, n_primal, norm, found=edge_dir) is not None:
+        return None
+    # the full kernel vector, unit in the original coordinates, so the
+    # representative is the full path's: v.x = 0
+    null_dir = cond.expand(edge_dir)
+    null_dir /= np.linalg.norm(null_dir)
+    return _project_out(cond.solve(lu, _project_out(system.rhs, null_dir)), null_dir), null_dir
+
+
+def solve(system):
+    """Factorize and solve; returns the primal and multiplier fields with
+    the fixed boundary values merged back in.  At k >= 2 the interior dofs
+    are condensed out and the edge-dof Schur matrix is factored; k = 1, and
+    a two-dimensional gauge kernel (t3-t5 at k = 3), factor the full
+    free-dof matrix."""
+    matrix = system.matrix.tocsc()
+    norm = _one_norm(matrix)
+    nf = len(system.u_free)
+    # the condensed path returns None, freeing its LU, before the full one starts
+    solution = _solve_condensed(system) if system.k >= 2 else None
+    if solution is None:
+        solution = _solve_full(matrix, system.rhs, system.k, nf, norm)
+    x, null_dir = solution
     if not np.all(np.isfinite(x)):
         raise SingularSystemError("direct solver produced a non-finite solution")
 
@@ -299,7 +411,7 @@ def condition_estimate(system):
     n = matrix.shape[0]
     if n == 0:
         return 0.0
-    norm = abs(matrix).sum(axis=0).max()
+    norm = _one_norm(matrix)
     k = getattr(system, "k", None)
     try:
         lu = _factor(matrix, k)
@@ -309,7 +421,7 @@ def condition_estimate(system):
             keep = np.delete(np.arange(n), np.argmax(np.abs(null_dir)))
             matrix = matrix[keep][:, keep]
             n -= 1
-            norm = abs(matrix).sum(axis=0).max()
+            norm = _one_norm(matrix)
             lu = _factor(matrix, k)
             # the quotient is all primal here: a second kernel raises
             _gauge_kernel(lu, matrix, n, norm)

@@ -14,8 +14,12 @@ from pdwg.mesh import BoundaryConfig, build_uniform_mesh, classify_boundary
 from pdwg.norms import error_fields, error_report, residual_norm_multiplier, residual_norm_primal
 from pdwg.system import (
     SingularSystemError,
+    _Condensation,
     _factor,
     _gauge_kernel,
+    _one_norm,
+    _solve_condensed,
+    _solve_full,
     assemble,
     condition_estimate,
     matrix_to_coordinate_text,
@@ -316,26 +320,46 @@ def catalog_system(case_id, k, n):
 
 
 def kernel_test(case_id, k, n, second=False):
-    """_gauge_kernel on the factorization that solve makes first; with
-    second, the projected probe for a second direction, as solve runs it
-    once a first one is found (None without a first one)."""
+    """_gauge_kernel on the factorization that solve makes first: of the
+    full free-dof matrix at k=1, of the Schur matrix on the free edge dofs
+    at k >= 2.  With second, the projected probe for a second direction,
+    as solve runs it once a first one is found (None without a first one)."""
     system = catalog_system(case_id, k, n)
-    matrix = system.matrix
-    norm = abs(matrix).sum(axis=0).max()
+    if k == 1:
+        matrix, n_primal = system.matrix, len(system.u_free)
+    else:
+        condensed = _Condensation(system)
+        matrix, n_primal = condensed.matrix, condensed.n_primal
+    norm = _one_norm(matrix)
     lu = _factor(matrix, system.k)
-    found = _gauge_kernel(lu, matrix, len(system.u_free), norm)
+    found = _gauge_kernel(lu, matrix, n_primal, norm)
     if not second or found is None:
         return found
-    return _gauge_kernel(lu, matrix, len(system.u_free), norm, found=found)
+    return _gauge_kernel(lu, matrix, n_primal, norm, found=found)
+
+
+def rel(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+def solve_path(system):
+    """The free-dof solution and gauge kernel vector (None without one) of
+    the path solve takes: condensed at k >= 2 unless the gauge kernel is
+    two-dimensional, full otherwise."""
+    solution = _solve_condensed(system) if system.k >= 2 else None
+    if solution is None:
+        solution = _solve_full(system.matrix, system.rhs, system.k, len(system.u_free),
+                               _one_norm(system.matrix))
+    return solution
 
 
 def test_kernel_tolerance_keeps_a_decade_on_both_sides(monkeypatch):
     # the kernel test cuts between the relative probe residuals of regular
     # and gauge-singular systems: the smallest regular one at n <= 16 (t1,
-    # k=3, n=16: 4.8e-11) and the largest gauge one at n <= 32 (t3, k=1,
-    # n=32: 2.9e-16) must both stay a factor 10 clear of the cutoff.  (t1
-    # at k=3, n=32 reads 6.8e-13, also a decade clear, but its LU takes
-    # 0.9 GB)
+    # k=3, n=16: 2.1e-10 on the Schur matrix; the full matrix reads 4.8e-11)
+    # and the largest gauge one at n <= 32 (t3, k=1, n=32, full matrix:
+    # 2.9e-16) must both stay a factor 10 clear of the cutoff.  (t1 at k=3,
+    # n=32 reads 2.8e-12, also a decade clear, but takes 6 s)
     tol = pdwg.system._KERNEL_TOL
     monkeypatch.setattr(pdwg.system, "_KERNEL_TOL", 10 * tol)
     assert kernel_test("t1", 3, 16) is None
@@ -345,7 +369,9 @@ def test_kernel_tolerance_keeps_a_decade_on_both_sides(monkeypatch):
 
 def test_kernel_test_flags_exactly_the_gauge_cases():
     # only t3-t5 leave the multiplier a kernel (lam = x, and a second
-    # direction at k=3)
+    # direction at k=3).  On the matrix solve factors first, gauge levels
+    # read at most 2.4e-16 at k >= 2 (t3, k=3, n=32) and regular ones at
+    # least 2.1e-10 (t1, k=3, n=16)
     flagged = {
         (case_id, k, n)
         for case_id in case_ids() for k in (1, 2, 3) for n in (1, 2, 4)
@@ -359,10 +385,10 @@ def test_kernel_test_flags_exactly_the_gauge_cases():
 def test_second_probe_flags_exactly_the_two_dimensional_kernels():
     # with the first kernel direction projected out, a second probe finds
     # one only where the gauge kernel is two-dimensional: t3-t5 at k=3
-    # (lam = x (y-1)^2 - x^3/3).  Its relative residual reads at most
-    # 1.1e-16 at k=3 (n = 1..8), 90x under the cutoff, and at least 6.1e-10
-    # at k <= 2 (t3-t5, k=2, n=16), 6e4x over it; that side falls about 18x
-    # per doubling at k=2 and 4-5x at k=1
+    # (lam = x (y-1)^2 - x^3/3).  On the Schur matrix its relative residual
+    # reads at most 3.5e-16 at k=3 (n = 1..8; 4.6e-16 at n=32), 20x under
+    # the cutoff, and at least 1.4e-8 at k=2 (t3-t5, n=16; 7.6e-11 at
+    # n=32); on the full matrix at k=1 at least 2.5e-6 (n=32)
     flagged = {
         (case_id, k, n)
         for case_id in case_ids() for k in (1, 2, 3) for n in (1, 2, 4)
@@ -375,27 +401,73 @@ def test_second_probe_flags_exactly_the_two_dimensional_kernels():
 @pytest.mark.parametrize("k", [1, 2])
 @pytest.mark.parametrize("case_id", ["t3", "t4", "t5"])
 def test_projected_gauge_solve_matches_the_bordered_solve(case_id, k, n):
-    # the oracle: the bordered matrix [[A, v], [v^T, 0]], factored here,
-    # returns the representative with v.x = 0, the one solve's projection
-    # picks from the singular LU.  Largest relative differences measured:
-    # 5.7e-11 on u (t5, k=2, n=8), 1.7e-7 on lam (t3, k=2, n=8, where the
-    # exact multiplier is 0 and the discrete one is small), and 4.3e-13 for
-    # v.x against |lam| (t3, k=2, n=4); each bound keeps at least 10x
+    # the oracle: the bordered matrix [[A, v], [v^T, 0]], factored here
+    # with the kernel vector v that solve projects out (at k=2 recovered
+    # from the Schur matrix's), returns the representative with v.x = 0,
+    # the one solve's projection picks from the singular LU.  Largest
+    # relative differences measured: 3.0e-11 on u (t5, k=2, n=4), 1.9e-7 on
+    # lam (t3, k=2, n=8, where the exact multiplier is 0 and the discrete
+    # one is small), and 2.7e-13 for v.x against |lam| (t3, k=2, n=4); the
+    # bounds keep 33x, 10x and 36x
     system = catalog_system(case_id, k, n)
     matrix, nf, n_free = system.matrix, len(system.u_free), system.n_free
-    v = kernel_test(case_id, k, n)
+    _, v = solve_path(system)
     col = sp.csc_matrix(v.reshape(-1, 1))
     bordered = sp.bmat([[matrix, col], [col.T, None]], format="csc")
     want = spla.splu(bordered).solve(np.append(system.rhs, 0.0))[:n_free]
     u_h, lam_h = solve(system)
     got_u, got_lam = u_h.coeffs[system.u_free], lam_h.coeffs[system.lam_free]
-
-    def rel(a, b):
-        return np.linalg.norm(a - b) / np.linalg.norm(b)
-
     assert rel(got_u, want[:nf]) <= 1e-9
     assert rel(got_lam, want[nf:]) <= 2e-6
     assert abs(v[nf:] @ got_lam) <= 1e-11 * np.linalg.norm(got_lam)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("case_id", case_ids())
+def test_condensed_solve_matches_the_full_path(case_id, k):
+    # the full path, an LU of the whole free-dof matrix, is the reference
+    # for static condensation.  Largest relative differences measured over
+    # n = 1, 2, 4: u 3.0e-11 at k=2 (t5, n=4) and 4.1e-10 at k=3 (t2,
+    # n=4); lam 5.3e-9 at k=2 (t3, n=4) and 2.5e-7 at k=3 (t6, n=4), leaving
+    # out the polynomial-exact cases, whose multiplier is pure roundoff.
+    # Relative residuals on the full matrix (kernel image projected out)
+    # reach 6.3e-15 (t3, k=2, n=4, condensed), 1.2e-15 on the full path.
+    # Every bound keeps at least 10x.
+    # t3-t5 at k=3 have a two-dimensional gauge kernel and take the full
+    # path itself, bit for bit
+    exact = case_id in ("t1", "t2", "t11")  # u is linear or xy, in P_k for k >= 2
+    for n in (1, 2, 4):
+        system = catalog_system(case_id, k, n)
+        nf, norm = len(system.u_free), _one_norm(system.matrix)
+        u_h, lam_h = solve(system)
+        got = np.concatenate([u_h.coeffs[system.u_free], lam_h.coeffs[system.lam_free]])
+        want, v = _solve_full(system.matrix, system.rhs, k, nf, norm)
+        if case_id in ("t3", "t4", "t5") and k == 3:
+            assert np.array_equal(got, want)
+            continue
+        assert rel(got[:nf], want[:nf]) <= {2: 5e-10, 3: 5e-9}[k]
+        if not exact:
+            assert rel(got[nf:], want[nf:]) <= {2: 1e-7, 3: 5e-6}[k]
+        for x in (got, want):
+            residual = system.matrix @ x - system.rhs
+            if v is not None:
+                residual = residual - (residual @ v) * v
+            scale = np.linalg.norm(system.rhs) + norm * np.linalg.norm(x)
+            assert np.linalg.norm(residual) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_condensation_eliminates_in_an_orthonormal_interior_basis(k):
+    # R = L^-T with L L^T = mass_k / area makes each triangle's interior
+    # basis orthonormal (up to the area), which takes the interior block's
+    # condition number from 2.5e4 (k=2) and 3.9e6 (k=3) to 6.1 and 16.3
+    system = catalog_system("t6", k, 4)
+    condensed = _Condensation(system)
+    dim = system.dofmap.interior_dim
+    r = condensed.basis[:, :dim, :dim]
+    mass = system.ops.mass_k / system.mesh.tri_areas[:, None, None]
+    assert np.allclose(r.swapaxes(1, 2) @ mass @ r, np.eye(dim), rtol=0.0, atol=1e-12)
+    assert np.linalg.cond(condensed.inner).max() <= 100
 
 
 def test_primal_non_uniqueness_reports_the_probe_residual():
@@ -415,12 +487,20 @@ class NoFactorCopies:
         return getattr(self._lu, name)
 
 
-@pytest.mark.parametrize("case_id,estimate_calls", [("t6", 1), ("t3", 2)])
-def test_one_factorization_alive_and_no_factor_copies(monkeypatch, case_id, estimate_calls):
+@pytest.mark.parametrize("case_id,k,solve_calls,estimate_calls", [
+    pytest.param("t6", 1, 1, 1, id="t6-1"),
+    pytest.param("t3", 1, 1, 2, id="t3-2"),
+    pytest.param("t3", 3, 3, 2, id="t3-k3"),
+])
+def test_one_factorization_alive_and_no_factor_copies(monkeypatch, case_id, k, solve_calls,
+                                                      estimate_calls):
     # solve and condition_estimate never read L or U, and free each
-    # factorization before the next one starts.  solve factors once, t3's
-    # gauge included; condition_estimate factors t3 twice, once to find
-    # the gauge and once for the quotient matrix
+    # factorization before the next one starts.  solve factors once at k=1,
+    # t3's gauge included; at k=3 it factors t3's Schur matrix, finds the
+    # second gauge direction, and must free that LU and the condensation
+    # before the full and the bordered LU.  condition_estimate factors t3
+    # twice, once to find the gauge and once for the quotient matrix, whose
+    # second direction at k=3 makes the estimate +inf
     real_splu = spla.splu
     made = []
 
@@ -431,23 +511,23 @@ def test_one_factorization_alive_and_no_factor_copies(monkeypatch, case_id, esti
         return lu
 
     monkeypatch.setattr(pdwg.system.spla, "splu", splu)
-    system = catalog_system(case_id, 1, 8)
+    system = catalog_system(case_id, k, 8)
     assert system.n_free > pdwg.system._DENSE_COND_LIMIT
     solve(system)
-    assert len(made) == 1
-    assert math.isfinite(condition_estimate(system))
-    assert len(made) == 1 + estimate_calls
+    assert len(made) == solve_calls
+    assert math.isfinite(condition_estimate(system)) == (k == 1)
+    assert len(made) == solve_calls + estimate_calls
 
 
 def record_factorizations(monkeypatch):
     """Route pdwg.system's splu through a recorder: one (number of
-    positional arguments, keyword arguments, LU fill) per call."""
+    positional arguments, keyword arguments, LU fill, order) per call."""
     real_splu = spla.splu
     calls = []
 
     def splu(*args, **kwargs):
         lu = real_splu(*args, **kwargs)
-        calls.append((len(args), kwargs, lu.nnz))
+        calls.append((len(args), kwargs, lu.nnz, lu.shape[0]))
         return lu
 
     monkeypatch.setattr(pdwg.system.spla, "splu", splu)
@@ -466,19 +546,24 @@ def test_symmetric_ordering_at_k1_only(monkeypatch, k):
         system = catalog_system(case_id, k, 4)
         solve(system)
         condition_estimate(system)
-    # t6: 1 + 1; t3: 1 + 2, and 2 + 2 at k=3, whose second kernel
-    # direction sends solve to the bordered matrix
-    assert len(calls) == (6 if k == 3 else 5)
+    # t6: 1 + 1; t3: 1 + 2, and 3 + 2 at k=3, where solve factors the
+    # Schur matrix, finds the second kernel direction, and then factors
+    # the full and the bordered matrix
+    assert len(calls) == (7 if k == 3 else 5)
     symmetric = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
                      options=dict(SymmetricMode=True))
     assert all(n_args == 1 and kwargs == (symmetric if k == 1 else {})
-               for n_args, kwargs, _ in calls)
+               for n_args, kwargs, _, _ in calls)
 
 
 @pytest.mark.parametrize("k,n", [(1, 16), (2, 8)])
 def test_gauge_solve_factors_once(monkeypatch, k, n):
     # a one-dimensional gauge kernel is projected out of the solve on the
-    # LU that found it: no second, bordered factorization
+    # LU that found it: no second, bordered factorization.  At k >= 2 that
+    # LU is of the Schur matrix on the free edge dofs
     calls = record_factorizations(monkeypatch)
-    solve(catalog_system("t3", k, n))
+    system = catalog_system("t3", k, n)
+    solve(system)
     assert len(calls) == 1
+    interior = 2 * system.dofmap.n_interior if k >= 2 else 0
+    assert calls[0][3] == system.n_free - interior

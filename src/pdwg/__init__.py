@@ -39,15 +39,7 @@ from .system import (
     matrix_to_coordinate_text,
     solve,
 )
-from .weakops import (
-    Diffusion,
-    IDENTITY,
-    LocalOperators,
-    local_diffusion_form,
-    local_stabilizer,
-    weak_gradient,
-    weak_gradient_map,
-)
+from .weakops import IDENTITY, Diffusion, LocalOperators
 
 __version__ = "0.1.0"
 
@@ -83,8 +75,6 @@ __all__ = [
     "l2_project_element",
     "l2_project_vector",
     "l2_project_weak",
-    "local_diffusion_form",
-    "local_stabilizer",
     "matrix_to_coordinate_text",
     "quadrature_for_degree",
     "residual_norm_multiplier",
@@ -94,6 +84,4 @@ __all__ = [
     "stabilizer_seminorm",
     "strong_residual_norms",
     "validate_case",
-    "weak_gradient",
-    "weak_gradient_map",
 ]

@@ -224,16 +224,15 @@ def gram(vals, wts):
     return vals.swapaxes(-1, -2) @ (wts[..., None] * vals)
 
 
-def tri_mass(mesh, t, k, rule=None):
+def tri_mass(mesh, t, k):
     """Local mass matrix of P_k on triangle t (stacked for an index array)."""
-    pts, wts = tri_quad(mesh, t, rule or quadrature_for_degree(k))
+    pts, wts = tri_quad(mesh, t, quadrature_for_degree(k))
     return gram(_tri_basis_values(mesh, t, k, pts), wts)
 
 
-def edge_mass(mesh, e, k, rule=None):
+def edge_mass(mesh, e, k):
     """Local mass matrix of P_k on edge e (stacked for an index array)."""
-    rule = rule or quadrature_for_degree(k)
-    _, wts, tc = edge_quad(mesh, e, rule)
+    _, wts, tc = edge_quad(mesh, e, quadrature_for_degree(k))
     return gram(edge_basis(k).eval(tc), wts)
 
 
@@ -244,7 +243,7 @@ class DofMap:
     primal edge dofs are fixed on Gamma_d, multiplier edge dofs on the
     complement of Gamma_n.  Interior dofs are never fixed."""
 
-    def __init__(self, mesh, k, config=None):
+    def __init__(self, mesh, k):
         if k not in SUPPORTED_DEGREES:
             raise ValueError(f"degree k={k} not supported; expected one of {SUPPORTED_DEGREES}")
         self.mesh = mesh
@@ -260,8 +259,6 @@ class DofMap:
         ], axis=1)
         cell.setflags(write=False)
         self.cell_dof_array = cell
-
-        self.u_fixed, self.lam_fixed = self.fixed_masks(config)
 
     def interior_block(self, t):
         """Dofs of the interior block of triangle t; (..., dim) for an index array."""
@@ -285,14 +282,6 @@ class DofMap:
             mask.setflags(write=False)
             masks.append(mask)
         return tuple(masks)
-
-    @property
-    def u_free(self):
-        return np.nonzero(~self.u_fixed)[0]
-
-    @property
-    def lam_free(self):
-        return np.nonzero(~self.lam_fixed)[0]
 
 
 class WeakFunction:
@@ -365,44 +354,45 @@ def _project(vals, wts, fvals):
     return np.linalg.solve(gram(vals, wts), rhs)[..., 0]
 
 
-def l2_project_element(f, mesh, t, k, rule=None):
+def l2_project_element(f, mesh, t, k):
     """Coefficients of the L2 projection of f onto P_k of triangle t; an
     index array t gives (..., dim) with one call of f on all points."""
-    pts, wts = tri_quad(mesh, t, rule or quadrature_for_degree(k))
+    pts, wts = tri_quad(mesh, t, quadrature_for_degree(k))
     return _project(_tri_basis_values(mesh, t, k, pts), wts, sample(f, pts))
 
 
-def l2_project_edge(f, mesh, e, k, rule=None):
+def l2_project_edge(f, mesh, e, k):
     """Coefficients of the L2 projection of f onto P_k of edge e; an index
     array e gives (..., k+1) with one call of f on all points."""
-    pts, wts, tc = edge_quad(mesh, e, rule or quadrature_for_degree(k))
+    pts, wts, tc = edge_quad(mesh, e, quadrature_for_degree(k))
     return _project(edge_basis(k).eval(tc), wts, sample(f, pts))
 
 
-def l2_project_weak(u, mesh, k, rule=None, ops=None):
+def l2_project_weak(u, mesh, k, ops=None):
     """Projection of u into the weak space: elementwise L2 projection in
     the interior blocks and edgewise L2 projection in the edge blocks, with
     one call of u per point set.  Given the level's LocalOperators as ops,
-    its dof map, rule, triangle points and P_k table are reused."""
+    its dof map, triangle points and P_k table are reused; a context of
+    another mesh object or degree raises ValueError."""
     if ops is None:
-        rule = rule or quadrature_for_degree(k)
         t = np.arange(mesh.n_triangles)
-        pts, wts = tri_quad(mesh, t, rule)
+        pts, wts = tri_quad(mesh, t, quadrature_for_degree(k))
         vals, dofmap = _tri_basis_values(mesh, t, k, pts), None
     else:
-        rule, pts, wts, vals, dofmap = ops.rule, ops.tri_pts, ops.tri_wts, ops.vk, ops.dofmap
+        ops.check(mesh, k)
+        pts, wts, vals, dofmap = ops.tri_pts, ops.tri_wts, ops.vk, ops.dofmap
     wf = WeakFunction(mesh, k, dofmap=dofmap)
     n_int = wf.dofmap.n_interior
     wf.coeffs[:n_int] = _project(vals, wts, sample(u, pts)).ravel()
-    wf.coeffs[n_int:] = l2_project_edge(u, mesh, np.arange(mesh.n_edges), k, rule).ravel()
+    wf.coeffs[n_int:] = l2_project_edge(u, mesh, np.arange(mesh.n_edges), k).ravel()
     return wf
 
 
-def l2_project_vector(q, mesh, k, rule=None):
+def l2_project_vector(q, mesh, k):
     """Componentwise L2 projection of a vector field onto piecewise
     [P_{k-1}]^2; q(x, y) returns the component pair.  Shape (T, 2, dim)."""
     t = np.arange(mesh.n_triangles)
-    pts, wts = tri_quad(mesh, t, rule or quadrature_for_degree(k))
+    pts, wts = tri_quad(mesh, t, quadrature_for_degree(k))
     vals = _tri_basis_values(mesh, t, k - 1, pts)
     x, y = pts[..., 0].ravel(), pts[..., 1].ravel()
     comps = np.stack([np.broadcast_to(np.asarray(c, dtype=float), x.shape).reshape(wts.shape)

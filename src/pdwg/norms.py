@@ -44,8 +44,6 @@ class ErrorReport:
     resid_u: float
     resid_lambda: float
     stab_u: float
-    strong_u: float | None = None
-    strong_lambda: float | None = None
 
 
 class InteriorField:
@@ -67,29 +65,29 @@ class InteriorField:
 
 
 # Every functional below takes the level's LocalOperators as ops and builds
-# it when not given; a context of another mesh, degree or coefficient raises
-# ValueError.  The coefficient a defaults to the context's (the identity
-# when there is none).
+# it when not given; a context of another mesh, degree or coefficient, or a
+# weak function of another mesh or degree, raises ValueError.  The
+# coefficient a defaults to the context's (the identity when there is none).
 
 
 def error_fields(u_h, u_exact, mesh, k=None, ops=None):
     """Difference to the projected exact solution: e_h = u_h - Q_h u,
     returned with the evaluator of its interior part e_0."""
-    ops = LocalOperators.of(ops, mesh, _check_degree(u_h, k))
+    ops = LocalOperators.of(ops, mesh, _check_level(u_h, mesh, k))
     e_h = u_h - l2_project_weak(u_exact, mesh, ops.k, ops=ops)
     return e_h, InteriorField(e_h)
 
 
 def broken_h1(e0, mesh, ops=None):
     """Elementwise L2 norm of the interior gradient, summed over the mesh."""
-    mass = LocalOperators.of(ops, mesh, e0.k).mass_r
+    mass = LocalOperators.of(ops, mesh, _check_level(e0, mesh, None)).mass_r
     gamma = _interior_gradient_coefficients(e0.wf, mesh, e0.k)
     return float(np.sqrt(max(np.einsum("tci,tij,tcj->", gamma, mass, gamma), 0.0)))
 
 
 def stabilizer_seminorm(v, mesh, k=None, ops=None):
     """sqrt(s(v, v))."""
-    ops = LocalOperators.of(ops, mesh, _check_degree(v, k))
+    ops = LocalOperators.of(ops, mesh, _check_level(v, mesh, k))
     return float(np.sqrt(max(ops.stabilizer_value(v), 0.0)))
 
 
@@ -156,7 +154,11 @@ def _norm(terms):
     return float(np.sqrt(max(sum(terms), 0.0)))
 
 
-def _check_degree(v, k):
+def _check_level(v, mesh, k):
+    """v's degree, after checking that v lives on this mesh object and,
+    when k is given, has degree k."""
+    if v.mesh is not mesh:
+        raise ValueError("mesh does not match the weak function")
     k = v.k if k is None else k
     if k != v.k:
         raise ValueError("degree does not match the weak function")
@@ -166,7 +168,7 @@ def _check_degree(v, k):
 def residual_terms_primal(v, mesh, config, a=None, k=None, ops=None):
     """Squared pieces (divergence, jump, stabilizer) of the primal
     residual norm; the jump set is interior edges plus Gamma_n."""
-    ops = LocalOperators.of(ops, mesh, _check_degree(v, k), a)
+    ops = LocalOperators.of(ops, mesh, _check_level(v, mesh, k), a)
     return _residual_terms(v, ops, True, config.in_gamma_n)
 
 
@@ -178,7 +180,7 @@ def residual_norm_primal(v, mesh, config, a=None, k=None, ops=None):
 def residual_terms_multiplier(v, mesh, config, a=None, k=None, ops=None):
     """Squared pieces of the multiplier residual norm; the jump set is
     interior edges plus the boundary minus Gamma_d."""
-    ops = LocalOperators.of(ops, mesh, _check_degree(v, k), a)
+    ops = LocalOperators.of(ops, mesh, _check_level(v, mesh, k), a)
     return _residual_terms(v, ops, True, mesh.is_boundary_edge & ~config.in_gamma_d)
 
 
@@ -190,26 +192,20 @@ def residual_norm_multiplier(v, mesh, config, a=None, k=None, ops=None):
 def strong_residual_norms(v, mesh, config, a=None, k=None, ops=None):
     """The pair of residual norms built from the interior gradient of v
     instead of the weak gradient: (primal edge set, multiplier edge set)."""
-    ops = LocalOperators.of(ops, mesh, _check_degree(v, k), a)
+    ops = LocalOperators.of(ops, mesh, _check_level(v, mesh, k), a)
     return tuple(_norm(_residual_terms(v, ops, False, include))
                  for include in (config.in_gamma_n, mesh.is_boundary_edge & ~config.in_gamma_d))
 
 
-def error_report(u_h, lam_h, u_exact, mesh, config, a=None, k=None, ops=None,
-                 with_strong=False):
+def error_report(u_h, lam_h, u_exact, mesh, config, a=None, k=None, ops=None):
     """Collect every error functional of one solve.  The multiplier error
     is lam_h itself (its exact counterpart vanishes)."""
-    ops = LocalOperators.of(ops, mesh, _check_degree(u_h, k), a)
+    ops = LocalOperators.of(ops, mesh, _check_level(u_h, mesh, k), a)
     e_h, e0 = error_fields(u_h, u_exact, mesh, ops=ops)
-    report = ErrorReport(
+    return ErrorReport(
         l2_e0=e0.l2_norm(ops),
         h1_e0=broken_h1(e0, mesh, ops),
         resid_u=residual_norm_primal(e_h, mesh, config, ops=ops),
         resid_lambda=residual_norm_multiplier(lam_h, mesh, config, ops=ops),
         stab_u=stabilizer_seminorm(e_h, mesh, ops=ops),
     )
-    if with_strong:
-        report.strong_u = _norm(_residual_terms(e_h, ops, False, config.in_gamma_n))
-        report.strong_lambda = _norm(_residual_terms(
-            lam_h, ops, False, mesh.is_boundary_edge & ~config.in_gamma_d))
-    return report

@@ -175,7 +175,7 @@ def assemble(mesh, config, case, k=1, ops=None):
     gd = config.gamma_d_edges
     u_fixed_values = np.zeros(n_dofs)
     if gd.size:
-        u_fixed_values[dofmap.edge_block(gd)] = l2_project_edge(case.g1, mesh, gd, k, ops.rule)
+        u_fixed_values[dofmap.edge_block(gd)] = l2_project_edge(case.g1, mesh, gd, k)
 
     matrix, lift_cols, uf, lf, up = _free_blocks(ops, *dofmap.fixed_masks(config))
     lifted = lift_cols @ u_fixed_values[up]

@@ -28,10 +28,6 @@ from .fespace import (
 __all__ = [
     "Diffusion",
     "IDENTITY",
-    "weak_gradient_map",
-    "weak_gradient",
-    "local_stabilizer",
-    "local_diffusion_form",
     "LocalOperators",
 ]
 
@@ -104,9 +100,70 @@ class Diffusion:
 IDENTITY = Diffusion(1.0)
 
 
-class _Tables:
-    """Quadrature and basis tables of the triangles tris, batched along a
-    leading triangle axis T:
+# The kernels below keep the operation order of a per-triangle loop (3-operand
+# einsums, one Gram product per local edge, summed in edge order), so every
+# local matrix is bit-identical to the one computed triangle by triangle.
+# This matters beyond taste: at k=3 the gauge-singular cases t3-t5 leave one
+# multiplier kernel direction to roundoff, and their results move with the
+# last bit of the matrix.
+
+
+def _grad_maps(ops):
+    """Weak-gradient maps (T, 2 dim_r, nloc) from the defining equations
+    (G, psi)_T = -(v_0, div psi)_T + <v_b, psi . n>_{dT}, one per component."""
+    nt, dimk, dimr, dime = len(ops.h), ops.vk.shape[-1], ops.vr.shape[-1], ops.beta.shape[-1]
+    rhs = np.empty((nt, 2, dimr, dimk + 3 * dime))
+    for c in range(2):
+        # interior columns: -(v_0, div psi)_T
+        rhs[:, c, :, :dimk] = -np.einsum("tn,tnj,tni->tji", ops.tri_wts, ops.gr[..., c], ops.vk)
+    # edge columns: <v_b, psi . n>_{dT} with the outward normal
+    block = np.einsum("tln,tlnj,nm->tljm", ops.edge_wts, ops.edge_vr, ops.beta)
+    for loc in range(3):
+        cols = slice(dimk + loc * dime, dimk + (loc + 1) * dime)
+        for c in range(2):
+            rhs[:, c, :, cols] = ops.normals[:, loc, c, None, None] * block[:, loc]
+    return np.linalg.solve(ops.mass_r[:, None], rhs).reshape(nt, 2 * dimr, -1)
+
+
+def _stabilizers(ops):
+    """Matrices (T, nloc, nloc) of h_T^{-1} sum_e int_e (v_0 - v_b)^2."""
+    nt, _, mq, dimk = ops.edge_vk.shape
+    dime = ops.beta.shape[-1]
+    z = np.zeros((nt, 3, mq, dimk + 3 * dime))
+    z[..., :dimk] = ops.edge_vk
+    for loc in range(3):
+        z[:, loc, :, dimk + loc * dime : dimk + (loc + 1) * dime] = -ops.beta
+    mat = gram(z[:, 0], ops.edge_wts[:, 0])
+    for loc in (1, 2):
+        mat += gram(z[:, loc], ops.edge_wts[:, loc])
+    mat /= ops.h[:, None, None]
+    return 0.5 * (mat + mat.swapaxes(1, 2))
+
+
+def _diffusion_forms(ops):
+    """Matrices (T, nloc, nloc) of b_T(u, v) = (a grad_w u, grad_w v)_T."""
+    a, gmaps = ops.a, ops.grad_maps
+    nt, dimr = len(ops.h), ops.vr.shape[-1]
+    mass2 = np.zeros((nt, 2, dimr, 2, dimr))
+    if a.is_matrix:
+        for i in range(2):
+            for j in range(2):
+                mass2[:, i, :, j] = gram(ops.vr, ops.tri_wts * a.const[i, j])
+    else:
+        pts = ops.tri_pts.reshape(-1, 2)
+        avals = a.scalar_values(pts[:, 0], pts[:, 1]).reshape(ops.tri_wts.shape)
+        if np.any(avals <= 0):
+            raise ValueError("diffusion coefficient not positive at a quadrature point")
+        mass2[:, 0, :, 0] = mass2[:, 1, :, 1] = gram(ops.vr, ops.tri_wts * avals)
+    form = gmaps.swapaxes(1, 2) @ mass2.reshape(nt, 2 * dimr, 2 * dimr) @ gmaps
+    return 0.5 * (form + form.swapaxes(1, 2))
+
+
+class LocalOperators:
+    """Discretization context of one level (mesh, k, a): the level's single
+    DofMap, the rule quadrature_for_degree(k), and the quadrature and basis
+    tables and local matrices of every triangle, batched along a leading
+    triangle axis T:
 
     tri_pts (T, nq, 2), tri_wts (T, nq)   physical triangle rule
     edge_pts (T, 3, mq, 2), edge_wts (T, 3, mq)
@@ -117,155 +174,58 @@ class _Tables:
     gr (T, nq, dim_r, 2)                  P_{k-1} gradients
     edge_vk, edge_vr (T, 3, mq, dim)      P_k and P_{k-1} traces on the local edges
     beta (mq, k+1)                        edge basis
-    mass_r (T, dim_r, dim_r)              P_{k-1} mass matrices
+    mass_k, mass_r (T, dim, dim)          P_k and P_{k-1} mass matrices
+    grad_maps (T, 2 dim_r, nloc)          weak-gradient maps: the local dof vector
+                                          [interior | edge0 | edge1 | edge2] to the
+                                          stacked (x-part, y-part) coefficients
+    stabilizers, diffusion_forms (T, nloc, nloc)
+                                          s_T and b_T on the local dofs
+
+    Triangle t's matrices are the rows grad_maps[t], stabilizers[t] and
+    diffusion_forms[t].  assemble, solve and error_report all read the
+    same instance.
     """
-
-    def __init__(self, mesh, k, rule, tris):
-        self.mesh = mesh
-        self.k = k
-        self.rule = rule
-        self.h = mesh.h_tri[tris]
-        center = mesh.tri_centroids[tris][:, None, :]
-        scale = self.h[:, None]
-        kbasis = element_basis(k)
-        rbasis = element_basis(k - 1)
-        self.tri_pts, self.tri_wts = tri_quad(mesh, tris, rule)
-        edges = mesh.tri_edges[tris]
-        self.edge_pts, self.edge_wts, _ = edge_quad(mesh, edges, rule)
-        self.normals = mesh.tri_edge_signs[tris][..., None] * mesh.edge_normals[edges]
-        # the graded P_{k-1} basis is the leading part of the P_k basis
-        self.vk = kbasis.eval(self.tri_pts, center, scale)
-        self.vr = self.vk[..., : rbasis.dim]
-        self.gr = rbasis.grad(self.tri_pts, center, scale)
-        self.edge_vk = kbasis.eval(self.edge_pts, center[:, None], scale[:, None])
-        self.edge_vr = self.edge_vk[..., : rbasis.dim]
-        self.beta = edge_basis(k).eval(rule.edge_points)
-        self.mass_r = gram(self.vr, self.tri_wts)
-
-
-# The kernels below keep the operation order of a per-triangle loop (3-operand
-# einsums, one Gram product per local edge, summed in edge order), so every
-# local matrix is bit-identical to the one computed triangle by triangle.
-# This matters beyond taste: at k=3 the gauge-singular cases t3-t5 leave one
-# multiplier kernel direction to roundoff, and their results move with the
-# last bit of the matrix.
-
-
-def _grad_maps(tab):
-    """Weak-gradient maps (T, 2 dim_r, nloc) from the defining equations
-    (G, psi)_T = -(v_0, div psi)_T + <v_b, psi . n>_{dT}, one per component."""
-    nt, dimk, dimr, dime = len(tab.h), tab.vk.shape[-1], tab.vr.shape[-1], tab.beta.shape[-1]
-    rhs = np.empty((nt, 2, dimr, dimk + 3 * dime))
-    for c in range(2):
-        # interior columns: -(v_0, div psi)_T
-        rhs[:, c, :, :dimk] = -np.einsum("tn,tnj,tni->tji", tab.tri_wts, tab.gr[..., c], tab.vk)
-    # edge columns: <v_b, psi . n>_{dT} with the outward normal
-    block = np.einsum("tln,tlnj,nm->tljm", tab.edge_wts, tab.edge_vr, tab.beta)
-    for loc in range(3):
-        cols = slice(dimk + loc * dime, dimk + (loc + 1) * dime)
-        for c in range(2):
-            rhs[:, c, :, cols] = tab.normals[:, loc, c, None, None] * block[:, loc]
-    return np.linalg.solve(tab.mass_r[:, None], rhs).reshape(nt, 2 * dimr, -1)
-
-
-def _stabilizers(tab):
-    """Matrices (T, nloc, nloc) of h_T^{-1} sum_e int_e (v_0 - v_b)^2."""
-    nt, _, mq, dimk = tab.edge_vk.shape
-    dime = tab.beta.shape[-1]
-    z = np.zeros((nt, 3, mq, dimk + 3 * dime))
-    z[..., :dimk] = tab.edge_vk
-    for loc in range(3):
-        z[:, loc, :, dimk + loc * dime : dimk + (loc + 1) * dime] = -tab.beta
-    mat = gram(z[:, 0], tab.edge_wts[:, 0])
-    for loc in (1, 2):
-        mat += gram(z[:, loc], tab.edge_wts[:, loc])
-    mat /= tab.h[:, None, None]
-    return 0.5 * (mat + mat.swapaxes(1, 2))
-
-
-def _diffusion_forms(tab, a, gmaps):
-    """Matrices (T, nloc, nloc) of b_T(u, v) = (a grad_w u, grad_w v)_T."""
-    nt, dimr = len(tab.h), tab.vr.shape[-1]
-    mass2 = np.zeros((nt, 2, dimr, 2, dimr))
-    if a.is_matrix:
-        for i in range(2):
-            for j in range(2):
-                mass2[:, i, :, j] = gram(tab.vr, tab.tri_wts * a.const[i, j])
-    else:
-        pts = tab.tri_pts.reshape(-1, 2)
-        avals = a.scalar_values(pts[:, 0], pts[:, 1]).reshape(tab.tri_wts.shape)
-        if np.any(avals <= 0):
-            raise ValueError("diffusion coefficient not positive at a quadrature point")
-        mass2[:, 0, :, 0] = mass2[:, 1, :, 1] = gram(tab.vr, tab.tri_wts * avals)
-    form = gmaps.swapaxes(1, 2) @ mass2.reshape(nt, 2 * dimr, 2 * dimr) @ gmaps
-    return 0.5 * (form + form.swapaxes(1, 2))
-
-
-def _one_triangle(mesh, t, k, rule):
-    return _Tables(mesh, k, rule or quadrature_for_degree(k), np.array([t]))
-
-
-def weak_gradient_map(mesh, t, k, rule=None):
-    """Matrix (2*dim P_{k-1}, nloc) sending the local dof vector
-    [interior | edge0 | edge1 | edge2] to the stacked (x-part, y-part)
-    coefficients of the discrete weak gradient."""
-    return _grad_maps(_one_triangle(mesh, t, k, rule))[0]
-
-
-def weak_gradient(mesh, t, k, local_dofs, rule=None, gmap=None):
-    """Coefficients (2, dim P_{k-1}) of the weak gradient of the local
-    weak function with dof vector local_dofs on triangle t."""
-    if gmap is None:
-        gmap = weak_gradient_map(mesh, t, k, rule)
-    local_dofs = np.asarray(local_dofs, dtype=float)
-    if local_dofs.shape != (gmap.shape[1],):
-        raise ValueError(f"local dof vector must have length {gmap.shape[1]}")
-    return (gmap @ local_dofs).reshape(2, -1)
-
-
-def local_stabilizer(mesh, t, k, rule=None):
-    """Matrix of the quadratic form h_T^{-1} sum_e int_e (v_0 - v_b)^2 on
-    the local dofs; symmetric positive semidefinite, vanishing exactly
-    when v_b matches the trace of v_0 on every edge."""
-    return _stabilizers(_one_triangle(mesh, t, k, rule))[0]
-
-
-def local_diffusion_form(mesh, t, k, a=IDENTITY, rule=None, gmap=None):
-    """Matrix of b_T(u, v) = (a grad_w u, grad_w v)_T on the local dofs."""
-    tab = _one_triangle(mesh, t, k, rule)
-    gmaps = _grad_maps(tab) if gmap is None else gmap[None]
-    return _diffusion_forms(tab, a, gmaps)[0]
-
-
-class LocalOperators(_Tables):
-    """Discretization context of one level (mesh, k, a), with the rule
-    quadrature_for_degree(k) kept as rule: the quadrature and basis tables
-    of every triangle, the level's single DofMap, and the stacked
-    weak-gradient maps, stabilizers and diffusion forms.  assemble, solve
-    and error_report all read the same instance."""
 
     def __init__(self, mesh, k, a=IDENTITY):
         self.dofmap = DofMap(mesh, k)
-        super().__init__(mesh, k, quadrature_for_degree(k), np.arange(mesh.n_triangles))
-        self.a = a
         self.cell_dofs = self.dofmap.cell_dof_array
+        self.mesh, self.k, self.a = mesh, k, a
+        self.rule = rule = quadrature_for_degree(k)
+        self.h = mesh.h_tri
+        center, scale = mesh.tri_centroids[:, None, :], self.h[:, None]
+        kbasis, rdim = element_basis(k), element_basis(k - 1).dim
+        self.tri_pts, self.tri_wts = tri_quad(mesh, np.arange(mesh.n_triangles), rule)
+        self.edge_pts, self.edge_wts, _ = edge_quad(mesh, mesh.tri_edges, rule)
+        self.normals = mesh.tri_edge_signs[..., None] * mesh.edge_normals[mesh.tri_edges]
+        # the graded P_{k-1} basis is the leading part of the P_k basis
+        self.vk = kbasis.eval(self.tri_pts, center, scale)
+        self.vr = self.vk[..., :rdim]
+        self.gr = element_basis(k - 1).grad(self.tri_pts, center, scale)
+        self.edge_vk = kbasis.eval(self.edge_pts, center[:, None], scale[:, None])
+        self.edge_vr = self.edge_vk[..., :rdim]
+        self.beta = edge_basis(k).eval(rule.edge_points)
         self.mass_k = gram(self.vk, self.tri_wts)
+        self.mass_r = gram(self.vr, self.tri_wts)
         self.grad_maps = _grad_maps(self)
         self.stabilizers = _stabilizers(self)
-        self.diffusion_forms = _diffusion_forms(self, a, self.grad_maps)
+        self.diffusion_forms = _diffusion_forms(self)
 
     @classmethod
     def of(cls, ops, mesh, k, a=None):
         """The context of (mesh, k, a): a new one when ops is None (a None
-        meaning the identity), else ops after checking that it was built for
-        this mesh object, degree and, when a is given, coefficient object."""
+        meaning the identity), else ops after ops.check(mesh, k, a)."""
         if ops is None:
             return cls(mesh, k, IDENTITY if a is None else a)
-        for what, same in (("mesh", ops.mesh is mesh), ("degree", ops.k == k),
-                           ("coefficient", a is None or ops.a is a)):
+        ops.check(mesh, k, a)
+        return ops
+
+    def check(self, mesh, k, a=None):
+        """Raise ValueError unless this context was built for this mesh
+        object, degree and, when a is given, coefficient object."""
+        for what, same in (("mesh", self.mesh is mesh), ("degree", self.k == k),
+                           ("coefficient", a is None or self.a is a)):
             if not same:
                 raise ValueError(f"discretization context built for another {what}")
-        return ops
 
     def gradient_coefficients(self, v):
         """Weak-gradient coefficients of every triangle, shape (T, 2, dimr)."""

@@ -94,7 +94,7 @@ def test_project_element_linear_exactness_everywhere():
     mesh = build_uniform_mesh(3)
     rule = quadrature_for_degree(1)
     for t in range(mesh.n_triangles):
-        coeffs = l2_project_element(lambda x, y: 1 + x + y, mesh, t, 1, rule)
+        coeffs = l2_project_element(lambda x, y: 1 + x + y, mesh, t, 1)
         pts, _ = tri_quad(mesh, t, rule)
         vals = element_basis(1).eval(pts, mesh.tri_centroids[t], mesh.h_tri[t]) @ coeffs
         assert np.max(np.abs(vals - (1 + pts[:, 0] + pts[:, 1]))) <= 1e-12
@@ -104,7 +104,7 @@ def projection_l2_error(u, mesh, k, rule):
     err2 = 0.0
     basis = element_basis(k)
     for t in range(mesh.n_triangles):
-        coeffs = l2_project_element(u, mesh, t, k, rule)
+        coeffs = l2_project_element(u, mesh, t, k)
         pts, wts = tri_quad(mesh, t, rule)
         vals = basis.eval(pts, mesh.tri_centroids[t], mesh.h_tri[t]) @ coeffs
         err2 += wts @ (vals - u(pts[:, 0], pts[:, 1])) ** 2
@@ -124,7 +124,7 @@ def test_project_edge_linear_exact():
     mesh = build_uniform_mesh(2)
     rule = quadrature_for_degree(1)
     for e in range(mesh.n_edges):
-        coeffs = l2_project_edge(lambda x, y: 2 - x + 3 * y, mesh, e, 1, rule)
+        coeffs = l2_project_edge(lambda x, y: 2 - x + 3 * y, mesh, e, 1)
         pts, _, tc = edge_quad(mesh, e, rule)
         vals = edge_basis(1).eval(tc) @ coeffs
         assert np.max(np.abs(vals - (2 - pts[:, 0] + 3 * pts[:, 1]))) <= 1e-12
@@ -137,7 +137,7 @@ def test_project_edge_orthogonality_bottom_edge():
     bottom = [e for e in mesh.boundary_edges if abs(mesh.edge_midpoints[e][1]) < 1e-12]
     f = lambda x, y: np.sin(np.pi * x)
     for e in bottom:
-        coeffs = l2_project_edge(f, mesh, e, 1, rule)
+        coeffs = l2_project_edge(f, mesh, e, 1)
         pts, wts, tc = edge_quad(mesh, e, rule)
         resid = f(pts[:, 0], pts[:, 1]) - edge_basis(1).eval(tc) @ coeffs
         for m in range(2):
@@ -150,7 +150,7 @@ def test_orthogonality_property_element():
     rule = quadrature_for_degree(2)
     f = lambda x, y: np.exp(x) * np.sin(1 + y)
     for t in (0, 5):
-        coeffs = l2_project_element(f, mesh, t, 2, rule)
+        coeffs = l2_project_element(f, mesh, t, 2)
         pts, wts = tri_quad(mesh, t, rule)
         vals = element_basis(2).eval(pts, mesh.tri_centroids[t], mesh.h_tri[t])
         resid = f(pts[:, 0], pts[:, 1]) - vals @ coeffs
@@ -166,16 +166,16 @@ def test_projection_idempotence(k):
     rule = quadrature_for_degree(k)
     f = lambda x, y: np.cos(2 * x) + y**2
     for t in (1, 4):
-        once = l2_project_element(f, mesh, t, k, rule)
+        once = l2_project_element(f, mesh, t, k)
 
         def via_coeffs(x, y, t=t, c=once):
             pts = np.column_stack([x, y])
             return element_basis(k).eval(pts, mesh.tri_centroids[t], mesh.h_tri[t]) @ c
 
-        twice = l2_project_element(via_coeffs, mesh, t, k, rule)
+        twice = l2_project_element(via_coeffs, mesh, t, k)
         assert np.max(np.abs(twice - once)) <= 1e-13 * max(1.0, np.max(np.abs(once)))
     for e in (0, 7):
-        once = l2_project_edge(f, mesh, e, k, rule)
+        once = l2_project_edge(f, mesh, e, k)
 
         def via_edge(x, y, e=e, c=once):
             lo, hi = mesh.edges[e]
@@ -185,7 +185,7 @@ def test_projection_idempotence(k):
             )
             return edge_basis(k).eval(t_coord) @ c
 
-        twice = l2_project_edge(via_edge, mesh, e, k, rule)
+        twice = l2_project_edge(via_edge, mesh, e, k)
         assert np.max(np.abs(twice - once)) <= 1e-13 * max(1.0, np.max(np.abs(once)))
 
 
@@ -227,7 +227,7 @@ def test_project_vector_constant_gradient_exact():
 def vector_projection_error(q, mesh, k, rule):
     err2 = 0.0
     basis = element_basis(k - 1)
-    coeffs = l2_project_vector(q, mesh, k, rule)
+    coeffs = l2_project_vector(q, mesh, k)
     for t in range(mesh.n_triangles):
         pts, wts = tri_quad(mesh, t, rule)
         vals = basis.eval(pts, mesh.tri_centroids[t], mesh.h_tri[t])
@@ -261,16 +261,19 @@ def test_dofmap_blocks_disjoint_and_cover(k):
 def test_dofmap_fixed_status():
     mesh = build_uniform_mesh(2)
     config = classify_boundary(mesh, {"bottom"}, {"bottom"})
-    dm = DofMap(mesh, 1, config)
+    dm = DofMap(mesh, 1)
+    u_fixed, lam_fixed = dm.fixed_masks(config)
     # interior (v_0) dofs are never fixed
-    assert not np.any(dm.u_fixed[: dm.n_interior])
-    assert not np.any(dm.lam_fixed[: dm.n_interior])
+    assert not np.any(u_fixed[: dm.n_interior])
+    assert not np.any(lam_fixed[: dm.n_interior])
     for e in range(mesh.n_edges):
         blk = dm.edge_block(e)
-        assert np.all(dm.u_fixed[blk] == config.in_gamma_d[e])
+        assert np.all(u_fixed[blk] == config.in_gamma_d[e])
         expected_lam = bool(mesh.is_boundary_edge[e] and not config.in_gamma_n[e])
-        assert np.all(dm.lam_fixed[blk] == expected_lam)
-    assert len(dm.u_free) + int(dm.u_fixed.sum()) == dm.n_dofs
+        assert np.all(lam_fixed[blk] == expected_lam)
+    assert not u_fixed.flags.writeable and not lam_fixed.flags.writeable
+    # no configuration fixes nothing
+    assert not any(np.any(mask) for mask in dm.fixed_masks(None))
 
 
 def test_dofmap_rejects_unsupported_degree():

@@ -325,19 +325,20 @@ def test_error_report_fields_consistent(monkeypatch):
         return jump_term(*args)
 
     monkeypatch.setattr(norms, "_jump_term", counted_jump_term)
-    report = error_report(u_h, lam_h, case.u, mesh, config, case.a, ops=ops, with_strong=True)
-    # two weak residual norms and one strong norm of each field, nothing thrown away
-    assert len(jump_calls) == 4
+    report = error_report(u_h, lam_h, case.u, mesh, config, case.a, ops=ops)
+    # the two weak residual norms, nothing computed and thrown away
+    assert len(jump_calls) == 2
     assert report.l2_e0 >= 0 and report.h1_e0 >= 0
     assert report.resid_u**2 >= report.stab_u**2 - 1e-14
-    assert report.strong_u is not None and report.strong_lambda is not None
     e_h, e0 = error_fields(u_h, case.u, mesh, 1)
     assert report.l2_e0 == pytest.approx(e0.l2_norm(), rel=1e-12)
     assert report.resid_u == pytest.approx(
         residual_norm_primal(e_h, mesh, config, case.a, ops=ops), rel=1e-12
     )
-    assert report.strong_u == strong_residual_norms(e_h, mesh, config, ops=ops)[0]
-    assert report.strong_lambda == strong_residual_norms(lam_h, mesh, config, ops=ops)[1]
+    # the strong norms come from strong_residual_norms alone
+    strong_u = strong_residual_norms(e_h, mesh, config, ops=ops)[0]
+    strong_lambda = strong_residual_norms(lam_h, mesh, config, ops=ops)[1]
+    assert 0 < strong_u < math.inf and 0 < strong_lambda < math.inf
 
 
 def test_degree_mismatch_rejected():
@@ -346,3 +347,17 @@ def test_degree_mismatch_rejected():
     wf = WeakFunction(mesh, 1)
     with pytest.raises(ValueError):
         residual_norm_primal(wf, mesh, config, IDENTITY, k=2)
+    # a weak function of another mesh object is refused, not read through this one
+    other = WeakFunction(build_uniform_mesh(1), 1)
+    for functional in (
+        lambda v: residual_norm_primal(v, mesh, config),
+        lambda v: residual_norm_multiplier(v, mesh, config),
+        lambda v: strong_residual_norms(v, mesh, config),
+        lambda v: stabilizer_seminorm(v, mesh),
+        lambda v: error_fields(v, lambda x, y: x, mesh),
+        lambda v: broken_h1(InteriorField(v), mesh),
+        lambda v: error_report(v, wf, lambda x, y: x, mesh, config),
+        lambda v: error_report(wf, v, lambda x, y: x, mesh, config),
+    ):
+        with pytest.raises(ValueError, match="mesh"):
+            functional(other)

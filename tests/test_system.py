@@ -47,11 +47,12 @@ def test_system_dimension_n1_cauchy_bottom():
     config = classify_boundary(mesh, {"bottom"}, {"bottom"})
     case = get_case("t1")
     system = assemble(mesh, config, case, 1)
-    dm = DofMap(mesh, 1, config)
+    dm = DofMap(mesh, 1)
+    u_fixed, lam_fixed = dm.fixed_masks(config)
     n_u_free = dm.n_dofs - 2 * len(config.gamma_d_edges)
     n_lam_free = dm.n_dofs - 2 * len(config.gamma_n_complement_edges)
-    assert len(dm.u_free) == n_u_free == 2 * 3 + (5 - 1) * 2
-    assert len(dm.lam_free) == n_lam_free == 2 * 3 + (5 - 3) * 2
+    assert int((~u_fixed).sum()) == len(system.u_free) == n_u_free == 2 * 3 + (5 - 1) * 2
+    assert int((~lam_fixed).sum()) == len(system.lam_free) == n_lam_free == 2 * 3 + (5 - 3) * 2
     assert system.matrix.shape == (24, 24)
     assert system.rhs.shape == (24,)
 
@@ -211,6 +212,10 @@ def test_context_of_another_level_is_refused():
                         (LocalOperators(mesh, 2, IDENTITY), "coefficient")):
         with pytest.raises(ValueError, match=what):
             assemble(mesh, config, case, 2, ops=other)
+        # the projection does not involve a, so only mesh and degree are checked
+        if what != "coefficient":
+            with pytest.raises(ValueError, match=what):
+                l2_project_weak(case.u, mesh, 2, ops=other)
     ops = LocalOperators(mesh, 2, variable)
     u_h, lam_h = solve(assemble(mesh, config, case, 2, ops=ops))
     with pytest.raises(ValueError, match="coefficient"):

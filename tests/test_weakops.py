@@ -14,20 +14,17 @@ from pdwg.fespace import (
     element_basis,
     l2_project_vector,
     l2_project_weak,
-    quadrature_for_degree,
     tri_quad,
 )
 from pdwg.mesh import Mesh, build_uniform_mesh, classify_boundary
 from pdwg.system import assemble
-from pdwg.weakops import (
-    Diffusion,
-    IDENTITY,
-    LocalOperators,
-    local_diffusion_form,
-    local_stabilizer,
-    weak_gradient,
-    weak_gradient_map,
-)
+from pdwg.weakops import IDENTITY, Diffusion, LocalOperators
+
+
+def local_gradient(ops, t, local_dofs):
+    """Weak-gradient coefficients (2, dim P_{k-1}) of a local dof vector on
+    triangle t, read from the context's row grad_maps[t]."""
+    return (ops.grad_maps[t] @ local_dofs).reshape(2, -1)
 
 
 def lstsq_weak_gradient_oracle(mesh, t, k, local_dofs):
@@ -88,13 +85,13 @@ def test_constant_edge_value_gives_zero_gradient():
     # divergence theorem: the integral of a constant normal field vanishes
     mesh = build_uniform_mesh(2)
     k = 1
-    dm = DofMap(mesh, k)
+    ops = LocalOperators(mesh, k)
     for t in (0, 5):
         local = np.zeros(dim_pk(k) + 3 * (k + 1))
         local[0] = 0.37  # interior part is irrelevant for k=1
         for loc in range(3):
             local[dim_pk(k) + loc * (k + 1)] = 1.0
-        grad = weak_gradient(mesh, t, k, local)
+        grad = local_gradient(ops, t, local)
         assert np.max(np.abs(grad)) <= 1e-13
 
 
@@ -102,12 +99,13 @@ def test_constant_edge_value_gives_zero_gradient():
 def test_constant_weak_function_in_kernel(k):
     # the full constant pair {c, c}: interior and edge parts both constant
     mesh = build_uniform_mesh(2)
+    ops = LocalOperators(mesh, k)
     for t in (0, 5):
         local = np.zeros(dim_pk(k) + 3 * (k + 1))
         local[0] = 2.5
         for loc in range(3):
             local[dim_pk(k) + loc * (k + 1)] = 2.5
-        grad = weak_gradient(mesh, t, k, local)
+        grad = local_gradient(ops, t, local)
         assert np.max(np.abs(grad)) <= 1e-11
 
 
@@ -115,8 +113,9 @@ def test_commutativity_linear_gradient():
     # project u = 1+x+y into the weak space: weak gradient is (1,1) everywhere
     mesh = build_uniform_mesh(2)
     wf = l2_project_weak(lambda x, y: 1 + x + y, mesh, 1)
+    ops = LocalOperators(mesh, 1)
     for t in range(mesh.n_triangles):
-        grad = weak_gradient(mesh, t, 1, wf.local_coeffs(t))
+        grad = local_gradient(ops, t, wf.local_coeffs(t))
         assert np.allclose(grad[:, 0], 1.0, atol=1e-12)
 
 
@@ -135,7 +134,7 @@ def test_unit_triangle_hypotenuse_arclength_example():
     # v_b = arclength from the lower-index endpoint = len*(t_hat + 1/2)
     local[dim_pk(k) + loc * (k + 1)] = length / 2
     local[dim_pk(k) + loc * (k + 1) + 1] = length
-    grad = weak_gradient(mesh, 0, k, local)
+    grad = local_gradient(LocalOperators(mesh, k), 0, local)
     assert grad[0, 0] == pytest.approx(HYPOTENUSE_ARC_GRADIENT[0], abs=1e-12)
     assert grad[1, 0] == pytest.approx(HYPOTENUSE_ARC_GRADIENT[1], abs=1e-12)
     oracle = lstsq_weak_gradient_oracle(mesh, 0, k, local)
@@ -146,12 +145,13 @@ def test_unit_triangle_hypotenuse_arclength_example():
 def test_weak_gradient_oracle_equivalence(k):
     # production operator vs independent dense least-squares assembly
     mesh = build_uniform_mesh(2)
+    ops = LocalOperators(mesh, k)
     rng = np.random.default_rng(42)
     nloc = dim_pk(k) + 3 * (k + 1)
     for trial in range(100):
         t = int(rng.integers(mesh.n_triangles))
         local = rng.uniform(-1, 1, nloc)
-        grad = weak_gradient(mesh, t, k, local)
+        grad = local_gradient(ops, t, local)
         oracle = lstsq_weak_gradient_oracle(mesh, t, k, local)
         assert np.max(np.abs(grad - oracle)) <= 1e-12
 
@@ -160,7 +160,8 @@ def test_weak_gradient_oracle_equivalence(k):
 def test_integration_by_parts_identity(k):
     # (grad_w v, psi)_T = (grad v_0, psi)_T - <v_0 - v_b, psi.n>_{dT}
     mesh = build_uniform_mesh(2)
-    rule = quadrature_for_degree(k)
+    ops = LocalOperators(mesh, k)
+    rule = ops.rule
     rng = np.random.default_rng(3)
     rbasis = element_basis(k - 1)
     kbasis = element_basis(k)
@@ -172,7 +173,7 @@ def test_integration_by_parts_identity(k):
         center = mesh.tri_centroids[t]
         scale = mesh.h_tri[t]
         local = rng.uniform(-1, 1, dim_pk(k) + 3 * (k + 1))
-        grad = weak_gradient(mesh, t, k, local, rule)
+        grad = local_gradient(ops, t, local)
         pts, wts = tri_quad(mesh, t, rule)
         vr = rbasis.eval(pts, center, scale)
         dx, dy = gradient_coefficient_maps(k, scale)
@@ -200,7 +201,7 @@ def test_commutativity_property_polynomials(k):
     # weak gradient of the projection equals the projected gradient,
     # for polynomial u of degree <= k+1, per element, to 1e-11
     mesh = build_uniform_mesh(2)
-    rule = quadrature_for_degree(k)
+    ops = LocalOperators(mesh, k)
     polys = {
         1: [
             (lambda x, y: x * y, lambda x, y: (y, x)),
@@ -211,10 +212,10 @@ def test_commutativity_property_polynomials(k):
         ],
     }[k]
     for u, grad_u in polys:
-        wf = l2_project_weak(u, mesh, k, rule)
-        projected = l2_project_vector(grad_u, mesh, k, rule)
+        wf = l2_project_weak(u, mesh, k)
+        projected = l2_project_vector(grad_u, mesh, k)
         for t in range(mesh.n_triangles):
-            grad = weak_gradient(mesh, t, k, wf.local_coeffs(t), rule)
+            grad = local_gradient(ops, t, wf.local_coeffs(t))
             assert np.max(np.abs(grad - projected[t])) <= 1e-11
 
 
@@ -222,13 +223,13 @@ def test_commutativity_property_polynomials(k):
 def test_commutativity_property_smooth(k):
     # same identity with quadrature-consistent projections of cos(x)cos(y)
     mesh = build_uniform_mesh(4)
-    rule = quadrature_for_degree(k)
+    ops = LocalOperators(mesh, k)
     u = lambda x, y: np.cos(x) * np.cos(y)
     grad_u = lambda x, y: (-np.sin(x) * np.cos(y), -np.cos(x) * np.sin(y))
-    wf = l2_project_weak(u, mesh, k, rule)
-    projected = l2_project_vector(grad_u, mesh, k, rule)
+    wf = l2_project_weak(u, mesh, k)
+    projected = l2_project_vector(grad_u, mesh, k)
     for t in range(mesh.n_triangles):
-        grad = weak_gradient(mesh, t, k, wf.local_coeffs(t), rule)
+        grad = local_gradient(ops, t, wf.local_coeffs(t))
         assert np.max(np.abs(grad - projected[t])) <= 1e-10
 
 
@@ -237,6 +238,7 @@ def test_stabilizer_kernel_is_conforming_trace():
     mesh = build_uniform_mesh(2)
     k = 1
     kbasis = element_basis(k)
+    stabilizers = LocalOperators(mesh, k).stabilizers
     rng = np.random.default_rng(5)
     for t in (0, 6):
         c0 = rng.standard_normal(dim_pk(k))
@@ -253,7 +255,7 @@ def test_stabilizer_kernel_is_conforming_trace():
             # linear on the edge: value at midpoint and slope in t
             local[dim_pk(k) + loc * (k + 1)] = 0.5 * (vals[0] + vals[1])
             local[dim_pk(k) + loc * (k + 1) + 1] = vals[1] - vals[0]
-        s = local_stabilizer(mesh, t, k)
+        s = stabilizers[t]
         assert abs(local @ s @ local) <= 1e-13
 
 
@@ -261,7 +263,7 @@ def test_stabilizer_single_edge_value():
     # v_0 = 0, v_b = 1 on one edge of length l: s_T(v,v) = l / h_T
     mesh = Mesh([(0, 0), (1, 0), (0, 1)], [(0, 1, 2)])
     k = 1
-    s = local_stabilizer(mesh, 0, k)
+    s = LocalOperators(mesh, k).stabilizers[0]
     for loc in range(3):
         e = mesh.tri_edges[0, loc]
         local = np.zeros(dim_pk(k) + 3 * (k + 1))
@@ -273,7 +275,7 @@ def test_stabilizer_single_edge_value():
 def test_stabilizer_positive_semidefinite():
     mesh = build_uniform_mesh(2)
     for k in (1, 2):
-        s = local_stabilizer(mesh, 1, k)
+        s = LocalOperators(mesh, k).stabilizers[1]
         assert np.max(np.abs(s - s.T)) <= 1e-14
         assert np.min(np.linalg.eigvalsh(s)) >= -1e-12
 
@@ -286,7 +288,7 @@ def test_stabilizer_projection_decay_rate(k, ns):
     for n in ns:
         mesh = build_uniform_mesh(n)
         ops = LocalOperators(mesh, k)
-        wf = l2_project_weak(u, mesh, k, ops.rule)
+        wf = l2_project_weak(u, mesh, k)
         values.append(ops.stabilizer_value(wf))
     for coarse, fine in zip(values, values[1:]):
         rate = math.log2(coarse / fine)
@@ -302,7 +304,7 @@ def test_diffusion_form_constant_kernel():
     local[0] = 1.0
     for loc in range(3):
         local[dim_pk(k) + loc * (k + 1)] = 1.0
-    b = local_diffusion_form(mesh, 4, k)
+    b = LocalOperators(mesh, k).diffusion_forms[4]
     assert abs(local @ b @ local) <= 1e-13
 
 
@@ -310,8 +312,9 @@ def test_diffusion_form_linear_energy():
     # v = Q_h(1+x+y), a = 1: b_T(v, v) = |grad|^2 |T| = 2 |T|
     mesh = build_uniform_mesh(2)
     wf = l2_project_weak(lambda x, y: 1 + x + y, mesh, 1)
+    forms = LocalOperators(mesh, 1).diffusion_forms
     for t in (0, 3):
-        b = local_diffusion_form(mesh, t, 1)
+        b = forms[t]
         local = wf.local_coeffs(t)
         assert local @ b @ local == pytest.approx(2.0 * mesh.tri_areas[t], rel=1e-12)
 
@@ -320,7 +323,7 @@ def test_diffusion_form_symmetric_on_random_dofs():
     mesh = build_uniform_mesh(2)
     rng = np.random.default_rng(9)
     for k in (1, 2):
-        b = local_diffusion_form(mesh, 2, k)
+        b = LocalOperators(mesh, k).diffusion_forms[2]
         assert np.max(np.abs(b - b.T)) <= 1e-13
         x = rng.standard_normal(b.shape[0])
         assert x @ b @ x >= -1e-12
@@ -330,8 +333,8 @@ def test_diffusion_matrix_coefficient_matches_scalar():
     mesh = build_uniform_mesh(2)
     scalar = Diffusion(2.5)
     matrix = Diffusion(2.5 * np.eye(2))
-    bs = local_diffusion_form(mesh, 1, 1, scalar)
-    bm = local_diffusion_form(mesh, 1, 1, matrix)
+    bs = LocalOperators(mesh, 1, scalar).diffusion_forms[1]
+    bm = LocalOperators(mesh, 1, matrix).diffusion_forms[1]
     assert np.max(np.abs(bs - bm)) <= 1e-13
 
 
@@ -343,16 +346,7 @@ def test_diffusion_rejects_nonpositive():
     mesh = build_uniform_mesh(1)
     sign_flip = Diffusion(lambda x, y: x - y)  # negative at quadrature points
     with pytest.raises(ValueError):
-        local_diffusion_form(mesh, 0, 1, sign_flip)
-
-
-def test_local_operators_match_module_functions():
-    mesh = build_uniform_mesh(2)
-    ops = LocalOperators(mesh, 1)
-    for t in (0, 7):
-        assert np.allclose(ops.grad_maps[t], weak_gradient_map(mesh, t, 1, ops.rule))
-        assert np.allclose(ops.stabilizers[t], local_stabilizer(mesh, t, 1, ops.rule))
-        assert np.allclose(ops.diffusion_forms[t], local_diffusion_form(mesh, t, 1, IDENTITY, ops.rule))
+        LocalOperators(mesh, 1, sign_flip)
 
 
 def jittered_mesh(n=4, seed=8):
@@ -427,7 +421,7 @@ def loop_assemble(mesh, config, case, k, rule):
     """Dense free-dof matrix, right-hand side and Dirichlet lift built from
     the per-triangle reference, with the load, the Gamma_n flux and the
     projected g1 integrated one triangle or edge at a time."""
-    dm = DofMap(mesh, k, config)
+    dm = DofMap(mesh, k)
     stab = np.zeros((dm.n_dofs, dm.n_dofs))
     diff = np.zeros_like(stab)
     load = np.zeros(dm.n_dofs)
@@ -447,7 +441,8 @@ def loop_assemble(mesh, config, case, k, rule):
     projected = loop_project(case.g1, mesh, k, rule)
     for e in config.gamma_d_edges:
         lift[dm.edge_block(e)] = projected.edge_coeffs(e)
-    uf, lf, up = dm.u_free, dm.lam_free, np.flatnonzero(dm.u_fixed)
+    u_fixed, lam_fixed = dm.fixed_masks(config)
+    uf, lf, up = np.flatnonzero(~u_fixed), np.flatnonzero(~lam_fixed), np.flatnonzero(u_fixed)
     matrix = np.block([[-stab[np.ix_(uf, uf)], diff[np.ix_(uf, lf)]],
                        [diff[np.ix_(uf, lf)].T, stab[np.ix_(lf, lf)]]])
     rhs = np.concatenate([stab[np.ix_(uf, up)] @ lift[up],
@@ -490,5 +485,5 @@ def test_batched_context_matches_loop_on_jittered_mesh(k, coefficient):
     assert_close(system.u_fixed_values, lift)
 
     projected = loop_project(case.u, mesh, k, ops.rule).coeffs
-    assert_close(l2_project_weak(case.u, mesh, k, ops.rule).coeffs, projected)
+    assert_close(l2_project_weak(case.u, mesh, k).coeffs, projected)
     assert_close(l2_project_weak(case.u, mesh, k, ops=ops).coeffs, projected)

@@ -28,8 +28,6 @@ __all__ = [
     "quadrature_for_degree",
     "tri_quad",
     "edge_quad",
-    "tri_mass",
-    "edge_mass",
     "gram",
     "sample",
     "DofMap",
@@ -73,10 +71,11 @@ class ElementBasis:
         X = (pts[..., 0] - center[..., 0]) / scale
         Y = (pts[..., 1] - center[..., 1]) / scale
         # each power once per point (one broadcast pow, as X**P would
-        # compute it), then gathered per basis function in C order
-        powers = np.arange(self.degree + 1)
-        xp = X[..., None] ** powers
-        yp = Y[..., None] ** powers
+        # compute it), then gathered per basis function in C order; the
+        # zeroth power is 1 without a pow
+        powers = np.arange(1, self.degree + 1)
+        xp, yp = (np.concatenate([np.ones(Z.shape + (1,)), Z[..., None] ** powers], axis=-1)
+                  for Z in (X, Y))
         out = np.take(xp, self.exponents[:, 0], axis=-1)
         out *= np.take(yp, self.exponents[:, 1], axis=-1)
         return out
@@ -222,18 +221,6 @@ def gram(vals, wts):
     """Weighted Gram matrices vals^T diag(wts) vals, batched over the
     leading axes of vals (..., npts, dim) and wts (..., npts)."""
     return vals.swapaxes(-1, -2) @ (wts[..., None] * vals)
-
-
-def tri_mass(mesh, t, k):
-    """Local mass matrix of P_k on triangle t (stacked for an index array)."""
-    pts, wts = tri_quad(mesh, t, quadrature_for_degree(k))
-    return gram(_tri_basis_values(mesh, t, k, pts), wts)
-
-
-def edge_mass(mesh, e, k):
-    """Local mass matrix of P_k on edge e (stacked for an index array)."""
-    _, wts, tc = edge_quad(mesh, e, quadrature_for_degree(k))
-    return gram(edge_basis(k).eval(tc), wts)
 
 
 class DofMap:

@@ -103,8 +103,9 @@ def _divergence_term(gamma, ops):
     array gamma of G, using the product rule grad(a).G + a div(G)."""
     a = ops.a
     # field values (T, nq, 2) and derivatives d_i G_j as (T, nq, i, j)
-    gvals = np.einsum("tnm,tjm->tnj", ops.vr, gamma)
-    gder = np.einsum("tjm,tnmi->tnij", gamma, ops.gr)
+    gamma_t = gamma.swapaxes(1, 2)
+    gvals = ops.vr @ gamma_t
+    gder = ops.gr.swapaxes(2, 3) @ gamma_t[:, None]
     x, y = ops.tri_pts[..., 0].ravel(), ops.tri_pts[..., 1].ravel()
     if a.is_matrix:
         div = np.einsum("ij,tnij->tn", a.const, gder)

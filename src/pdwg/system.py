@@ -16,13 +16,17 @@ triangle by triangle.  When the multiplier has a one-dimensional gauge
 kernel v, the same factorization solves the compatible data
 (I - v v^T) rhs and the kernel component is projected out of the result;
 only a second kernel direction sends the solve to the full matrix and a
-bordered one.
+bordered one.  The free-dof matrix is assembled only where it is factored
+or read (k = 1, that fallback, condition_estimate and the matrix export):
+solve checks its residual, and takes the 1-norm that scales it, from the
+local matrices triangle by triangle.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -82,9 +86,10 @@ class SingularSystemError(RuntimeError):
 @dataclass
 class SaddleSystem:
     """Assembled free-dof system, ordered primal block then multiplier
-    block, plus the lift data needed to reconstruct full fields."""
+    block, plus the lift data needed to reconstruct full fields.  The
+    free-dof matrix itself is built from the local matrices on first read
+    of matrix."""
 
-    matrix: sp.csc_matrix
     rhs: np.ndarray
     mesh: object
     config: object
@@ -94,11 +99,27 @@ class SaddleSystem:
     lam_free: np.ndarray
     u_fixed_values: np.ndarray       # full-length vector, zero on free dofs
     ops: LocalOperators              # the level's context, whose local matrices solve condenses
+    positions: tuple                 # free-dof positions (T, nloc) of u and lam, -1 where fixed
     primal_rows_negated: bool = field(default=True)
 
     @property
     def n_free(self):
-        return self.matrix.shape[0]
+        return len(self.u_free) + len(self.lam_free)
+
+    @cached_property
+    def matrix(self):
+        """The free-dof matrix [[-S_ff, K_fg], [K_fg^T, S_gg]] in CSC, the
+        format the sparse LU takes, assembled straight from the stacked
+        local matrices and kept once built."""
+        return _coo(_blocks(self), (self.n_free, self.n_free)).tocsc()
+
+
+def _blocks(system):
+    """The free-dof matrix [[-S_ff, K_fg], [K_fg^T, S_gg]] as blocks of
+    stacked local matrices: (row positions, column positions, values)."""
+    pu, pl = system.positions
+    stab, diff = system.ops.stabilizers, system.ops.diffusion_forms
+    return ((pu, pu, -stab), (pu, pl, diff), (pl, pu, diff), (pl, pl, stab))
 
 
 def _positions(ops, dofs, offset=0):
@@ -107,6 +128,13 @@ def _positions(ops, dofs, offset=0):
     pos = np.full(ops.dofmap.n_dofs, -1, dtype=np.int32)
     pos[dofs] = offset + np.arange(len(dofs))
     return pos[ops.cell_dofs]
+
+
+def _scatter(pos, vals, n):
+    """Length-n vector of the sums of vals at positions pos; values at a
+    -1 position are dropped."""
+    keep = pos >= 0
+    return np.bincount(pos[keep], weights=vals[keep], minlength=n)
 
 
 def _coo(blocks, shape):
@@ -124,21 +152,6 @@ def _coo(blocks, shape):
             out.append(part[keep])
     r, c, v = (np.concatenate(parts) for parts in triplets)
     return sp.coo_matrix((v, (r, c)), shape=shape)
-
-
-def _free_blocks(ops, u_fixed, lam_fixed):
-    """The free-dof matrix [[-S_ff, K_fg], [K_fg^T, S_gg]] and the lift
-    columns [[S_fp], [K_gp]] (p: fixed primal dofs), both assembled straight
-    from the stacked local matrices."""
-    uf, lf, up = np.flatnonzero(~u_fixed), np.flatnonzero(~lam_fixed), np.flatnonzero(u_fixed)
-    pu, pl, pp = _positions(ops, uf), _positions(ops, lf, len(uf)), _positions(ops, up)
-    stab, diff = ops.stabilizers, ops.diffusion_forms
-    n_free = len(uf) + len(lf)
-    # CSC is the format the sparse LU takes, so solve needs no second copy
-    matrix = _coo([(pu, pu, -stab), (pu, pl, diff), (pl, pu, diff), (pl, pl, stab)],
-                  (n_free, n_free)).tocsc()
-    lift_cols = _coo([(pu, pp, stab), (pl, pp, diff)], (n_free, len(up))).tocsr()
-    return matrix, lift_cols, uf, lf, up
 
 
 def assemble(mesh, config, case, k=1, ops=None):
@@ -177,11 +190,15 @@ def assemble(mesh, config, case, k=1, ops=None):
     if gd.size:
         u_fixed_values[dofmap.edge_block(gd)] = l2_project_edge(case.g1, mesh, gd, k)
 
-    matrix, lift_cols, uf, lf, up = _free_blocks(ops, *dofmap.fixed_masks(config))
+    u_fixed, lam_fixed = dofmap.fixed_masks(config)
+    uf, lf, up = np.flatnonzero(~u_fixed), np.flatnonzero(~lam_fixed), np.flatnonzero(u_fixed)
+    pu, pl, pp = _positions(ops, uf), _positions(ops, lf, len(uf)), _positions(ops, up)
+    # the lift columns [[S_fp], [K_gp]] (p: fixed primal dofs)
+    lift_cols = _coo([(pu, pp, ops.stabilizers), (pl, pp, ops.diffusion_forms)],
+                     (len(uf) + len(lf), len(up))).tocsr()
     lifted = lift_cols @ u_fixed_values[up]
     rhs = np.concatenate([lifted[: len(uf)], rhs_full[lf] - lifted[len(uf):]])
     return SaddleSystem(
-        matrix=matrix,
         rhs=rhs,
         mesh=mesh,
         config=config,
@@ -191,6 +208,7 @@ def assemble(mesh, config, case, k=1, ops=None):
         lam_free=lf,
         u_fixed_values=u_fixed_values,
         ops=ops,
+        positions=(pu, pl),
     )
 
 
@@ -207,6 +225,46 @@ def _one_norm(matrix):
     """Largest absolute column sum, reduced per CSC column; the inf-norm up
     to roundoff for these symmetric matrices."""
     return abs(matrix).sum(axis=0).max()
+
+
+def _local_product(system, x):
+    """A x for a free-dof vector x without the matrix A: each triangle's
+    local matrices applied to its part of x, summed into the free dofs."""
+    out = np.zeros(system.n_free)
+    for rows, cols, vals in _blocks(system):
+        local = vals @ np.where(cols >= 0, x[cols], 0.0)[..., None]
+        out += _scatter(rows, local[..., 0], system.n_free)
+    return out
+
+
+def _local_column_sums(system):
+    """Absolute column sums of the free-dof matrix, the largest of which is
+    its 1-norm, from the local matrices.  A global entry sums two local
+    ones only where its row and column both lie in the block of one
+    interior edge, which its two triangles hold at the same local dofs;
+    there the sum of the local absolute values is corrected by
+    |s1 + s2| - |s1| - |s2|."""
+    mesh, dofmap = system.mesh, system.dofmap
+    dim, edim = dofmap.interior_dim, dofmap.edge_dim
+    slots = mesh.edge_slots[~mesh.is_boundary_edge]
+    tris = (slots // 3)[..., None, None]
+    local = dim + (slots % 3)[..., None] * edim + np.arange(edim)   # (E, side, edim)
+    # per field (u, lam): positions of the local dofs and of side 0's edge block
+    pos = system.positions
+    edge_pos = [p[tris[:, 0, :, 0], local[:, 0]] for p in pos]
+    free, edge_free = ([(p >= 0).astype(float)[..., None, :] for p in ps] for ps in (pos, edge_pos))
+    sums = np.zeros(system.n_free)
+    # one pass per local matrix rather than per block of _blocks: S fills the
+    # (u, u) block, negated, and the (lam, lam) block; B the other two
+    for vals, blocks in ((system.ops.stabilizers, ((0, 0), (1, 1))),
+                         (system.ops.diffusion_forms, ((0, 1), (1, 0)))):
+        s1, s2 = vals[tris, local[..., None], local[..., None, :]].swapaxes(0, 1)
+        excess = np.abs(s1 + s2) - np.abs(s1) - np.abs(s2)
+        absolute = np.abs(vals)
+        for row, col in blocks:
+            sums += _scatter(pos[col], (free[row] @ absolute)[..., 0, :], system.n_free)
+            sums += _scatter(edge_pos[col], (edge_free[row] @ excess)[..., 0, :], system.n_free)
+    return sums
 
 
 def _project_out(vec, unit):
@@ -293,9 +351,7 @@ class _Condensation:
         condense rhs, solve for the edge dofs, recover the interiors."""
         y = np.einsum("tji,tj->ti", self.basis, rhs[self.interior])
         shift = np.einsum("tji,tj->ti", self.coupling, y)
-        keep = self.edge_pos >= 0
-        edge_rhs = rhs[self.edges] - np.bincount(self.edge_pos[keep], weights=shift[keep],
-                                                 minlength=len(self.edges))
+        edge_rhs = rhs[self.edges] - _scatter(self.edge_pos, shift, len(self.edges))
         return self.expand(lu.solve(edge_rhs), np.linalg.solve(self.inner, y[..., None])[..., 0])
 
     def expand(self, x_edge, z=0.0):
@@ -361,19 +417,19 @@ def solve(system):
     the fixed boundary values merged back in.  At k >= 2 the interior dofs
     are condensed out and the edge-dof Schur matrix is factored; k = 1, and
     a two-dimensional gauge kernel (t3-t5 at k = 3), factor the full
-    free-dof matrix."""
-    matrix = system.matrix.tocsc()
-    norm = _one_norm(matrix)
+    free-dof matrix, which only these paths build.  The residual check
+    applies the local matrices."""
+    norm = _local_column_sums(system).max()
     nf = len(system.u_free)
     # the condensed path returns None, freeing its LU, before the full one starts
     solution = _solve_condensed(system) if system.k >= 2 else None
     if solution is None:
-        solution = _solve_full(matrix, system.rhs, system.k, nf, norm)
+        solution = _solve_full(system.matrix, system.rhs, system.k, nf, norm)
     x, null_dir = solution
     if not np.all(np.isfinite(x)):
         raise SingularSystemError("direct solver produced a non-finite solution")
 
-    residual_vec = matrix @ x - system.rhs
+    residual_vec = _local_product(system, x) - system.rhs
     if null_dir is not None:
         # the component along the kernel image is a data-compatibility
         # defect (quadrature-level), not a solver error

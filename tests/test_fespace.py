@@ -8,19 +8,19 @@ from pdwg.fespace import (
     WeakFunction,
     dim_pk,
     edge_basis,
-    edge_mass,
     edge_quad,
     element_basis,
+    gram,
     gradient_coefficient_maps,
     l2_project_edge,
     l2_project_element,
     l2_project_vector,
     l2_project_weak,
     quadrature_for_degree,
-    tri_mass,
     tri_quad,
 )
 from pdwg.mesh import build_uniform_mesh, classify_boundary
+from pdwg.weakops import LocalOperators
 
 
 def reference_tri_integral(p, q):
@@ -62,7 +62,7 @@ def test_local_mass_spd_and_uniformly_conditioned(k):
     conds = []
     for n in (1, 4, 16):
         mesh = build_uniform_mesh(n)
-        mass = tri_mass(mesh, 0, k)
+        mass = LocalOperators(mesh, k).mass_k[0]
         np.linalg.cholesky(mass)  # SPD
         conds.append(np.linalg.cond(mass))
     # scaled monomials: congruent triangles give the same condition number
@@ -72,7 +72,8 @@ def test_local_mass_spd_and_uniformly_conditioned(k):
 def test_edge_mass_spd():
     mesh = build_uniform_mesh(2)
     for e in (0, 3):
-        np.linalg.cholesky(edge_mass(mesh, e, 2))
+        _, wts, tc = edge_quad(mesh, e, quadrature_for_degree(2))
+        np.linalg.cholesky(gram(edge_basis(2).eval(tc), wts))
 
 
 def test_project_element_identity_on_subspace():

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import math
 import weakref
@@ -17,6 +18,8 @@ from pdwg.system import (
     _Condensation,
     _factor,
     _gauge_kernel,
+    _local_column_sums,
+    _local_product,
     _one_norm,
     _solve_condensed,
     _solve_full,
@@ -26,6 +29,7 @@ from pdwg.system import (
     solve,
 )
 from pdwg.weakops import IDENTITY, Diffusion, LocalOperators
+from test_weakops import COEFFICIENTS, jittered_mesh
 
 
 def zero_data_case(d_sides, n_sides):
@@ -572,3 +576,73 @@ def test_gauge_solve_factors_once(monkeypatch, k, n):
     assert len(calls) == 1
     interior = 2 * system.dofmap.n_interior if k >= 2 else 0
     assert calls[0][3] == system.n_free - interior
+
+
+@pytest.mark.parametrize("case_id,k,builds", [
+    pytest.param("t6", 1, 1, id="t6-k1"),
+    pytest.param("t3", 1, 1, id="t3-k1"),
+    pytest.param("t6", 2, 0, id="t6-k2"),
+    pytest.param("t3", 2, 0, id="t3-k2"),
+    pytest.param("t6", 3, 0, id="t6-k3"),
+    pytest.param("t3", 3, 1, id="t3-k3"),
+])
+def test_full_matrix_built_only_where_solve_factors_it(monkeypatch, case_id, k, builds):
+    # assemble builds no free-dof matrix; solve builds it for the paths
+    # that factor it, the LU at k=1 and the fallback of a two-dimensional
+    # gauge kernel (t3 at k=3), and otherwise factors the Schur matrix and
+    # checks its residual from the local matrices
+    real_coo = pdwg.system._coo
+    shapes = []
+
+    def coo(blocks, shape):
+        shapes.append(shape)
+        return real_coo(blocks, shape)
+
+    monkeypatch.setattr(pdwg.system, "_coo", coo)
+    system = catalog_system(case_id, k, 4)
+    full = (system.n_free, system.n_free)
+    assert full not in shapes
+    solve(system)
+    assert shapes.count(full) == builds
+
+
+def local_systems(k):
+    """The catalog at n <= 4, and the jittered mesh with every coefficient
+    and Cauchy data on the bottom, Dirichlet data on the left and flux data
+    on the right."""
+    for case_id in case_ids():
+        for n in (1, 2, 4):
+            yield catalog_system(case_id, k, n)
+    mesh = jittered_mesh()
+    for a in COEFFICIENTS.values():
+        case = dataclasses.replace(get_case("t6"), a=a, dirichlet_sides=("bottom", "left"),
+                                   neumann_sides=("bottom", "right"))
+        config = classify_boundary(mesh, case.dirichlet_sides, case.neumann_sides)
+        yield assemble(mesh, config, case, k)
+
+
+def with_random_local_matrices(system, rng):
+    """system with random local matrices in place of s_T and b_T, whose
+    signs, unlike those of s_T and b_T, cancel in the entries that the two
+    triangles of an interior edge sum."""
+    ops = copy.copy(system.ops)
+    ops.stabilizers, ops.diffusion_forms = rng.standard_normal((2,) + ops.stabilizers.shape)
+    return dataclasses.replace(system, ops=ops)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_local_residual_and_norm_match_the_matrix(k):
+    # the residual check of solve applies the local matrices and takes the
+    # 1-norm from them; both agree with the assembled matrix to roundoff,
+    # column by column, the entries two triangles sum included
+    rng = np.random.default_rng(k)
+    for assembled in local_systems(k):
+        for system in (assembled, with_random_local_matrices(assembled, rng)):
+            matrix = system.matrix
+            want = np.asarray(abs(matrix).sum(axis=0)).ravel()
+            sums = _local_column_sums(system)
+            assert np.all(np.abs(sums - want) <= 1e-14 * want)
+            assert sums.max() == pytest.approx(_one_norm(matrix), rel=1e-14)
+            x = rng.standard_normal(system.n_free)
+            bound = abs(matrix) @ np.abs(x)
+            assert np.all(np.abs(_local_product(system, x) - matrix @ x) <= 1e-13 * bound)

@@ -26,6 +26,7 @@ from .norms import (
     broken_h1,
     error_fields,
     error_report,
+    interior_l2_norm,
     residual_norm_multiplier,
     residual_norm_primal,
     stabilizer_seminorm,
@@ -71,6 +72,7 @@ __all__ = [
     "error_fields",
     "error_report",
     "get_case",
+    "interior_l2_norm",
     "l2_project_edge",
     "l2_project_element",
     "l2_project_vector",

@@ -268,19 +268,14 @@ def validate_case(case, n_points=20, seed=0):
             f"at ({x[i]:.4f}, {y[i]:.4f})"
         )
 
-    def flux_x(px, py):
+    def flux(px, py):
         fx, fy = case.grad_u(px, py)
         vec = np.column_stack([np.asarray(fx, float), np.asarray(fy, float)])
-        return case.a.flux(px, py, vec)[:, 0]
-
-    def flux_y(px, py):
-        fx, fy = case.grad_u(px, py)
-        vec = np.column_stack([np.asarray(fx, float), np.asarray(fy, float)])
-        return case.a.flux(px, py, vec)[:, 1]
+        return case.a.flux(px, py, vec)
 
     div_flux = (
-        (flux_x(x + _FD_STEP, y) - flux_x(x - _FD_STEP, y))
-        + (flux_y(x, y + _FD_STEP) - flux_y(x, y - _FD_STEP))
+        (flux(x + _FD_STEP, y)[:, 0] - flux(x - _FD_STEP, y)[:, 0])
+        + (flux(x, y + _FD_STEP)[:, 1] - flux(x, y - _FD_STEP)[:, 1])
     ) / (2.0 * _FD_STEP)
     fvals = np.asarray(case.f(x, y), dtype=float)
     pde_res = np.abs(-div_flux - fvals)

@@ -355,23 +355,15 @@ def l2_project_edge(f, mesh, e, k):
     return _project(edge_basis(k).eval(tc), wts, sample(f, pts))
 
 
-def l2_project_weak(u, mesh, k, ops=None):
-    """Projection of u into the weak space: elementwise L2 projection in
-    the interior blocks and edgewise L2 projection in the edge blocks, with
-    one call of u per point set.  Given the level's LocalOperators as ops,
-    its dof map, triangle points and P_k table are reused; a context of
-    another mesh object or degree raises ValueError."""
-    if ops is None:
-        t = np.arange(mesh.n_triangles)
-        pts, wts = tri_quad(mesh, t, quadrature_for_degree(k))
-        vals, dofmap = _tri_basis_values(mesh, t, k, pts), None
-    else:
-        ops.check(mesh, k)
-        pts, wts, vals, dofmap = ops.tri_pts, ops.tri_wts, ops.vk, ops.dofmap
-    wf = WeakFunction(mesh, k, dofmap=dofmap)
-    n_int = wf.dofmap.n_interior
-    wf.coeffs[:n_int] = _project(vals, wts, sample(u, pts)).ravel()
-    wf.coeffs[n_int:] = l2_project_edge(u, mesh, np.arange(mesh.n_edges), k).ravel()
+def l2_project_weak(u, ops):
+    """Projection of u into the weak space of the level context ops:
+    elementwise L2 projection in the interior blocks and edgewise L2
+    projection in the edge blocks, with one call of u per point set, on the
+    context's dof map, triangle points and P_k table."""
+    mesh, n_int = ops.mesh, ops.dofmap.n_interior
+    wf = WeakFunction(mesh, ops.k, dofmap=ops.dofmap)
+    wf.coeffs[:n_int] = _project(ops.vk, ops.tri_wts, sample(u, ops.tri_pts)).ravel()
+    wf.coeffs[n_int:] = l2_project_edge(u, mesh, np.arange(mesh.n_edges), ops.k).ravel()
     return wf
 
 

@@ -18,12 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fespace import gradient_coefficient_maps, l2_project_weak
-from .weakops import LocalOperators
 
 __all__ = [
     "ErrorReport",
-    "InteriorField",
     "error_fields",
+    "interior_l2_norm",
     "broken_h1",
     "stabilizer_seminorm",
     "residual_norm_primal",
@@ -46,56 +45,43 @@ class ErrorReport:
     stab_u: float
 
 
-class InteriorField:
-    """Evaluation view of the interior component of a weak function."""
-
-    def __init__(self, wf):
-        self.wf = wf
-        self.mesh = wf.mesh
-        self.k = wf.k
-
-    def value(self, t, pts):
-        return self.wf.interior_value(t, pts)
-
-    def l2_norm(self, ops=None):
-        """L2 norm of v_0 with the P_k mass matrices of the level's context."""
-        mass = LocalOperators.of(ops, self.mesh, self.k).mass_k
-        c = self.wf.interior_coeffs(np.arange(self.mesh.n_triangles))
-        return float(np.sqrt(max(np.einsum("ti,tij,tj->", c, mass, c), 0.0)))
+# Every functional below reads mesh, degree and coefficient from ops, the
+# level's LocalOperators; a weak function of another mesh object or degree
+# raises ValueError.
 
 
-# Every functional below takes the level's LocalOperators as ops and builds
-# it when not given; a context of another mesh, degree or coefficient, or a
-# weak function of another mesh or degree, raises ValueError.  The
-# coefficient a defaults to the context's (the identity when there is none).
+def error_fields(u_h, u_exact, ops):
+    """Difference to the projected exact solution, e_h = u_h - Q_h u; its
+    interior part is e_0."""
+    ops.check(u_h)
+    return u_h - l2_project_weak(u_exact, ops)
 
 
-def error_fields(u_h, u_exact, mesh, k=None, ops=None):
-    """Difference to the projected exact solution: e_h = u_h - Q_h u,
-    returned with the evaluator of its interior part e_0."""
-    ops = LocalOperators.of(ops, mesh, _check_level(u_h, mesh, k))
-    e_h = u_h - l2_project_weak(u_exact, mesh, ops.k, ops=ops)
-    return e_h, InteriorField(e_h)
+def interior_l2_norm(v, ops):
+    """L2 norm of v_0 with the P_k mass matrices of the level's context."""
+    ops.check(v)
+    c = v.interior_coeffs(np.arange(ops.mesh.n_triangles))
+    return float(np.sqrt(max(np.einsum("ti,tij,tj->", c, ops.mass_k, c), 0.0)))
 
 
-def broken_h1(e0, mesh, ops=None):
-    """Elementwise L2 norm of the interior gradient, summed over the mesh."""
-    mass = LocalOperators.of(ops, mesh, _check_level(e0, mesh, None)).mass_r
-    gamma = _interior_gradient_coefficients(e0.wf, mesh, e0.k)
-    return float(np.sqrt(max(np.einsum("tci,tij,tcj->", gamma, mass, gamma), 0.0)))
+def broken_h1(v, ops):
+    """Elementwise L2 norm of the gradient of v_0, summed over the mesh."""
+    ops.check(v)
+    gamma = _interior_gradient_coefficients(v, ops)
+    return float(np.sqrt(max(np.einsum("tci,tij,tcj->", gamma, ops.mass_r, gamma), 0.0)))
 
 
-def stabilizer_seminorm(v, mesh, k=None, ops=None):
+def stabilizer_seminorm(v, ops):
     """sqrt(s(v, v))."""
-    ops = LocalOperators.of(ops, mesh, _check_level(v, mesh, k))
+    ops.check(v)
     return float(np.sqrt(max(ops.stabilizer_value(v), 0.0)))
 
 
-def _interior_gradient_coefficients(v, mesh, k):
+def _interior_gradient_coefficients(v, ops):
     """Coefficients (T, 2, dim P_{k-1}) of the gradient of v_0."""
-    dx, dy = gradient_coefficient_maps(k, 1.0)
-    c = v.interior_coeffs(np.arange(mesh.n_triangles))
-    return np.stack([c @ dx.T, c @ dy.T], axis=1) / mesh.h_tri[:, None, None]
+    dx, dy = gradient_coefficient_maps(ops.k, 1.0)
+    c = v.interior_coeffs(np.arange(ops.mesh.n_triangles))
+    return np.stack([c @ dx.T, c @ dy.T], axis=1) / ops.h[:, None, None]
 
 
 def _divergence_term(gamma, ops):
@@ -146,7 +132,7 @@ def _residual_terms(v, ops, weak, include_boundary):
     if weak:
         gamma = ops.gradient_coefficients(v)
     else:
-        gamma = _interior_gradient_coefficients(v, ops.mesh, ops.k)
+        gamma = _interior_gradient_coefficients(v, ops)
     return (_divergence_term(gamma, ops), _jump_term(gamma, ops, include_boundary),
             ops.stabilizer_value(v))
 
@@ -155,58 +141,47 @@ def _norm(terms):
     return float(np.sqrt(max(sum(terms), 0.0)))
 
 
-def _check_level(v, mesh, k):
-    """v's degree, after checking that v lives on this mesh object and,
-    when k is given, has degree k."""
-    if v.mesh is not mesh:
-        raise ValueError("mesh does not match the weak function")
-    k = v.k if k is None else k
-    if k != v.k:
-        raise ValueError("degree does not match the weak function")
-    return k
-
-
-def residual_terms_primal(v, mesh, config, a=None, k=None, ops=None):
+def residual_terms_primal(v, config, ops):
     """Squared pieces (divergence, jump, stabilizer) of the primal
     residual norm; the jump set is interior edges plus Gamma_n."""
-    ops = LocalOperators.of(ops, mesh, _check_level(v, mesh, k), a)
+    ops.check(v)
     return _residual_terms(v, ops, True, config.in_gamma_n)
 
 
-def residual_norm_primal(v, mesh, config, a=None, k=None, ops=None):
+def residual_norm_primal(v, config, ops):
     """Scaled residual norm of a primal-field weak function."""
-    return _norm(residual_terms_primal(v, mesh, config, a, k, ops))
+    return _norm(residual_terms_primal(v, config, ops))
 
 
-def residual_terms_multiplier(v, mesh, config, a=None, k=None, ops=None):
+def residual_terms_multiplier(v, config, ops):
     """Squared pieces of the multiplier residual norm; the jump set is
     interior edges plus the boundary minus Gamma_d."""
-    ops = LocalOperators.of(ops, mesh, _check_level(v, mesh, k), a)
-    return _residual_terms(v, ops, True, mesh.is_boundary_edge & ~config.in_gamma_d)
+    ops.check(v)
+    return _residual_terms(v, ops, True, ops.mesh.is_boundary_edge & ~config.in_gamma_d)
 
 
-def residual_norm_multiplier(v, mesh, config, a=None, k=None, ops=None):
+def residual_norm_multiplier(v, config, ops):
     """Scaled residual norm of a multiplier-field weak function."""
-    return _norm(residual_terms_multiplier(v, mesh, config, a, k, ops))
+    return _norm(residual_terms_multiplier(v, config, ops))
 
 
-def strong_residual_norms(v, mesh, config, a=None, k=None, ops=None):
+def strong_residual_norms(v, config, ops):
     """The pair of residual norms built from the interior gradient of v
     instead of the weak gradient: (primal edge set, multiplier edge set)."""
-    ops = LocalOperators.of(ops, mesh, _check_level(v, mesh, k), a)
+    ops.check(v)
+    multiplier_set = ops.mesh.is_boundary_edge & ~config.in_gamma_d
     return tuple(_norm(_residual_terms(v, ops, False, include))
-                 for include in (config.in_gamma_n, mesh.is_boundary_edge & ~config.in_gamma_d))
+                 for include in (config.in_gamma_n, multiplier_set))
 
 
-def error_report(u_h, lam_h, u_exact, mesh, config, a=None, k=None, ops=None):
+def error_report(u_h, lam_h, u_exact, config, ops):
     """Collect every error functional of one solve.  The multiplier error
     is lam_h itself (its exact counterpart vanishes)."""
-    ops = LocalOperators.of(ops, mesh, _check_level(u_h, mesh, k), a)
-    e_h, e0 = error_fields(u_h, u_exact, mesh, ops=ops)
+    e_h = error_fields(u_h, u_exact, ops)
     return ErrorReport(
-        l2_e0=e0.l2_norm(ops),
-        h1_e0=broken_h1(e0, mesh, ops),
-        resid_u=residual_norm_primal(e_h, mesh, config, ops=ops),
-        resid_lambda=residual_norm_multiplier(lam_h, mesh, config, ops=ops),
-        stab_u=stabilizer_seminorm(e_h, mesh, ops=ops),
+        l2_e0=interior_l2_norm(e_h, ops),
+        h1_e0=broken_h1(e_h, ops),
+        resid_u=residual_norm_primal(e_h, config, ops),
+        resid_lambda=residual_norm_multiplier(lam_h, config, ops),
+        stab_u=stabilizer_seminorm(e_h, ops),
     )

@@ -19,20 +19,22 @@ only a second kernel direction sends the solve to the full matrix and a
 bordered one.  The free-dof matrix is assembled only where it is factored
 or read (k = 1, that fallback, condition_estimate and the matrix export):
 solve checks its residual, and takes the 1-norm that scales it, from the
-local matrices triangle by triangle.
+local matrices triangle by triangle.  The level's LocalOperators is the
+one source of mesh, degree, dof layout and local matrices: assemble takes
+it, and the assembled system keeps it as ops for solve to read.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .fespace import DofMap, WeakFunction, l2_project_edge, sample
+from .fespace import WeakFunction, l2_project_edge, sample
 from .weakops import LocalOperators
 
 __all__ = [
@@ -86,21 +88,16 @@ class SingularSystemError(RuntimeError):
 @dataclass
 class SaddleSystem:
     """Assembled free-dof system, ordered primal block then multiplier
-    block, plus the lift data needed to reconstruct full fields.  The
-    free-dof matrix itself is built from the local matrices on first read
-    of matrix."""
+    block, plus the lift data needed to reconstruct full fields.  Mesh,
+    degree and dof layout are those of ops.  The free-dof matrix itself is
+    built from the local matrices on first read of matrix."""
 
     rhs: np.ndarray
-    mesh: object
-    config: object
-    k: int
-    dofmap: DofMap                   # the level's layout; u_free/lam_free carry the split
-    u_free: np.ndarray
+    ops: LocalOperators              # the level's context, whose local matrices solve condenses
+    u_free: np.ndarray               # free dofs of u and of lam in the layout ops.dofmap
     lam_free: np.ndarray
     u_fixed_values: np.ndarray       # full-length vector, zero on free dofs
-    ops: LocalOperators              # the level's context, whose local matrices solve condenses
     positions: tuple                 # free-dof positions (T, nloc) of u and lam, -1 where fixed
-    primal_rows_negated: bool = field(default=True)
 
     @property
     def n_free(self):
@@ -154,18 +151,21 @@ def _coo(blocks, shape):
     return sp.coo_matrix((v, (r, c)), shape=shape)
 
 
-def assemble(mesh, config, case, k=1, ops=None):
+def assemble(config, case, ops):
     """Assemble the saddle-point system for one manufactured case.
 
     The right-hand side collects (f, w_0) over elements and <g2, w_b> over
     the Gamma_n edges; the projected Dirichlet data Q_b g1 is eliminated
-    into the right-hand side.  Dof layout, quadrature and local matrices
-    come from ops, the context of (mesh, k, case.a), built here when not
-    given; a context of another level raises ValueError.
+    into the right-hand side.  Mesh, degree, dof layout, quadrature and
+    local matrices come from ops, the level's context; a config of another
+    mesh object, or a case whose coefficient is not ops.a, raises
+    ValueError.
     """
+    mesh = ops.mesh
     if config.mesh is not mesh:
-        raise ValueError("boundary configuration belongs to a different mesh")
-    ops = LocalOperators.of(ops, mesh, k, case.a)
+        raise ValueError("boundary configuration belongs to another mesh than the context")
+    if case.a is not ops.a:
+        raise ValueError("discretization context built for another coefficient than the case's")
     if config.gamma_n_edges.size and case.grad_u is None:
         raise ValueError("case provides no flux data g2 but Gamma_n is nonempty")
 
@@ -188,7 +188,7 @@ def assemble(mesh, config, case, k=1, ops=None):
     gd = config.gamma_d_edges
     u_fixed_values = np.zeros(n_dofs)
     if gd.size:
-        u_fixed_values[dofmap.edge_block(gd)] = l2_project_edge(case.g1, mesh, gd, k)
+        u_fixed_values[dofmap.edge_block(gd)] = l2_project_edge(case.g1, mesh, gd, ops.k)
 
     u_fixed, lam_fixed = dofmap.fixed_masks(config)
     uf, lf, up = np.flatnonzero(~u_fixed), np.flatnonzero(~lam_fixed), np.flatnonzero(u_fixed)
@@ -198,18 +198,8 @@ def assemble(mesh, config, case, k=1, ops=None):
                      (len(uf) + len(lf), len(up))).tocsr()
     lifted = lift_cols @ u_fixed_values[up]
     rhs = np.concatenate([lifted[: len(uf)], rhs_full[lf] - lifted[len(uf):]])
-    return SaddleSystem(
-        rhs=rhs,
-        mesh=mesh,
-        config=config,
-        k=k,
-        dofmap=dofmap,
-        u_free=uf,
-        lam_free=lf,
-        u_fixed_values=u_fixed_values,
-        ops=ops,
-        positions=(pu, pl),
-    )
+    return SaddleSystem(rhs=rhs, ops=ops, u_free=uf, lam_free=lf,
+                        u_fixed_values=u_fixed_values, positions=(pu, pl))
 
 
 def _factor(matrix, k):
@@ -244,7 +234,7 @@ def _local_column_sums(system):
     interior edge, which its two triangles hold at the same local dofs;
     there the sum of the local absolute values is corrected by
     |s1 + s2| - |s1| - |s2|."""
-    mesh, dofmap = system.mesh, system.dofmap
+    mesh, dofmap = system.ops.mesh, system.ops.dofmap
     dim, edim = dofmap.interior_dim, dofmap.edge_dim
     slots = mesh.edge_slots[~mesh.is_boundary_edge]
     tris = (slots // 3)[..., None, None]
@@ -315,9 +305,10 @@ class _Condensation:
     local block's condition number from 2.5e4 and 3.9e6 to 6.1 and 16."""
 
     def __init__(self, system):
-        ops, dofmap, nf = system.ops, system.dofmap, len(system.u_free)
+        ops, nf = system.ops, len(system.u_free)
+        dofmap, mesh = ops.dofmap, ops.mesh
         n_int, dim = dofmap.n_interior, dofmap.interior_dim
-        n_tri = system.mesh.n_triangles
+        n_tri = mesh.n_triangles
         interior, edge = slice(None, dim), slice(dim, None)
 
         def coupled(rows, cols):
@@ -325,7 +316,7 @@ class _Condensation:
             stab, diff = ops.stabilizers[:, rows, cols], ops.diffusion_forms[:, rows, cols]
             return np.block([[-stab, diff], [diff, stab]])
 
-        chol = np.linalg.cholesky(ops.mass_k / system.mesh.tri_areas[:, None, None])
+        chol = np.linalg.cholesky(ops.mass_k / mesh.tri_areas[:, None, None])
         self.basis = np.zeros((n_tri, 2 * dim, 2 * dim))
         self.basis[:, :dim, :dim] = self.basis[:, dim:, dim:] = np.linalg.inv(chol).swapaxes(1, 2)
         basis_t = self.basis.swapaxes(1, 2)
@@ -399,7 +390,7 @@ def _solve_condensed(system):
     cond = _Condensation(system)
     schur, n_primal = cond.matrix, cond.n_primal
     norm = _one_norm(schur)
-    lu = _factor(schur, system.k)
+    lu = _factor(schur, system.ops.k)
     edge_dir = _gauge_kernel(lu, schur, n_primal, norm)
     if edge_dir is None:
         return cond.solve(lu, system.rhs), None
@@ -419,12 +410,13 @@ def solve(system):
     a two-dimensional gauge kernel (t3-t5 at k = 3), factor the full
     free-dof matrix, which only these paths build.  The residual check
     applies the local matrices."""
+    ops = system.ops
     norm = _local_column_sums(system).max()
     nf = len(system.u_free)
     # the condensed path returns None, freeing its LU, before the full one starts
-    solution = _solve_condensed(system) if system.k >= 2 else None
+    solution = _solve_condensed(system) if ops.k >= 2 else None
     if solution is None:
-        solution = _solve_full(system.matrix, system.rhs, system.k, nf, norm)
+        solution = _solve_full(system.matrix, system.rhs, ops.k, nf, norm)
     x, null_dir = solution
     if not np.all(np.isfinite(x)):
         raise SingularSystemError("direct solver produced a non-finite solution")
@@ -443,11 +435,11 @@ def solve(system):
 
     u_coeffs = system.u_fixed_values.copy()
     u_coeffs[system.u_free] = x[:nf]
-    lam_coeffs = np.zeros(system.dofmap.n_dofs)
+    lam_coeffs = np.zeros(ops.dofmap.n_dofs)
     lam_coeffs[system.lam_free] = x[nf:]
     return (
-        WeakFunction(system.mesh, system.k, u_coeffs, dofmap=system.dofmap),
-        WeakFunction(system.mesh, system.k, lam_coeffs, dofmap=system.dofmap),
+        WeakFunction(ops.mesh, ops.k, u_coeffs, dofmap=ops.dofmap),
+        WeakFunction(ops.mesh, ops.k, lam_coeffs, dofmap=ops.dofmap),
     )
 
 
@@ -460,7 +452,8 @@ def condition_estimate(system):
     +inf when the factorization fails or the primal field is not unique,
     and also on t3-t5 at k=3, whose primal field is unique: the quotient
     keeps the second kernel direction, so its kernel test raises.  A
-    system without a u_free block split counts as all primal.  Small
+    stand-in with only a matrix counts as all primal and of unknown
+    degree.  Small
     matrices are inverted exactly from the LU factors, the rest go
     through the Higham-Tisseur 1-norm estimator."""
     matrix = system.matrix.tocsc()
@@ -468,7 +461,7 @@ def condition_estimate(system):
     if n == 0:
         return 0.0
     norm = _one_norm(matrix)
-    k = getattr(system, "k", None)
+    k = system.ops.k if hasattr(system, "ops") else None
     try:
         lu = _factor(matrix, k)
         null_dir = _gauge_kernel(lu, matrix, len(getattr(system, "u_free", range(n))), norm)

@@ -210,22 +210,12 @@ class LocalOperators:
         self.stabilizers = _stabilizers(self)
         self.diffusion_forms = _diffusion_forms(self)
 
-    @classmethod
-    def of(cls, ops, mesh, k, a=None):
-        """The context of (mesh, k, a): a new one when ops is None (a None
-        meaning the identity), else ops after ops.check(mesh, k, a)."""
-        if ops is None:
-            return cls(mesh, k, IDENTITY if a is None else a)
-        ops.check(mesh, k, a)
-        return ops
-
-    def check(self, mesh, k, a=None):
-        """Raise ValueError unless this context was built for this mesh
-        object, degree and, when a is given, coefficient object."""
-        for what, same in (("mesh", self.mesh is mesh), ("degree", self.k == k),
-                           ("coefficient", a is None or self.a is a)):
+    def check(self, v):
+        """Raise ValueError unless the weak function v lives on this
+        context's mesh object and has its degree."""
+        for what, same in (("mesh", v.mesh is self.mesh), ("degree", v.k == self.k)):
             if not same:
-                raise ValueError(f"discretization context built for another {what}")
+                raise ValueError(f"weak function of another {what} than its discretization context")
 
     def gradient_coefficients(self, v):
         """Weak-gradient coefficients of every triangle, shape (T, 2, dimr)."""

@@ -193,7 +193,7 @@ def test_criterion_6_property_suite():
     for k in (1, 2):
         ops = LocalOperators(mesh_a, k)
         for u, grad_u in polys:
-            wf = l2_project_weak(u, mesh_a, k)
+            wf = l2_project_weak(u, ops)
             projected = l2_project_vector(grad_u, mesh_a, k)
             gamma = ops.gradient_coefficients(wf)
             worst_comm = max(worst_comm, float(np.max(np.abs(gamma - projected))))
@@ -219,7 +219,7 @@ def test_criterion_6_property_suite():
     for case_id in ("t3", "t6", "t11"):
         case = get_case(case_id)
         config = classify_boundary(mesh4, case.dirichlet_sides, case.neumann_sides)
-        system = assemble(mesh4, config, case, 1)
+        system = assemble(config, case, LocalOperators(mesh4, 1, case.a))
         diff = (system.matrix - system.matrix.T).tocoo()
         asym = np.max(np.abs(diff.data)) if diff.nnz else 0.0
         worst_sym = max(worst_sym, asym / np.max(np.abs(system.matrix.data)))
@@ -236,7 +236,7 @@ def test_criterion_6_property_suite():
         neumann_sides=("bottom",),
     )
     config = classify_boundary(mesh4, zero.dirichlet_sides, zero.neumann_sides)
-    u_h, lam_h = solve(assemble(mesh4, config, zero, 1))
+    u_h, lam_h = solve(assemble(config, zero, LocalOperators(mesh4, 1, zero.a)))
     worst_zero = max(np.max(np.abs(u_h.coeffs)), np.max(np.abs(lam_h.coeffs)))
     ok_d = worst_zero <= 1e-10
 
@@ -255,8 +255,8 @@ def test_criterion_6_property_suite():
             wf = WeakFunction(mesh, 1, rng.standard_normal(dm.n_dofs))
             for e in config.gamma_n_complement_edges:
                 wf.coeffs[dm.edge_block(e)] = 0.0
-            weak = residual_norm_multiplier(wf, mesh, config, ops=ops)
-            _, strong = strong_residual_norms(wf, mesh, config, ops=ops)
+            weak = residual_norm_multiplier(wf, config, ops)
+            _, strong = strong_residual_norms(wf, config, ops)
             ratios.append(strong / weak)
         intervals[n] = (min(ratios), max(ratios))
     lo, hi = intervals[2]

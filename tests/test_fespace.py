@@ -192,7 +192,7 @@ def test_projection_idempotence(k):
 
 def test_project_weak_constant():
     mesh = build_uniform_mesh(2)
-    wf = l2_project_weak(lambda x, y: np.ones_like(x), mesh, 1)
+    wf = l2_project_weak(lambda x, y: np.ones_like(x), LocalOperators(mesh, 1))
     for t in range(mesh.n_triangles):
         assert np.allclose(wf.interior_coeffs(t), [1.0, 0.0, 0.0], atol=1e-13)
     for e in range(mesh.n_edges):
@@ -202,7 +202,7 @@ def test_project_weak_constant():
 def test_project_weak_interior_matches_elementwise():
     mesh = build_uniform_mesh(2)
     u = lambda x, y: 30 * x * y * (1 - x) * (1 - y)
-    wf = l2_project_weak(u, mesh, 1)
+    wf = l2_project_weak(u, LocalOperators(mesh, 1))
     for t in (0, 3, 7):
         assert np.allclose(wf.interior_coeffs(t), l2_project_element(u, mesh, t, 1), atol=1e-13)
 
@@ -303,7 +303,7 @@ def test_weak_function_evaluation_views():
     # interior and edge views reproduce the projected function pointwise
     mesh = build_uniform_mesh(2)
     u = lambda x, y: 1 + 2 * x - y
-    wf = l2_project_weak(u, mesh, 1)
+    wf = l2_project_weak(u, LocalOperators(mesh, 1))
     for t in (0, 5):
         pts = mesh.tri_centroids[t] + np.array([[0.0, 0.0], [0.02, -0.01]])
         assert np.allclose(wf.interior_value(t, pts), u(pts[:, 0], pts[:, 1]), atol=1e-12)

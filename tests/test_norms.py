@@ -15,10 +15,10 @@ from pdwg.fespace import (
 )
 from pdwg.mesh import build_uniform_mesh, classify_boundary, edge_weight
 from pdwg.norms import (
-    InteriorField,
     broken_h1,
     error_fields,
     error_report,
+    interior_l2_norm,
     residual_norm_multiplier,
     residual_norm_primal,
     residual_terms_multiplier,
@@ -42,40 +42,42 @@ def constant_weak_function(mesh, k, value=1.0):
 def conforming_linear(mesh, a, b, c):
     """Continuous piecewise linear a*x + b*y + c as a weak function."""
     u = lambda x, y: a * x + b * y + c
-    return l2_project_weak(u, mesh, 1)
+    return l2_project_weak(u, LocalOperators(mesh, 1))
 
 
 def test_error_fields_zero_for_projection():
     mesh = build_uniform_mesh(2)
+    ops = LocalOperators(mesh, 1)
     u = lambda x, y: np.cos(x) * np.cos(y)
-    wf = l2_project_weak(u, mesh, 1)
-    e_h, e0 = error_fields(wf, u, mesh, 1)
+    wf = l2_project_weak(u, ops)
+    e_h = error_fields(wf, u, ops)
     assert np.max(np.abs(e_h.coeffs)) <= 1e-13
-    assert e0.l2_norm() <= 1e-13
+    assert interior_l2_norm(e_h, ops) <= 1e-13
 
 
 def test_error_fields_lipschitz_in_coefficients():
     # perturbing one coefficient moves the norms at most proportionally
     mesh = build_uniform_mesh(2)
+    ops = LocalOperators(mesh, 1)
     u = lambda x, y: np.cos(x) * np.cos(y)
-    wf = l2_project_weak(u, mesh, 1)
-    _, base = error_fields(wf, u, mesh, 1)
-    base_l2 = base.l2_norm()
+    wf = l2_project_weak(u, ops)
+    base_l2 = interior_l2_norm(error_fields(wf, u, ops), ops)
     for delta in (1e-3, 1e-6):
         bumped = wf.copy()
         bumped.coeffs[0] += delta
-        _, e0 = error_fields(bumped, u, mesh, 1)
+        e_h = error_fields(bumped, u, ops)
         # the interior block carries basis functions of unit scale
-        assert abs(e0.l2_norm() - base_l2) <= 2.0 * delta
+        assert abs(interior_l2_norm(e_h, ops) - base_l2) <= 2.0 * delta
 
 
 def test_residual_norms_vanish_on_constants():
     mesh = build_uniform_mesh(2)
     config = classify_boundary(mesh, {"bottom"}, {"bottom"})
+    ops = LocalOperators(mesh, 1)
     wf = constant_weak_function(mesh, 1, 3.7)
-    assert residual_norm_primal(wf, mesh, config) <= 1e-12
-    assert residual_norm_multiplier(wf, mesh, config) <= 1e-12
-    strong = strong_residual_norms(wf, mesh, config)
+    assert residual_norm_primal(wf, config, ops) <= 1e-12
+    assert residual_norm_multiplier(wf, config, ops) <= 1e-12
+    strong = strong_residual_norms(wf, config, ops)
     assert max(strong) <= 1e-12
 
 
@@ -85,7 +87,7 @@ def test_divergence_term_vanishes_for_lowest_order():
     config = classify_boundary(mesh, {"bottom"}, {"bottom"})
     rng = np.random.default_rng(11)
     wf = WeakFunction(mesh, 1, rng.standard_normal(WeakFunction(mesh, 1).dofmap.n_dofs))
-    div_term, _, _ = residual_terms_primal(wf, mesh, config)
+    div_term, _, _ = residual_terms_primal(wf, config, LocalOperators(mesh, 1))
     assert abs(div_term) <= 1e-20
 
 
@@ -94,7 +96,7 @@ def test_divergence_term_nonzero_for_higher_order():
     config = classify_boundary(mesh, {"bottom"}, {"bottom"})
     rng = np.random.default_rng(12)
     wf = WeakFunction(mesh, 2, rng.standard_normal(WeakFunction(mesh, 2).dofmap.n_dofs))
-    div_term, _, _ = residual_terms_primal(wf, mesh, config)
+    div_term, _, _ = residual_terms_primal(wf, config, LocalOperators(mesh, 2))
     assert div_term > 0.0
 
 
@@ -103,11 +105,12 @@ def test_decomposability_of_residual_norm():
     config = classify_boundary(mesh, {"bottom", "left"}, {"right", "top"})
     rng = np.random.default_rng(13)
     wf = WeakFunction(mesh, 1, rng.standard_normal(WeakFunction(mesh, 1).dofmap.n_dofs))
-    terms = residual_terms_primal(wf, mesh, config)
-    total = residual_norm_primal(wf, mesh, config)
+    ops = LocalOperators(mesh, 1)
+    terms = residual_terms_primal(wf, config, ops)
+    total = residual_norm_primal(wf, config, ops)
     assert total**2 == pytest.approx(sum(terms), rel=1e-12)
-    terms_m = residual_terms_multiplier(wf, mesh, config)
-    assert residual_norm_multiplier(wf, mesh, config) ** 2 == pytest.approx(sum(terms_m), rel=1e-12)
+    terms_m = residual_terms_multiplier(wf, config, ops)
+    assert residual_norm_multiplier(wf, config, ops) ** 2 == pytest.approx(sum(terms_m), rel=1e-12)
 
 
 def test_norm_scaling_homogeneity():
@@ -115,12 +118,13 @@ def test_norm_scaling_homogeneity():
     config = classify_boundary(mesh, {"bottom"}, {"bottom"})
     rng = np.random.default_rng(14)
     wf = WeakFunction(mesh, 1, rng.standard_normal(WeakFunction(mesh, 1).dofmap.n_dofs))
-    base = residual_norm_primal(wf, mesh, config)
+    ops = LocalOperators(mesh, 1)
+    base = residual_norm_primal(wf, config, ops)
     for c in (-3.0, 0.5, 7.25):
-        scaled = residual_norm_primal(c * wf, mesh, config)
+        scaled = residual_norm_primal(c * wf, config, ops)
         assert scaled == pytest.approx(abs(c) * base, rel=1e-13)
-    s_base = stabilizer_seminorm(wf, mesh)
-    assert stabilizer_seminorm(-2.0 * wf, mesh) == pytest.approx(2 * s_base, rel=1e-13)
+    s_base = stabilizer_seminorm(wf, ops)
+    assert stabilizer_seminorm(-2.0 * wf, ops) == pytest.approx(2 * s_base, rel=1e-13)
 
 
 def test_jump_edge_sets_differ_between_fields():
@@ -130,8 +134,9 @@ def test_jump_edge_sets_differ_between_fields():
     config = classify_boundary(mesh, {"bottom", "right", "left"}, {"bottom", "right", "top"})
     rng = np.random.default_rng(15)
     wf = WeakFunction(mesh, 1, rng.standard_normal(WeakFunction(mesh, 1).dofmap.n_dofs))
-    _, jump_primal, _ = residual_terms_primal(wf, mesh, config)
-    _, jump_mult, _ = residual_terms_multiplier(wf, mesh, config)
+    ops = LocalOperators(mesh, 1)
+    _, jump_primal, _ = residual_terms_primal(wf, config, ops)
+    _, jump_mult, _ = residual_terms_multiplier(wf, config, ops)
     assert jump_primal != pytest.approx(jump_mult, rel=1e-6)
 
 
@@ -140,39 +145,39 @@ def test_strong_equals_weak_for_conforming_linears():
     # interior gradient, so strong and weak residual norms coincide
     mesh = build_uniform_mesh(2)
     config = classify_boundary(mesh, {"bottom"}, {"bottom"})
+    ops = LocalOperators(mesh, 1)
     wf = conforming_linear(mesh, 2.0, -1.0, 0.5)
-    weak_p = residual_norm_primal(wf, mesh, config)
-    weak_m = residual_norm_multiplier(wf, mesh, config)
-    strong_p, strong_m = strong_residual_norms(wf, mesh, config)
+    weak_p = residual_norm_primal(wf, config, ops)
+    weak_m = residual_norm_multiplier(wf, config, ops)
+    strong_p, strong_m = strong_residual_norms(wf, config, ops)
     assert abs(weak_p - strong_p) <= 1e-12
     assert abs(weak_m - strong_m) <= 1e-12
 
 
 def test_interior_field_evaluation():
     mesh = build_uniform_mesh(2)
+    ops = LocalOperators(mesh, 1)
     u = lambda x, y: 0.5 - x + 3 * y
-    wf = l2_project_weak(u, mesh, 1)
-    e0 = InteriorField(wf)
+    wf = l2_project_weak(u, ops)
     for t in (1, 6):
         pts = mesh.tri_centroids[t][None, :]
-        assert np.allclose(e0.value(t, pts), u(pts[:, 0], pts[:, 1]), atol=1e-12)
+        assert np.allclose(wf.interior_value(t, pts), u(pts[:, 0], pts[:, 1]), atol=1e-12)
     # closed form: int (0.5 - x + 3y)^2 over the unit square = 37/12
-    assert e0.l2_norm() == pytest.approx(math.sqrt(37 / 12), rel=1e-12)
+    assert interior_l2_norm(wf, ops) == pytest.approx(math.sqrt(37 / 12), rel=1e-12)
 
 
 def test_broken_h1_zero_for_piecewise_constant():
     mesh = build_uniform_mesh(2)
     wf = constant_weak_function(mesh, 1, 4.0)
-    e0 = InteriorField(wf)
-    assert broken_h1(e0, mesh) <= 1e-13
+    assert broken_h1(wf, LocalOperators(mesh, 1)) <= 1e-13
 
 
 def test_broken_h1_linear_exact_value():
     # grad(2x - y) has norm sqrt(5) over the unit square
     mesh = build_uniform_mesh(3)
-    wf = l2_project_weak(lambda x, y: 2 * x - y, mesh, 1)
-    e0 = InteriorField(wf)
-    assert broken_h1(e0, mesh) == pytest.approx(math.sqrt(5.0), rel=1e-12)
+    ops = LocalOperators(mesh, 1)
+    wf = l2_project_weak(lambda x, y: 2 * x - y, ops)
+    assert broken_h1(wf, ops) == pytest.approx(math.sqrt(5.0), rel=1e-12)
 
 
 def test_stab_is_summand_of_residual():
@@ -180,8 +185,9 @@ def test_stab_is_summand_of_residual():
     config = classify_boundary(mesh, {"bottom"}, {"bottom"})
     rng = np.random.default_rng(16)
     wf = WeakFunction(mesh, 1, rng.standard_normal(WeakFunction(mesh, 1).dofmap.n_dofs))
-    resid = residual_norm_primal(wf, mesh, config)
-    stab = stabilizer_seminorm(wf, mesh)
+    ops = LocalOperators(mesh, 1)
+    resid = residual_norm_primal(wf, config, ops)
+    stab = stabilizer_seminorm(wf, ops)
     assert resid**2 >= stab**2 - 1e-14
 
 
@@ -203,7 +209,7 @@ def test_norm_axioms_on_constrained_space():
 
         def norm2(vec):
             w = WeakFunction(mesh, 1, vec)
-            return residual_norm_primal(w, mesh, config, ops=ops) ** 2
+            return residual_norm_primal(w, config, ops) ** 2
 
         for i in range(dim):
             for j in range(i, dim):
@@ -245,8 +251,8 @@ def test_norm_equivalence_ratio_quick():
             wf = WeakFunction(mesh, 1, coeffs)
             for e in config.gamma_n_complement_edges:
                 wf.coeffs[dm.edge_block(e)] = 0.0
-            weak = residual_norm_multiplier(wf, mesh, config, ops=ops)
-            _, strong = strong_residual_norms(wf, mesh, config, ops=ops)
+            weak = residual_norm_multiplier(wf, config, ops)
+            _, strong = strong_residual_norms(wf, config, ops)
             ratios.append(strong / weak)
     assert 0.05 <= min(ratios) and max(ratios) <= 20.0
 
@@ -303,8 +309,8 @@ def test_residual_pieces_match_loop_reference(k, coefficient):
     wf = WeakFunction(mesh, k, rng.standard_normal(ops.dofmap.n_dofs))
     multiplier_set = mesh.is_boundary_edge & ~config.in_gamma_d
     for terms, include in (
-        (residual_terms_primal(wf, mesh, config, a, ops=ops), config.in_gamma_n),
-        (residual_terms_multiplier(wf, mesh, config, a, ops=ops), multiplier_set),
+        (residual_terms_primal(wf, config, ops), config.in_gamma_n),
+        (residual_terms_multiplier(wf, config, ops), multiplier_set),
     ):
         div, jump = loop_residual_pieces(wf, mesh, a, ops, include)
         assert terms[0] == pytest.approx(div, rel=1e-12)
@@ -316,7 +322,7 @@ def test_error_report_fields_consistent(monkeypatch):
     mesh = build_uniform_mesh(4)
     config = classify_boundary(mesh, case.dirichlet_sides, case.neumann_sides)
     ops = LocalOperators(mesh, 1, case.a)
-    u_h, lam_h = solve(assemble(mesh, config, case, 1, ops=ops))
+    u_h, lam_h = solve(assemble(config, case, ops))
     jump_calls = []
     jump_term = norms._jump_term
 
@@ -325,39 +331,45 @@ def test_error_report_fields_consistent(monkeypatch):
         return jump_term(*args)
 
     monkeypatch.setattr(norms, "_jump_term", counted_jump_term)
-    report = error_report(u_h, lam_h, case.u, mesh, config, case.a, ops=ops)
+    report = error_report(u_h, lam_h, case.u, config, ops)
     # the two weak residual norms, nothing computed and thrown away
     assert len(jump_calls) == 2
     assert report.l2_e0 >= 0 and report.h1_e0 >= 0
     assert report.resid_u**2 >= report.stab_u**2 - 1e-14
-    e_h, e0 = error_fields(u_h, case.u, mesh, 1)
-    assert report.l2_e0 == pytest.approx(e0.l2_norm(), rel=1e-12)
-    assert report.resid_u == pytest.approx(
-        residual_norm_primal(e_h, mesh, config, case.a, ops=ops), rel=1e-12
-    )
+    e_h = error_fields(u_h, case.u, ops)
+    assert report.l2_e0 == pytest.approx(interior_l2_norm(e_h, ops), rel=1e-12)
+    assert report.resid_u == pytest.approx(residual_norm_primal(e_h, config, ops), rel=1e-12)
     # the strong norms come from strong_residual_norms alone
-    strong_u = strong_residual_norms(e_h, mesh, config, ops=ops)[0]
-    strong_lambda = strong_residual_norms(lam_h, mesh, config, ops=ops)[1]
+    strong_u = strong_residual_norms(e_h, config, ops)[0]
+    strong_lambda = strong_residual_norms(lam_h, config, ops)[1]
     assert 0 < strong_u < math.inf and 0 < strong_lambda < math.inf
 
 
 def test_degree_mismatch_rejected():
+    # a weak function of another degree or of another mesh object is
+    # refused, not read through this level's context
     mesh = build_uniform_mesh(1)
     config = classify_boundary(mesh, {"bottom"}, {"bottom"})
+    ops = LocalOperators(mesh, 1)
     wf = WeakFunction(mesh, 1)
-    with pytest.raises(ValueError):
-        residual_norm_primal(wf, mesh, config, IDENTITY, k=2)
-    # a weak function of another mesh object is refused, not read through this one
-    other = WeakFunction(build_uniform_mesh(1), 1)
-    for functional in (
-        lambda v: residual_norm_primal(v, mesh, config),
-        lambda v: residual_norm_multiplier(v, mesh, config),
-        lambda v: strong_residual_norms(v, mesh, config),
-        lambda v: stabilizer_seminorm(v, mesh),
-        lambda v: error_fields(v, lambda x, y: x, mesh),
-        lambda v: broken_h1(InteriorField(v), mesh),
-        lambda v: error_report(v, wf, lambda x, y: x, mesh, config),
-        lambda v: error_report(wf, v, lambda x, y: x, mesh, config),
-    ):
-        with pytest.raises(ValueError, match="mesh"):
-            functional(other)
+    exact = lambda x, y: x
+    functionals = (
+        lambda v: error_fields(v, exact, ops),
+        lambda v: interior_l2_norm(v, ops),
+        lambda v: broken_h1(v, ops),
+        lambda v: stabilizer_seminorm(v, ops),
+        lambda v: residual_terms_primal(v, config, ops),
+        lambda v: residual_norm_primal(v, config, ops),
+        lambda v: residual_terms_multiplier(v, config, ops),
+        lambda v: residual_norm_multiplier(v, config, ops),
+        lambda v: strong_residual_norms(v, config, ops),
+        lambda v: error_report(v, wf, exact, config, ops),
+        lambda v: error_report(wf, v, exact, config, ops),
+    )
+    for functional in functionals:
+        functional(wf)
+    for other, what in ((WeakFunction(mesh, 2), "degree"),
+                        (WeakFunction(build_uniform_mesh(1), 1), "mesh")):
+        for functional in functionals:
+            with pytest.raises(ValueError, match=what):
+                functional(other)

@@ -12,7 +12,8 @@ import pdwg.system
 from pdwg.cases import CaseSpec, case_ids, get_case
 from pdwg.fespace import DofMap, l2_project_weak
 from pdwg.mesh import BoundaryConfig, build_uniform_mesh, classify_boundary
-from pdwg.norms import error_fields, error_report, residual_norm_multiplier, residual_norm_primal
+from pdwg.norms import (error_fields, interior_l2_norm, residual_norm_multiplier,
+                        residual_norm_primal)
 from pdwg.system import (
     SingularSystemError,
     _Condensation,
@@ -50,7 +51,7 @@ def test_system_dimension_n1_cauchy_bottom():
     mesh = build_uniform_mesh(1)
     config = classify_boundary(mesh, {"bottom"}, {"bottom"})
     case = get_case("t1")
-    system = assemble(mesh, config, case, 1)
+    system = assemble(config, case, LocalOperators(mesh, 1, case.a))
     dm = DofMap(mesh, 1)
     u_fixed, lam_fixed = dm.fixed_masks(config)
     n_u_free = dm.n_dofs - 2 * len(config.gamma_d_edges)
@@ -66,12 +67,11 @@ def test_assembled_matrix_symmetry(case_id):
     case = get_case(case_id)
     mesh = build_uniform_mesh(4)
     config = classify_boundary(mesh, case.dirichlet_sides, case.neumann_sides)
-    system = assemble(mesh, config, case, 1)
+    system = assemble(config, case, LocalOperators(mesh, 1, case.a))
     diff = (system.matrix - system.matrix.T).tocoo()
     scale = np.max(np.abs(system.matrix.data))
     max_asym = np.max(np.abs(diff.data)) if diff.nnz else 0.0
     assert max_asym <= 1e-12 * scale
-    assert system.primal_rows_negated
 
 
 def test_zero_data_gives_zero_solution():
@@ -79,7 +79,7 @@ def test_zero_data_gives_zero_solution():
     case = zero_data_case(("bottom",), ("bottom",))
     mesh = build_uniform_mesh(4)
     config = classify_boundary(mesh, case.dirichlet_sides, case.neumann_sides)
-    system = assemble(mesh, config, case, 1)
+    system = assemble(config, case, LocalOperators(mesh, 1, case.a))
     assert np.max(np.abs(system.rhs)) == 0.0
     u_h, lam_h = solve(system)
     assert np.max(np.abs(u_h.coeffs)) <= 1e-10
@@ -92,12 +92,12 @@ def test_linear_solution_machine_precision(case_id, n):
     mesh = build_uniform_mesh(n)
     config = classify_boundary(mesh, case.dirichlet_sides, case.neumann_sides)
     ops = LocalOperators(mesh, 1, case.a)
-    system = assemble(mesh, config, case, 1, ops=ops)
+    system = assemble(config, case, ops)
     u_h, lam_h = solve(system)
-    e_h, e0 = error_fields(u_h, case.u, mesh, 1)
-    assert e0.l2_norm() <= 1e-10
-    assert residual_norm_primal(e_h, mesh, config, case.a, ops=ops) <= 1e-10
-    assert residual_norm_multiplier(lam_h, mesh, config, case.a, ops=ops) <= 1e-10
+    e_h = error_fields(u_h, case.u, ops)
+    assert interior_l2_norm(e_h, ops) <= 1e-10
+    assert residual_norm_primal(e_h, config, ops) <= 1e-10
+    assert residual_norm_multiplier(lam_h, config, ops) <= 1e-10
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -118,9 +118,9 @@ def test_consistency_polynomial_solution(k):
         )
     mesh = build_uniform_mesh(2)
     config = classify_boundary(mesh, case.dirichlet_sides, case.neumann_sides)
-    system = assemble(mesh, config, case, k)
-    u_h, lam_h = solve(system)
-    projected = l2_project_weak(case.u, mesh, k)
+    ops = LocalOperators(mesh, k, case.a)
+    u_h, lam_h = solve(assemble(config, case, ops))
+    projected = l2_project_weak(case.u, ops)
     assert np.max(np.abs(u_h.coeffs - projected.coeffs)) <= 1e-9
     assert np.max(np.abs(lam_h.coeffs)) <= 1e-9
 
@@ -132,7 +132,7 @@ def test_uniqueness_all_catalog_configurations(case_id):
     for n in (1, 2, 4):
         mesh = build_uniform_mesh(n)
         config = classify_boundary(mesh, case.dirichlet_sides, case.neumann_sides)
-        u_h, lam_h = solve(assemble(mesh, config, case, 1))
+        u_h, lam_h = solve(assemble(config, case, LocalOperators(mesh, 1, case.a)))
         assert np.all(np.isfinite(u_h.coeffs))
 
 
@@ -144,9 +144,9 @@ def test_higher_degree_convergence(k, min_order):
     for n in (2, 4):
         mesh = build_uniform_mesh(n)
         config = classify_boundary(mesh, case.dirichlet_sides, case.neumann_sides)
-        u_h, lam_h = solve(assemble(mesh, config, case, k))
-        _, e0 = error_fields(u_h, case.u, mesh, k)
-        errors.append(e0.l2_norm())
+        ops = LocalOperators(mesh, k, case.a)
+        u_h, lam_h = solve(assemble(config, case, ops))
+        errors.append(interior_l2_norm(error_fields(u_h, case.u, ops), ops))
     assert math.log2(errors[0] / errors[1]) >= min_order
 
 
@@ -168,7 +168,7 @@ def no_boundary_data_system():
         np.zeros(mesh.n_edges, dtype=bool),
         np.zeros(mesh.n_edges, dtype=bool),
     )
-    return assemble(mesh, empty, case, 1)
+    return assemble(empty, case, LocalOperators(mesh, 1, case.a))
 
 
 def test_no_boundary_data_reports_singular():
@@ -186,11 +186,11 @@ def test_whole_boundary_union_keeps_primal_unique():
     case = get_case("t3")
     mesh = build_uniform_mesh(2)
     config = classify_boundary(mesh, case.dirichlet_sides, case.neumann_sides)
-    u_h, lam_h = solve(assemble(mesh, config, case, 1))
-    e_h, e0 = error_fields(u_h, case.u, mesh, 1)
-    assert e0.l2_norm() < 0.05
+    ops = LocalOperators(mesh, 1, case.a)
+    u_h, lam_h = solve(assemble(config, case, ops))
+    assert interior_l2_norm(error_fields(u_h, case.u, ops), ops) < 0.05
     # deterministic representative: a second solve reproduces it exactly
-    u2, lam2 = solve(assemble(mesh, config, case, 1))
+    u2, lam2 = solve(assemble(config, case, ops))
     assert np.array_equal(u_h.coeffs, u2.coeffs)
     assert np.array_equal(lam_h.coeffs, lam2.coeffs)
 
@@ -201,33 +201,22 @@ def test_mismatched_config_rejected():
     mesh_b = build_uniform_mesh(2)
     config = classify_boundary(mesh_a, {"bottom"}, {"bottom"})
     with pytest.raises(ValueError):
-        assemble(mesh_b, config, case, 1)
+        assemble(config, case, LocalOperators(mesh_b, 1, case.a))
 
 
 def test_context_of_another_level_is_refused():
-    # a context fixes the mesh, degree and coefficient of a level; one built
-    # for another level must raise, not silently stand in for this one
+    # assemble reads mesh, degree and coefficient from its context; a
+    # context of another mesh object than the boundary configuration, or of
+    # another coefficient object than the case, must raise, not silently
+    # stand in for this level
     variable = Diffusion(lambda x, y: 1.0 + x * y, grad=lambda x, y: np.column_stack([y, x]))
     case = dataclasses.replace(get_case("t6"), a=variable)
     mesh = build_uniform_mesh(2)
     config = classify_boundary(mesh, case.dirichlet_sides, case.neumann_sides)
-    for other, what in ((LocalOperators(mesh, 1, variable), "degree"),
-                        (LocalOperators(build_uniform_mesh(2), 2, variable), "mesh"),
+    for other, what in ((LocalOperators(build_uniform_mesh(2), 2, variable), "mesh"),
                         (LocalOperators(mesh, 2, IDENTITY), "coefficient")):
         with pytest.raises(ValueError, match=what):
-            assemble(mesh, config, case, 2, ops=other)
-        # the projection does not involve a, so only mesh and degree are checked
-        if what != "coefficient":
-            with pytest.raises(ValueError, match=what):
-                l2_project_weak(case.u, mesh, 2, ops=other)
-    ops = LocalOperators(mesh, 2, variable)
-    u_h, lam_h = solve(assemble(mesh, config, case, 2, ops=ops))
-    with pytest.raises(ValueError, match="coefficient"):
-        residual_norm_primal(u_h, mesh, config, IDENTITY, ops=ops)
-    with pytest.raises(ValueError, match="coefficient"):
-        error_report(u_h, lam_h, case.u, mesh, config, IDENTITY, ops=ops)
-    report = error_report(u_h, lam_h, case.u, mesh, config, variable, ops=ops)
-    assert report == error_report(u_h, lam_h, case.u, mesh, config, ops=ops)
+            assemble(config, case, other)
 
 
 def test_missing_flux_data_rejected():
@@ -243,7 +232,7 @@ def test_missing_flux_data_rejected():
     mesh = build_uniform_mesh(1)
     config = classify_boundary(mesh, {"bottom"}, {"bottom"})
     with pytest.raises(ValueError):
-        assemble(mesh, config, case, 1)
+        assemble(config, case, LocalOperators(mesh, 1, case.a))
 
 
 def test_condition_estimate_identity_and_scaled():
@@ -263,7 +252,8 @@ def test_condition_estimate_growth_under_refinement():
     for n in (2, 4):
         mesh = build_uniform_mesh(n)
         config = classify_boundary(mesh, case.dirichlet_sides, case.neumann_sides)
-        estimates.append(condition_estimate(assemble(mesh, config, case, 1)))
+        system = assemble(config, case, LocalOperators(mesh, 1, case.a))
+        estimates.append(condition_estimate(system))
     assert estimates[1] > estimates[0] > 1.0
 
 
@@ -272,7 +262,7 @@ def test_condition_estimate_gauge_quotient_is_finite_and_repeatable():
     case = get_case("t3")
     mesh = build_uniform_mesh(2)
     config = classify_boundary(mesh, case.dirichlet_sides, case.neumann_sides)
-    system = assemble(mesh, config, case, 1)
+    system = assemble(config, case, LocalOperators(mesh, 1, case.a))
     first = condition_estimate(system)
     assert 1.0 < first < 1e8
     assert condition_estimate(system) == first
@@ -308,7 +298,7 @@ def test_solver_residual_is_small():
     case = get_case("t6")
     mesh = build_uniform_mesh(8)
     config = classify_boundary(mesh, case.dirichlet_sides, case.neumann_sides)
-    system = assemble(mesh, config, case, 1)
+    system = assemble(config, case, LocalOperators(mesh, 1, case.a))
     u_h, lam_h = solve(system)
     x = np.concatenate([
         u_h.coeffs[system.u_free],
@@ -325,7 +315,7 @@ def catalog_system(case_id, k, n):
     case = get_case(case_id)
     mesh = build_uniform_mesh(n)
     config = classify_boundary(mesh, case.dirichlet_sides, case.neumann_sides)
-    return assemble(mesh, config, case, k)
+    return assemble(config, case, LocalOperators(mesh, k, case.a))
 
 
 def kernel_test(case_id, k, n, second=False):
@@ -340,7 +330,7 @@ def kernel_test(case_id, k, n, second=False):
         condensed = _Condensation(system)
         matrix, n_primal = condensed.matrix, condensed.n_primal
     norm = _one_norm(matrix)
-    lu = _factor(matrix, system.k)
+    lu = _factor(matrix, system.ops.k)
     found = _gauge_kernel(lu, matrix, n_primal, norm)
     if not second or found is None:
         return found
@@ -355,9 +345,9 @@ def solve_path(system):
     """The free-dof solution and gauge kernel vector (None without one) of
     the path solve takes: condensed at k >= 2 unless the gauge kernel is
     two-dimensional, full otherwise."""
-    solution = _solve_condensed(system) if system.k >= 2 else None
+    solution = _solve_condensed(system) if system.ops.k >= 2 else None
     if solution is None:
-        solution = _solve_full(system.matrix, system.rhs, system.k, len(system.u_free),
+        solution = _solve_full(system.matrix, system.rhs, system.ops.k, len(system.u_free),
                                _one_norm(system.matrix))
     return solution
 
@@ -472,9 +462,9 @@ def test_condensation_eliminates_in_an_orthonormal_interior_basis(k):
     # condition number from 2.5e4 (k=2) and 3.9e6 (k=3) to 6.1 and 16.3
     system = catalog_system("t6", k, 4)
     condensed = _Condensation(system)
-    dim = system.dofmap.interior_dim
+    dim = system.ops.dofmap.interior_dim
     r = condensed.basis[:, :dim, :dim]
-    mass = system.ops.mass_k / system.mesh.tri_areas[:, None, None]
+    mass = system.ops.mass_k / system.ops.mesh.tri_areas[:, None, None]
     assert np.allclose(r.swapaxes(1, 2) @ mass @ r, np.eye(dim), rtol=0.0, atol=1e-12)
     assert np.linalg.cond(condensed.inner).max() <= 100
 
@@ -574,7 +564,7 @@ def test_gauge_solve_factors_once(monkeypatch, k, n):
     system = catalog_system("t3", k, n)
     solve(system)
     assert len(calls) == 1
-    interior = 2 * system.dofmap.n_interior if k >= 2 else 0
+    interior = 2 * system.ops.dofmap.n_interior if k >= 2 else 0
     assert calls[0][3] == system.n_free - interior
 
 
@@ -618,7 +608,7 @@ def local_systems(k):
         case = dataclasses.replace(get_case("t6"), a=a, dirichlet_sides=("bottom", "left"),
                                    neumann_sides=("bottom", "right"))
         config = classify_boundary(mesh, case.dirichlet_sides, case.neumann_sides)
-        yield assemble(mesh, config, case, k)
+        yield assemble(config, case, LocalOperators(mesh, k, case.a))
 
 
 def with_random_local_matrices(system, rng):

@@ -112,8 +112,8 @@ def test_constant_weak_function_in_kernel(k):
 def test_commutativity_linear_gradient():
     # project u = 1+x+y into the weak space: weak gradient is (1,1) everywhere
     mesh = build_uniform_mesh(2)
-    wf = l2_project_weak(lambda x, y: 1 + x + y, mesh, 1)
     ops = LocalOperators(mesh, 1)
+    wf = l2_project_weak(lambda x, y: 1 + x + y, ops)
     for t in range(mesh.n_triangles):
         grad = local_gradient(ops, t, wf.local_coeffs(t))
         assert np.allclose(grad[:, 0], 1.0, atol=1e-12)
@@ -212,7 +212,7 @@ def test_commutativity_property_polynomials(k):
         ],
     }[k]
     for u, grad_u in polys:
-        wf = l2_project_weak(u, mesh, k)
+        wf = l2_project_weak(u, ops)
         projected = l2_project_vector(grad_u, mesh, k)
         for t in range(mesh.n_triangles):
             grad = local_gradient(ops, t, wf.local_coeffs(t))
@@ -226,7 +226,7 @@ def test_commutativity_property_smooth(k):
     ops = LocalOperators(mesh, k)
     u = lambda x, y: np.cos(x) * np.cos(y)
     grad_u = lambda x, y: (-np.sin(x) * np.cos(y), -np.cos(x) * np.sin(y))
-    wf = l2_project_weak(u, mesh, k)
+    wf = l2_project_weak(u, ops)
     projected = l2_project_vector(grad_u, mesh, k)
     for t in range(mesh.n_triangles):
         grad = local_gradient(ops, t, wf.local_coeffs(t))
@@ -288,7 +288,7 @@ def test_stabilizer_projection_decay_rate(k, ns):
     for n in ns:
         mesh = build_uniform_mesh(n)
         ops = LocalOperators(mesh, k)
-        wf = l2_project_weak(u, mesh, k)
+        wf = l2_project_weak(u, ops)
         values.append(ops.stabilizer_value(wf))
     for coarse, fine in zip(values, values[1:]):
         rate = math.log2(coarse / fine)
@@ -311,8 +311,9 @@ def test_diffusion_form_constant_kernel():
 def test_diffusion_form_linear_energy():
     # v = Q_h(1+x+y), a = 1: b_T(v, v) = |grad|^2 |T| = 2 |T|
     mesh = build_uniform_mesh(2)
-    wf = l2_project_weak(lambda x, y: 1 + x + y, mesh, 1)
-    forms = LocalOperators(mesh, 1).diffusion_forms
+    ops = LocalOperators(mesh, 1)
+    wf = l2_project_weak(lambda x, y: 1 + x + y, ops)
+    forms = ops.diffusion_forms
     for t in (0, 3):
         b = forms[t]
         local = wf.local_coeffs(t)
@@ -478,12 +479,11 @@ def test_batched_context_matches_loop_on_jittered_mesh(k, coefficient):
     case = dataclasses.replace(get_case("t6"), a=a, dirichlet_sides=("bottom", "left"),
                                neumann_sides=("bottom", "right"))
     config = classify_boundary(mesh, case.dirichlet_sides, case.neumann_sides)
-    system = assemble(mesh, config, case, k, ops=ops)
+    system = assemble(config, case, ops)
     matrix, rhs, lift = loop_assemble(mesh, config, case, k, ops.rule)
     assert_close(system.matrix.toarray(), matrix)
     assert_close(system.rhs, rhs)
     assert_close(system.u_fixed_values, lift)
 
     projected = loop_project(case.u, mesh, k, ops.rule).coeffs
-    assert_close(l2_project_weak(case.u, mesh, k).coeffs, projected)
-    assert_close(l2_project_weak(case.u, mesh, k, ops=ops).coeffs, projected)
+    assert_close(l2_project_weak(case.u, ops).coeffs, projected)

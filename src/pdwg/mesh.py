@@ -10,6 +10,8 @@ well-defined and reproducible.
 
 from __future__ import annotations
 
+import bisect
+import math
 from functools import cached_property
 
 import numpy as np
@@ -61,6 +63,8 @@ class Mesh:
         already points out of the triangle, -1 otherwise
     h_tri : (T,) triangle diameters (longest edge)
     h : max diameter over the partition
+    nested_dissection : (T + E,) int array, the nodes (triangles, then
+        edges) in nested-dissection order; computed on first read
     """
 
     def __init__(self, vertices, triangles):
@@ -126,6 +130,38 @@ class Mesh:
             arr.setflags(write=False)
 
     @cached_property
+    def nested_dissection(self):
+        """Nested-dissection order (T + E,) of the mesh's nodes, triangles
+        0..T-1 then edges T..T+E-1, each placed at its centroid or midpoint.
+        A box is bisected at the vertex grid line nearest the middle of its
+        longer side (the x side on a tie); the nodes exactly on that line
+        form the separator, ordered after both halves, and a box crossed by
+        no grid line keeps its nodes in index order.  A triangle touches
+        only its own edges, so on the uniform triangulation every separator
+        decouples the two halves.
+
+        A box's cut on one axis depends only on its extent along that axis,
+        so each node's path through the boxes merges its paths through the
+        bisections of the two axes, the wider step first."""
+        nodes = np.concatenate([self.tri_centroids, self.edge_midpoints])
+        digits, widths = [], []
+        for axis in (0, 1):
+            coords = np.sort(self.vertices[:, axis])
+            line = coords[np.append(True, coords[1:] != coords[:-1])]
+            # half-line index of each node: 2 i on grid line i, 2 i - 1 between lines i - 1 and i
+            c = nodes[:, axis]
+            half = np.searchsorted(line, c) + np.searchsorted(line, c, "right") - 1
+            d, w = _bisection_paths(line.tolist())
+            digits.append(d[half])
+            widths.append(w[half])
+        # the merged path takes the wider step first, the x one on a tie
+        merge = np.argsort(-np.concatenate(widths, axis=1), axis=1, kind="stable")
+        path = np.take_along_axis(np.concatenate(digits, axis=1), merge, axis=1)
+        order = np.lexsort((np.arange(len(nodes)),) + tuple(path.T[::-1]))
+        order.setflags(write=False)
+        return order
+
+    @cached_property
     def edge_tris(self):
         return tuple(
             (first // 3,) if first == last else (first // 3, last // 3)
@@ -154,6 +190,38 @@ class Mesh:
         if loc.size == 0:
             raise ValueError(f"edge {e} is not an edge of triangle {t}")
         return self.tri_edge_signs[t, loc[0]] * self.edge_normals[e]
+
+
+def _bisection_paths(coords):
+    """Recursive bisection of the sorted grid lines coords of one axis, each
+    interval cut at the inner line nearest its middle (the lower one on a
+    tie) until no inner line is left.  Per half-line index h (2 i on line
+    i, 2 i - 1 between lines i - 1 and i) and per depth, arrays (H, D) of
+    the step digit, 0 to the lower half, 1 to the upper one and 2 on the
+    cut, and of the width of the interval cut there, -inf where the path
+    of h has ended, on a cut or in an uncut interval."""
+    last = len(coords) - 1
+    n_half = 2 * last + 1
+    digits, widths = [], []
+    stack = [(0, 0, last)]
+    while stack:
+        depth, lo, hi = stack.pop()
+        if hi - lo < 2:
+            continue
+        if depth == len(digits):
+            digits.append([0] * n_half)
+            widths.append([-math.inf] * n_half)
+        middle = 0.5 * (coords[lo] + coords[hi])
+        cut = min(max(bisect.bisect_left(coords, middle), lo + 1), hi - 1)
+        if cut - 1 > lo and middle - coords[cut - 1] <= coords[cut] - middle:
+            cut -= 1
+        # the interval holds its inner half-lines, and the outermost grid lines
+        start, stop = 2 * lo + (lo > 0), 2 * hi + (hi == last)
+        widths[depth][start:stop] = [coords[hi] - coords[lo]] * (stop - start)
+        digits[depth][2 * cut: stop] = [2] + [1] * (stop - 2 * cut - 1)
+        stack += [(depth + 1, lo, cut), (depth + 1, cut, hi)]
+    return (np.array(digits, dtype=np.int8).reshape(-1, n_half).T,
+            np.array(widths).reshape(-1, n_half).T)
 
 
 class BoundaryConfig:

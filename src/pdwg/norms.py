@@ -46,8 +46,8 @@ class ErrorReport:
 
 
 # Every functional below reads mesh, degree and coefficient from ops, the
-# level's LocalOperators; a weak function of another mesh object or degree
-# raises ValueError.
+# level's LocalOperators; a weak function of another mesh object or degree,
+# or a boundary configuration of another mesh object, raises ValueError.
 
 
 def error_fields(u_h, u_exact, ops):
@@ -145,6 +145,7 @@ def residual_terms_primal(v, config, ops):
     """Squared pieces (divergence, jump, stabilizer) of the primal
     residual norm; the jump set is interior edges plus Gamma_n."""
     ops.check(v)
+    ops.check_config(config)
     return _residual_terms(v, ops, True, config.in_gamma_n)
 
 
@@ -157,6 +158,7 @@ def residual_terms_multiplier(v, config, ops):
     """Squared pieces of the multiplier residual norm; the jump set is
     interior edges plus the boundary minus Gamma_d."""
     ops.check(v)
+    ops.check_config(config)
     return _residual_terms(v, ops, True, ops.mesh.is_boundary_edge & ~config.in_gamma_d)
 
 
@@ -169,6 +171,7 @@ def strong_residual_norms(v, config, ops):
     """The pair of residual norms built from the interior gradient of v
     instead of the weak gradient: (primal edge set, multiplier edge set)."""
     ops.check(v)
+    ops.check_config(config)
     multiplier_set = ops.mesh.is_boundary_edge & ~config.in_gamma_d
     return tuple(_norm(_residual_terms(v, ops, False, include))
                  for include in (config.in_gamma_n, multiplier_set))

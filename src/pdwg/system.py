@@ -12,14 +12,18 @@ free-dof matrix [[-S_ff, K_fg], [K_fg^T, S_gg]] is symmetric indefinite.
 At k = 1 it is factorized directly.  At k >= 2 each triangle's interior
 dofs are condensed out (in an orthonormal interior basis) and the Schur
 matrix on the free edge dofs is factorized; the interiors are recovered
-triangle by triangle.  When the multiplier has a one-dimensional gauge
-kernel v, the same factorization solves the compatible data
-(I - v v^T) rhs and the kernel component is projected out of the result;
-only a second kernel direction sends the solve to the full matrix and a
-bordered one.  The free-dof matrix is assembled only where it is factored
-or read (k = 1, that fallback, condition_estimate and the matrix export):
-solve checks its residual, and takes the 1-norm that scales it, from the
-local matrices triangle by triangle.  The level's LocalOperators is the
+triangle by triangle.  Either matrix is assembled straight in the mesh's
+nested-dissection order (Mesh.nested_dissection), the u and lam dofs of
+one node adjacent, and factored in that order in symmetric mode.  When
+the multiplier has a one-dimensional gauge kernel v, the same
+factorization solves the compatible data (I - v v^T) rhs and the kernel
+component is projected out of the result; only a second kernel direction
+sends the solve to the free-dof matrix in its natural order and a bordered
+one, both factored with SuperLU's defaults.  That natural matrix
+(SaddleSystem.matrix) is assembled only where it is read (that fallback,
+condition_estimate at k >= 2 and the matrix export): solve checks its
+residual, and takes the 1-norm that scales it, from the local matrices
+triangle by triangle.  The level's LocalOperators is the
 one source of mesh, degree, dof layout and local matrices: assemble takes
 it, and the assembled system keeps it as ops for solve to read.
 """
@@ -50,33 +54,23 @@ __all__ = [
 _RESIDUAL_TOL = 1e-9
 # relative residual ||A v||_2 / ||A||_1 of the normalized inverse-iteration
 # probe v at or below which v is taken as a kernel vector; A is the matrix
-# solve factors first, the Schur matrix at k >= 2.  Measured over the
-# catalog for n <= 16 (n <= 32 at k=1) and t1/t3 at k=2, 3, n=32: gauge
-# systems reach at most 2.9e-16 (t3-t5, k=1, n=32; 2.4e-16 at k=3, n=32),
-# regular ones 2.8e-12 (t1, k=3, n=32; the full matrix reads 6.8e-13), so
-# the cutoff keeps 35x and 280x.  The regular side still falls about 75x
-# per doubling at k=3: t1 at k=3, n=64 would read about 4e-14.  The second,
-# projected probe on t3-t5 reads at most 4.6e-16 where the kernel is
-# two-dimensional (k=3, n=32) and at least 7.6e-11 where it is not (k=2,
-# n=32; 1.4e-8 at n=16)
+# solve factors first, in nested-dissection order: the free-dof matrix at
+# k = 1, the Schur matrix at k >= 2.  Measured over the catalog for n <= 16
+# (n <= 32 at k=1) and t1/t3 at k=2, 3, n=32: gauge systems reach at most
+# 1.4e-16 (t3, k=1, n=32; 8.6e-17 at k=3, n=32), regular ones 2.8e-12 (t1,
+# k=3, n=32; 2.1e-10 at n=16), so the cutoff keeps 70x and 280x.  The
+# regular side still falls about 75x per doubling at k=3: t1 at k=3, n=64
+# would read about 4e-14.  The second, projected probe on t3-t5 reads at
+# most 9.4e-17 where the kernel is two-dimensional (k=3, n=32) and at least
+# 7.6e-11 where it is not (k=2, n=32; 1.4e-8 at n=16)
 _KERNEL_TOL = 1e-14
 # largest system whose inverse condition_estimate forms exactly
 _DENSE_COND_LIMIT = 800
-# SuperLU options for k=1: minimum degree on A+A^T in symmetric mode, an
-# ordering for a symmetric matrix such as this one.  k >= 2 keeps SuperLU's
-# defaults (COLAMD, partial pivoting).  LU entries and factor time of t6,
-# one thread, best of three (one run where the symmetric ordering collapses):
-#   k, n | symmetric, threshold 0.1 | defaults             | verdict
-#   1, 32 | 1.66M, 0.15 s           | 8.06M, 0.60 s        | symmetric wins
-#   2, 16 | 22.1M, 8.4 s            | 4.38M, 0.30 s        | symmetric collapses
-#   3, 16 | 85.4M, 69 s             | 9.56M, 0.70 s        | symmetric collapses
-# The interior diagonal pivots pass the 0.1 threshold at k=1 only: the
-# local interior block's condition number is 37, 2.5e4 and 3.9e6 at k=1, 2,
-# 3.  Lower thresholds do not rescue k >= 2: 0.01 still takes 87.1M, 68 s at
-# k=3, and at k=2 it is fast (0.83M, 0.05 s) but moves t1/t2 l2_e0 at n=8
-# from 7.5e-12 to 2.5e-10
-_SYMMETRIC_LU = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
-                     options=dict(SymmetricMode=True))
+# SuperLU options for a matrix numbered in the mesh's nested-dissection
+# order (Mesh.nested_dissection): no column permutation, and pivots taken on
+# the diagonal, in symmetric mode, while they pass a 0.1 threshold
+_ORDERED_LU = dict(permc_spec="NATURAL", diag_pivot_thresh=0.1,
+                   options=dict(SymmetricMode=True))
 
 
 class SingularSystemError(RuntimeError):
@@ -108,14 +102,15 @@ class SaddleSystem:
         """The free-dof matrix [[-S_ff, K_fg], [K_fg^T, S_gg]] in CSC, the
         format the sparse LU takes, assembled straight from the stacked
         local matrices and kept once built."""
-        return _coo(_blocks(self), (self.n_free, self.n_free)).tocsc()
+        return _coo(_blocks(self.ops, self.positions), (self.n_free, self.n_free)).tocsc()
 
 
-def _blocks(system):
+def _blocks(ops, positions):
     """The free-dof matrix [[-S_ff, K_fg], [K_fg^T, S_gg]] as blocks of
-    stacked local matrices: (row positions, column positions, values)."""
-    pu, pl = system.positions
-    stab, diff = system.ops.stabilizers, system.ops.diffusion_forms
+    stacked local matrices: (row positions, column positions, values),
+    positions the (T, nloc) positions of the local u and lam dofs."""
+    pu, pl = positions
+    stab, diff = ops.stabilizers, ops.diffusion_forms
     return ((pu, pu, -stab), (pu, pl, diff), (pl, pu, diff), (pl, pl, stab))
 
 
@@ -125,6 +120,40 @@ def _positions(ops, dofs, offset=0):
     pos = np.full(ops.dofmap.n_dofs, -1, dtype=np.int32)
     pos[dofs] = offset + np.arange(len(dofs))
     return pos[ops.cell_dofs]
+
+
+def _nested_numbering(system, interior):
+    """The free unknowns numbered in the mesh's nested-dissection order,
+    each node's free u dofs followed by its free lam dofs; the interior
+    dofs are left out unless interior.  Returns the natural free-dof index
+    of each numbered unknown, in order, and the int32 positions (T, nloc)
+    of the local u and lam dofs, -1 where fixed or left out."""
+    ops, nf = system.ops, len(system.u_free)
+    mesh, dofmap = ops.mesh, ops.dofmap
+    n_tri, dim, edim = mesh.n_triangles, dofmap.interior_dim, dofmap.edge_dim
+    order = mesh.nested_dissection
+    size = np.repeat([dim * interior, edim], [n_tri, mesh.n_edges])
+    # a node's u slots start where the nodes before it end; its lam slots follow
+    start = np.empty_like(size)
+    start[order] = np.cumsum(2 * size[order]) - 2 * size[order]
+    slots = [np.concatenate([(s[:n_tri, None] + np.arange(dim)).ravel(),
+                             (s[n_tri:, None] + np.arange(edim)).ravel()])
+             for s in (start, start + size)]
+    # interior dofs are never fixed and lead each field's free dofs
+    first = 0 if interior else dofmap.n_interior
+    dofs = (system.u_free[first:], system.lam_free[first:])
+    taken = np.zeros(2 * size.sum(), dtype=bool)
+    for slot, free in zip(slots, dofs):
+        taken[slot[free]] = True
+    rank = (np.cumsum(taken) - 1).astype(np.int32)
+    numbered = np.empty(len(dofs[0]) + len(dofs[1]), dtype=np.int64)
+    positions = []
+    for slot, free, offset in zip(slots, dofs, (first, nf + first)):
+        pos = np.full(dofmap.n_dofs, -1, dtype=np.int32)
+        pos[free] = rank[slot[free]]
+        numbered[pos[free]] = offset + np.arange(len(free))
+        positions.append(pos[ops.cell_dofs])
+    return numbered, tuple(positions)
 
 
 def _scatter(pos, vals, n):
@@ -162,8 +191,7 @@ def assemble(config, case, ops):
     ValueError.
     """
     mesh = ops.mesh
-    if config.mesh is not mesh:
-        raise ValueError("boundary configuration belongs to another mesh than the context")
+    ops.check_config(config)
     if case.a is not ops.a:
         raise ValueError("discretization context built for another coefficient than the case's")
     if config.gamma_n_edges.size and case.grad_u is None:
@@ -202,26 +230,29 @@ def assemble(config, case, ops):
                         u_fixed_values=u_fixed_values, positions=(pu, pl))
 
 
-def _factor(matrix, k):
-    """Sparse LU of a free-dof matrix of degree k; an unknown degree (None)
-    takes SuperLU's defaults, as k >= 2 does."""
+def _factor(matrix, ordered):
+    """Sparse LU: in the matrix's own numbering with _ORDERED_LU when it is
+    ordered (in nested dissection), else with SuperLU's defaults."""
     try:
-        return spla.splu(matrix, **(_SYMMETRIC_LU if k == 1 else {}))
+        return spla.splu(matrix, **(_ORDERED_LU if ordered else {}))
     except RuntimeError as exc:
         raise SingularSystemError(f"direct factorization failed: {exc}") from exc
 
 
 def _one_norm(matrix):
-    """Largest absolute column sum, reduced per CSC column; the inf-norm up
-    to roundoff for these symmetric matrices."""
-    return abs(matrix).sum(axis=0).max()
+    """Largest absolute column sum, reduced over each CSC column's stored
+    entries; the inf-norm up to roundoff for these symmetric matrices.  An
+    empty column reads the next column's first entry (or the appended 0),
+    never more than the largest sum."""
+    matrix = matrix.tocsc()
+    return np.add.reduceat(np.append(np.abs(matrix.data), 0.0), matrix.indptr[:-1]).max()
 
 
 def _local_product(system, x):
     """A x for a free-dof vector x without the matrix A: each triangle's
     local matrices applied to its part of x, summed into the free dofs."""
     out = np.zeros(system.n_free)
-    for rows, cols, vals in _blocks(system):
+    for rows, cols, vals in _blocks(system.ops, system.positions):
         local = vals @ np.where(cols >= 0, x[cols], 0.0)[..., None]
         out += _scatter(rows, local[..., 0], system.n_free)
     return out
@@ -262,13 +293,14 @@ def _project_out(vec, unit):
     return vec - (vec @ unit) * unit
 
 
-def _gauge_kernel(lu, matrix, n_primal, norm, found=None):
+def _gauge_kernel(lu, matrix, primal, norm, found=None):
     """Kernel test shared by solve and condition_estimate (norm: the 1-norm
     of matrix): None for a regular matrix, else the unit kernel vector of a
     pure multiplier gauge.  Given found, a unit kernel vector already
     known, the test looks for a second kernel direction orthogonal to it.
     Raises SingularSystemError when the factorization is unusable or the
-    kernel reaches the first n_primal (primal) dofs."""
+    kernel reaches the primal dofs, the entries primal (an index) of a
+    vector."""
     # an exact kernel dominates one inverse-iteration step, whose residual
     # then falls to roundoff.  A kernel confined to the multiplier block is
     # a pure gauge: the primal field stays unique.  In the catalog only
@@ -288,7 +320,7 @@ def _gauge_kernel(lu, matrix, n_primal, norm, found=None):
     residual = np.linalg.norm(matrix @ null_dir) / norm
     if residual > _KERNEL_TOL:
         return None
-    if np.linalg.norm(null_dir[:n_primal]) > 1e-6:
+    if np.linalg.norm(null_dir[primal]) > 1e-6:
         raise SingularSystemError("singular system: the primal field is not "
                                   f"unique (kernel probe residual {residual:.2e})")
     return null_dir
@@ -299,16 +331,16 @@ class _Condensation:
     dofs couple only within their triangle, so each triangle's coupled
     local matrix [[-S, B], [B, S]], split into interior (I) and edge (E)
     dofs, gives the local Schur block M_EE - M_EI M_II^-1 M_IE; matrix sums
-    them over the free edge dofs, primal ones first.  The interior block is
-    eliminated in an orthonormal interior basis R = L^-T, L L^T = mass_k /
-    area (block-diagonal over u_0 and lam_0): at k = 2, 3 it takes the
-    local block's condition number from 2.5e4 and 3.9e6 to 6.1 and 16."""
+    them over the free edge dofs, numbered in nested-dissection order.  The
+    interior block is eliminated in an orthonormal interior basis R = L^-T,
+    L L^T = mass_k / area (block-diagonal over u_0 and lam_0): at k = 2, 3
+    it takes the local block's condition number from 2.5e4 and 3.9e6 to
+    6.1 and 16."""
 
     def __init__(self, system):
         ops, nf = system.ops, len(system.u_free)
         dofmap, mesh = ops.dofmap, ops.mesh
-        n_int, dim = dofmap.n_interior, dofmap.interior_dim
-        n_tri = mesh.n_triangles
+        dim, n_tri = dofmap.interior_dim, mesh.n_triangles
         interior, edge = slice(None, dim), slice(dim, None)
 
         def coupled(rows, cols):
@@ -326,23 +358,22 @@ class _Condensation:
         # C = M_II^-1 M_IE, so the local Schur block is M_EE - M_IE^T C
         self.coupling = np.linalg.solve(self.inner, coupling)
         schur = coupled(edge, edge) - coupling.swapaxes(1, 2) @ self.coupling
-        self.edge_pos = np.concatenate([
-            _positions(ops, system.u_free[n_int:])[:, dim:],
-            _positions(ops, system.lam_free[n_int:], nf - n_int)[:, dim:]], axis=1)
-        self.n_primal = nf - n_int
-        n_edge = system.n_free - 2 * n_int
+        # free-dof positions of the unknowns of matrix, the free edge dofs
+        self.numbered, (pu, pl) = _nested_numbering(system, interior=False)
+        self.edge_pos = np.concatenate([pu[:, dim:], pl[:, dim:]], axis=1)
+        self.primal = self.numbered < nf
+        n_edge = len(self.numbered)
         self.matrix = _coo([(self.edge_pos, self.edge_pos, schur)], (n_edge, n_edge)).tocsc()
         # free-dof positions: every interior dof is free and leads its block
         cells = dofmap.interior_block(np.arange(n_tri))
         self.interior = np.concatenate([cells, nf + cells], axis=1)
-        self.edges = np.r_[n_int:nf, nf + n_int:system.n_free]
 
     def solve(self, lu, rhs):
         """Free-dof solution of A x = rhs, lu factoring the Schur matrix:
         condense rhs, solve for the edge dofs, recover the interiors."""
         y = np.einsum("tji,tj->ti", self.basis, rhs[self.interior])
         shift = np.einsum("tji,tj->ti", self.coupling, y)
-        edge_rhs = rhs[self.edges] - _scatter(self.edge_pos, shift, len(self.edges))
+        edge_rhs = rhs[self.numbered] - _scatter(self.edge_pos, shift, len(self.numbered))
         return self.expand(lu.solve(edge_rhs), np.linalg.solve(self.inner, y[..., None])[..., 0])
 
     def expand(self, x_edge, z=0.0):
@@ -351,21 +382,52 @@ class _Condensation:
         M_II^-1 b_I in orthonormal coordinates as z (0: no interior data)."""
         local = np.where(self.edge_pos >= 0, x_edge[self.edge_pos], 0.0)
         interior = z - np.einsum("tij,tj->ti", self.coupling, local)
-        x = np.empty(len(self.edges) + self.interior.size)
-        x[self.edges] = x_edge
+        x = np.empty(len(self.numbered) + self.interior.size)
+        x[self.numbered] = x_edge
         x[self.interior] = np.einsum("tij,tj->ti", self.basis, interior)
         return x
 
 
-def _solve_full(matrix, rhs, k, n_primal, norm):
+class _Ordered:
+    """The free-dof matrix numbered in nested-dissection order, the matrix
+    factored at k = 1, with the interface of _Condensation."""
+
+    def __init__(self, system):
+        # free-dof positions of the unknowns of matrix, all free dofs
+        self.numbered, positions = _nested_numbering(system, interior=True)
+        self.primal = self.numbered < len(system.u_free)
+        n = len(self.numbered)
+        self.matrix = _coo(_blocks(system.ops, positions), (n, n)).tocsc()
+
+    def solve(self, lu, rhs):
+        """Free-dof solution of A x = rhs, lu factoring matrix."""
+        return self.expand(lu.solve(rhs[self.numbered]))
+
+    def expand(self, x_ordered):
+        """Free-dof vector of a vector in the numbering of matrix."""
+        x = np.empty(len(self.numbered))
+        x[self.numbered] = x_ordered
+        return x
+
+
+def _factor_reduced(system):
+    """The matrix that solve factors first, numbered in nested-dissection
+    order (the Schur matrix on the free edge dofs at k >= 2, else the
+    free-dof matrix), and its LU."""
+    reduced = (_Condensation if system.ops.k >= 2 else _Ordered)(system)
+    return reduced, _factor(reduced.matrix, ordered=True)
+
+
+def _solve_full(matrix, rhs, n_primal, norm):
     """Solution and gauge kernel vector (None without one) from an LU of the
-    full free-dof matrix: the path at k = 1 and of a two-dimensional gauge
-    kernel, and the reference for the condensed one."""
-    lu = _factor(matrix, k)
-    null_dir = _gauge_kernel(lu, matrix, n_primal, norm)
+    full free-dof matrix with SuperLU's defaults: the path of a
+    two-dimensional gauge kernel, and the reference for the ordered one."""
+    lu = _factor(matrix, ordered=False)
+    primal = slice(n_primal)
+    null_dir = _gauge_kernel(lu, matrix, primal, norm)
     if null_dir is None:
         x = lu.solve(rhs)
-    elif _gauge_kernel(lu, matrix, n_primal, norm, found=null_dir) is None:
+    elif _gauge_kernel(lu, matrix, primal, norm, found=null_dir) is None:
         # one gauge direction: the symmetric matrix's range is orthogonal
         # to it, so the projected rhs is compatible data that the singular
         # LU solves; projecting the result gives the minimal representative
@@ -379,44 +441,44 @@ def _solve_full(matrix, rhs, k, n_primal, norm):
         n = matrix.shape[0]
         col = sp.csc_matrix(null_dir.reshape(n, 1))
         bordered = sp.bmat([[matrix, col], [col.T, None]], format="csc")
-        x = _factor(bordered, k).solve(np.append(rhs, 0.0))[:n]
+        x = _factor(bordered, ordered=False).solve(np.append(rhs, 0.0))[:n]
     return x, null_dir
 
 
-def _solve_condensed(system):
-    """Solution and gauge kernel vector as _solve_full gives them, from an
-    LU of the Schur matrix on the free edge dofs; None when the Schur
-    matrix has a second gauge direction, which the full path handles."""
-    cond = _Condensation(system)
-    schur, n_primal = cond.matrix, cond.n_primal
-    norm = _one_norm(schur)
-    lu = _factor(schur, system.ops.k)
-    edge_dir = _gauge_kernel(lu, schur, n_primal, norm)
-    if edge_dir is None:
-        return cond.solve(lu, system.rhs), None
-    if _gauge_kernel(lu, schur, n_primal, norm, found=edge_dir) is not None:
+def _solve_ordered(system):
+    """Solution and gauge kernel vector as _solve_full gives them, from the
+    LU of _factor_reduced; None when its matrix has a second gauge
+    direction, which the full path handles."""
+    reduced, lu = _factor_reduced(system)
+    matrix, primal = reduced.matrix, reduced.primal
+    norm = _one_norm(matrix)
+    found = _gauge_kernel(lu, matrix, primal, norm)
+    if found is None:
+        return reduced.solve(lu, system.rhs), None
+    if _gauge_kernel(lu, matrix, primal, norm, found=found) is not None:
         return None
     # the full kernel vector, unit in the original coordinates, so the
     # representative is the full path's: v.x = 0
-    null_dir = cond.expand(edge_dir)
+    null_dir = reduced.expand(found)
     null_dir /= np.linalg.norm(null_dir)
-    return _project_out(cond.solve(lu, _project_out(system.rhs, null_dir)), null_dir), null_dir
+    return _project_out(reduced.solve(lu, _project_out(system.rhs, null_dir)), null_dir), null_dir
 
 
 def solve(system):
     """Factorize and solve; returns the primal and multiplier fields with
-    the fixed boundary values merged back in.  At k >= 2 the interior dofs
-    are condensed out and the edge-dof Schur matrix is factored; k = 1, and
-    a two-dimensional gauge kernel (t3-t5 at k = 3), factor the full
-    free-dof matrix, which only these paths build.  The residual check
-    applies the local matrices."""
+    the fixed boundary values merged back in.  The LU is of the matrix of
+    _factor_reduced, in nested-dissection order: the free-dof matrix at
+    k = 1, the Schur matrix on the free edge dofs at k >= 2, whose interior
+    dofs are condensed out.  Only a two-dimensional gauge kernel (t3-t5 at
+    k = 3) factors the natural free-dof matrix, which only this path
+    builds.  The residual check applies the local matrices."""
     ops = system.ops
     norm = _local_column_sums(system).max()
     nf = len(system.u_free)
-    # the condensed path returns None, freeing its LU, before the full one starts
-    solution = _solve_condensed(system) if ops.k >= 2 else None
+    # the ordered path returns None, freeing its LU, before the full one starts
+    solution = _solve_ordered(system)
     if solution is None:
-        solution = _solve_full(system.matrix, system.rhs, ops.k, nf, norm)
+        solution = _solve_full(system.matrix, system.rhs, nf, norm)
     x, null_dir = solution
     if not np.all(np.isfinite(x)):
         raise SingularSystemError("direct solver produced a non-finite solution")
@@ -451,29 +513,35 @@ def condition_estimate(system):
     removed (row and column), i.e. of the system on the gauge quotient.
     +inf when the factorization fails or the primal field is not unique,
     and also on t3-t5 at k=3, whose primal field is unique: the quotient
-    keeps the second kernel direction, so its kernel test raises.  A
-    stand-in with only a matrix counts as all primal and of unknown
-    degree.  Small
-    matrices are inverted exactly from the LU factors, the rest go
-    through the Higham-Tisseur 1-norm estimator."""
-    matrix = system.matrix.tocsc()
+    keeps the second kernel direction, so its kernel test raises.  At
+    k = 1 the matrix is the ordered one that solve factors; otherwise it
+    is the natural one, with SuperLU's defaults.  A stand-in with only a
+    matrix counts as all primal.  Small matrices are inverted exactly from
+    the LU factors, the rest go through the Higham-Tisseur 1-norm
+    estimator."""
+    ordered = hasattr(system, "ops") and system.ops.k == 1
+    if ordered:
+        full = _Ordered(system)
+        matrix, primal = full.matrix, full.primal
+    else:
+        matrix = system.matrix.tocsc()
+        primal = slice(len(getattr(system, "u_free", range(matrix.shape[0]))))
     n = matrix.shape[0]
     if n == 0:
         return 0.0
     norm = _one_norm(matrix)
-    k = system.ops.k if hasattr(system, "ops") else None
     try:
-        lu = _factor(matrix, k)
-        null_dir = _gauge_kernel(lu, matrix, len(getattr(system, "u_free", range(n))), norm)
+        lu = _factor(matrix, ordered)
+        null_dir = _gauge_kernel(lu, matrix, primal, norm)
         if null_dir is not None:
             del lu  # one factorization alive at a time
             keep = np.delete(np.arange(n), np.argmax(np.abs(null_dir)))
             matrix = matrix[keep][:, keep]
             n -= 1
             norm = _one_norm(matrix)
-            lu = _factor(matrix, k)
+            lu = _factor(matrix, ordered)
             # the quotient is all primal here: a second kernel raises
-            _gauge_kernel(lu, matrix, n, norm)
+            _gauge_kernel(lu, matrix, slice(None), norm)
     except (RuntimeError, SingularSystemError):
         return math.inf
     if n <= _DENSE_COND_LIMIT:

@@ -217,6 +217,12 @@ class LocalOperators:
             if not same:
                 raise ValueError(f"weak function of another {what} than its discretization context")
 
+    def check_config(self, config):
+        """Raise ValueError unless the boundary configuration belongs to
+        this context's mesh object."""
+        if config.mesh is not self.mesh:
+            raise ValueError("boundary configuration belongs to another mesh than the context")
+
     def gradient_coefficients(self, v):
         """Weak-gradient coefficients of every triangle, shape (T, 2, dimr)."""
         local = v.coeffs[self.cell_dofs]

@@ -12,6 +12,7 @@ from pdwg.mesh import (
     dump_mesh,
     edge_weight,
 )
+from test_weakops import jittered_mesh
 
 
 def test_smallest_mesh_counts_by_hand():
@@ -253,3 +254,49 @@ def test_dump_without_config_zeroes_flags():
     text = dump_mesh(mesh)
     for line in text.splitlines()[-5:]:
         assert line.split()[3:] == ["0", "0"]
+
+
+def ordering_mesh(kind):
+    """build_uniform_mesh(kind) for an int kind; the jittered mesh, or the
+    n=8 mesh graded towards the origin (every coordinate squared)."""
+    if kind == "jittered":
+        return jittered_mesh()
+    if kind == "graded":
+        base = build_uniform_mesh(8)
+        return Mesh(base.vertices ** 2, base.triangles)
+    return build_uniform_mesh(kind)
+
+
+def bisection_reference(mesh):
+    """Nested-dissection order of the nodes by direct recursion over the
+    boxes, from the definition in Mesh.nested_dissection."""
+    nodes = np.concatenate([mesh.tri_centroids, mesh.edge_midpoints])
+    lines = [np.unique(mesh.vertices[:, axis]) for axis in (0, 1)]
+
+    def order(idx, lo, hi):
+        crossed = [h - l >= 2 for l, h in zip(lo, hi)]
+        if not any(crossed):
+            return list(idx)
+        widths = [line[h] - line[l] for line, l, h in zip(lines, lo, hi)]
+        axis = int(crossed[1] and (not crossed[0] or widths[1] > widths[0]))
+        line, l, h = lines[axis], lo[axis], hi[axis]
+        middle = (line[l] + line[h]) / 2
+        cut = min(range(l + 1, h), key=lambda i: (abs(line[i] - middle), i))
+        c = nodes[idx, axis]
+        first_hi, second_lo = list(hi), list(lo)
+        first_hi[axis] = second_lo[axis] = cut
+        return (order(idx[c < line[cut]], lo, first_hi) + order(idx[c > line[cut]], second_lo, hi)
+                + list(idx[c == line[cut]]))
+
+    return order(np.arange(len(nodes)), [0, 0], [len(line) - 1 for line in lines])
+
+
+@pytest.mark.parametrize("kind", [1, 3, 8, "jittered", "graded"])
+def test_nested_dissection_orders_every_node_once(kind):
+    # the order is a permutation of the nodes, triangles then edges, computed
+    # once per mesh, and the one a direct recursion over the boxes gives
+    mesh = ordering_mesh(kind)
+    order = mesh.nested_dissection
+    assert np.array_equal(np.sort(order), np.arange(mesh.n_triangles + mesh.n_edges))
+    assert mesh.nested_dissection is order and not order.flags.writeable
+    assert np.array_equal(order, bisection_reference(mesh))

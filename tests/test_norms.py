@@ -373,3 +373,29 @@ def test_degree_mismatch_rejected():
         for functional in functionals:
             with pytest.raises(ValueError, match=what):
                 functional(other)
+
+
+def test_config_of_another_mesh_rejected():
+    # a boundary configuration is read through the context's mesh: one of
+    # another mesh object is refused by name, whether that mesh has the
+    # context's size (its flags would be read silently) or another one
+    # (its flags would not broadcast)
+    mesh = build_uniform_mesh(2)
+    ops = LocalOperators(mesh, 1)
+    wf = l2_project_weak(lambda x, y: x * y, ops)
+    exact = lambda x, y: x
+    functionals = (
+        lambda c: residual_terms_primal(wf, c, ops),
+        lambda c: residual_norm_primal(wf, c, ops),
+        lambda c: residual_terms_multiplier(wf, c, ops),
+        lambda c: residual_norm_multiplier(wf, c, ops),
+        lambda c: strong_residual_norms(wf, c, ops),
+        lambda c: error_report(wf, wf, exact, c, ops),
+    )
+    for functional in functionals:
+        functional(classify_boundary(mesh, {"left"}, {"left"}))
+    for n in (2, 4):
+        other = classify_boundary(build_uniform_mesh(n), {"left"}, {"left"})
+        for functional in functionals:
+            with pytest.raises(ValueError, match="another mesh"):
+                functional(other)

@@ -17,13 +17,13 @@ from pdwg.norms import (error_fields, interior_l2_norm, residual_norm_multiplier
 from pdwg.system import (
     SingularSystemError,
     _Condensation,
-    _factor,
+    _factor_reduced,
     _gauge_kernel,
     _local_column_sums,
     _local_product,
     _one_norm,
-    _solve_condensed,
     _solve_full,
+    _solve_ordered,
     assemble,
     condition_estimate,
     matrix_to_coordinate_text,
@@ -319,22 +319,18 @@ def catalog_system(case_id, k, n):
 
 
 def kernel_test(case_id, k, n, second=False):
-    """_gauge_kernel on the factorization that solve makes first: of the
-    full free-dof matrix at k=1, of the Schur matrix on the free edge dofs
-    at k >= 2.  With second, the projected probe for a second direction,
-    as solve runs it once a first one is found (None without a first one)."""
-    system = catalog_system(case_id, k, n)
-    if k == 1:
-        matrix, n_primal = system.matrix, len(system.u_free)
-    else:
-        condensed = _Condensation(system)
-        matrix, n_primal = condensed.matrix, condensed.n_primal
+    """_gauge_kernel on the factorization that solve makes first, through
+    solve's own helper: the ordered LU of the free-dof matrix at k=1 and of
+    the Schur matrix on the free edge dofs at k >= 2.  With second, the
+    projected probe for a second direction, as solve runs it once a first
+    one is found (None without a first one)."""
+    reduced, lu = _factor_reduced(catalog_system(case_id, k, n))
+    matrix, primal = reduced.matrix, reduced.primal
     norm = _one_norm(matrix)
-    lu = _factor(matrix, system.ops.k)
-    found = _gauge_kernel(lu, matrix, n_primal, norm)
+    found = _gauge_kernel(lu, matrix, primal, norm)
     if not second or found is None:
         return found
-    return _gauge_kernel(lu, matrix, n_primal, norm, found=found)
+    return _gauge_kernel(lu, matrix, primal, norm, found=found)
 
 
 def rel(a, b):
@@ -343,25 +339,24 @@ def rel(a, b):
 
 def solve_path(system):
     """The free-dof solution and gauge kernel vector (None without one) of
-    the path solve takes: condensed at k >= 2 unless the gauge kernel is
-    two-dimensional, full otherwise."""
-    solution = _solve_condensed(system) if system.ops.k >= 2 else None
+    the path solve takes: the ordered LU unless the gauge kernel is
+    two-dimensional, the full matrix's otherwise."""
+    solution = _solve_ordered(system)
     if solution is None:
-        solution = _solve_full(system.matrix, system.rhs, system.ops.k, len(system.u_free),
+        solution = _solve_full(system.matrix, system.rhs, len(system.u_free),
                                _one_norm(system.matrix))
     return solution
 
 
 def test_kernel_tolerance_keeps_a_decade_on_both_sides(monkeypatch):
     # the kernel test cuts between the relative probe residuals of regular
-    # and gauge-singular systems: the smallest regular one at n <= 16 (t1,
-    # k=3, n=16: 2.1e-10 on the Schur matrix; the full matrix reads 4.8e-11)
-    # and the largest gauge one at n <= 32 (t3, k=1, n=32, full matrix:
-    # 2.9e-16) must both stay a factor 10 clear of the cutoff.  (t1 at k=3,
-    # n=32 reads 2.8e-12, also a decade clear, but takes 6 s)
+    # and gauge-singular systems: the smallest regular one at n <= 32 (t1,
+    # k=3, n=32: 2.8e-12 on the Schur matrix) and the largest gauge one
+    # (t3, k=1, n=32, free-dof matrix: 1.4e-16) must both stay a factor 10
+    # clear of the cutoff
     tol = pdwg.system._KERNEL_TOL
     monkeypatch.setattr(pdwg.system, "_KERNEL_TOL", 10 * tol)
-    assert kernel_test("t1", 3, 16) is None
+    assert kernel_test("t1", 3, 32) is None
     monkeypatch.setattr(pdwg.system, "_KERNEL_TOL", tol / 10)
     assert kernel_test("t3", 1, 32) is not None
 
@@ -369,8 +364,8 @@ def test_kernel_tolerance_keeps_a_decade_on_both_sides(monkeypatch):
 def test_kernel_test_flags_exactly_the_gauge_cases():
     # only t3-t5 leave the multiplier a kernel (lam = x, and a second
     # direction at k=3).  On the matrix solve factors first, gauge levels
-    # read at most 2.4e-16 at k >= 2 (t3, k=3, n=32) and regular ones at
-    # least 2.1e-10 (t1, k=3, n=16)
+    # read at most 9.3e-17 at k >= 2 (t3, k=2, n=16) and regular ones at
+    # least 2.1e-10 (t1, k=3, n=16; 2.8e-12 at n=32)
     flagged = {
         (case_id, k, n)
         for case_id in case_ids() for k in (1, 2, 3) for n in (1, 2, 4)
@@ -385,9 +380,9 @@ def test_second_probe_flags_exactly_the_two_dimensional_kernels():
     # with the first kernel direction projected out, a second probe finds
     # one only where the gauge kernel is two-dimensional: t3-t5 at k=3
     # (lam = x (y-1)^2 - x^3/3).  On the Schur matrix its relative residual
-    # reads at most 3.5e-16 at k=3 (n = 1..8; 4.6e-16 at n=32), 20x under
+    # reads at most 7.7e-17 at k=3 (n = 1..8; 9.4e-17 at n=32), 100x under
     # the cutoff, and at least 1.4e-8 at k=2 (t3-t5, n=16; 7.6e-11 at
-    # n=32); on the full matrix at k=1 at least 2.5e-6 (n=32)
+    # n=32); on the free-dof matrix at k=1 at least 2.5e-6 (n=32)
     flagged = {
         (case_id, k, n)
         for case_id in case_ids() for k in (1, 2, 3) for n in (1, 2, 4)
@@ -440,7 +435,7 @@ def test_condensed_solve_matches_the_full_path(case_id, k):
         nf, norm = len(system.u_free), _one_norm(system.matrix)
         u_h, lam_h = solve(system)
         got = np.concatenate([u_h.coeffs[system.u_free], lam_h.coeffs[system.lam_free]])
-        want, v = _solve_full(system.matrix, system.rhs, k, nf, norm)
+        want, v = _solve_full(system.matrix, system.rhs, nf, norm)
         if case_id in ("t3", "t4", "t5") and k == 3:
             assert np.array_equal(got, want)
             continue
@@ -534,25 +529,31 @@ def record_factorizations(monkeypatch):
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
-def test_symmetric_ordering_at_k1_only(monkeypatch, k):
-    # the matrix is symmetric, and at k=1 its interior diagonal pivots
-    # pass a 0.1 threshold, so minimum degree on A+A^T in symmetric mode
-    # applies; at k >= 2 they do not and the fill grows 5-9x, so those
-    # degrees keep SuperLU's defaults.  Every factorization takes the same
-    # options, the gauge (t3) ones included
+def test_ordered_lu_but_for_full_matrices_above_k1(monkeypatch, k):
+    # every matrix numbered in the mesh's nested-dissection order, the
+    # free-dof matrix at k=1 and the Schur matrix at k >= 2, is factored in
+    # that order in symmetric mode; only the natural free-dof matrix at
+    # k >= 2 (the fallback of t3's two-dimensional gauge kernel at k=3, its
+    # bordered extension, and condition_estimate's LUs) keeps SuperLU's
+    # defaults.  The gauge (t3) factorizations included
     calls = record_factorizations(monkeypatch)
+    ordered = dict(permc_spec="NATURAL", diag_pivot_thresh=0.1,
+                   options=dict(SymmetricMode=True))
     for case_id in ("t6", "t3"):
         system = catalog_system(case_id, k, 4)
+        start = len(calls)
         solve(system)
         condition_estimate(system)
+        schur = system.n_free - 2 * system.ops.dofmap.n_interior
+        for n_args, kwargs, _, order in calls[start:]:
+            assert n_args == 1
+            assert order in ({system.n_free - 1, system.n_free} if k == 1 else
+                             {schur, system.n_free - 1, system.n_free, system.n_free + 1})
+            assert kwargs == (ordered if k == 1 or order == schur else {})
     # t6: 1 + 1; t3: 1 + 2, and 3 + 2 at k=3, where solve factors the
     # Schur matrix, finds the second kernel direction, and then factors
     # the full and the bordered matrix
     assert len(calls) == (7 if k == 3 else 5)
-    symmetric = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
-                     options=dict(SymmetricMode=True))
-    assert all(n_args == 1 and kwargs == (symmetric if k == 1 else {})
-               for n_args, kwargs, _, _ in calls)
 
 
 @pytest.mark.parametrize("k,n", [(1, 16), (2, 8)])
@@ -578,9 +579,11 @@ def test_gauge_solve_factors_once(monkeypatch, k, n):
 ])
 def test_full_matrix_built_only_where_solve_factors_it(monkeypatch, case_id, k, builds):
     # assemble builds no free-dof matrix; solve builds it for the paths
-    # that factor it, the LU at k=1 and the fallback of a two-dimensional
-    # gauge kernel (t3 at k=3), and otherwise factors the Schur matrix and
-    # checks its residual from the local matrices
+    # that factor it, the LU at k=1 (straight in nested-dissection order,
+    # not the natural SaddleSystem.matrix) and the fallback of a
+    # two-dimensional gauge kernel (t3 at k=3, natural order), and otherwise
+    # factors the Schur matrix and checks its residual from the local
+    # matrices
     real_coo = pdwg.system._coo
     shapes = []
 
@@ -594,6 +597,51 @@ def test_full_matrix_built_only_where_solve_factors_it(monkeypatch, case_id, k, 
     assert full not in shapes
     solve(system)
     assert shapes.count(full) == builds
+    assert ("matrix" in vars(system)) == (case_id == "t3" and k == 3)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_halves_before_the_top_separator_do_not_couple(k):
+    # t6 at n=8 is first cut at the vertical grid line x = 1/2.  In the
+    # matrix solve factors (the free-dof matrix at k=1, the Schur matrix at
+    # k=2) the unknowns of the nodes left of it come first, then those right
+    # of it, then those on it, and no entry couples the two halves
+    system = catalog_system("t6", k, 8)
+    reduced, _ = _factor_reduced(system)
+    mesh, dofmap = system.ops.mesh, system.ops.dofmap
+    dofs = np.concatenate([system.u_free, system.lam_free])[reduced.numbered]
+    edge = dofs >= dofmap.n_interior
+    node = np.where(edge, mesh.n_triangles + (dofs - dofmap.n_interior) // dofmap.edge_dim,
+                    dofs // dofmap.interior_dim)
+    x = np.concatenate([mesh.tri_centroids, mesh.edge_midpoints])[node, 0]
+    part = np.select([x < 0.5, x > 0.5], [0, 1], 2)
+    assert np.all(np.diff(part) >= 0)
+    left, right = np.searchsorted(part, [1, 2])
+    assert 0 < left < right < len(part)
+    assert reduced.matrix[:left, left:right].nnz == 0
+    assert reduced.matrix[:left, right:].nnz > 0 and reduced.matrix[left:right, right:].nnz > 0
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_ordered_solve_matches_the_default_lu_on_a_jittered_mesh(k):
+    # on the jittered mesh no grid line separates the nodes exactly, so the
+    # order is only a permutation: solve agrees with an LU of the same
+    # matrix under SuperLU's defaults to roundoff.  Largest relative
+    # differences measured: u 1.6e-14, 3.4e-13, 1.3e-11 and lam 5.1e-13,
+    # 6.9e-11, 5.7e-9 at k = 1, 2, 3; every bound keeps at least 10x
+    mesh = jittered_mesh()
+    for a in COEFFICIENTS.values():
+        case = dataclasses.replace(get_case("t6"), a=a, dirichlet_sides=("bottom", "left"),
+                                   neumann_sides=("bottom", "right"))
+        config = classify_boundary(mesh, case.dirichlet_sides, case.neumann_sides)
+        system = assemble(config, case, LocalOperators(mesh, k, case.a))
+        nf = len(system.u_free)
+        u_h, lam_h = solve(system)
+        got = np.concatenate([u_h.coeffs[system.u_free], lam_h.coeffs[system.lam_free]])
+        reduced, _ = _factor_reduced(system)
+        want = reduced.solve(spla.splu(reduced.matrix), system.rhs)
+        assert rel(got[:nf], want[:nf]) <= {1: 2e-13, 2: 5e-12, 3: 2e-10}[k]
+        assert rel(got[nf:], want[nf:]) <= {1: 1e-11, 2: 1e-9, 3: 1e-7}[k]
 
 
 def local_systems(k):

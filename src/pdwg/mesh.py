@@ -63,8 +63,8 @@ class Mesh:
         already points out of the triangle, -1 otherwise
     h_tri : (T,) triangle diameters (longest edge)
     h : max diameter over the partition
-    nested_dissection : (T + E,) int array, the nodes (triangles, then
-        edges) in nested-dissection order; computed on first read
+    nested_dissection : (E,) int array, the edges in nested-dissection
+        order; computed on first read
     """
 
     def __init__(self, vertices, triangles):
@@ -131,25 +131,21 @@ class Mesh:
 
     @cached_property
     def nested_dissection(self):
-        """Nested-dissection order (T + E,) of the mesh's nodes, triangles
-        0..T-1 then edges T..T+E-1, each placed at its centroid or midpoint.
-        A box is bisected at the vertex grid line nearest the middle of its
-        longer side (the x side on a tie); the nodes exactly on that line
-        form the separator, ordered after both halves, and a box crossed by
-        no grid line keeps its nodes in index order.  A triangle touches
-        only its own edges, so on the uniform triangulation every separator
-        decouples the two halves.
+        """Nested-dissection order (E,) of the mesh's edges, each placed at
+        its midpoint.  A box is bisected at the vertex grid line nearest the
+        middle of its longer side (the x side on a tie); the edges exactly
+        on that line form the separator, ordered after both halves, and a
+        box crossed by no grid line keeps its edges in index order.
 
         A box's cut on one axis depends only on its extent along that axis,
-        so each node's path through the boxes merges its paths through the
+        so each edge's path through the boxes merges its paths through the
         bisections of the two axes, the wider step first."""
-        nodes = np.concatenate([self.tri_centroids, self.edge_midpoints])
         digits, widths = [], []
         for axis in (0, 1):
             coords = np.sort(self.vertices[:, axis])
             line = coords[np.append(True, coords[1:] != coords[:-1])]
-            # half-line index of each node: 2 i on grid line i, 2 i - 1 between lines i - 1 and i
-            c = nodes[:, axis]
+            # half-line index of each midpoint: 2 i on grid line i, 2 i - 1 between lines i - 1 and i
+            c = self.edge_midpoints[:, axis]
             half = np.searchsorted(line, c) + np.searchsorted(line, c, "right") - 1
             d, w = _bisection_paths(line.tolist())
             digits.append(d[half])
@@ -157,7 +153,7 @@ class Mesh:
         # the merged path takes the wider step first, the x one on a tie
         merge = np.argsort(-np.concatenate(widths, axis=1), axis=1, kind="stable")
         path = np.take_along_axis(np.concatenate(digits, axis=1), merge, axis=1)
-        order = np.lexsort((np.arange(len(nodes)),) + tuple(path.T[::-1]))
+        order = np.lexsort((np.arange(self.n_edges),) + tuple(path.T[::-1]))
         order.setflags(write=False)
         return order
 

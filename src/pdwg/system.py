@@ -9,23 +9,23 @@ dofs fixed to zero on the complement of Gamma_n):
 
 After eliminating the fixed dofs and negating the first block row, the
 free-dof matrix [[-S_ff, K_fg], [K_fg^T, S_gg]] is symmetric indefinite.
-At k = 1 it is factorized directly.  At k >= 2 each triangle's interior
-dofs are condensed out (in an orthonormal interior basis) and the Schur
-matrix on the free edge dofs is factorized; the interiors are recovered
-triangle by triangle.  Either matrix is assembled straight in the mesh's
-nested-dissection order (Mesh.nested_dissection), the u and lam dofs of
-one node adjacent, and factored in that order in symmetric mode.  When
-the multiplier has a one-dimensional gauge kernel v, the same
-factorization solves the compatible data (I - v v^T) rhs and the kernel
-component is projected out of the result; only a second kernel direction
-sends the solve to the free-dof matrix in its natural order and a bordered
-one, both factored with SuperLU's defaults.  That natural matrix
-(SaddleSystem.matrix) is assembled only where it is read (that fallback,
-condition_estimate at k >= 2 and the matrix export): solve checks its
-residual, and takes the 1-norm that scales it, from the local matrices
-triangle by triangle.  The level's LocalOperators is the
-one source of mesh, degree, dof layout and local matrices: assemble takes
-it, and the assembled system keeps it as ops for solve to read.
+solve condenses each triangle's interior dofs out (in an orthonormal
+interior basis), factors the Schur matrix on the free edge dofs and
+recovers the interiors triangle by triangle.  The Schur matrix is
+assembled straight in the mesh's nested-dissection order
+(Mesh.nested_dissection), the u and lam dofs of one edge adjacent, and
+factored in that order in symmetric mode.  When the multiplier has a
+one-dimensional gauge kernel v, the same factorization solves the
+compatible data (I - v v^T) rhs and the kernel component is projected out
+of the result; only a second kernel direction sends the solve to the
+free-dof matrix in its natural order and a bordered one, both factored
+with SuperLU's defaults.  That natural matrix (SaddleSystem.matrix) is
+assembled only where it is read (that fallback, condition_estimate and
+the matrix export): solve checks its residual, and takes the 1-norm that
+scales it, from the local matrices triangle by triangle.  The level's
+LocalOperators is the one source of mesh, degree, dof layout and local
+matrices: assemble takes it, and the assembled system keeps it as ops for
+solve to read.
 """
 
 from __future__ import annotations
@@ -54,15 +54,15 @@ __all__ = [
 _RESIDUAL_TOL = 1e-9
 # relative residual ||A v||_2 / ||A||_1 of the normalized inverse-iteration
 # probe v at or below which v is taken as a kernel vector; A is the matrix
-# solve factors first, in nested-dissection order: the free-dof matrix at
-# k = 1, the Schur matrix at k >= 2.  Measured over the catalog for n <= 16
-# (n <= 32 at k=1) and t1/t3 at k=2, 3, n=32: gauge systems reach at most
-# 1.4e-16 (t3, k=1, n=32; 8.6e-17 at k=3, n=32), regular ones 2.8e-12 (t1,
-# k=3, n=32; 2.1e-10 at n=16), so the cutoff keeps 70x and 280x.  The
-# regular side still falls about 75x per doubling at k=3: t1 at k=3, n=64
-# would read about 4e-14.  The second, projected probe on t3-t5 reads at
-# most 9.4e-17 where the kernel is two-dimensional (k=3, n=32) and at least
-# 7.6e-11 where it is not (k=2, n=32; 1.4e-8 at n=16)
+# solve factors first, the Schur matrix in nested-dissection order.
+# Measured over the catalog for n <= 16 (n <= 32 at k=1) and t1/t3 at k=2,
+# 3, n=32: gauge systems reach at most 2.0e-16 (t3-t5, k=1, n=32; 2.4e-16
+# on t3, k=1, n=64), regular ones 2.8e-12 (t1, k=3, n=32; 2.1e-10 at n=16;
+# 3.5e-6 at k=1, n=32), so the cutoff keeps 49x and 280x.  The regular side
+# still falls about 75x per doubling at k=3: t1 at k=3, n=64 would read
+# about 4e-14.  The second, projected probe on t3-t5 reads at most 9.4e-17
+# where the kernel is two-dimensional (k=3, n=32) and at least 7.6e-11
+# where it is not (k=2, n=32; 1.4e-8 at n=16; 3.6e-6 at k=1, n=32)
 _KERNEL_TOL = 1e-14
 # largest system whose inverse condition_estimate forms exactly
 _DENSE_COND_LIMIT = 800
@@ -122,38 +122,34 @@ def _positions(ops, dofs, offset=0):
     return pos[ops.cell_dofs]
 
 
-def _nested_numbering(system, interior):
-    """The free unknowns numbered in the mesh's nested-dissection order,
-    each node's free u dofs followed by its free lam dofs; the interior
-    dofs are left out unless interior.  Returns the natural free-dof index
-    of each numbered unknown, in order, and the int32 positions (T, nloc)
-    of the local u and lam dofs, -1 where fixed or left out."""
+def _nested_numbering(system):
+    """The free edge unknowns numbered in the mesh's nested-dissection
+    order, each edge's free u dofs followed by its free lam dofs.  Returns
+    the natural free-dof index of each numbered unknown, in order, and the
+    int32 positions (T, 2 nloc_edge) of each triangle's local edge dofs, u
+    then lam, -1 where fixed."""
     ops, nf = system.ops, len(system.u_free)
-    mesh, dofmap = ops.mesh, ops.dofmap
-    n_tri, dim, edim = mesh.n_triangles, dofmap.interior_dim, dofmap.edge_dim
-    order = mesh.nested_dissection
-    size = np.repeat([dim * interior, edim], [n_tri, mesh.n_edges])
-    # a node's u slots start where the nodes before it end; its lam slots follow
-    start = np.empty_like(size)
-    start[order] = np.cumsum(2 * size[order]) - 2 * size[order]
-    slots = [np.concatenate([(s[:n_tri, None] + np.arange(dim)).ravel(),
-                             (s[n_tri:, None] + np.arange(edim)).ravel()])
-             for s in (start, start + size)]
+    dofmap = ops.dofmap
+    n_int, edim = dofmap.n_interior, dofmap.edge_dim
+    # an edge's u slots start where the edges before it end; its lam slots follow
+    rank = np.empty(ops.mesh.n_edges, dtype=np.int64)
+    rank[ops.mesh.nested_dissection] = np.arange(len(rank))
+    u_slot = ((2 * edim * rank)[:, None] + np.arange(edim)).ravel()
+    slots = (u_slot, u_slot + edim)
     # interior dofs are never fixed and lead each field's free dofs
-    first = 0 if interior else dofmap.n_interior
-    dofs = (system.u_free[first:], system.lam_free[first:])
-    taken = np.zeros(2 * size.sum(), dtype=bool)
+    dofs = (system.u_free[n_int:] - n_int, system.lam_free[n_int:] - n_int)
+    taken = np.zeros(2 * len(u_slot), dtype=bool)
     for slot, free in zip(slots, dofs):
         taken[slot[free]] = True
-    rank = (np.cumsum(taken) - 1).astype(np.int32)
+    place = (np.cumsum(taken) - 1).astype(np.int32)
     numbered = np.empty(len(dofs[0]) + len(dofs[1]), dtype=np.int64)
     positions = []
-    for slot, free, offset in zip(slots, dofs, (first, nf + first)):
-        pos = np.full(dofmap.n_dofs, -1, dtype=np.int32)
-        pos[free] = rank[slot[free]]
+    for slot, free, offset in zip(slots, dofs, (n_int, nf + n_int)):
+        pos = np.full(len(u_slot), -1, dtype=np.int32)
+        pos[free] = place[slot[free]]
         numbered[pos[free]] = offset + np.arange(len(free))
-        positions.append(pos[ops.cell_dofs])
-    return numbered, tuple(positions)
+        positions.append(pos[ops.cell_dofs[:, dofmap.interior_dim:] - n_int])
+    return numbered, np.concatenate(positions, axis=1)
 
 
 def _scatter(pos, vals, n):
@@ -230,11 +226,10 @@ def assemble(config, case, ops):
                         u_fixed_values=u_fixed_values, positions=(pu, pl))
 
 
-def _factor(matrix, ordered):
-    """Sparse LU: in the matrix's own numbering with _ORDERED_LU when it is
-    ordered (in nested dissection), else with SuperLU's defaults."""
+def _factor(matrix, **options):
+    """Sparse LU with the SuperLU options given (its defaults without any)."""
     try:
-        return spla.splu(matrix, **(_ORDERED_LU if ordered else {}))
+        return spla.splu(matrix, **options)
     except RuntimeError as exc:
         raise SingularSystemError(f"direct factorization failed: {exc}") from exc
 
@@ -333,9 +328,9 @@ class _Condensation:
     dofs, gives the local Schur block M_EE - M_EI M_II^-1 M_IE; matrix sums
     them over the free edge dofs, numbered in nested-dissection order.  The
     interior block is eliminated in an orthonormal interior basis R = L^-T,
-    L L^T = mass_k / area (block-diagonal over u_0 and lam_0): at k = 2, 3
-    it takes the local block's condition number from 2.5e4 and 3.9e6 to
-    6.1 and 16."""
+    L L^T = mass_k / area (block-diagonal over u_0 and lam_0): at k = 1, 2,
+    3 it takes the local block's condition number from 37, 2.5e4 and 3.9e6
+    to 2.1, 6.1 and 16."""
 
     def __init__(self, system):
         ops, nf = system.ops, len(system.u_free)
@@ -359,8 +354,7 @@ class _Condensation:
         self.coupling = np.linalg.solve(self.inner, coupling)
         schur = coupled(edge, edge) - coupling.swapaxes(1, 2) @ self.coupling
         # free-dof positions of the unknowns of matrix, the free edge dofs
-        self.numbered, (pu, pl) = _nested_numbering(system, interior=False)
-        self.edge_pos = np.concatenate([pu[:, dim:], pl[:, dim:]], axis=1)
+        self.numbered, self.edge_pos = _nested_numbering(system)
         self.primal = self.numbered < nf
         n_edge = len(self.numbered)
         self.matrix = _coo([(self.edge_pos, self.edge_pos, schur)], (n_edge, n_edge)).tocsc()
@@ -388,41 +382,20 @@ class _Condensation:
         return x
 
 
-class _Ordered:
-    """The free-dof matrix numbered in nested-dissection order, the matrix
-    factored at k = 1, with the interface of _Condensation."""
-
-    def __init__(self, system):
-        # free-dof positions of the unknowns of matrix, all free dofs
-        self.numbered, positions = _nested_numbering(system, interior=True)
-        self.primal = self.numbered < len(system.u_free)
-        n = len(self.numbered)
-        self.matrix = _coo(_blocks(system.ops, positions), (n, n)).tocsc()
-
-    def solve(self, lu, rhs):
-        """Free-dof solution of A x = rhs, lu factoring matrix."""
-        return self.expand(lu.solve(rhs[self.numbered]))
-
-    def expand(self, x_ordered):
-        """Free-dof vector of a vector in the numbering of matrix."""
-        x = np.empty(len(self.numbered))
-        x[self.numbered] = x_ordered
-        return x
-
-
 def _factor_reduced(system):
-    """The matrix that solve factors first, numbered in nested-dissection
-    order (the Schur matrix on the free edge dofs at k >= 2, else the
-    free-dof matrix), and its LU."""
-    reduced = (_Condensation if system.ops.k >= 2 else _Ordered)(system)
-    return reduced, _factor(reduced.matrix, ordered=True)
+    """The condensation of system, whose matrix (the Schur matrix on the
+    free edge dofs, in nested-dissection order) solve factors first, and
+    its LU with _ORDERED_LU."""
+    reduced = _Condensation(system)
+    return reduced, _factor(reduced.matrix, **_ORDERED_LU)
 
 
 def _solve_full(matrix, rhs, n_primal, norm):
     """Solution and gauge kernel vector (None without one) from an LU of the
     full free-dof matrix with SuperLU's defaults: the path of a
-    two-dimensional gauge kernel, and the reference for the ordered one."""
-    lu = _factor(matrix, ordered=False)
+    two-dimensional gauge kernel, and the tests' reference for the
+    condensed one."""
+    lu = _factor(matrix)
     primal = slice(n_primal)
     null_dir = _gauge_kernel(lu, matrix, primal, norm)
     if null_dir is None:
@@ -441,7 +414,7 @@ def _solve_full(matrix, rhs, n_primal, norm):
         n = matrix.shape[0]
         col = sp.csc_matrix(null_dir.reshape(n, 1))
         bordered = sp.bmat([[matrix, col], [col.T, None]], format="csc")
-        x = _factor(bordered, ordered=False).solve(np.append(rhs, 0.0))[:n]
+        x = _factor(bordered).solve(np.append(rhs, 0.0))[:n]
     return x, null_dir
 
 
@@ -466,16 +439,15 @@ def _solve_ordered(system):
 
 def solve(system):
     """Factorize and solve; returns the primal and multiplier fields with
-    the fixed boundary values merged back in.  The LU is of the matrix of
-    _factor_reduced, in nested-dissection order: the free-dof matrix at
-    k = 1, the Schur matrix on the free edge dofs at k >= 2, whose interior
-    dofs are condensed out.  Only a two-dimensional gauge kernel (t3-t5 at
-    k = 3) factors the natural free-dof matrix, which only this path
-    builds.  The residual check applies the local matrices."""
+    the fixed boundary values merged back in.  The LU is of the Schur
+    matrix of _factor_reduced, on the free edge dofs in nested-dissection
+    order, the interior dofs condensed out.  Only a two-dimensional gauge
+    kernel (t3-t5 at k = 3) factors the natural free-dof matrix, which only
+    this path builds.  The residual check applies the local matrices."""
     ops = system.ops
     norm = _local_column_sums(system).max()
     nf = len(system.u_free)
-    # the ordered path returns None, freeing its LU, before the full one starts
+    # the condensed path returns None, freeing its LU, before the full one starts
     solution = _solve_ordered(system)
     if solution is None:
         solution = _solve_full(system.matrix, system.rhs, nf, norm)
@@ -513,25 +485,19 @@ def condition_estimate(system):
     removed (row and column), i.e. of the system on the gauge quotient.
     +inf when the factorization fails or the primal field is not unique,
     and also on t3-t5 at k=3, whose primal field is unique: the quotient
-    keeps the second kernel direction, so its kernel test raises.  At
-    k = 1 the matrix is the ordered one that solve factors; otherwise it
-    is the natural one, with SuperLU's defaults.  A stand-in with only a
-    matrix counts as all primal.  Small matrices are inverted exactly from
-    the LU factors, the rest go through the Higham-Tisseur 1-norm
-    estimator."""
-    ordered = hasattr(system, "ops") and system.ops.k == 1
-    if ordered:
-        full = _Ordered(system)
-        matrix, primal = full.matrix, full.primal
-    else:
-        matrix = system.matrix.tocsc()
-        primal = slice(len(getattr(system, "u_free", range(matrix.shape[0]))))
+    keeps the second kernel direction, so its kernel test raises.  The
+    natural matrix is factored with SuperLU's defaults; a stand-in with
+    only a matrix counts as all primal.  Small matrices are inverted
+    exactly from the LU factors, the rest go through the Higham-Tisseur
+    1-norm estimator."""
+    matrix = system.matrix.tocsc()
+    primal = slice(len(getattr(system, "u_free", range(matrix.shape[0]))))
     n = matrix.shape[0]
     if n == 0:
         return 0.0
     norm = _one_norm(matrix)
     try:
-        lu = _factor(matrix, ordered)
+        lu = _factor(matrix)
         null_dir = _gauge_kernel(lu, matrix, primal, norm)
         if null_dir is not None:
             del lu  # one factorization alive at a time
@@ -539,7 +505,7 @@ def condition_estimate(system):
             matrix = matrix[keep][:, keep]
             n -= 1
             norm = _one_norm(matrix)
-            lu = _factor(matrix, ordered)
+            lu = _factor(matrix)
             # the quotient is all primal here: a second kernel raises
             _gauge_kernel(lu, matrix, slice(None), norm)
     except (RuntimeError, SingularSystemError):

@@ -268,9 +268,9 @@ def ordering_mesh(kind):
 
 
 def bisection_reference(mesh):
-    """Nested-dissection order of the nodes by direct recursion over the
+    """Nested-dissection order of the edges by direct recursion over the
     boxes, from the definition in Mesh.nested_dissection."""
-    nodes = np.concatenate([mesh.tri_centroids, mesh.edge_midpoints])
+    nodes = mesh.edge_midpoints
     lines = [np.unique(mesh.vertices[:, axis]) for axis in (0, 1)]
 
     def order(idx, lo, hi):
@@ -293,10 +293,10 @@ def bisection_reference(mesh):
 
 @pytest.mark.parametrize("kind", [1, 3, 8, "jittered", "graded"])
 def test_nested_dissection_orders_every_node_once(kind):
-    # the order is a permutation of the nodes, triangles then edges, computed
-    # once per mesh, and the one a direct recursion over the boxes gives
+    # the order is a permutation of the edges, computed once per mesh, and
+    # the one a direct recursion over the boxes gives
     mesh = ordering_mesh(kind)
     order = mesh.nested_dissection
-    assert np.array_equal(np.sort(order), np.arange(mesh.n_triangles + mesh.n_edges))
+    assert np.array_equal(np.sort(order), np.arange(mesh.n_edges))
     assert mesh.nested_dissection is order and not order.flags.writeable
     assert np.array_equal(order, bisection_reference(mesh))

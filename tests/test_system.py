@@ -320,8 +320,8 @@ def catalog_system(case_id, k, n):
 
 def kernel_test(case_id, k, n, second=False):
     """_gauge_kernel on the factorization that solve makes first, through
-    solve's own helper: the ordered LU of the free-dof matrix at k=1 and of
-    the Schur matrix on the free edge dofs at k >= 2.  With second, the
+    solve's own helper: the ordered LU of the Schur matrix on the free edge
+    dofs, at every degree.  With second, the
     projected probe for a second direction, as solve runs it once a first
     one is found (None without a first one)."""
     reduced, lu = _factor_reduced(catalog_system(case_id, k, n))
@@ -339,8 +339,8 @@ def rel(a, b):
 
 def solve_path(system):
     """The free-dof solution and gauge kernel vector (None without one) of
-    the path solve takes: the ordered LU unless the gauge kernel is
-    two-dimensional, the full matrix's otherwise."""
+    the path solve takes: the Schur matrix's ordered LU unless the gauge
+    kernel is two-dimensional, the full matrix's otherwise."""
     solution = _solve_ordered(system)
     if solution is None:
         solution = _solve_full(system.matrix, system.rhs, len(system.u_free),
@@ -350,10 +350,10 @@ def solve_path(system):
 
 def test_kernel_tolerance_keeps_a_decade_on_both_sides(monkeypatch):
     # the kernel test cuts between the relative probe residuals of regular
-    # and gauge-singular systems: the smallest regular one at n <= 32 (t1,
-    # k=3, n=32: 2.8e-12 on the Schur matrix) and the largest gauge one
-    # (t3, k=1, n=32, free-dof matrix: 1.4e-16) must both stay a factor 10
-    # clear of the cutoff
+    # and gauge-singular systems, both on the Schur matrix: the smallest
+    # regular one at n <= 32 (t1, k=3, n=32: 2.8e-12) and the largest gauge
+    # one (t3-t5, k=1, n=32: 2.0e-16; 2.4e-16 on t3, k=1, n=64) must both
+    # stay a factor 10 clear of the cutoff
     tol = pdwg.system._KERNEL_TOL
     monkeypatch.setattr(pdwg.system, "_KERNEL_TOL", 10 * tol)
     assert kernel_test("t1", 3, 32) is None
@@ -365,7 +365,8 @@ def test_kernel_test_flags_exactly_the_gauge_cases():
     # only t3-t5 leave the multiplier a kernel (lam = x, and a second
     # direction at k=3).  On the matrix solve factors first, gauge levels
     # read at most 9.3e-17 at k >= 2 (t3, k=2, n=16) and regular ones at
-    # least 2.1e-10 (t1, k=3, n=16; 2.8e-12 at n=32)
+    # least 2.1e-10 (t1, k=3, n=16; 2.8e-12 at n=32); at k=1, n <= 4,
+    # 9.6e-17 (t5, n=4) and 6.8e-4 (t2, n=4)
     flagged = {
         (case_id, k, n)
         for case_id in case_ids() for k in (1, 2, 3) for n in (1, 2, 4)
@@ -381,8 +382,8 @@ def test_second_probe_flags_exactly_the_two_dimensional_kernels():
     # one only where the gauge kernel is two-dimensional: t3-t5 at k=3
     # (lam = x (y-1)^2 - x^3/3).  On the Schur matrix its relative residual
     # reads at most 7.7e-17 at k=3 (n = 1..8; 9.4e-17 at n=32), 100x under
-    # the cutoff, and at least 1.4e-8 at k=2 (t3-t5, n=16; 7.6e-11 at
-    # n=32); on the free-dof matrix at k=1 at least 2.5e-6 (n=32)
+    # the cutoff, at least 1.4e-8 at k=2 (t3-t5, n=16; 7.6e-11 at n=32) and
+    # at least 3.6e-6 at k=1 (t3, n=32)
     flagged = {
         (case_id, k, n)
         for case_id in case_ids() for k in (1, 2, 3) for n in (1, 2, 4)
@@ -416,20 +417,22 @@ def test_projected_gauge_solve_matches_the_bordered_solve(case_id, k, n):
     assert abs(v[nf:] @ got_lam) <= 1e-11 * np.linalg.norm(got_lam)
 
 
-@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("case_id", case_ids())
 def test_condensed_solve_matches_the_full_path(case_id, k):
     # the full path, an LU of the whole free-dof matrix, is the reference
     # for static condensation.  Largest relative differences measured over
-    # n = 1, 2, 4: u 3.0e-11 at k=2 (t5, n=4) and 4.1e-10 at k=3 (t2,
-    # n=4); lam 5.3e-9 at k=2 (t3, n=4) and 2.5e-7 at k=3 (t6, n=4), leaving
-    # out the polynomial-exact cases, whose multiplier is pure roundoff.
-    # Relative residuals on the full matrix (kernel image projected out)
-    # reach 6.3e-15 (t3, k=2, n=4, condensed), 1.2e-15 on the full path.
-    # Every bound keeps at least 10x.
-    # t3-t5 at k=3 have a two-dimensional gauge kernel and take the full
-    # path itself, bit for bit
-    exact = case_id in ("t1", "t2", "t11")  # u is linear or xy, in P_k for k >= 2
+    # n = 1, 2, 4: u 3.0e-14 at k=1 (t14a, n=4), 1.2e-11 at k=2 (t3, n=2)
+    # and 3.5e-10 at k=3 (t1, n=4); lam 4.4e-13 at k=1 (t13, n=4), 2.8e-9
+    # at k=2 (t3, n=4) and 2.5e-7 at k=3 (t6, n=4), leaving out the
+    # polynomial-exact cases, whose multiplier is pure roundoff.  Relative
+    # residuals on the full matrix (kernel image projected out) reach
+    # 8.5e-17 at k=1 (t3, n=4) and 9.3e-16 at k >= 2 (t3, k=2, n=1),
+    # condensed, and 1.2e-15 on the full path.  Every bound keeps at least
+    # 10x.  t3-t5 at k=3 have a two-dimensional gauge kernel and take the
+    # full path itself, bit for bit
+    # u is linear, or xy (in P_k for k >= 2)
+    exact = case_id in ("t1", "t2") or (case_id == "t11" and k >= 2)
     for n in (1, 2, 4):
         system = catalog_system(case_id, k, n)
         nf, norm = len(system.u_free), _one_norm(system.matrix)
@@ -439,9 +442,9 @@ def test_condensed_solve_matches_the_full_path(case_id, k):
         if case_id in ("t3", "t4", "t5") and k == 3:
             assert np.array_equal(got, want)
             continue
-        assert rel(got[:nf], want[:nf]) <= {2: 5e-10, 3: 5e-9}[k]
+        assert rel(got[:nf], want[:nf]) <= {1: 3e-13, 2: 5e-10, 3: 5e-9}[k]
         if not exact:
-            assert rel(got[nf:], want[nf:]) <= {2: 1e-7, 3: 5e-6}[k]
+            assert rel(got[nf:], want[nf:]) <= {1: 5e-12, 2: 1e-7, 3: 5e-6}[k]
         for x in (got, want):
             residual = system.matrix @ x - system.rhs
             if v is not None:
@@ -450,11 +453,12 @@ def test_condensed_solve_matches_the_full_path(case_id, k):
             assert np.linalg.norm(residual) <= 1e-13 * scale
 
 
-@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3])
 def test_condensation_eliminates_in_an_orthonormal_interior_basis(k):
     # R = L^-T with L L^T = mass_k / area makes each triangle's interior
     # basis orthonormal (up to the area), which takes the interior block's
-    # condition number from 2.5e4 (k=2) and 3.9e6 (k=3) to 6.1 and 16.3
+    # condition number from 37 (k=1), 2.5e4 (k=2) and 3.9e6 (k=3) to 2.1,
+    # 6.1 and 16.3
     system = catalog_system("t6", k, 4)
     condensed = _Condensation(system)
     dim = system.ops.dofmap.interior_dim
@@ -529,13 +533,12 @@ def record_factorizations(monkeypatch):
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
-def test_ordered_lu_but_for_full_matrices_above_k1(monkeypatch, k):
-    # every matrix numbered in the mesh's nested-dissection order, the
-    # free-dof matrix at k=1 and the Schur matrix at k >= 2, is factored in
-    # that order in symmetric mode; only the natural free-dof matrix at
-    # k >= 2 (the fallback of t3's two-dimensional gauge kernel at k=3, its
-    # bordered extension, and condition_estimate's LUs) keeps SuperLU's
-    # defaults.  The gauge (t3) factorizations included
+def test_ordered_lu_for_schur_matrices_and_defaults_for_full_ones(monkeypatch, k):
+    # the Schur matrix, numbered in the mesh's nested-dissection order, is
+    # factored in that order in symmetric mode at every degree; the natural
+    # free-dof matrix (the fallback of t3's two-dimensional gauge kernel at
+    # k=3, its bordered extension, and condition_estimate's LUs) keeps
+    # SuperLU's defaults.  The gauge (t3) factorizations included
     calls = record_factorizations(monkeypatch)
     ordered = dict(permc_spec="NATURAL", diag_pivot_thresh=0.1,
                    options=dict(SymmetricMode=True))
@@ -547,9 +550,8 @@ def test_ordered_lu_but_for_full_matrices_above_k1(monkeypatch, k):
         schur = system.n_free - 2 * system.ops.dofmap.n_interior
         for n_args, kwargs, _, order in calls[start:]:
             assert n_args == 1
-            assert order in ({system.n_free - 1, system.n_free} if k == 1 else
-                             {schur, system.n_free - 1, system.n_free, system.n_free + 1})
-            assert kwargs == (ordered if k == 1 or order == schur else {})
+            assert order in {schur, system.n_free - 1, system.n_free, system.n_free + 1}
+            assert kwargs == (ordered if order == schur else {})
     # t6: 1 + 1; t3: 1 + 2, and 3 + 2 at k=3, where solve factors the
     # Schur matrix, finds the second kernel direction, and then factors
     # the full and the bordered matrix
@@ -559,31 +561,28 @@ def test_ordered_lu_but_for_full_matrices_above_k1(monkeypatch, k):
 @pytest.mark.parametrize("k,n", [(1, 16), (2, 8)])
 def test_gauge_solve_factors_once(monkeypatch, k, n):
     # a one-dimensional gauge kernel is projected out of the solve on the
-    # LU that found it: no second, bordered factorization.  At k >= 2 that
-    # LU is of the Schur matrix on the free edge dofs
+    # LU that found it, that of the Schur matrix on the free edge dofs: no
+    # second, bordered factorization
     calls = record_factorizations(monkeypatch)
     system = catalog_system("t3", k, n)
     solve(system)
     assert len(calls) == 1
-    interior = 2 * system.ops.dofmap.n_interior if k >= 2 else 0
-    assert calls[0][3] == system.n_free - interior
+    assert calls[0][3] == system.n_free - 2 * system.ops.dofmap.n_interior
 
 
 @pytest.mark.parametrize("case_id,k,builds", [
-    pytest.param("t6", 1, 1, id="t6-k1"),
-    pytest.param("t3", 1, 1, id="t3-k1"),
+    pytest.param("t6", 1, 0, id="t6-k1"),
+    pytest.param("t3", 1, 0, id="t3-k1"),
     pytest.param("t6", 2, 0, id="t6-k2"),
     pytest.param("t3", 2, 0, id="t3-k2"),
     pytest.param("t6", 3, 0, id="t6-k3"),
     pytest.param("t3", 3, 1, id="t3-k3"),
 ])
 def test_full_matrix_built_only_where_solve_factors_it(monkeypatch, case_id, k, builds):
-    # assemble builds no free-dof matrix; solve builds it for the paths
-    # that factor it, the LU at k=1 (straight in nested-dissection order,
-    # not the natural SaddleSystem.matrix) and the fallback of a
-    # two-dimensional gauge kernel (t3 at k=3, natural order), and otherwise
-    # factors the Schur matrix and checks its residual from the local
-    # matrices
+    # assemble builds no free-dof matrix; solve builds it only for the
+    # fallback of a two-dimensional gauge kernel (t3 at k=3, natural order)
+    # and otherwise factors the Schur matrix and checks its residual from
+    # the local matrices
     real_coo = pdwg.system._coo
     shapes = []
 
@@ -603,17 +602,14 @@ def test_full_matrix_built_only_where_solve_factors_it(monkeypatch, case_id, k, 
 @pytest.mark.parametrize("k", [1, 2])
 def test_halves_before_the_top_separator_do_not_couple(k):
     # t6 at n=8 is first cut at the vertical grid line x = 1/2.  In the
-    # matrix solve factors (the free-dof matrix at k=1, the Schur matrix at
-    # k=2) the unknowns of the nodes left of it come first, then those right
-    # of it, then those on it, and no entry couples the two halves
+    # Schur matrix that solve factors the unknowns of the edges left of it
+    # come first, then those right of it, then those on it, and no entry
+    # couples the two halves
     system = catalog_system("t6", k, 8)
     reduced, _ = _factor_reduced(system)
     mesh, dofmap = system.ops.mesh, system.ops.dofmap
     dofs = np.concatenate([system.u_free, system.lam_free])[reduced.numbered]
-    edge = dofs >= dofmap.n_interior
-    node = np.where(edge, mesh.n_triangles + (dofs - dofmap.n_interior) // dofmap.edge_dim,
-                    dofs // dofmap.interior_dim)
-    x = np.concatenate([mesh.tri_centroids, mesh.edge_midpoints])[node, 0]
+    x = mesh.edge_midpoints[(dofs - dofmap.n_interior) // dofmap.edge_dim, 0]
     part = np.select([x < 0.5, x > 0.5], [0, 1], 2)
     assert np.all(np.diff(part) >= 0)
     left, right = np.searchsorted(part, [1, 2])
@@ -627,7 +623,7 @@ def test_ordered_solve_matches_the_default_lu_on_a_jittered_mesh(k):
     # on the jittered mesh no grid line separates the nodes exactly, so the
     # order is only a permutation: solve agrees with an LU of the same
     # matrix under SuperLU's defaults to roundoff.  Largest relative
-    # differences measured: u 1.6e-14, 3.4e-13, 1.3e-11 and lam 5.1e-13,
+    # differences measured: u 8.5e-15, 3.4e-13, 1.3e-11 and lam 5.0e-13,
     # 6.9e-11, 5.7e-9 at k = 1, 2, 3; every bound keeps at least 10x
     mesh = jittered_mesh()
     for a in COEFFICIENTS.values():

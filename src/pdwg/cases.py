@@ -59,14 +59,8 @@ class CaseSpec:
         normal of the square: one normal (2,) or one per point (npts, 2)."""
         if self.grad_u is None:
             raise ValueError(f"case {self.case_id} carries no gradient, g2 unavailable")
-        gx, gy = self.grad_u(x, y)
-        shape = np.shape(x)
-        vec = np.column_stack([
-            np.broadcast_to(np.asarray(gx, dtype=float), shape),
-            np.broadcast_to(np.asarray(gy, dtype=float), shape),
-        ])
-        flux = self.a.flux(x, y, vec)
-        return np.sum(flux * np.asarray(normal, dtype=float), axis=-1)
+        vec = np.column_stack([np.broadcast_to(g, np.shape(x)) for g in self.grad_u(x, y)])
+        return np.sum(self.a.flux(x, y, vec) * np.asarray(normal, dtype=float), axis=-1)
 
 
 @dataclass(frozen=True)

@@ -86,19 +86,15 @@ def _interior_gradient_coefficients(v, ops):
 
 def _divergence_term(gamma, ops):
     """sum_T h_T^2 ||div(a G)||_T^2 for the per-triangle coefficient
-    array gamma of G, using the product rule grad(a).G + a div(G)."""
-    a = ops.a
+    array gamma of G, using the product rule
+    div(a G) = sum_ij a_ij d_i G_j + sum_j (sum_i d_i a_ij) G_j."""
     # field values (T, nq, 2) and derivatives d_i G_j as (T, nq, i, j)
     gamma_t = gamma.swapaxes(1, 2)
     gvals = ops.vr @ gamma_t
     gder = ops.gr.swapaxes(2, 3) @ gamma_t[:, None]
     x, y = ops.tri_pts[..., 0].ravel(), ops.tri_pts[..., 1].ravel()
-    if a.is_matrix:
-        div = np.einsum("ij,tnij->tn", a.const, gder)
-    else:
-        div = a.scalar_values(x, y).reshape(ops.tri_wts.shape) * (gder[..., 0, 0] + gder[..., 1, 1])
-        if not a.is_constant:
-            div += np.einsum("tni,tni->tn", a.grad_values(x, y).reshape(gvals.shape), gvals)
+    div = np.einsum("tnij,tnij->tn", ops.a.tensor(x, y).reshape(gder.shape), gder)
+    div += np.einsum("tnj,tnj->tn", ops.a.divergence(x, y).reshape(gvals.shape), gvals)
     return float(ops.h**2 @ np.einsum("tn,tn->t", ops.tri_wts, div**2))
 
 

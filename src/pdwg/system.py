@@ -489,7 +489,7 @@ def condition_estimate(system):
     natural matrix is factored with SuperLU's defaults; a stand-in with
     only a matrix counts as all primal.  Small matrices are inverted
     exactly from the LU factors, the rest go through the Higham-Tisseur
-    1-norm estimator."""
+    1-norm estimator, from a fixed random state on every call."""
     matrix = system.matrix.tocsc()
     primal = slice(len(getattr(system, "u_free", range(matrix.shape[0]))))
     n = matrix.shape[0]
@@ -513,8 +513,15 @@ def condition_estimate(system):
     if n <= _DENSE_COND_LIMIT:
         inv_norm = np.linalg.norm(lu.solve(np.eye(n)), 1)
     else:
-        inv_norm = spla.onenormest(spla.LinearOperator(
-            (n, n), matvec=lu.solve, rmatvec=lambda b: lu.solve(b, trans="T")))
+        # the estimator draws its start vectors from numpy's global
+        # generator: draw them from a fixed state and restore the caller's
+        state = np.random.get_state()
+        np.random.seed(0)
+        try:
+            inv_norm = spla.onenormest(spla.LinearOperator(
+                (n, n), matvec=lu.solve, rmatvec=lambda b: lu.solve(b, trans="T")))
+        finally:
+            np.random.set_state(state)
     return float(norm * inv_norm)
 
 

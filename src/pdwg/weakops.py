@@ -33,68 +33,56 @@ __all__ = [
 
 
 class Diffusion:
-    """Diffusion coefficient a(x, y): a positive scalar, constant or
-    callable, or a constant symmetric positive definite 2x2 matrix.
+    """Diffusion coefficient a(x, y), read everywhere as a symmetric
+    positive definite 2x2 tensor field: value is a positive scalar c
+    (a = c I), a constant symmetric positive definite 2x2 matrix, or a
+    callable positive scalar field a(x, y) (a = a(x, y) I).
 
     grad is an optional callable returning the gradient (npts, 2) of a
-    callable coefficient; residual norms need it whenever the coefficient
-    is not constant.
+    callable coefficient; residual norms need it, through divergence,
+    whenever the coefficient is not constant.
     """
 
     def __init__(self, value=1.0, grad=None):
-        self.grad = grad
+        self.grad, self._value = grad, value
         if callable(value):
-            self.fn = value
-            self.const = None
-            self.is_matrix = False
-            self.is_constant = False
+            return
+        arr = np.asarray(value, dtype=float)
+        if arr.ndim == 0:
+            if arr <= 0:
+                raise ValueError("scalar diffusion coefficient must be positive")
+            arr = arr * np.eye(2)
+        elif arr.shape == (2, 2):
+            if not np.allclose(arr, arr.T, rtol=1e-12, atol=0.0):
+                raise ValueError("matrix diffusion coefficient must be symmetric")
+            if np.any(np.linalg.eigvalsh(arr) <= 0):
+                raise ValueError("matrix diffusion coefficient must be positive definite")
         else:
-            arr = np.asarray(value, dtype=float)
-            if arr.ndim == 0:
-                if arr <= 0:
-                    raise ValueError("scalar diffusion coefficient must be positive")
-                self.const = float(arr)
-                self.is_matrix = False
-            elif arr.shape == (2, 2):
-                if not np.allclose(arr, arr.T, rtol=1e-12, atol=0.0):
-                    raise ValueError("matrix diffusion coefficient must be symmetric")
-                if np.any(np.linalg.eigvalsh(arr) <= 0):
-                    raise ValueError("matrix diffusion coefficient must be positive definite")
-                self.const = arr
-                self.is_matrix = True
-            else:
-                raise ValueError("diffusion value must be a scalar or a 2x2 matrix")
-            self.fn = None
-            self.is_constant = True
+            raise ValueError("diffusion value must be a scalar or a 2x2 matrix")
+        self._value = 0.5 * (arr + arr.T)
 
-    def scalar_values(self, x, y):
-        if self.is_matrix:
-            raise ValueError("matrix coefficient queried as a scalar")
-        if self.is_constant:
-            return np.full(np.shape(x), self.const)
-        vals = np.asarray(self.fn(x, y), dtype=float)
-        if vals.ndim == 0:
-            vals = np.full(np.shape(x), float(vals))
-        return vals
+    def tensor(self, x, y):
+        """a at the points, shape (npts, 2, 2): a broadcast view for a
+        constant; ValueError where a callable is not positive."""
+        if not callable(self._value):
+            return np.broadcast_to(self._value, (np.size(x), 2, 2))
+        vals = np.broadcast_to(self._value(x, y), np.shape(x))
+        if np.any(vals <= 0):
+            raise ValueError("diffusion coefficient not positive at a quadrature point")
+        return vals.reshape(-1, 1, 1) * np.eye(2)
 
-    def grad_values(self, x, y):
-        """Gradient of a scalar coefficient; zero for constants."""
-        if self.is_matrix:
-            raise ValueError("gradient helper is defined for scalar coefficients only")
-        if self.is_constant:
-            return np.zeros((np.size(x), 2))
+    def divergence(self, x, y):
+        """Row divergence sum_i d_i a_ij at the points, shape (npts, 2):
+        zero for a constant, grad a for a callable."""
+        if not callable(self._value):
+            return np.broadcast_to(0.0, (np.size(x), 2))
         if self.grad is None:
-            raise ValueError(
-                "nonconstant scalar coefficient needs an analytic gradient helper"
-            )
-        return np.asarray(self.grad(x, y), dtype=float).reshape(np.size(x), 2)
+            raise ValueError("nonconstant scalar coefficient needs an analytic gradient helper")
+        return np.asarray(self.grad(x, y), dtype=float).reshape(-1, 2)
 
     def flux(self, x, y, vec):
         """a times a vector field sampled at points; vec has shape (npts, 2)."""
-        vec = np.asarray(vec, dtype=float)
-        if self.is_matrix:
-            return vec @ self.const.T
-        return self.scalar_values(x, y)[:, None] * vec
+        return np.einsum("nij,nj->ni", self.tensor(x, y), vec)
 
 
 IDENTITY = Diffusion(1.0)
@@ -102,7 +90,9 @@ IDENTITY = Diffusion(1.0)
 
 # The kernels below keep the operation order of a per-triangle loop (3-operand
 # einsums, one Gram product per local edge, summed in edge order), so every
-# local matrix is bit-identical to the one computed triangle by triangle.
+# local matrix is bit-identical to the one computed triangle by triangle.  The
+# diffusion form stacks the Gram products of the tensor entries a00, a01, a11
+# into one batched call, which keeps each entry's bits.
 # This matters beyond taste: at k=3 the gauge-singular cases t3-t5 leave one
 # multiplier kernel direction to roundoff, and their results move with the
 # last bit of the matrix.
@@ -142,19 +132,12 @@ def _stabilizers(ops):
 
 def _diffusion_forms(ops):
     """Matrices (T, nloc, nloc) of b_T(u, v) = (a grad_w u, grad_w v)_T."""
-    a, gmaps = ops.a, ops.grad_maps
-    nt, dimr = len(ops.h), ops.vr.shape[-1]
-    mass2 = np.zeros((nt, 2, dimr, 2, dimr))
-    if a.is_matrix:
-        for i in range(2):
-            for j in range(2):
-                mass2[:, i, :, j] = gram(ops.vr, ops.tri_wts * a.const[i, j])
-    else:
-        pts = ops.tri_pts.reshape(-1, 2)
-        avals = a.scalar_values(pts[:, 0], pts[:, 1]).reshape(ops.tri_wts.shape)
-        if np.any(avals <= 0):
-            raise ValueError("diffusion coefficient not positive at a quadrature point")
-        mass2[:, 0, :, 0] = mass2[:, 1, :, 1] = gram(ops.vr, ops.tri_wts * avals)
+    gmaps, nt, dimr = ops.grad_maps, len(ops.h), ops.vr.shape[-1]
+    # the distinct entries a00, a01, a11 as weights (T, 3, nq)
+    entries = ops.a.tensor(*ops.tri_pts.reshape(-1, 2).T).reshape(nt, -1, 4)[..., [0, 1, 3]]
+    blocks = gram(ops.vr[:, None], ops.tri_wts[:, None] * entries.swapaxes(1, 2))
+    # the (2 dimr)^2 matrix of blocks [[m00, m01], [m01, m11]]
+    mass2 = blocks[:, [0, 1, 1, 2]].reshape(nt, 2, 2, dimr, dimr).swapaxes(2, 3)
     form = gmaps.swapaxes(1, 2) @ mass2.reshape(nt, 2 * dimr, 2 * dimr) @ gmaps
     return 0.5 * (form + form.swapaxes(1, 2))
 

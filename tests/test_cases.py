@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -101,6 +103,33 @@ def test_corrupted_gradient_rejected():
     )
     with pytest.raises(CaseValidationError):
         validate_case(bad)
+
+
+@dataclasses.dataclass(frozen=True)
+class ShiftedTrace(CaseSpec):
+    """A case whose Cauchy trace named by shifted, g1 or g2, is off by 1e-3."""
+
+    shifted: str = "g1"
+
+    def g1(self, x, y):
+        return super().g1(x, y) + 1e-3 * (self.shifted == "g1")
+
+    def g2(self, x, y, normal):
+        return super().g2(x, y, normal) + 1e-3 * (self.shifted == "g2")
+
+
+@pytest.mark.parametrize("trace,match", [("g1", "g1 != u"), ("g2", "g2 mismatch")])
+def test_corrupted_trace_rejected(trace, match):
+    bad = ShiftedTrace(**vars(get_case("t6")), shifted=trace)
+    with pytest.raises(CaseValidationError, match=match):
+        validate_case(bad)
+
+
+def test_flux_data_needs_a_gradient():
+    case = dataclasses.replace(get_case("t6"), grad_u=None)
+    x = np.linspace(0.1, 0.9, 3)
+    with pytest.raises(ValueError, match="no gradient"):
+        case.g2(x, np.zeros_like(x), SIDE_NORMALS["bottom"])
 
 
 def test_boundary_side_sets_match_tables():

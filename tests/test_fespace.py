@@ -5,6 +5,8 @@ import pytest
 
 from pdwg.fespace import (
     DofMap,
+    EdgeBasis,
+    ElementBasis,
     WeakFunction,
     dim_pk,
     edge_basis,
@@ -283,6 +285,12 @@ def test_dofmap_rejects_unsupported_degree():
         DofMap(mesh, 4)
 
 
+@pytest.mark.parametrize("basis", [ElementBasis, EdgeBasis])
+def test_basis_rejects_negative_degree(basis):
+    with pytest.raises(ValueError, match="nonnegative"):
+        basis(-1)
+
+
 def test_weak_function_layout_and_arithmetic():
     mesh = build_uniform_mesh(2)
     wf = WeakFunction(mesh, 1)
@@ -293,6 +301,10 @@ def test_weak_function_layout_and_arithmetic():
     a = WeakFunction(mesh, 1, rng.standard_normal(wf.dofmap.n_dofs))
     b = WeakFunction(mesh, 1, rng.standard_normal(wf.dofmap.n_dofs))
     assert np.allclose((a - b).coeffs, a.coeffs - b.coeffs)
+    assert np.allclose((a + b).coeffs, a.coeffs + b.coeffs)
+    for other in (WeakFunction(mesh, 2), WeakFunction(build_uniform_mesh(2), 1)):
+        with pytest.raises(ValueError, match="incompatible"):
+            a + other
     assert np.allclose((2.0 * a).coeffs, 2.0 * a.coeffs)
     loc = a.local_coeffs(3)
     assert loc.shape == (3 + 3 * 2,)

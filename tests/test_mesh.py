@@ -116,6 +116,15 @@ def test_vertex_index_out_of_range_rejected(bad):
         Mesh([(0, 0), (1, 0), (0, 1)], [(0, 1, bad)])
 
 
+@pytest.mark.parametrize("vertices,triangles,match", [
+    ([(0, 0, 0), (1, 0, 0), (0, 1, 0)], [(0, 1, 2)], "2D points"),
+    ([(0, 0), (1, 0), (0, 1)], [(0, 1)], "index triples"),
+])
+def test_malformed_mesh_arrays_rejected(vertices, triangles, match):
+    with pytest.raises(ValueError, match=match):
+        Mesh(vertices, triangles)
+
+
 def test_non_manifold_edge_rejected():
     # three triangles on the edge (0,0)-(1,0): two above it, one below
     verts = [(0, 0), (1, 0), (0.5, 1), (0.5, 2), (0.5, -1)]
@@ -234,6 +243,10 @@ def test_boundary_config_rejects_interior_flags():
     bad[interior[0]] = True
     with pytest.raises(ValueError):
         BoundaryConfig(mesh, bad, np.zeros(mesh.n_edges, dtype=bool))
+    with pytest.raises(ValueError, match="every edge"):
+        BoundaryConfig(mesh, bad[1:], np.zeros(mesh.n_edges, dtype=bool))
+    with pytest.raises(ValueError, match="not a boundary edge"):
+        boundary_side(mesh, interior[0])
 
 
 GOLDEN_N1_DUMP = (

@@ -271,11 +271,8 @@ def loop_residual_pieces(v, mesh, a, ops, include_boundary):
         grads = rbasis.grad(pts, mesh.tri_centroids[t], mesh.h_tri[t])
         gvals = vals @ gamma[t].T
         gder = np.einsum("jm,nmi->nij", gamma[t], grads)
-        if a.is_matrix:
-            div = np.einsum("ij,nij->n", a.const, gder)
-        else:
-            div = a.scalar_values(pts[:, 0], pts[:, 1]) * (gder[:, 0, 0] + gder[:, 1, 1])
-            div += np.einsum("ni,ni->n", a.grad_values(pts[:, 0], pts[:, 1]), gvals)
+        div = np.einsum("nij,nij->n", a.tensor(pts[:, 0], pts[:, 1]), gder)
+        div += np.einsum("nj,nj->n", a.divergence(pts[:, 0], pts[:, 1]), gvals)
         div_total += mesh.h_tri[t] ** 2 * float(wts @ div**2)
     jump_total = 0.0
     for e in range(mesh.n_edges):

@@ -350,6 +350,32 @@ def test_diffusion_rejects_nonpositive():
         LocalOperators(mesh, 1, sign_flip)
 
 
+@pytest.mark.parametrize("value,match", [
+    (np.ones(3), "scalar or a 2x2"),
+    ([[1.0, 0.5], [0.4, 1.0]], "symmetric"),
+])
+def test_diffusion_rejects_malformed_values(value, match):
+    with pytest.raises(ValueError, match=match):
+        Diffusion(value)
+
+
+def test_diffusion_reads_every_kind_as_a_tensor():
+    x, y = np.array([0.1, 0.5, 0.9]), np.array([0.2, 0.3, 0.7])
+    matrix = np.array([[2.0, 0.5], [0.5, 1.0]])
+    variable = Diffusion(lambda x, y: 1.0 + x * y, grad=lambda x, y: np.column_stack([y, x]))
+    for a, want in ((Diffusion(2.5), 2.5 * np.eye(2)), (Diffusion(matrix), matrix)):
+        tensor = a.tensor(x, y)
+        assert tensor.shape == (3, 2, 2) and np.all(tensor == want)
+        assert not tensor.flags.writeable  # a broadcast view, not a copy
+        assert np.all(a.divergence(x, y) == 0.0) and a.divergence(x, y).shape == (3, 2)
+    assert np.all(variable.tensor(x, y) == (1.0 + x * y)[:, None, None] * np.eye(2))
+    assert np.all(variable.divergence(x, y) == np.column_stack([y, x]))
+    vec = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+    assert np.allclose(Diffusion(matrix).flux(x, y, vec), vec @ matrix, rtol=1e-15)
+    with pytest.raises(ValueError, match="gradient"):
+        Diffusion(lambda x, y: 1.0 + x).divergence(x, y)
+
+
 def jittered_mesh(n=4, seed=8):
     """build_uniform_mesh(n) with every interior vertex moved by up to h/4
     in each coordinate, so that no two triangles share a shape."""
@@ -392,12 +418,10 @@ def loop_local_matrices(mesh, t, k, a, rule):
         stab += z.T @ (ewts[:, None] * z)
     gmap = np.vstack([np.linalg.solve(mass_r, rhs[:dr]), np.linalg.solve(mass_r, rhs[dr:])])
     mass2 = np.zeros((2 * dr, 2 * dr))
+    tensor = a.tensor(pts[:, 0], pts[:, 1])
     for i in range(2):
         for j in range(2):
-            if a.is_matrix:
-                aij = np.full(len(wts), a.const[i, j])
-            else:
-                aij = a.scalar_values(pts[:, 0], pts[:, 1]) * (i == j)
+            aij = tensor[:, i, j]
             mass2[i * dr : (i + 1) * dr, j * dr : (j + 1) * dr] = vr.T @ ((wts * aij)[:, None] * vr)
     return gmap, stab / scale, gmap.T @ mass2 @ gmap
 

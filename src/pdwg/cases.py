@@ -248,6 +248,8 @@ def validate_case(case, n_points=20, seed=0):
     traces g1, g2 on their sides.  Raises CaseValidationError at the
     first offending point.
     """
+    if case.grad_u is None:
+        raise CaseValidationError(f"case {case.case_id}: no gradient grad_u to check")
     rng = np.random.default_rng(seed)
     x = rng.uniform(0.05, 0.95, n_points)
     y = rng.uniform(0.05, 0.95, n_points)

@@ -14,18 +14,18 @@ interior basis), factors the Schur matrix on the free edge dofs and
 recovers the interiors triangle by triangle.  The Schur matrix is
 assembled straight in the mesh's nested-dissection order
 (Mesh.nested_dissection), the u and lam dofs of one edge adjacent, and
-factored in that order in symmetric mode.  When the multiplier has a
-one-dimensional gauge kernel v, the same factorization solves the
-compatible data (I - v v^T) rhs and the kernel component is projected out
-of the result; only a second kernel direction sends the solve to the
-free-dof matrix in its natural order and a bordered one, both factored
-with SuperLU's defaults.  That natural matrix (SaddleSystem.matrix) is
-assembled only where it is read (that fallback, condition_estimate and
-the matrix export): solve checks its residual, and takes the 1-norm that
-scales it, from the local matrices triangle by triangle.  The level's
-LocalOperators is the one source of mesh, degree, dof layout and local
-matrices: assemble takes it, and the assembled system keeps it as ops for
-solve to read.
+factored in that order in symmetric mode.  The kernel is decided first,
+from polynomial candidates (_Condensation.kernel_dims): a primal one
+raises SingularSystemError; along one multiplier (gauge) direction the
+Schur LU solves the compatible data (I - v v^T) rhs, v its own null
+direction, and projects v out; two or more send the solve to the natural
+free-dof matrix and a bordered one, with SuperLU's defaults.  That
+natural matrix (SaddleSystem.matrix) is assembled only where it is read
+(that path, condition_estimate and the matrix export): solve checks its
+residual, and takes the 1-norm that scales it, from the local matrices
+triangle by triangle.  The level's LocalOperators is the one source of
+mesh, degree, dof layout and local matrices: assemble takes it, and the
+assembled system keeps it as ops for solve to read.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .fespace import WeakFunction, l2_project_edge, sample
+from .fespace import WeakFunction, edge_basis, l2_project_edge, sample, tri_exponents
 from .weakops import LocalOperators
 
 __all__ = [
@@ -52,18 +52,17 @@ __all__ = [
 
 # relative residual bound accepted from the direct solver
 _RESIDUAL_TOL = 1e-9
-# relative residual ||A v||_2 / ||A||_1 of the normalized inverse-iteration
-# probe v at or below which v is taken as a kernel vector; A is the matrix
-# solve factors first, the Schur matrix in nested-dissection order.
-# Measured over the catalog for n <= 16 (n <= 32 at k=1) and t1/t3 at k=2,
-# 3, n=32: gauge systems reach at most 2.0e-16 (t3-t5, k=1, n=32; 2.4e-16
-# on t3, k=1, n=64), regular ones 2.8e-12 (t1, k=3, n=32; 2.1e-10 at n=16;
-# 3.5e-6 at k=1, n=32), so the cutoff keeps 49x and 280x.  The regular side
-# still falls about 75x per doubling at k=3: t1 at k=3, n=64 would read
-# about 4e-14.  The second, projected probe on t3-t5 reads at most 9.4e-17
-# where the kernel is two-dimensional (k=3, n=32) and at least 7.6e-11
-# where it is not (k=2, n=32; 1.4e-8 at n=16; 3.6e-6 at k=1, n=32)
-_KERNEL_TOL = 1e-14
+# a singular value of kernel_dims's stacked matrix at or below
+# _KERNEL_CUTOFF ||Schur||_1 counts as a kernel direction.  Measured
+# (sigma / ||Schur||_1): kernel directions at most 2.3e-16 over the catalog
+# at n <= 8 and 2.9e-16 on t3, k=3, n=32 (3.3e-16 at n=64), the others at
+# least 1.4e-5 there (t1, k=3, n=1) and 2.0e-5 on t1, k=3, n=32 (5.9e-6 at
+# n=64).  One regular system closes in on the cutoff: on t3's sides
+# a = exp(y) gives div(a grad x) = 0, so the continuous multiplier problem
+# has the kernel x, which the discrete one approaches as h^(k+1): at k=3
+# the ratio reads 1.3e-8, 8.3e-10, 5.3e-11 and 3.3e-12 at n = 8, 16, 32,
+# 64, and would count as a kernel from about n=128 on
+_KERNEL_CUTOFF = 1e-12
 # largest system whose inverse condition_estimate forms exactly
 _DENSE_COND_LIMIT = 800
 # SuperLU options for a matrix numbered in the mesh's nested-dissection
@@ -288,37 +287,13 @@ def _project_out(vec, unit):
     return vec - (vec @ unit) * unit
 
 
-def _gauge_kernel(lu, matrix, primal, norm, found=None):
-    """Kernel test shared by solve and condition_estimate (norm: the 1-norm
-    of matrix): None for a regular matrix, else the unit kernel vector of a
-    pure multiplier gauge.  Given found, a unit kernel vector already
-    known, the test looks for a second kernel direction orthogonal to it.
-    Raises SingularSystemError when the factorization is unusable or the
-    kernel reaches the primal dofs, the entries primal (an index) of a
-    vector."""
-    # an exact kernel dominates one inverse-iteration step, whose residual
-    # then falls to roundoff.  A kernel confined to the multiplier block is
-    # a pure gauge: the primal field stays unique.  In the catalog only
-    # t3-t5 have one, lam = x (zero on the left side, the one side outside
-    # Gamma_n, and flux-free on top, the one side outside Gamma_d), and at
-    # k=3 a second one, lam = x (y-1)^2 - x^3/3
+def _null_direction(lu):
+    """Unit vector of one inverse-iteration step on lu from the constant
+    vector: on a singular LU, the LU's own null direction, which a
+    projected solve on it must project along."""
     n = lu.shape[0]
-    start = np.full(n, 1.0 / np.sqrt(n))
-    if found is None:
-        probe = lu.solve(start)
-    else:
-        probe = _project_out(lu.solve(_project_out(start, found)), found)
-    size = np.linalg.norm(probe)
-    if not np.isfinite(size) or size == 0.0:
-        raise SingularSystemError("singular system: factorization is unusable")
-    null_dir = probe / size
-    residual = np.linalg.norm(matrix @ null_dir) / norm
-    if residual > _KERNEL_TOL:
-        return None
-    if np.linalg.norm(null_dir[primal]) > 1e-6:
-        raise SingularSystemError("singular system: the primal field is not "
-                                  f"unique (kernel probe residual {residual:.2e})")
-    return null_dir
+    probe = lu.solve(np.full(n, 1.0 / np.sqrt(n)))
+    return probe / np.linalg.norm(probe)
 
 
 class _Condensation:
@@ -381,77 +356,95 @@ class _Condensation:
         x[self.interior] = np.einsum("tij,tj->ti", self.basis, interior)
         return x
 
-
-def _factor_reduced(system):
-    """The condensation of system, whose matrix (the Schur matrix on the
-    free edge dofs, in nested-dissection order) solve factors first, and
-    its LU with _ORDERED_LU."""
-    reduced = _Condensation(system)
-    return reduced, _factor(reduced.matrix, **_ORDERED_LU)
-
-
-def _solve_full(matrix, rhs, n_primal, norm):
-    """Solution and gauge kernel vector (None without one) from an LU of the
-    full free-dof matrix with SuperLU's defaults: the path of a
-    two-dimensional gauge kernel, and the tests' reference for the
-    condensed one."""
-    lu = _factor(matrix)
-    primal = slice(n_primal)
-    null_dir = _gauge_kernel(lu, matrix, primal, norm)
-    if null_dir is None:
-        x = lu.solve(rhs)
-    elif _gauge_kernel(lu, matrix, primal, norm, found=null_dir) is None:
-        # one gauge direction: the symmetric matrix's range is orthogonal
-        # to it, so the projected rhs is compatible data that the singular
-        # LU solves; projecting the result gives the minimal representative
-        # across the multiplier gauge
-        x = _project_out(lu.solve(_project_out(rhs, null_dir)), null_dir)
-    else:
-        # a second kernel direction (t3-t5 at k=3): border the one found,
-        # which regularizes the factorization along it and pins its
-        # component to zero; the other is left to roundoff
-        del lu  # one factorization alive at a time
-        n = matrix.shape[0]
-        col = sp.csc_matrix(null_dir.reshape(n, 1))
-        bordered = sp.bmat([[matrix, col], [col.T, None]], format="csc")
-        x = _factor(bordered).solve(np.append(rhs, 0.0))[:n]
-    return x, null_dir
+    def kernel_dims(self, system):
+        """Dimensions (primal, multiplier) of the kernel of matrix.  A
+        kernel vector (u, lam) has S u = S lam = 0, so (u, 0) and (0, lam)
+        are kernel vectors too, on this catalog each Q_h p for a p of
+        degree <= k.  Per field, the monomials' Q_b p, orthonormalized over
+        all edge dofs, give X on its free edge unknowns (0 on the other
+        field's) and X_fixed on its fixed edge dofs; counted are the
+        singular values of [matrix X; X_fixed] at or below
+        _KERNEL_CUTOFF ||matrix||_1."""
+        ops = system.ops
+        mesh, k, n_int = ops.mesh, ops.k, ops.dofmap.n_interior
+        # a monomial restricted to an edge lies in P_k: interpolating it at
+        # k + 1 points of the edge coordinate gives Q_b p exactly
+        t = np.linspace(-0.5, 0.5, k + 1)
+        ends = mesh.vertices[mesh.edges]
+        pts = mesh.edge_midpoints[:, None] + t[:, None] * (ends[:, 1] - ends[:, 0])[:, None]
+        p, q = np.array(tri_exponents(k)).T
+        values = pts[..., :1] ** p * pts[..., 1:] ** q
+        cand = np.linalg.qr((np.linalg.inv(edge_basis(k).eval(t)) @ values).reshape(-1, len(p)))[0]
+        dofs = np.concatenate([system.u_free, system.lam_free])[self.numbered] - n_int
+        cutoff = _KERNEL_CUTOFF * _one_norm(self.matrix)
+        dims = []
+        for field in (self.primal, ~self.primal):
+            x = np.zeros((len(dofs), len(p)))
+            x[field] = cand[dofs[field]]
+            fixed = np.ones(len(cand), dtype=bool)
+            fixed[dofs[field]] = False
+            sv = np.linalg.svd(np.vstack([self.matrix @ x, cand[fixed]]), compute_uv=False)
+            dims.append(int(np.count_nonzero(sv <= cutoff)))
+        return tuple(dims)
 
 
-def _solve_ordered(system):
-    """Solution and gauge kernel vector as _solve_full gives them, from the
-    LU of _factor_reduced; None when its matrix has a second gauge
-    direction, which the full path handles."""
-    reduced, lu = _factor_reduced(system)
-    matrix, primal = reduced.matrix, reduced.primal
-    norm = _one_norm(matrix)
-    found = _gauge_kernel(lu, matrix, primal, norm)
-    if found is None:
+def _solve_ordered(system, reduced, gauge_dim):
+    """Solution and gauge kernel vector (None without one) from the LU of
+    reduced's Schur matrix with _ORDERED_LU, for a gauge kernel of
+    dimension gauge_dim, 0 or 1."""
+    lu = _factor(reduced.matrix, **_ORDERED_LU)
+    if not gauge_dim:
         return reduced.solve(lu, system.rhs), None
-    if _gauge_kernel(lu, matrix, primal, norm, found=found) is not None:
-        return None
     # the full kernel vector, unit in the original coordinates, so the
     # representative is the full path's: v.x = 0
-    null_dir = reduced.expand(found)
+    null_dir = reduced.expand(_null_direction(lu))
     null_dir /= np.linalg.norm(null_dir)
     return _project_out(reduced.solve(lu, _project_out(system.rhs, null_dir)), null_dir), null_dir
 
 
+def _solve_full(matrix, rhs, gauge_dim):
+    """Solution and gauge kernel vector (None without one) from an LU of
+    the full free-dof matrix with SuperLU's defaults, for a gauge kernel
+    of dimension gauge_dim: the path of two or more directions, and the
+    tests' reference for the condensed one."""
+    lu = _factor(matrix)
+    if not gauge_dim:
+        return lu.solve(rhs), None
+    null_dir = _null_direction(lu)
+    if gauge_dim == 1:
+        # the symmetric matrix's range is orthogonal to the kernel, so the
+        # projected rhs is compatible data that the singular LU solves;
+        # projecting the result gives the minimal representative across
+        # the multiplier gauge
+        return _project_out(lu.solve(_project_out(rhs, null_dir)), null_dir), null_dir
+    # two or more (t3-t5 at k=3): border the LU's null direction, which
+    # regularizes the factorization along it and pins its component to
+    # zero; the others are left to roundoff
+    del lu  # one factorization alive at a time
+    n = matrix.shape[0]
+    col = sp.csc_matrix(null_dir.reshape(n, 1))
+    bordered = sp.bmat([[matrix, col], [col.T, None]], format="csc")
+    return _factor(bordered).solve(np.append(rhs, 0.0))[:n], null_dir
+
+
 def solve(system):
     """Factorize and solve; returns the primal and multiplier fields with
-    the fixed boundary values merged back in.  The LU is of the Schur
-    matrix of _factor_reduced, on the free edge dofs in nested-dissection
-    order, the interior dofs condensed out.  Only a two-dimensional gauge
-    kernel (t3-t5 at k = 3) factors the natural free-dof matrix, which only
-    this path builds.  The residual check applies the local matrices."""
-    ops = system.ops
-    norm = _local_column_sums(system).max()
-    nf = len(system.u_free)
-    # the condensed path returns None, freeing its LU, before the full one starts
-    solution = _solve_ordered(system)
-    if solution is None:
-        solution = _solve_full(system.matrix, system.rhs, nf, norm)
-    x, null_dir = solution
+    the fixed boundary values merged back in.  The kernel dimensions
+    (_Condensation.kernel_dims) come before any factorization: a primal
+    kernel raises SingularSystemError; up to one gauge direction factors
+    the Schur matrix; two or more (t3-t5 at k = 3) free the condensation
+    unfactored and factor the natural free-dof matrix, which only this
+    path builds.  The residual check applies the local matrices."""
+    ops, nf = system.ops, len(system.u_free)
+    reduced = _Condensation(system)
+    primal_dim, gauge_dim = reduced.kernel_dims(system)
+    if primal_dim:
+        raise SingularSystemError("singular system: the primal field is not unique")
+    if gauge_dim > 1:
+        del reduced  # its arrays go before the full matrix is built
+        x, null_dir = _solve_full(system.matrix, system.rhs, gauge_dim)
+    else:
+        x, null_dir = _solve_ordered(system, reduced, gauge_dim)
     if not np.all(np.isfinite(x)):
         raise SingularSystemError("direct solver produced a non-finite solution")
 
@@ -461,6 +454,7 @@ def solve(system):
         # defect (quadrature-level), not a solver error
         residual_vec = _project_out(residual_vec, null_dir)
     residual = np.linalg.norm(residual_vec)
+    norm = _local_column_sums(system).max()
     scale = np.linalg.norm(system.rhs) + norm * np.linalg.norm(x)
     if residual > _RESIDUAL_TOL * max(scale, 1e-300):
         raise SingularSystemError(
@@ -480,36 +474,36 @@ def solve(system):
 def condition_estimate(system):
     """Estimate of the 1-norm condition number of the free-dof matrix.
 
-    A pure multiplier gauge (see solve) is factored out: the estimate is
-    then that of the matrix with the dof of largest kernel component
-    removed (row and column), i.e. of the system on the gauge quotient.
-    +inf when the factorization fails or the primal field is not unique,
-    and also on t3-t5 at k=3, whose primal field is unique: the quotient
-    keeps the second kernel direction, so its kernel test raises.  The
-    natural matrix is factored with SuperLU's defaults; a stand-in with
-    only a matrix counts as all primal.  Small matrices are inverted
-    exactly from the LU factors, the rest go through the Higham-Tisseur
-    1-norm estimator, from a fixed random state on every call."""
+    The kernel dimensions are solve's (_Condensation.kernel_dims), read
+    before anything is factored.  A primal kernel, or a gauge kernel of
+    two or more directions (t3-t5 at k = 3), gives +inf at once, and so
+    does a failed factorization.  One gauge direction is factored out: the
+    estimate is then that of the matrix with the dof of largest component
+    of the LU's null direction removed (row and column), i.e. of the
+    system on the gauge quotient.  The natural matrix is factored with
+    SuperLU's defaults; a stand-in with only a matrix is taken as regular.
+    Small matrices are inverted exactly from the LU factors, the rest go
+    through the Higham-Tisseur 1-norm estimator, from a fixed random state
+    on every call."""
     matrix = system.matrix.tocsc()
-    primal = slice(len(getattr(system, "u_free", range(matrix.shape[0]))))
     n = matrix.shape[0]
     if n == 0:
         return 0.0
-    norm = _one_norm(matrix)
+    primal_dim, gauge_dim = (_Condensation(system).kernel_dims(system)
+                             if hasattr(system, "ops") else (0, 0))
+    if primal_dim or gauge_dim > 1:
+        return math.inf
     try:
         lu = _factor(matrix)
-        null_dir = _gauge_kernel(lu, matrix, primal, norm)
-        if null_dir is not None:
+        if gauge_dim:
+            keep = np.delete(np.arange(n), np.argmax(np.abs(_null_direction(lu))))
             del lu  # one factorization alive at a time
-            keep = np.delete(np.arange(n), np.argmax(np.abs(null_dir)))
             matrix = matrix[keep][:, keep]
             n -= 1
-            norm = _one_norm(matrix)
             lu = _factor(matrix)
-            # the quotient is all primal here: a second kernel raises
-            _gauge_kernel(lu, matrix, slice(None), norm)
-    except (RuntimeError, SingularSystemError):
+    except SingularSystemError:
         return math.inf
+    norm = _one_norm(matrix)
     if n <= _DENSE_COND_LIMIT:
         inv_norm = np.linalg.norm(lu.solve(np.eye(n)), 1)
     else:

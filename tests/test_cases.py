@@ -132,6 +132,14 @@ def test_flux_data_needs_a_gradient():
         case.g2(x, np.zeros_like(x), SIDE_NORMALS["bottom"])
 
 
+def test_validation_needs_a_gradient():
+    # the cross-check reads grad_u first: without one it names the case
+    # rather than calling None
+    case = dataclasses.replace(get_case("t6"), grad_u=None)
+    with pytest.raises(CaseValidationError, match="case t6: no gradient"):
+        validate_case(case)
+
+
 def test_boundary_side_sets_match_tables():
     assert set(get_case("t3").dirichlet_sides) == {"bottom", "right", "left"}
     assert set(get_case("t3").neumann_sides) == {"bottom", "right", "top"}

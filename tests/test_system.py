@@ -17,8 +17,6 @@ from pdwg.norms import (error_fields, interior_l2_norm, residual_norm_multiplier
 from pdwg.system import (
     SingularSystemError,
     _Condensation,
-    _factor_reduced,
-    _gauge_kernel,
     _local_column_sums,
     _local_product,
     _one_norm,
@@ -338,20 +336,19 @@ def catalog_system(case_id, k, n, a=None):
     return assemble(config, case, LocalOperators(mesh, k, case.a))
 
 
-def kernel_test(case_id, k, n, second=False, a=None):
-    """_gauge_kernel on the factorization that solve makes first, through
-    solve's own helper: the ordered LU of the Schur matrix on the free edge
-    dofs, at every degree.  With second, the
-    projected probe for a second direction, as solve runs it once a first
-    one is found (None without a first one).  a replaces the case's
-    coefficient."""
-    reduced, lu = _factor_reduced(catalog_system(case_id, k, n, a))
-    matrix, primal = reduced.matrix, reduced.primal
-    norm = _one_norm(matrix)
-    found = _gauge_kernel(lu, matrix, primal, norm)
-    if not second or found is None:
-        return found
-    return _gauge_kernel(lu, matrix, primal, norm, found=found)
+def kernel_dims(case_id, k, n, a=None):
+    """_Condensation.kernel_dims of the catalog case's system, the
+    dimensions (primal, multiplier) that solve decides its path by; a
+    replaces the case's coefficient."""
+    system = catalog_system(case_id, k, n, a)
+    return _Condensation(system).kernel_dims(system)
+
+
+def catalog_kernel(case_id, k):
+    """The kernel dimensions of the catalog: only t3-t5 leave the
+    multiplier a kernel, lam = x, and at k=3 a second direction,
+    lam = x (y-1)^2 - x^3/3; no case leaves one to the primal field."""
+    return (0, (2 if k == 3 else 1) if case_id in ("t3", "t4", "t5") else 0)
 
 
 def rel(a, b):
@@ -360,57 +357,52 @@ def rel(a, b):
 
 def solve_path(system):
     """The free-dof solution and gauge kernel vector (None without one) of
-    the path solve takes: the Schur matrix's ordered LU unless the gauge
-    kernel is two-dimensional, the full matrix's otherwise."""
-    solution = _solve_ordered(system)
-    if solution is None:
-        solution = _solve_full(system.matrix, system.rhs, len(system.u_free),
-                               _one_norm(system.matrix))
-    return solution
+    the path solve takes: the Schur matrix's ordered LU up to one gauge
+    direction, the full matrix's with two or more."""
+    reduced = _Condensation(system)
+    gauge_dim = reduced.kernel_dims(system)[1]
+    if gauge_dim > 1:
+        return _solve_full(system.matrix, system.rhs, gauge_dim)
+    return _solve_ordered(system, reduced, gauge_dim)
 
 
-def test_kernel_tolerance_keeps_a_decade_on_both_sides(monkeypatch):
-    # the kernel test cuts between the relative probe residuals of regular
-    # and gauge-singular systems, both on the Schur matrix: the smallest
-    # regular one at n <= 32 (t1, k=3, n=32: 2.8e-12) and the largest gauge
-    # one (t3-t5, k=1, n=32: 2.0e-16; 2.4e-16 on t3, k=1, n=64) must both
-    # stay a factor 10 clear of the cutoff
-    tol = pdwg.system._KERNEL_TOL
-    monkeypatch.setattr(pdwg.system, "_KERNEL_TOL", 10 * tol)
-    assert kernel_test("t1", 3, 32) is None
-    monkeypatch.setattr(pdwg.system, "_KERNEL_TOL", tol / 10)
-    assert kernel_test("t3", 1, 32) is not None
+def test_kernel_cutoff_keeps_a_hundredfold_margin_on_both_sides(monkeypatch):
+    # the cutoff sits between the singular value ratios of kernel_dims's
+    # stacked matrix that belong to kernel directions and those that do
+    # not.  Measured: kernel ones at most 2.3e-16 over the catalog at
+    # n <= 8 (t3, k=3, n=8) and 2.9e-16 on t3, k=3, n=32; the others at
+    # least 1.4e-5 over the catalog at n <= 8 (t1, k=3, n=1) and 2.0e-5 on
+    # t1, k=3, n=32.  A cutoff 100x higher or lower must decide every one
+    # of these levels alike
+    levels = [(case_id, k, n) for case_id in case_ids() for k in (1, 2, 3)
+              for n in (1, 2, 4, 8)] + [("t1", 3, 32), ("t3", 3, 32)]
+    cutoff = pdwg.system._KERNEL_CUTOFF
+    for case_id, k, n in levels:
+        system = catalog_system(case_id, k, n)
+        reduced = _Condensation(system)
+        for factor in (100.0, 0.01):
+            monkeypatch.setattr(pdwg.system, "_KERNEL_CUTOFF", factor * cutoff)
+            assert reduced.kernel_dims(system) == catalog_kernel(case_id, k), (case_id, k, n)
 
 
-def test_kernel_test_flags_exactly_the_gauge_cases():
-    # only t3-t5 leave the multiplier a kernel (lam = x, and a second
-    # direction at k=3).  On the matrix solve factors first, gauge levels
-    # read at most 9.3e-17 at k >= 2 (t3, k=2, n=16) and regular ones at
-    # least 2.1e-10 (t1, k=3, n=16; 2.8e-12 at n=32); at k=1, n <= 4,
-    # 9.6e-17 (t5, n=4) and 6.8e-4 (t2, n=4)
-    flagged = {
-        (case_id, k, n)
-        for case_id in case_ids() for k in (1, 2, 3) for n in (1, 2, 4)
-        if kernel_test(case_id, k, n) is not None
-    }
-    assert flagged == {
-        (case_id, k, n) for case_id in ("t3", "t4", "t5") for k in (1, 2, 3) for n in (1, 2, 4)
-    }
-
-
-def test_second_probe_flags_exactly_the_two_dimensional_kernels():
-    # with the first kernel direction projected out, a second probe finds
-    # one only where the gauge kernel is two-dimensional: t3-t5 at k=3
-    # (lam = x (y-1)^2 - x^3/3).  On the Schur matrix its relative residual
-    # reads at most 7.7e-17 at k=3 (n = 1..8; 9.4e-17 at n=32), 100x under
-    # the cutoff, at least 1.4e-8 at k=2 (t3-t5, n=16; 7.6e-11 at n=32) and
-    # at least 3.6e-6 at k=1 (t3, n=32)
-    flagged = {
-        (case_id, k, n)
-        for case_id in case_ids() for k in (1, 2, 3) for n in (1, 2, 4)
-        if kernel_test(case_id, k, n, second=True) is not None
-    }
-    assert flagged == {(case_id, 3, n) for case_id in ("t3", "t4", "t5") for n in (1, 2, 4)}
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_kernel_dimensions_match_the_singular_values_of_the_schur_matrix(k):
+    # the oracle: the singular values of the dense Schur matrix below
+    # 1e-13 sigma_max count its kernel, and the rank of their right
+    # singular vectors' primal rows gives the primal part of it.  Measured
+    # over the catalog at n <= 4: kernel singular values at most 4.4e-16
+    # sigma_max (t3, k=2, n=4), the others at least 6.6e-9 sigma_max (t3,
+    # k=3, n=4), and the kernel's primal rows have no singular value above
+    # 5.4e-12
+    for case_id in case_ids():
+        for n in (1, 2, 4):
+            system = catalog_system(case_id, k, n)
+            reduced = _Condensation(system)
+            _, sv, vt = np.linalg.svd(reduced.matrix.toarray())
+            kernel = vt[sv < 1e-13 * sv[0]]
+            primal = np.linalg.matrix_rank(kernel[:, reduced.primal], tol=1e-6)
+            want = (primal, len(kernel) - primal)
+            assert reduced.kernel_dims(system) == want == catalog_kernel(case_id, k), (case_id, n)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -427,29 +419,52 @@ def test_gauge_kernel_of_a_variable_coefficient(k):
         system = catalog_system("t3", k, n, a)
         solve(system)
         _, v = solve_path(system)
+        assert kernel_dims("t3", k, n, a) == (0, int(k > 1))
         if k == 1:
             assert v is None
             continue
-        assert kernel_test("t3", k, n, second=True, a=a) is None
         nf = len(system.u_free)
         q = l2_project_weak(lambda x, y: x, system.ops).coeffs[system.lam_free]
         cos = abs(v[nf:] @ q) / (np.linalg.norm(v[nf:]) * np.linalg.norm(q))
         assert cos >= 1.0 - 3e-8
     if k > 1:
-        schur = _factor_reduced(catalog_system("t3", k, 2, a))[0].matrix.toarray()
+        schur = _Condensation(catalog_system("t3", k, 2, a)).matrix.toarray()
         sv = np.linalg.svd(schur, compute_uv=False)
         assert sv[-1] <= 1e-16 * sv[0] and sv[-2] >= 1e-12 * sv[0]
 
 
+NO_CANDIDATE = (Diffusion(lambda x, y: 1.0 + x), Diffusion(lambda x, y: np.exp(y)))
+
+
 def test_variable_coefficients_without_a_candidate_leave_no_kernel():
-    # with a = 1 + x or exp(y), div(a grad x) != 0: t3's sides leave no
-    # kernel, and the probe reads at least 5.0e-14 (exp(y), k=3, n=4).  At
-    # k=3, n=8 it reads 1.6e-15 and 2.9e-16, under the cutoff, though the
-    # Schur matrix's smallest singular value ratio is 9.1e-16 and 1.6e-16
-    # there, not roundoff: the ill-posed problem's near-kernel
-    coefficients = (Diffusion(lambda x, y: 1.0 + x), Diffusion(lambda x, y: np.exp(y)))
-    assert not [(a, k, n) for a in coefficients for k in (1, 2, 3) for n in (2, 4)
-                if kernel_test("t3", k, n, a=a) is not None]
+    # with a = 1 + x, div(a grad x) != 0, and with a = exp(y), a grad x is
+    # not in [P_{k-1}]^2: t3's sides leave no kernel.  The smallest singular
+    # value ratio of kernel_dims's stacked matrix reads at least 7.2e-6
+    # (1 + x) and 1.3e-8 (exp(y)), both at k=3, n=8
+    assert not [(a, k, n) for a in NO_CANDIDATE for k in (1, 2, 3) for n in (2, 4, 8)
+                if kernel_dims("t3", k, n, a) != (0, 0)]
+
+
+@pytest.mark.parametrize("a", NO_CANDIDATE, ids=["1+x", "exp(y)"])
+def test_near_kernel_of_a_variable_coefficient_is_not_projected_out(a):
+    # at k=3, n=8 the Schur matrix's smallest singular value ratio is
+    # 9.0e-16 (1 + x) and 1.5e-16 (exp(y)), the ill-posed problem's
+    # near-kernel, not a kernel: solve must return the LU's solution, not
+    # one with a direction projected out.  t3's data do not fit these
+    # coefficients, so lam_h is large (|lam| 2.5e12 and 1.3e13) and two
+    # LUs agree only loosely.  Measured against an LU of the free-dof
+    # matrix: u 1.0e-3 and 1.8e-2, lam 6.7e-4 and 1.8e-2 relative (a
+    # projected solve: 0.98 to 1.0), and relative residuals 6.1e-17 and
+    # 5.3e-17 on the full matrix (projected: 1.2e-14 and 4.8e-15)
+    system = catalog_system("t3", 3, 8, a)
+    assert _Condensation(system).kernel_dims(system) == (0, 0)
+    nf = len(system.u_free)
+    u_h, lam_h = solve(system)
+    got = np.concatenate([u_h.coeffs[system.u_free], lam_h.coeffs[system.lam_free]])
+    want = spla.splu(system.matrix).solve(system.rhs)
+    assert rel(got[:nf], want[:nf]) <= 0.2 and rel(got[nf:], want[nf:]) <= 0.2
+    scale = np.linalg.norm(system.rhs) + _one_norm(system.matrix) * np.linalg.norm(got)
+    assert np.linalg.norm(system.matrix @ got - system.rhs) <= 1e-15 * scale
 
 
 @pytest.mark.parametrize("n", [1, 2, 4, 8])
@@ -498,7 +513,7 @@ def test_condensed_solve_matches_the_full_path(case_id, k):
         nf, norm = len(system.u_free), _one_norm(system.matrix)
         u_h, lam_h = solve(system)
         got = np.concatenate([u_h.coeffs[system.u_free], lam_h.coeffs[system.lam_free]])
-        want, v = _solve_full(system.matrix, system.rhs, nf, norm)
+        want, v = _solve_full(system.matrix, system.rhs, catalog_kernel(case_id, k)[1])
         if case_id in ("t3", "t4", "t5") and k == 3:
             assert np.array_equal(got, want)
             continue
@@ -528,9 +543,11 @@ def test_condensation_eliminates_in_an_orthonormal_interior_basis(k):
     assert np.linalg.cond(condensed.inner).max() <= 100
 
 
-def test_primal_non_uniqueness_reports_the_probe_residual():
-    with pytest.raises(SingularSystemError, match="kernel probe residual"):
+def test_primal_non_uniqueness_is_reported_before_factoring(monkeypatch):
+    calls = record_factorizations(monkeypatch)
+    with pytest.raises(SingularSystemError, match="primal field is not unique"):
         solve(no_boundary_data_system())
+    assert calls == []
 
 
 class NoFactorCopies:
@@ -548,17 +565,17 @@ class NoFactorCopies:
 @pytest.mark.parametrize("case_id,k,solve_calls,estimate_calls", [
     pytest.param("t6", 1, 1, 1, id="t6-1"),
     pytest.param("t3", 1, 1, 2, id="t3-2"),
-    pytest.param("t3", 3, 3, 2, id="t3-k3"),
+    pytest.param("t3", 3, 2, 0, id="t3-k3"),
 ])
 def test_one_factorization_alive_and_no_factor_copies(monkeypatch, case_id, k, solve_calls,
                                                       estimate_calls):
     # solve and condition_estimate never read L or U, and free each
     # factorization before the next one starts.  solve factors once at k=1,
-    # t3's gauge included; at k=3 it factors t3's Schur matrix, finds the
-    # second gauge direction, and must free that LU and the condensation
-    # before the full and the bordered LU.  condition_estimate factors t3
-    # twice, once to find the gauge and once for the quotient matrix, whose
-    # second direction at k=3 makes the estimate +inf
+    # t3's gauge included; at k=3 t3's two gauge directions send it to the
+    # full and the bordered LU, the first freed before the second, and the
+    # condensation is never factored.  condition_estimate factors t3 at
+    # k=1 twice, once for the LU's null direction and once for the quotient
+    # matrix; at k=3 the two directions make the estimate +inf unfactored
     real_splu = spla.splu
     made = []
 
@@ -612,10 +629,9 @@ def test_ordered_lu_for_schur_matrices_and_defaults_for_full_ones(monkeypatch, k
             assert n_args == 1
             assert order in {schur, system.n_free - 1, system.n_free, system.n_free + 1}
             assert kwargs == (ordered if order == schur else {})
-    # t6: 1 + 1; t3: 1 + 2, and 3 + 2 at k=3, where solve factors the
-    # Schur matrix, finds the second kernel direction, and then factors
-    # the full and the bordered matrix
-    assert len(calls) == (7 if k == 3 else 5)
+    # t6: 1 + 1; t3: 1 + 2, and 2 + 0 at k=3, where solve factors the full
+    # and the bordered matrix and condition_estimate returns +inf unfactored
+    assert len(calls) == (4 if k == 3 else 5)
 
 
 @pytest.mark.parametrize("k,n", [(1, 16), (2, 8)])
@@ -666,7 +682,7 @@ def test_halves_before_the_top_separator_do_not_couple(k):
     # come first, then those right of it, then those on it, and no entry
     # couples the two halves
     system = catalog_system("t6", k, 8)
-    reduced, _ = _factor_reduced(system)
+    reduced = _Condensation(system)
     mesh, dofmap = system.ops.mesh, system.ops.dofmap
     dofs = np.concatenate([system.u_free, system.lam_free])[reduced.numbered]
     x = mesh.edge_midpoints[(dofs - dofmap.n_interior) // dofmap.edge_dim, 0]
@@ -694,7 +710,7 @@ def test_ordered_solve_matches_the_default_lu_on_a_jittered_mesh(k):
         nf = len(system.u_free)
         u_h, lam_h = solve(system)
         got = np.concatenate([u_h.coeffs[system.u_free], lam_h.coeffs[system.lam_free]])
-        reduced, _ = _factor_reduced(system)
+        reduced = _Condensation(system)
         want = reduced.solve(spla.splu(reduced.matrix), system.rhs)
         assert rel(got[:nf], want[:nf]) <= {1: 2e-13, 2: 5e-12, 3: 2e-10}[k]
         assert rel(got[nf:], want[nf:]) <= {1: 1e-11, 2: 1e-9, 3: 1e-7}[k]

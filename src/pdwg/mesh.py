@@ -63,11 +63,19 @@ class Mesh:
         already points out of the triangle, -1 otherwise
     h_tri : (T,) triangle diameters (longest edge)
     h : max diameter over the partition
+    tri_classes : (T,) int array, congruence class of each triangle,
+        numbered from 0, every class holding the same number of triangles
+        with the same tri_edge_signs.  The triangles of one class are
+        translates of each other, so their local matrices under a constant
+        coefficient agree up to roundoff.  The classes are given by the
+        caller and not measured: one class per triangle unless the keyword
+        classes gives them, and two on build_uniform_mesh (triangle t in
+        class t % 2).
     nested_dissection : (E,) int array, the edges in nested-dissection
         order; computed on first read
     """
 
-    def __init__(self, vertices, triangles):
+    def __init__(self, vertices, triangles, *, classes=None):
         vertices = np.array(vertices, dtype=float)
         triangles = np.array(triangles, dtype=int)
         if vertices.ndim != 2 or vertices.shape[1] != 2:
@@ -122,11 +130,12 @@ class Mesh:
 
         self.is_boundary_edge = self.edge_slots[:, 0] == self.edge_slots[:, 1]
         self.boundary_edges = np.nonzero(self.is_boundary_edge)[0]
+        self.tri_classes = _congruence_classes(self, classes)
 
         for arr in (self.vertices, self.triangles, self.edges, self.edge_slots, self.tri_edges,
                     self.tri_edge_signs, self.edge_lengths, self.edge_normals,
                     self.edge_midpoints, self.tri_areas, self.tri_centroids,
-                    self.h_tri, self.is_boundary_edge, self.boundary_edges):
+                    self.h_tri, self.is_boundary_edge, self.boundary_edges, self.tri_classes):
             arr.setflags(write=False)
 
     @cached_property
@@ -186,6 +195,24 @@ class Mesh:
         if loc.size == 0:
             raise ValueError(f"edge {e} is not an edge of triangle {t}")
         return self.tri_edge_signs[t, loc[0]] * self.edge_normals[e]
+
+
+def _congruence_classes(mesh, classes):
+    """The (T,) class index, one class per triangle when classes is None;
+    ValueError unless the classes are numbered from 0, equally sized and
+    of equal edge signs."""
+    if classes is None:
+        return np.arange(mesh.n_triangles)
+    classes = np.array(classes, dtype=int)
+    if classes.shape != (mesh.n_triangles,) or classes.min() < 0:
+        raise ValueError("classes must give each triangle a class index from 0 on")
+    counts = np.bincount(classes)
+    if np.any(counts != counts[0]):
+        raise ValueError("every class index from 0 on must hold equally many triangles")
+    first = np.unique(classes, return_index=True)[1]
+    if np.any(mesh.tri_edge_signs != mesh.tri_edge_signs[first][classes]):
+        raise ValueError("the triangles of one class must have the same edge signs")
+    return classes
 
 
 def _bisection_paths(coords):
@@ -256,7 +283,9 @@ def build_uniform_mesh(n):
     """Uniform triangulation of (0,1)^2 with 2*n^2 triangles.
 
     Each of the n x n sub-squares is split along the negative-slope
-    diagonal (top-left to bottom-right corner).
+    diagonal (top-left to bottom-right corner).  The lower-left triangles
+    (even index) are translates of one another, and so are the upper-right
+    ones (odd index): they form the mesh's two congruence classes.
     """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError("refinement level n must be a positive integer")
@@ -269,7 +298,7 @@ def build_uniform_mesh(n):
     v10, v01 = v00 + 1, v00 + n + 1
     # two triangles per sub-square, split along the diagonal v01 -- v10
     triangles = np.stack([v00, v10, v01, v10, v01 + 1, v01], axis=1).reshape(-1, 3)
-    mesh = Mesh(vertices, triangles)
+    mesh = Mesh(vertices, triangles, classes=np.arange(2 * n * n) % 2)
     assert abs(mesh.tri_areas.sum() - 1.0) < 1e-12
     return mesh
 

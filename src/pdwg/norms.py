@@ -175,12 +175,14 @@ def strong_residual_norms(v, config, ops):
 
 def error_report(u_h, lam_h, u_exact, config, ops):
     """Collect every error functional of one solve.  The multiplier error
-    is lam_h itself (its exact counterpart vanishes)."""
+    is lam_h itself (its exact counterpart vanishes); stab_u is the root of
+    the stabilizer piece of resid_u."""
     e_h = error_fields(u_h, u_exact, ops)
+    terms = residual_terms_primal(e_h, config, ops)
     return ErrorReport(
         l2_e0=interior_l2_norm(e_h, ops),
         h1_e0=broken_h1(e_h, ops),
-        resid_u=residual_norm_primal(e_h, config, ops),
+        resid_u=_norm(terms),
         resid_lambda=residual_norm_multiplier(lam_h, config, ops),
-        stab_u=stabilizer_seminorm(e_h, ops),
+        stab_u=_norm(terms[2:]),
     )

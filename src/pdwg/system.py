@@ -11,7 +11,10 @@ After eliminating the fixed dofs and negating the first block row, the
 free-dof matrix [[-S_ff, K_fg], [K_fg^T, S_gg]] is symmetric indefinite.
 solve condenses each triangle's interior dofs out (in an orthonormal
 interior basis), factors the Schur matrix on the free edge dofs and
-recovers the interiors triangle by triangle.  The Schur matrix is
+recovers the interiors.  The dense local algebra of that condensation is
+done once per congruence class of the level's context (ops.classes: two
+on the uniform mesh under a constant coefficient, else one per
+triangle), and each triangle reads its class's tables.  The Schur matrix is
 assembled straight in the mesh's nested-dissection order
 (Mesh.nested_dissection), the u and lam dofs of one edge adjacent, and
 factored in that order in symmetric mode.  The kernel is decided first,
@@ -22,10 +25,11 @@ direction, and projects v out; two or more send the solve to the natural
 free-dof matrix and a bordered one, with SuperLU's defaults.  That
 natural matrix (SaddleSystem.matrix) is assembled only where it is read
 (that path, condition_estimate and the matrix export): solve checks its
-residual, and takes the 1-norm that scales it, from the local matrices
-triangle by triangle.  The level's LocalOperators is the one source of
-mesh, degree, dof layout and local matrices: assemble takes it, and the
-assembled system keeps it as ops for solve to read.
+residual, and takes the 1-norm that scales it, from the per-triangle local
+matrices, so the check also tests the class tables on every level.  The
+level's LocalOperators is the one source of mesh, degree, dof layout and
+local matrices: assemble takes it, and the assembled system keeps it as
+ops for solve to read.
 """
 
 from __future__ import annotations
@@ -305,55 +309,76 @@ class _Condensation:
     interior block is eliminated in an orthonormal interior basis R = L^-T,
     L L^T = mass_k / area (block-diagonal over u_0 and lam_0): at k = 1, 2,
     3 it takes the local block's condition number from 37, 2.5e4 and 3.9e6
-    to 2.1, 6.1 and 16."""
+    to 2.1, 6.1 and 16.
+
+    The dense algebra is done once per congruence class (ops.classes), on
+    the local matrices of the class's representative: the tables basis R,
+    inverse M_II^-1 (orthonormal coordinates) and coupling C =
+    M_II^-1 M_IE hold one row per class, and each triangle reads the row of
+    its class.  With one class per triangle this is the triangle-by-triangle
+    condensation, and the Schur matrix is the same bit for bit."""
 
     def __init__(self, system):
         ops, nf = system.ops, len(system.u_free)
         dofmap, mesh = ops.dofmap, ops.mesh
         dim, n_tri = dofmap.interior_dim, mesh.n_triangles
         interior, edge = slice(None, dim), slice(dim, None)
+        self.members = ops.class_members
+        reps = self.members[:, 0]
 
         def coupled(rows, cols):
-            # the rows x cols block of [[-S, B], [B, S]], fields stacked u then lam
-            stab, diff = ops.stabilizers[:, rows, cols], ops.diffusion_forms[:, rows, cols]
+            # the rows x cols block of [[-S, B], [B, S]] of each representative,
+            # fields stacked u then lam
+            stab = ops.stabilizers[:, rows, cols][reps]
+            diff = ops.diffusion_forms[:, rows, cols][reps]
             return np.block([[-stab, diff], [diff, stab]])
 
-        chol = np.linalg.cholesky(ops.mass_k / mesh.tri_areas[:, None, None])
-        self.basis = np.zeros((n_tri, 2 * dim, 2 * dim))
+        chol = np.linalg.cholesky(ops.mass_k[reps] / mesh.tri_areas[reps, None, None])
+        self.basis = np.zeros((len(reps), 2 * dim, 2 * dim))
         self.basis[:, :dim, :dim] = self.basis[:, dim:, dim:] = np.linalg.inv(chol).swapaxes(1, 2)
         basis_t = self.basis.swapaxes(1, 2)
         # the interior block and the interior rows, in the orthonormal basis
-        self.inner = basis_t @ coupled(interior, interior) @ self.basis
+        inner = basis_t @ coupled(interior, interior) @ self.basis
+        self.inverse = np.linalg.inv(inner)
         coupling = basis_t @ coupled(interior, edge)
         # C = M_II^-1 M_IE, so the local Schur block is M_EE - M_IE^T C
-        self.coupling = np.linalg.solve(self.inner, coupling)
+        self.coupling = np.linalg.solve(inner, coupling)
         schur = coupled(edge, edge) - coupling.swapaxes(1, 2) @ self.coupling
         # free-dof positions of the unknowns of matrix, the free edge dofs
         self.numbered, self.edge_pos = _nested_numbering(system)
         self.primal = self.numbered < nf
         n_edge = len(self.numbered)
-        self.matrix = _coo([(self.edge_pos, self.edge_pos, schur)], (n_edge, n_edge)).tocsc()
+        self.matrix = _coo([(self.edge_pos, self.edge_pos, schur[ops.classes])],
+                           (n_edge, n_edge)).tocsc()
         # free-dof positions: every interior dof is free and leads its block
         cells = dofmap.interior_block(np.arange(n_tri))
         self.interior = np.concatenate([cells, nf + cells], axis=1)
 
+    def _by_class(self, rows, tables):
+        """Each triangle's row vector rows[t] times its class's matrix,
+        tables (C, m, m'): the rows (T, m'), one product batched over the
+        classes."""
+        out = np.empty((len(rows), tables.shape[-1]))
+        out[self.members] = rows[self.members] @ tables
+        return out
+
     def solve(self, lu, rhs):
         """Free-dof solution of A x = rhs, lu factoring the Schur matrix:
         condense rhs, solve for the edge dofs, recover the interiors."""
-        y = np.einsum("tji,tj->ti", self.basis, rhs[self.interior])
-        shift = np.einsum("tji,tj->ti", self.coupling, y)
+        y = self._by_class(rhs[self.interior], self.basis)
+        shift = self._by_class(y, self.coupling)
         edge_rhs = rhs[self.numbered] - _scatter(self.edge_pos, shift, len(self.numbered))
-        return self.expand(lu.solve(edge_rhs), np.linalg.solve(self.inner, y[..., None])[..., 0])
+        return self.expand(lu.solve(edge_rhs), self._by_class(y, self.inverse.swapaxes(1, 2)))
 
     def expand(self, x_edge, z=0.0):
         """Free-dof vector with edge part x_edge and each triangle's
         interior from its local equations, M_II^-1 (b_I - M_IE x_E), given
         M_II^-1 b_I in orthonormal coordinates as z (0: no interior data)."""
         local = np.where(self.edge_pos >= 0, x_edge[self.edge_pos], 0.0)
-        interior = z - np.einsum("tij,tj->ti", self.coupling, local)
+        interior = z - self._by_class(local, self.coupling.swapaxes(1, 2))
         x = np.empty(len(self.numbered) + self.interior.size)
         x[self.numbered] = x_edge
-        x[self.interior] = np.einsum("tij,tj->ti", self.basis, interior)
+        x[self.interior] = self._by_class(interior, self.basis.swapaxes(1, 2))
         return x
 
     def kernel_dims(self, system):
@@ -377,13 +402,17 @@ class _Condensation:
         cand = np.linalg.qr((np.linalg.inv(edge_basis(k).eval(t)) @ values).reshape(-1, len(p)))[0]
         dofs = np.concatenate([system.u_free, system.lam_free])[self.numbered] - n_int
         cutoff = _KERNEL_CUTOFF * _one_norm(self.matrix)
+        fields = (self.primal, ~self.primal)
+        # both fields' candidate columns side by side, in one sparse product
+        x = np.zeros((len(dofs), 2, len(p)))
+        for i, field in enumerate(fields):
+            x[field, i] = cand[dofs[field]]
+        product = (self.matrix @ x.reshape(len(dofs), -1)).reshape(x.shape)
         dims = []
-        for field in (self.primal, ~self.primal):
-            x = np.zeros((len(dofs), len(p)))
-            x[field] = cand[dofs[field]]
+        for i, field in enumerate(fields):
             fixed = np.ones(len(cand), dtype=bool)
             fixed[dofs[field]] = False
-            sv = np.linalg.svd(np.vstack([self.matrix @ x, cand[fixed]]), compute_uv=False)
+            sv = np.linalg.svd(np.vstack([product[:, i], cand[fixed]]), compute_uv=False)
             dims.append(int(np.count_nonzero(sv <= cutoff)))
         return tuple(dims)
 

@@ -61,6 +61,11 @@ class Diffusion:
             raise ValueError("diffusion value must be a scalar or a 2x2 matrix")
         self._value = 0.5 * (arr + arr.T)
 
+    @property
+    def constant(self):
+        """True unless a is a callable field."""
+        return not callable(self._value)
+
     def tensor(self, x, y):
         """a at the points, shape (npts, 2, 2): a broadcast view for a
         constant; ValueError where a callable is not positive."""
@@ -163,10 +168,16 @@ class LocalOperators:
                                           stacked (x-part, y-part) coefficients
     stabilizers, diffusion_forms (T, nloc, nloc)
                                           s_T and b_T on the local dofs
+    classes (T,)                          congruence class of each triangle
+                                          that the local matrices honour: the
+                                          mesh's tri_classes for a constant a,
+                                          one class per triangle for a callable
+    class_members (C, T / C)              the triangles of each class, in index
+                                          order; the first is its representative
 
     Triangle t's matrices are the rows grad_maps[t], stabilizers[t] and
-    diffusion_forms[t].  assemble, solve and error_report all read the
-    same instance.
+    diffusion_forms[t]; those of one class agree up to roundoff.
+    assemble, solve and error_report all read the same instance.
     """
 
     def __init__(self, mesh, k, a=IDENTITY):
@@ -192,6 +203,9 @@ class LocalOperators:
         self.grad_maps = _grad_maps(self)
         self.stabilizers = _stabilizers(self)
         self.diffusion_forms = _diffusion_forms(self)
+        self.classes = mesh.tri_classes if a.constant else np.arange(mesh.n_triangles)
+        self.class_members = np.argsort(self.classes, kind="stable").reshape(
+            self.classes.max() + 1, -1)
 
     def check(self, v):
         """Raise ValueError unless the weak function v lives on this

@@ -99,6 +99,44 @@ def test_edge_normal_orientation_convention():
         assert abs(np.linalg.norm(mesh.edge_normals[e]) - 1.0) < 1e-14
 
 
+@pytest.mark.parametrize("n", [1, 4, 64])
+def test_uniform_mesh_classes_are_index_translates(n):
+    # build_uniform_mesh names two congruence classes by construction,
+    # triangle t in class t % 2, with triangles 0 and 1 as representatives:
+    # each member is its representative with one index offset added to all
+    # three vertices, has the representative's edge signs, and (on the
+    # uniform grid) its edge vectors up to roundoff
+    mesh = build_uniform_mesh(n)
+    classes = mesh.tri_classes
+    assert np.array_equal(classes, np.arange(mesh.n_triangles) % 2)
+    offset = mesh.triangles - mesh.triangles[classes]
+    assert np.all(offset == offset[:, :1])
+    assert np.array_equal(mesh.tri_edge_signs, mesh.tri_edge_signs[classes])
+    edges = mesh.vertices[np.roll(mesh.triangles, -1, axis=1)] - mesh.vertices[mesh.triangles]
+    assert np.allclose(edges, edges[classes], rtol=0.0, atol=1e-15)
+
+
+def test_general_mesh_has_one_class_per_triangle():
+    base = build_uniform_mesh(4)
+    for mesh in (Mesh(base.vertices, base.triangles), jittered_mesh()):
+        assert np.array_equal(mesh.tri_classes, np.arange(mesh.n_triangles))
+
+
+@pytest.mark.parametrize("classes,match", [
+    ([0], "class index"),
+    ([-1, 0], "class index"),
+    ([1, 1], "equally many"),
+    ([0, 2], "equally many"),
+    ([0, 0], "edge signs"),
+])
+def test_malformed_classes_rejected(classes, match):
+    # on the n=1 mesh the two triangles have different edge signs, so they
+    # cannot share a class
+    base = build_uniform_mesh(1)
+    with pytest.raises(ValueError, match=match):
+        Mesh(base.vertices, base.triangles, classes=classes)
+
+
 def test_zero_refinement_rejected():
     with pytest.raises(ValueError):
         build_uniform_mesh(0)

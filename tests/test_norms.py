@@ -320,20 +320,31 @@ def test_error_report_fields_consistent(monkeypatch):
     config = classify_boundary(mesh, case.dirichlet_sides, case.neumann_sides)
     ops = LocalOperators(mesh, 1, case.a)
     u_h, lam_h = solve(assemble(config, case, ops))
-    jump_calls = []
+    jump_calls, stab_calls = [], []
     jump_term = norms._jump_term
 
     def counted_jump_term(*args):
         jump_calls.append(args)
         return jump_term(*args)
 
+    stabilizer_value = LocalOperators.stabilizer_value
+
+    def counted_stabilizer_value(*args):
+        stab_calls.append(args)
+        return stabilizer_value(*args)
+
     monkeypatch.setattr(norms, "_jump_term", counted_jump_term)
+    monkeypatch.setattr(LocalOperators, "stabilizer_value", counted_stabilizer_value)
     report = error_report(u_h, lam_h, case.u, config, ops)
-    # the two weak residual norms, nothing computed and thrown away
-    assert len(jump_calls) == 2
+    # the two weak residual norms, nothing computed and thrown away: stab_u
+    # is the root of resid_u's stabilizer piece, s(e_h, e_h) read once
+    assert len(jump_calls) == 2 and len(stab_calls) == 2
     assert report.l2_e0 >= 0 and report.h1_e0 >= 0
     assert report.resid_u**2 >= report.stab_u**2 - 1e-14
     e_h = error_fields(u_h, case.u, ops)
+    # bit for bit the root of the piece, and so stabilizer_seminorm's value
+    stab_piece = residual_terms_primal(e_h, config, ops)[2]
+    assert report.stab_u == math.sqrt(stab_piece) == stabilizer_seminorm(e_h, ops)
     assert report.l2_e0 == pytest.approx(interior_l2_norm(e_h, ops), rel=1e-12)
     assert report.resid_u == pytest.approx(residual_norm_primal(e_h, config, ops), rel=1e-12)
     # the strong norms come from strong_residual_norms alone

@@ -11,7 +11,7 @@ import scipy.sparse.linalg as spla
 import pdwg.system
 from pdwg.cases import CaseSpec, case_ids, get_case
 from pdwg.fespace import DofMap, l2_project_weak
-from pdwg.mesh import BoundaryConfig, build_uniform_mesh, classify_boundary
+from pdwg.mesh import BoundaryConfig, Mesh, build_uniform_mesh, classify_boundary
 from pdwg.norms import (error_fields, interior_l2_norm, residual_norm_multiplier,
                         residual_norm_primal)
 from pdwg.system import (
@@ -355,6 +355,12 @@ def rel(a, b):
     return np.linalg.norm(a - b) / np.linalg.norm(b)
 
 
+def polynomial_exact(case_id, k):
+    """u is linear, or xy (in P_k for k >= 2): the multiplier is pure
+    roundoff."""
+    return case_id in ("t1", "t2") or (case_id == "t11" and k >= 2)
+
+
 def solve_path(system):
     """The free-dof solution and gauge kernel vector (None without one) of
     the path solve takes: the Schur matrix's ordered LU up to one gauge
@@ -506,8 +512,7 @@ def test_condensed_solve_matches_the_full_path(case_id, k):
     # condensed, and 1.2e-15 on the full path.  Every bound keeps at least
     # 10x.  t3-t5 at k=3 have a two-dimensional gauge kernel and take the
     # full path itself, bit for bit
-    # u is linear, or xy (in P_k for k >= 2)
-    exact = case_id in ("t1", "t2") or (case_id == "t11" and k >= 2)
+    exact = polynomial_exact(case_id, k)
     for n in (1, 2, 4):
         system = catalog_system(case_id, k, n)
         nf, norm = len(system.u_free), _one_norm(system.matrix)
@@ -529,18 +534,56 @@ def test_condensed_solve_matches_the_full_path(case_id, k):
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
+def test_condensation_per_class_matches_per_triangle(k):
+    # Mesh(m.vertices, m.triangles) is the uniform mesh as a general mesh:
+    # the same local matrices, but one congruence class per triangle, so
+    # it is condensed triangle by triangle.  Measured over the catalog at
+    # n <= 4: the Schur matrices differ by at most 8.9e-16 of their largest
+    # entry (t1, k=3, n=2); u by 2.3e-14, 1.6e-12 and 1.7e-10, lam by
+    # 1.3e-13, 5.0e-9 and 2.2e-9 relative at k = 1, 2, 3, leaving out the
+    # polynomial-exact cases' multiplier, which is pure roundoff.  Every
+    # bound keeps at least 10x.  t3-t5 at k=3 solve on the full matrix,
+    # which reads the per-triangle tables, so there they agree bit for bit
+    for case_id in case_ids():
+        case = get_case(case_id)
+        exact = polynomial_exact(case_id, k)
+        for n in (1, 2, 4):
+            uniform = build_uniform_mesh(n)
+            results = []
+            for mesh, n_classes in ((uniform, 2), (Mesh(uniform.vertices, uniform.triangles),
+                                                   uniform.n_triangles)):
+                config = classify_boundary(mesh, case.dirichlet_sides, case.neumann_sides)
+                system = assemble(config, case, LocalOperators(mesh, k, case.a))
+                condensed = _Condensation(system)
+                assert len(condensed.basis) == n_classes
+                u_h, lam_h = solve(system)
+                results.append((condensed.matrix.toarray(), u_h.coeffs, lam_h.coeffs))
+            (schur, u, lam), (want_schur, want_u, want_lam) = results
+            assert np.abs(schur - want_schur).max() <= 1e-14 * np.abs(want_schur).max()
+            if case_id in ("t3", "t4", "t5") and k == 3:
+                assert np.array_equal(u, want_u) and np.array_equal(lam, want_lam)
+                continue
+            assert rel(u, want_u) <= {1: 3e-13, 2: 2e-11, 3: 2e-9}[k], (case_id, n)
+            if not exact:
+                assert rel(lam, want_lam) <= {1: 2e-12, 2: 5e-8, 3: 3e-8}[k], (case_id, n)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
 def test_condensation_eliminates_in_an_orthonormal_interior_basis(k):
     # R = L^-T with L L^T = mass_k / area makes each triangle's interior
     # basis orthonormal (up to the area), which takes the interior block's
     # condition number from 37 (k=1), 2.5e4 (k=2) and 3.9e6 (k=3) to 2.1,
-    # 6.1 and 16.3
+    # 6.1 and 16.3.  The basis is one per congruence class, taken from the
+    # class's representative, and must be orthonormal for every member
     system = catalog_system("t6", k, 4)
     condensed = _Condensation(system)
-    dim = system.ops.dofmap.interior_dim
-    r = condensed.basis[:, :dim, :dim]
-    mass = system.ops.mass_k / system.ops.mesh.tri_areas[:, None, None]
+    ops, dim = system.ops, system.ops.dofmap.interior_dim
+    assert condensed.basis.shape == (2, 2 * dim, 2 * dim)
+    r = condensed.basis[ops.classes, :dim, :dim]
+    mass = ops.mass_k / ops.mesh.tri_areas[:, None, None]
     assert np.allclose(r.swapaxes(1, 2) @ mass @ r, np.eye(dim), rtol=0.0, atol=1e-12)
-    assert np.linalg.cond(condensed.inner).max() <= 100
+    # the inverse has the interior block's condition number
+    assert np.linalg.cond(condensed.inverse).max() <= 100
 
 
 def test_primal_non_uniqueness_is_reported_before_factoring(monkeypatch):

@@ -70,14 +70,18 @@ class ElementBasis:
         pts = np.atleast_2d(pts)
         X = (pts[..., 0] - center[..., 0]) / scale
         Y = (pts[..., 1] - center[..., 1]) / scale
-        # each power once per point (one broadcast pow, as X**P would
-        # compute it), then gathered per basis function in C order; the
-        # zeroth power is 1 without a pow
-        powers = np.arange(1, self.degree + 1)
-        xp, yp = (np.concatenate([np.ones(Z.shape + (1,)), Z[..., None] ** powers], axis=-1)
-                  for Z in (X, Y))
-        out = np.take(xp, self.exponents[:, 0], axis=-1)
-        out *= np.take(yp, self.exponents[:, 1], axis=-1)
+        # each power once per point, then one product per basis function.
+        # Z^0 = 1 and Z^1 = Z are exact; the higher powers are libm's pow,
+        # as Z**P computes them, in one call on both coordinates with a
+        # full-size exponent array: numpy squares where an exponent 2 is
+        # broadcast (or the call has one element), and a square differs
+        # from pow in the last bit
+        XY = np.stack([X, Y])
+        powers = np.repeat(np.arange(2.0, self.degree + 1), XY.size).reshape((-1,) + XY.shape)
+        xs, ys = zip((1.0, 1.0), XY, *(XY**powers))
+        out = np.empty(X.shape + (self.dim,))
+        for m, (p, q) in enumerate(self.exponents):
+            np.multiply(xs[p], ys[q], out=out[..., m])
         return out
 
     def grad(self, pts, center, scale):
@@ -334,11 +338,12 @@ def sample(f, pts):
     return vals.reshape(pts.shape[:-1])
 
 
-def _project(vals, wts, fvals):
+def _project(vals, wts, fvals, mass=None):
     """L2 projection coefficients, batched over leading axes: basis values
-    (..., npts, dim), weights and data values (..., npts)."""
+    (..., npts, dim), weights and data values (..., npts); mass, when
+    given, is their Gram matrix gram(vals, wts)."""
     rhs = vals.swapaxes(-1, -2) @ (wts * fvals)[..., None]
-    return np.linalg.solve(gram(vals, wts), rhs)[..., 0]
+    return np.linalg.solve(gram(vals, wts) if mass is None else mass, rhs)[..., 0]
 
 
 def l2_project_element(f, mesh, t, k):
@@ -359,10 +364,10 @@ def l2_project_weak(u, ops):
     """Projection of u into the weak space of the level context ops:
     elementwise L2 projection in the interior blocks and edgewise L2
     projection in the edge blocks, with one call of u per point set, on the
-    context's dof map, triangle points and P_k table."""
+    context's dof map, triangle points, P_k table and mass matrices."""
     mesh, n_int = ops.mesh, ops.dofmap.n_interior
     wf = WeakFunction(mesh, ops.k, dofmap=ops.dofmap)
-    wf.coeffs[:n_int] = _project(ops.vk, ops.tri_wts, sample(u, ops.tri_pts)).ravel()
+    wf.coeffs[:n_int] = _project(ops.vk, ops.tri_wts, sample(u, ops.tri_pts), ops.mass_k).ravel()
     wf.coeffs[n_int:] = l2_project_edge(u, mesh, np.arange(mesh.n_edges), ops.k).ravel()
     return wf
 

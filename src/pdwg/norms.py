@@ -84,57 +84,76 @@ def _interior_gradient_coefficients(v, ops):
     return np.stack([c @ dx.T, c @ dy.T], axis=1) / ops.h[:, None, None]
 
 
-def _divergence_term(gamma, ops):
-    """sum_T h_T^2 ||div(a G)||_T^2 for the per-triangle coefficient
-    array gamma of G, using the product rule
-    div(a G) = sum_ij a_ij d_i G_j + sum_j (sum_i d_i a_ij) G_j."""
-    # field values (T, nq, 2) and derivatives d_i G_j as (T, nq, i, j)
-    gamma_t = gamma.swapaxes(1, 2)
-    gvals = ops.vr @ gamma_t
-    gder = ops.gr.swapaxes(2, 3) @ gamma_t[:, None]
-    x, y = ops.tri_pts[..., 0].ravel(), ops.tri_pts[..., 1].ravel()
-    div = np.einsum("tnij,tnij->tn", ops.a.tensor(x, y).reshape(gder.shape), gder)
-    div += np.einsum("tnj,tnj->tn", ops.a.divergence(x, y).reshape(gvals.shape), gvals)
-    return float(ops.h**2 @ np.einsum("tn,tn->t", ops.tri_wts, div**2))
+def _flux_maps(ops):
+    """Linear maps from a field's gradient coefficients gamma (T, 2 dim_r),
+    x-part then y-part, to the pointwise pieces of its residual norm.
+    _residual_terms builds them once for all the fields it measures, so
+    a.tensor and a.divergence are sampled, and the edge slots gathered,
+    once per level in error_report:
 
-
-def _jump_term(gamma, ops, include_boundary):
-    """sum over interior edges and flagged boundary edges of
-    w_e ||[a G . n]||_e^2 against the fixed global edge normal."""
+    div (T, nq, 2 dim_r)          div(a G) at the triangle points, by the
+                                  product rule div(a G) = sum_ij a_ij d_i G_j
+                                  + sum_j (sum_i d_i a_ij) G_j
+    trace (E, 2, mq, 2 dim_r)     (a G) . n_e at the points of every edge from
+                                  the triangle of either side (mesh.edge_slots),
+                                  against the fixed global edge normal n_e
+    """
     mesh = ops.mesh
-    edges = np.flatnonzero(~mesh.is_boundary_edge | include_boundary)
-    # (triangle, local edge) slots of both sides; one slot twice on boundary edges
-    slots = mesh.edge_slots[edges]
+    nt, nq = ops.tri_wts.shape
+    x, y = ops.tri_pts.reshape(-1, 2).T
+    tensor, gr = ops.a.tensor(x, y).reshape(nt, nq, 2, 2), ops.gr
+    # sum_i a_ij d_i phi_m, as the sum of its two products
+    div = tensor[:, :, 0, :, None] * gr[:, :, None, :, 0]
+    div += tensor[:, :, 1, :, None] * gr[:, :, None, :, 1]
+    div += ops.a.divergence(x, y).reshape(nt, nq, 2, 1) * ops.vr[:, :, None, :]
+    mq, dimr = ops.edge_vr.shape[-2:]
+    # both sides' points are those of side 0: edge points follow the edge
+    slots = mesh.edge_slots
+    x, y = ops.edge_pts.reshape(-1, mq, 2)[slots[:, 0]].reshape(-1, 2).T
+    tensor, normal = ops.a.tensor(x, y).reshape(-1, mq, 2, 2), mesh.edge_normals[:, None, :, None]
+    normal_a = normal[:, :, 0] * tensor[:, :, 0] + normal[:, :, 1] * tensor[:, :, 1]
+    trace = normal_a[:, None, :, :, None] * ops.edge_vr.reshape(-1, mq, dimr)[slots][:, :, :, None]
+    return div.reshape(nt, nq, -1), trace.reshape(*trace.shape[:3], -1)
+
+
+def _residual_terms(ops, fields, edge_flags, weak=True):
+    """The squared pieces (divergence, jump, stabilizer) of the residual
+    norm of each field, from the weak gradient when weak is set, else the
+    interior one.  The divergence piece is sum_T h_T^2 ||div(a G)||_T^2;
+    the jump piece sums w_e ||[a G . n]||_e^2 over the interior edges and
+    the boundary edges flagged in the field's entry of edge_flags, w_e the
+    larger diameter of the adjacent triangles; on a boundary edge the jump
+    is the one-sided trace."""
+    mesh, nt = ops.mesh, ops.mesh.n_triangles
+    div_map, trace_map = _flux_maps(ops)
+    # the fields' coefficients side by side, (T, 2 dim_r, fields)
+    gamma = np.stack([(ops.gradient_coefficients(v) if weak
+                       else _interior_gradient_coefficients(v, ops)).reshape(nt, -1)
+                      for v in fields], axis=-1)
+    div = div_map @ gamma
+    slots = mesh.edge_slots
     tris = slots // 3
-    mq = ops.edge_wts.shape[-1]
-    pts = ops.edge_pts.reshape(-1, mq, 2)[slots[:, 0]]
-    wts = ops.edge_wts.reshape(-1, mq)[slots[:, 0]]
-    x, y = pts[..., 0].ravel(), pts[..., 1].ravel()
-    vals = ops.edge_vr.reshape(-1, mq, ops.edge_vr.shape[-1])
-    normal = mesh.edge_normals[edges]
-    traces = []
-    for side in (0, 1):
-        gvals = np.einsum("enm,ejm->enj", vals[slots[:, side]], gamma[tris[:, side]])
-        flux = ops.a.flux(x, y, gvals.reshape(-1, 2)).reshape(pts.shape)
-        traces.append(np.einsum("enj,ej->en", flux, normal))
-    jump = traces[0] - np.where((slots[:, 0] != slots[:, 1])[:, None], traces[1], 0.0)
+    traces = trace_map @ gamma[tris]
+    jump = traces[:, 0] - np.where((slots[:, 0] != slots[:, 1])[:, None, None], traces[:, 1], 0.0)
     weight = mesh.h_tri[tris].max(axis=1)
-    return float(weight @ np.einsum("en,en->e", wts, jump**2))
-
-
-def _residual_terms(v, ops, weak, include_boundary):
-    """The squared pieces (divergence, jump, stabilizer) of v's residual
-    norm, from the weak gradient when weak is set, else the interior one."""
-    if weak:
-        gamma = ops.gradient_coefficients(v)
-    else:
-        gamma = _interior_gradient_coefficients(v, ops)
-    return (_divergence_term(gamma, ops), _jump_term(gamma, ops, include_boundary),
-            ops.stabilizer_value(v))
+    wts = ops.edge_wts.reshape(-1, ops.edge_wts.shape[-1])[slots[:, 0]]
+    terms = []
+    for f, (v, flags) in enumerate(zip(fields, edge_flags)):
+        edges = ~mesh.is_boundary_edge | flags
+        terms.append((float(ops.h**2 @ np.einsum("tn,tn->t", ops.tri_wts, div[..., f]**2)),
+                      float(weight[edges] @ np.einsum("en,en->e", wts[edges], jump[edges, :, f]**2)),
+                      ops.stabilizer_value(v)))
+    return terms
 
 
 def _norm(terms):
     return float(np.sqrt(max(sum(terms), 0.0)))
+
+
+def _multiplier_flags(config, ops):
+    """The boundary edges of the multiplier's jump set: the boundary minus
+    Gamma_d."""
+    return ops.mesh.is_boundary_edge & ~config.in_gamma_d
 
 
 def residual_terms_primal(v, config, ops):
@@ -142,7 +161,7 @@ def residual_terms_primal(v, config, ops):
     residual norm; the jump set is interior edges plus Gamma_n."""
     ops.check(v)
     ops.check_config(config)
-    return _residual_terms(v, ops, True, config.in_gamma_n)
+    return _residual_terms(ops, [v], [config.in_gamma_n])[0]
 
 
 def residual_norm_primal(v, config, ops):
@@ -155,7 +174,7 @@ def residual_terms_multiplier(v, config, ops):
     interior edges plus the boundary minus Gamma_d."""
     ops.check(v)
     ops.check_config(config)
-    return _residual_terms(v, ops, True, ops.mesh.is_boundary_edge & ~config.in_gamma_d)
+    return _residual_terms(ops, [v], [_multiplier_flags(config, ops)])[0]
 
 
 def residual_norm_multiplier(v, config, ops):
@@ -168,9 +187,8 @@ def strong_residual_norms(v, config, ops):
     instead of the weak gradient: (primal edge set, multiplier edge set)."""
     ops.check(v)
     ops.check_config(config)
-    multiplier_set = ops.mesh.is_boundary_edge & ~config.in_gamma_d
-    return tuple(_norm(_residual_terms(v, ops, False, include))
-                 for include in (config.in_gamma_n, multiplier_set))
+    flags = (config.in_gamma_n, _multiplier_flags(config, ops))
+    return tuple(_norm(terms) for terms in _residual_terms(ops, [v, v], flags, weak=False))
 
 
 def error_report(u_h, lam_h, u_exact, config, ops):
@@ -178,11 +196,15 @@ def error_report(u_h, lam_h, u_exact, config, ops):
     is lam_h itself (its exact counterpart vanishes); stab_u is the root of
     the stabilizer piece of resid_u."""
     e_h = error_fields(u_h, u_exact, ops)
-    terms = residual_terms_primal(e_h, config, ops)
+    ops.check(lam_h)
+    ops.check_config(config)
+    # both residuals from one set of flux maps
+    terms, lam_terms = _residual_terms(ops, [e_h, lam_h],
+                                       [config.in_gamma_n, _multiplier_flags(config, ops)])
     return ErrorReport(
         l2_e0=interior_l2_norm(e_h, ops),
         h1_e0=broken_h1(e_h, ops),
         resid_u=_norm(terms),
-        resid_lambda=residual_norm_multiplier(lam_h, config, ops),
+        resid_lambda=_norm(lam_terms),
         stab_u=_norm(terms[2:]),
     )

@@ -105,7 +105,7 @@ class SaddleSystem:
         """The free-dof matrix [[-S_ff, K_fg], [K_fg^T, S_gg]] in CSC, the
         format the sparse LU takes, assembled straight from the stacked
         local matrices and kept once built."""
-        return _coo(_blocks(self.ops, self.positions), (self.n_free, self.n_free)).tocsc()
+        return _sparse_sum(_blocks(self.ops, self.positions), (self.n_free, self.n_free))
 
 
 def _blocks(ops, positions):
@@ -162,21 +162,25 @@ def _scatter(pos, vals, n):
     return np.bincount(pos[keep], weights=vals[keep], minlength=n)
 
 
-def _coo(blocks, shape):
-    """Sum of stacked local matrices, each block a triple of row positions
-    (T, m), column positions (T, m') and values (T, m, m'); entries at a -1
-    position are dropped.  A global entry sums at most two local ones (an
+def _sparse_sum(blocks, shape):
+    """Sum of stacked local matrices as a CSC matrix, each block a triple
+    of row positions (T, m), column positions (T, m') and values
+    (T, m, m'); entries at a -1 position are dropped.  The result is
+    scipy's COO to CSC conversion bit for bit: row indices sorted within
+    each column, duplicates summed, explicit zeros kept, so SuperLU sees
+    the same matrix.  A global entry sums at most two local ones (an
     edge has at most two triangles), so it does not depend on the order of
     the sum."""
-    triplets = [[], [], []]
+    parts = []
     for rows, cols, vals in blocks:
-        r = np.repeat(rows, cols.shape[1], axis=1).ravel()
-        c = np.tile(cols, (1, rows.shape[1])).ravel()
-        keep = (r >= 0) & (c >= 0)
-        for out, part in zip(triplets, (r, c, vals.ravel())):
-            out.append(part[keep])
-    r, c, v = (np.concatenate(parts) for parts in triplets)
-    return sp.coo_matrix((v, (r, c)), shape=shape)
+        # the mask by broadcasting the small per-triangle masks: cheaper
+        # than comparing the repeated index arrays
+        keep = ((rows >= 0)[:, :, None] & (cols >= 0)[:, None, :]).ravel()
+        parts.append((np.repeat(rows, cols.shape[1], axis=1).ravel()[keep],
+                      np.tile(cols, (1, rows.shape[1])).ravel()[keep], vals.ravel()[keep]))
+    r, c, v = (np.concatenate(part) if len(part) > 1 else part[0] for part in zip(*parts))
+    # one conversion of the transpose to CSR, read as CSC
+    return sp.csr_matrix((v, (c, r)), shape=shape[::-1]).T
 
 
 def assemble(config, case, ops):
@@ -220,9 +224,11 @@ def assemble(config, case, ops):
     u_fixed, lam_fixed = dofmap.fixed_masks(config)
     uf, lf, up = np.flatnonzero(~u_fixed), np.flatnonzero(~lam_fixed), np.flatnonzero(u_fixed)
     pu, pl, pp = _positions(ops, uf), _positions(ops, lf, len(uf)), _positions(ops, up)
-    # the lift columns [[S_fp], [K_gp]] (p: fixed primal dofs)
-    lift_cols = _coo([(pu, pp, ops.stabilizers), (pl, pp, ops.diffusion_forms)],
-                     (len(uf) + len(lf), len(up))).tocsr()
+    # the lift columns [[S_fp], [K_gp]] (p: fixed primal dofs) in CSR, so
+    # that the product sums each row in ascending column order: the rhs
+    # feeds the t3-t5 k=3 levels, whose reference values store roundoff
+    lift_cols = _sparse_sum([(pu, pp, ops.stabilizers), (pl, pp, ops.diffusion_forms)],
+                            (len(uf) + len(lf), len(up))).tocsr()
     lifted = lift_cols @ u_fixed_values[up]
     rhs = np.concatenate([lifted[: len(uf)], rhs_full[lf] - lifted[len(uf):]])
     return SaddleSystem(rhs=rhs, ops=ops, u_free=uf, lam_free=lf,
@@ -348,8 +354,8 @@ class _Condensation:
         self.numbered, self.edge_pos = _nested_numbering(system)
         self.primal = self.numbered < nf
         n_edge = len(self.numbered)
-        self.matrix = _coo([(self.edge_pos, self.edge_pos, schur[ops.classes])],
-                           (n_edge, n_edge)).tocsc()
+        self.matrix = _sparse_sum([(self.edge_pos, self.edge_pos, schur[ops.classes])],
+                                  (n_edge, n_edge))
         # free-dof positions: every interior dof is free and leads its block
         cells = dofmap.interior_block(np.arange(n_tri))
         self.interior = np.concatenate([cells, nf + cells], axis=1)
@@ -397,14 +403,20 @@ class _Condensation:
         t = np.linspace(-0.5, 0.5, k + 1)
         ends = mesh.vertices[mesh.edges]
         pts = mesh.edge_midpoints[:, None] + t[:, None] * (ends[:, 1] - ends[:, 0])[:, None]
-        p, q = np.array(tri_exponents(k)).T
-        values = pts[..., :1] ** p * pts[..., 1:] ** q
-        cand = np.linalg.qr((np.linalg.inv(edge_basis(k).eval(t)) @ values).reshape(-1, len(p)))[0]
+        # the monomials from products of the coordinates, not pow: only the
+        # counts below are read, and they keep their 100x margins
+        powers = [np.ones_like(pts), pts]
+        for _ in range(k - 1):
+            powers.append(powers[-1] * pts)
+        values = np.stack([powers[i][..., 0] * powers[j][..., 1] for i, j in tri_exponents(k)],
+                          axis=-1)
+        cand = np.linalg.qr((np.linalg.inv(edge_basis(k).eval(t)) @ values)
+                            .reshape(-1, values.shape[-1]))[0]
         dofs = np.concatenate([system.u_free, system.lam_free])[self.numbered] - n_int
         cutoff = _KERNEL_CUTOFF * _one_norm(self.matrix)
         fields = (self.primal, ~self.primal)
         # both fields' candidate columns side by side, in one sparse product
-        x = np.zeros((len(dofs), 2, len(p)))
+        x = np.zeros((len(dofs), 2, cand.shape[1]))
         for i, field in enumerate(fields):
             x[field, i] = cand[dofs[field]]
         product = (self.matrix @ x.reshape(len(dofs), -1)).reshape(x.shape)

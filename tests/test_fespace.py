@@ -342,3 +342,32 @@ def test_gradient_coefficient_maps_against_finite_differences():
     fd_y = (b2.eval(pts + [0, h], center, scale) - b2.eval(pts - [0, h], center, scale)) @ c / (2 * h)
     assert np.max(np.abs(b1.eval(pts, center, scale) @ (dx @ c) - fd_x)) < 1e-8
     assert np.max(np.abs(b1.eval(pts, center, scale) @ (dy @ c) - fd_y)) < 1e-8
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["uniform", "jittered"])
+def test_basis_table_is_the_all_pow_table_bit_for_bit(k, kind):
+    # ElementBasis.eval takes Z^1 = Z and libm's pow for the higher powers,
+    # which is the table Z**P with the exponents P = 1..k, bit for bit, at
+    # the triangle and edge points of a level and at a single point.  At
+    # k = 2 numpy squares a broadcast exponent 2 instead, and the square
+    # differs from pow in the last bit at some of these points
+    from test_weakops import jittered_mesh
+
+    mesh = build_uniform_mesh(8) if kind == "uniform" else jittered_mesh()
+    rule = quadrature_for_degree(k)
+    basis = element_basis(k)
+    center, scale = mesh.tri_centroids[:, None, :], mesh.h_tri[:, None]
+    tri_pts, _ = tri_quad(mesh, np.arange(mesh.n_triangles), rule)
+    edge_pts, _, _ = edge_quad(mesh, mesh.tri_edges, rule)
+    for pts, c, s in ((tri_pts, center, scale), (edge_pts, center[:, None], scale[:, None])):
+        X, Y = ((pts[..., i] - c[..., i]) / s for i in (0, 1))
+        xp, yp = (np.concatenate([np.ones(Z.shape + (1,)), Z[..., None] ** np.arange(1, k + 1)],
+                                 axis=-1) for Z in (X, Y))
+        want = xp[..., basis.exponents[:, 0]] * yp[..., basis.exponents[:, 1]]
+        assert basis.eval(pts, c, s).tobytes() == want.tobytes()
+        # the first point, of triangle 0, alone
+        one = basis.eval(pts.reshape(-1, 2)[0], center[0, 0], scale[0, 0])
+        assert one.tobytes() == want.reshape(-1, basis.dim)[:1].tobytes()
+        if k == 2:
+            assert np.any(X**2 != xp[..., 2])

@@ -22,3 +22,17 @@ def test_level_digest_is_repeatable_and_tells_levels_apart():
     assert gauge == tool.level_digest("t3", 3, 1)
     assert len(gauge) == 64 and gauge != tool.level_digest("t6", 1, 1)
     assert tool.combined([gauge]) != gauge
+
+
+def test_per_level_digests_name_each_level_and_make_up_the_sum(capsys):
+    # --levels prints one line per level, its key and its digest, in key
+    # order; combined in that order they give the workload's line
+    tool = load_tool()
+    tool.main(["--levels", "--workload", "gauge-k2-n16"])
+    lines = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert [key for key, _ in lines] == ["t3:k2:n2", "t3:k2:n4", "t3:k2:n8", "t3:k2:n16"]
+    assert lines[-1][1] == tool.level_digest("t3", 2, 16)
+    tool.main(["--workload", "gauge-k2-n16"])
+    sums = capsys.readouterr().out.splitlines()
+    assert sums[0].split() == ["gauge-k2-n16", "4", "levels",
+                               tool.combined(digest for _, digest in lines)]

@@ -702,14 +702,14 @@ def test_full_matrix_built_only_where_solve_factors_it(monkeypatch, case_id, k, 
     # fallback of a two-dimensional gauge kernel (t3 at k=3, natural order)
     # and otherwise factors the Schur matrix and checks its residual from
     # the local matrices
-    real_coo = pdwg.system._coo
+    real_sparse_sum = pdwg.system._sparse_sum
     shapes = []
 
-    def coo(blocks, shape):
+    def sparse_sum(blocks, shape):
         shapes.append(shape)
-        return real_coo(blocks, shape)
+        return real_sparse_sum(blocks, shape)
 
-    monkeypatch.setattr(pdwg.system, "_coo", coo)
+    monkeypatch.setattr(pdwg.system, "_sparse_sum", sparse_sum)
     system = catalog_system(case_id, k, 4)
     full = (system.n_free, system.n_free)
     assert full not in shapes
@@ -781,6 +781,62 @@ def with_random_local_matrices(system, rng):
     ops = copy.copy(system.ops)
     ops.stabilizers, ops.diffusion_forms = rng.standard_normal((2,) + ops.stabilizers.shape)
     return dataclasses.replace(system, ops=ops)
+
+
+def coo_matrix_of(blocks, shape):
+    """The COO matrix of the blocks (row positions, column positions,
+    stacked local matrices), -1 positions dropped: scipy's conversions of
+    it are what _sparse_sum must give bit for bit."""
+    triplets = [[], [], []]
+    for rows, cols, vals in blocks:
+        r = np.repeat(rows, cols.shape[1], axis=1).ravel()
+        c = np.tile(cols, (1, rows.shape[1])).ravel()
+        keep = (r >= 0) & (c >= 0)
+        for out, part in zip(triplets, (r, c, vals.ravel())):
+            out.append(part[keep])
+    r, c, v = (np.concatenate(parts) for parts in triplets)
+    return sp.coo_matrix((v, (r, c)), shape=shape)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_sparse_assembly_is_scipys_coo_conversion_bit_for_bit(monkeypatch, k):
+    # the lift columns, the Schur matrix and the free-dof matrix of the
+    # catalog at n <= 4 and of the jittered mesh, and the free-dof matrix
+    # of local matrices in {-1, 0, 1}, whose sums cancel: each has the
+    # indptr, indices and data of scipy's COO to CSC conversion, explicit
+    # zeros included, and so has its CSR form, which the lift multiplies
+    # with
+    real_sparse_sum = pdwg.system._sparse_sum
+    calls = []
+
+    def sparse_sum(*args):
+        out = real_sparse_sum(*args)
+        calls.append((args, out))
+        return out
+
+    monkeypatch.setattr(pdwg.system, "_sparse_sum", sparse_sum)
+    rng = np.random.default_rng(k)
+    n_systems = 0
+    for system in local_systems(k):
+        _Condensation(system)
+        ops = copy.copy(system.ops)
+        shape = (2,) + ops.stabilizers.shape
+        ops.stabilizers, ops.diffusion_forms = rng.integers(-1, 2, shape).astype(float)
+        for built in (system, dataclasses.replace(system, ops=ops)):
+            assert built.matrix.shape == (built.n_free, built.n_free)
+        n_systems += 1
+    explicit_zeros = 0
+    for args, got in calls:
+        coo = coo_matrix_of(*args)
+        for mine, want in ((got, coo.tocsc()), (got.tocsr(), coo.tocsr())):
+            assert mine.format == want.format and mine.shape == want.shape
+            for part in ("indptr", "indices", "data"):
+                assert getattr(mine, part).dtype == getattr(want, part).dtype
+                assert getattr(mine, part).tobytes() == getattr(want, part).tobytes()
+        explicit_zeros += np.count_nonzero(got.data == 0.0)
+    # per system: the lift, the Schur matrix and two free-dof matrices
+    assert len(calls) == 4 * n_systems
+    assert explicit_zeros > 0
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

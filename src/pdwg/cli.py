@@ -244,7 +244,8 @@ def main(argv=None):
     try:
         report = run_study(args.case, levels, k=args.degree, dump_matrix=args.dump_matrix)
     except (KeyError, ValueError) as exc:
-        parser.error(str(exc))
+        # str() of a KeyError is the repr of its message
+        parser.error(exc.args[0])
 
     text = emit(report, args.format)
     if args.out:

@@ -360,15 +360,23 @@ def l2_project_edge(f, mesh, e, k):
     return _project(edge_basis(k).eval(tc), wts, sample(f, pts))
 
 
+def _edge_projection(f, ops, e):
+    """l2_project_edge(f, ops.mesh, e, ops.k), bit for bit, on the edge
+    points and weights (LocalOperators.edge_rule) and edge basis ops.beta
+    of the level context ops."""
+    pts, wts = ops.edge_rule(e)
+    return _project(ops.beta, wts, sample(f, pts))
+
+
 def l2_project_weak(u, ops):
     """Projection of u into the weak space of the level context ops:
     elementwise L2 projection in the interior blocks and edgewise L2
     projection in the edge blocks, with one call of u per point set, on the
-    context's dof map, triangle points, P_k table and mass matrices."""
+    context's dof map, quadrature, basis tables and mass matrices."""
     mesh, n_int = ops.mesh, ops.dofmap.n_interior
     wf = WeakFunction(mesh, ops.k, dofmap=ops.dofmap)
     wf.coeffs[:n_int] = _project(ops.vk, ops.tri_wts, sample(u, ops.tri_pts), ops.mass_k).ravel()
-    wf.coeffs[n_int:] = l2_project_edge(u, mesh, np.arange(mesh.n_edges), ops.k).ravel()
+    wf.coeffs[n_int:] = _edge_projection(u, ops, np.arange(mesh.n_edges)).ravel()
     return wf
 
 

@@ -109,7 +109,7 @@ def _flux_maps(ops):
     mq, dimr = ops.edge_vr.shape[-2:]
     # both sides' points are those of side 0: edge points follow the edge
     slots = mesh.edge_slots
-    x, y = ops.edge_pts.reshape(-1, mq, 2)[slots[:, 0]].reshape(-1, 2).T
+    x, y = ops.edge_rule(slice(None))[0].reshape(-1, 2).T
     tensor, normal = ops.a.tensor(x, y).reshape(-1, mq, 2, 2), mesh.edge_normals[:, None, :, None]
     normal_a = normal[:, :, 0] * tensor[:, :, 0] + normal[:, :, 1] * tensor[:, :, 1]
     trace = normal_a[:, None, :, :, None] * ops.edge_vr.reshape(-1, mq, dimr)[slots][:, :, :, None]
@@ -136,7 +136,7 @@ def _residual_terms(ops, fields, edge_flags, weak=True):
     traces = trace_map @ gamma[tris]
     jump = traces[:, 0] - np.where((slots[:, 0] != slots[:, 1])[:, None, None], traces[:, 1], 0.0)
     weight = mesh.h_tri[tris].max(axis=1)
-    wts = ops.edge_wts.reshape(-1, ops.edge_wts.shape[-1])[slots[:, 0]]
+    wts = ops.edge_rule(slice(None))[1]
     terms = []
     for f, (v, flags) in enumerate(zip(fields, edge_flags)):
         edges = ~mesh.is_boundary_edge | flags

@@ -24,9 +24,10 @@ Schur LU solves the compatible data (I - v v^T) rhs, v its own null
 direction, and projects v out; two or more send the solve to the natural
 free-dof matrix and a bordered one, with SuperLU's defaults.  That
 natural matrix (SaddleSystem.matrix) is assembled only where it is read
-(that path, condition_estimate and the matrix export): solve checks its
-residual, and takes the 1-norm that scales it, from the per-triangle local
-matrices, so the check also tests the class tables on every level.  The
+(that path and the matrix export): solve checks its residual, and takes
+the 1-norm that scales it, from the per-triangle local matrices, so the
+check also tests the class tables on every level.  condition_estimate
+reads the same norm and the inverse of solve's LU.  The
 level's LocalOperators is the one source of mesh, degree, dof layout and
 local matrices: assemble takes it, and the assembled system keeps it as
 ops for solve to read.
@@ -42,7 +43,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .fespace import WeakFunction, edge_basis, l2_project_edge, sample, tri_exponents
+from .fespace import WeakFunction, _edge_projection, edge_basis, sample, tri_exponents
 from .weakops import LocalOperators
 
 __all__ = [
@@ -208,10 +209,9 @@ def assemble(config, case, ops):
     rhs_full[: dofmap.n_interior] = load.ravel()
     gn = config.gamma_n_edges
     if gn.size:
+        pts, wts = ops.edge_rule(gn)
         # the one adjacent triangle of a boundary edge gives its outward normal
         slot = mesh.edge_slots[gn, 0]
-        pts = ops.edge_pts.reshape(-1, *ops.edge_pts.shape[2:])[slot]
-        wts = ops.edge_wts.reshape(-1, ops.edge_wts.shape[-1])[slot]
         normals = np.repeat(ops.normals.reshape(-1, 2)[slot], wts.shape[1], axis=0)
         g2 = case.g2(pts[..., 0].ravel(), pts[..., 1].ravel(), normals)
         rhs_full[dofmap.edge_block(gn)] = (ops.beta.T @ (wts * g2.reshape(wts.shape))[..., None])[..., 0]
@@ -219,7 +219,7 @@ def assemble(config, case, ops):
     gd = config.gamma_d_edges
     u_fixed_values = np.zeros(n_dofs)
     if gd.size:
-        u_fixed_values[dofmap.edge_block(gd)] = l2_project_edge(case.g1, mesh, gd, ops.k)
+        u_fixed_values[dofmap.edge_block(gd)] = _edge_projection(case.g1, ops, gd)
 
     u_fixed, lam_fixed = dofmap.fixed_masks(config)
     uf, lf, up = np.flatnonzero(~u_fixed), np.flatnonzero(~lam_fixed), np.flatnonzero(u_fixed)
@@ -327,6 +327,8 @@ class _Condensation:
     def __init__(self, system):
         ops, nf = system.ops, len(system.u_free)
         dofmap, mesh = ops.dofmap, ops.mesh
+        self.ops = ops
+        self.free = np.concatenate([system.u_free, system.lam_free])
         dim, n_tri = dofmap.interior_dim, mesh.n_triangles
         interior, edge = slice(None, dim), slice(dim, None)
         self.members = ops.class_members
@@ -387,7 +389,7 @@ class _Condensation:
         x[self.interior] = self._by_class(interior, self.basis.swapaxes(1, 2))
         return x
 
-    def kernel_dims(self, system):
+    def kernel_dims(self):
         """Dimensions (primal, multiplier) of the kernel of matrix.  A
         kernel vector (u, lam) has S u = S lam = 0, so (u, 0) and (0, lam)
         are kernel vectors too, on this catalog each Q_h p for a p of
@@ -396,7 +398,7 @@ class _Condensation:
         field's) and X_fixed on its fixed edge dofs; counted are the
         singular values of [matrix X; X_fixed] at or below
         _KERNEL_CUTOFF ||matrix||_1."""
-        ops = system.ops
+        ops = self.ops
         mesh, k, n_int = ops.mesh, ops.k, ops.dofmap.n_interior
         # a monomial restricted to an edge lies in P_k: interpolating it at
         # k + 1 points of the edge coordinate gives Q_b p exactly
@@ -412,7 +414,7 @@ class _Condensation:
                           axis=-1)
         cand = np.linalg.qr((np.linalg.inv(edge_basis(k).eval(t)) @ values)
                             .reshape(-1, values.shape[-1]))[0]
-        dofs = np.concatenate([system.u_free, system.lam_free])[self.numbered] - n_int
+        dofs = self.free[self.numbered] - n_int
         cutoff = _KERNEL_CUTOFF * _one_norm(self.matrix)
         fields = (self.primal, ~self.primal)
         # both fields' candidate columns side by side, in one sparse product
@@ -429,18 +431,20 @@ class _Condensation:
         return tuple(dims)
 
 
-def _solve_ordered(system, reduced, gauge_dim):
-    """Solution and gauge kernel vector (None without one) from the LU of
-    reduced's Schur matrix with _ORDERED_LU, for a gauge kernel of
-    dimension gauge_dim, 0 or 1."""
+def _schur_inverse(reduced, gauge_dim):
+    """The inverse that the LU of reduced's Schur matrix with _ORDERED_LU
+    applies to a free-dof vector, as a function, and the gauge kernel
+    vector v (None without one), for a gauge kernel of dimension gauge_dim,
+    0 or 1: b -> A^-1 b, or b -> P A^-1 P b with P = I - v v^T."""
     lu = _factor(reduced.matrix, **_ORDERED_LU)
     if not gauge_dim:
-        return reduced.solve(lu, system.rhs), None
+        return lambda b: reduced.solve(lu, b), None
     # the full kernel vector, unit in the original coordinates, so the
     # representative is the full path's: v.x = 0
     null_dir = reduced.expand(_null_direction(lu))
     null_dir /= np.linalg.norm(null_dir)
-    return _project_out(reduced.solve(lu, _project_out(system.rhs, null_dir)), null_dir), null_dir
+    return (lambda b: _project_out(reduced.solve(lu, _project_out(b, null_dir)), null_dir),
+            null_dir)
 
 
 def _solve_full(matrix, rhs, gauge_dim):
@@ -478,14 +482,16 @@ def solve(system):
     path builds.  The residual check applies the local matrices."""
     ops, nf = system.ops, len(system.u_free)
     reduced = _Condensation(system)
-    primal_dim, gauge_dim = reduced.kernel_dims(system)
+    primal_dim, gauge_dim = reduced.kernel_dims()
     if primal_dim:
         raise SingularSystemError("singular system: the primal field is not unique")
     if gauge_dim > 1:
         del reduced  # its arrays go before the full matrix is built
         x, null_dir = _solve_full(system.matrix, system.rhs, gauge_dim)
     else:
-        x, null_dir = _solve_ordered(system, reduced, gauge_dim)
+        inverse, null_dir = _schur_inverse(reduced, gauge_dim)
+        x = inverse(system.rhs)
+        del inverse  # its LU goes before the residual check
     if not np.all(np.isfinite(x)):
         raise SingularSystemError("direct solver produced a non-finite solution")
 
@@ -513,51 +519,43 @@ def solve(system):
 
 
 def condition_estimate(system):
-    """Estimate of the 1-norm condition number of the free-dof matrix.
+    """Estimate of the 1-norm condition number ||A||_1 ||A^-1||_1 of the
+    free-dof matrix A, from the LU that solve factors.
 
     The kernel dimensions are solve's (_Condensation.kernel_dims), read
     before anything is factored.  A primal kernel, or a gauge kernel of
     two or more directions (t3-t5 at k = 3), gives +inf at once, and so
-    does a failed factorization.  One gauge direction is factored out: the
-    estimate is then that of the matrix with the dof of largest component
-    of the LU's null direction removed (row and column), i.e. of the
-    system on the gauge quotient.  The natural matrix is factored with
-    SuperLU's defaults; a stand-in with only a matrix is taken as regular.
-    Small matrices are inverted exactly from the LU factors, the rest go
-    through the Higham-Tisseur 1-norm estimator, from a fixed random state
-    on every call."""
-    matrix = system.matrix.tocsc()
-    n = matrix.shape[0]
-    if n == 0:
-        return 0.0
-    primal_dim, gauge_dim = (_Condensation(system).kernel_dims(system)
-                             if hasattr(system, "ops") else (0, 0))
+    does a failed factorization.  ||A||_1 is the exact norm that scales
+    solve's residual check.  A^-1 is the inverse that solve applies
+    (_schur_inverse); along one gauge direction v it is P A^-1 P with
+    P = I - v v^T, so the estimate is that of the system solve solves, on
+    the complement of v.  Up to _DENSE_COND_LIMIT free dofs the inverse is
+    applied to every unit vector, above it the Higham-Tisseur 1-norm
+    estimator applies it, from a fixed random state on every call."""
+    reduced = _Condensation(system)
+    primal_dim, gauge_dim = reduced.kernel_dims()
     if primal_dim or gauge_dim > 1:
         return math.inf
     try:
-        lu = _factor(matrix)
-        if gauge_dim:
-            keep = np.delete(np.arange(n), np.argmax(np.abs(_null_direction(lu))))
-            del lu  # one factorization alive at a time
-            matrix = matrix[keep][:, keep]
-            n -= 1
-            lu = _factor(matrix)
+        inverse = _schur_inverse(reduced, gauge_dim)[0]
     except SingularSystemError:
         return math.inf
-    norm = _one_norm(matrix)
+    n = system.n_free
+    # A is symmetric, and so is the inverse; matmat hands matvec columns
+    op = spla.LinearOperator((n, n), matvec=lambda b: inverse(b.ravel()),
+                             rmatvec=lambda b: inverse(b.ravel()), dtype=float)
     if n <= _DENSE_COND_LIMIT:
-        inv_norm = np.linalg.norm(lu.solve(np.eye(n)), 1)
+        inv_norm = np.linalg.norm(op @ np.eye(n), 1)
     else:
         # the estimator draws its start vectors from numpy's global
         # generator: draw them from a fixed state and restore the caller's
         state = np.random.get_state()
         np.random.seed(0)
         try:
-            inv_norm = spla.onenormest(spla.LinearOperator(
-                (n, n), matvec=lu.solve, rmatvec=lambda b: lu.solve(b, trans="T")))
+            inv_norm = spla.onenormest(op)
         finally:
             np.random.set_state(state)
-    return float(norm * inv_norm)
+    return float(_local_column_sums(system).max() * inv_norm)
 
 
 def matrix_to_coordinate_text(matrix):

@@ -210,6 +210,15 @@ class LocalOperators:
         self.class_members = np.argsort(self.classes, kind="stable").reshape(
             self.classes.max() + 1, -1)
 
+    def edge_rule(self, e):
+        """Points (..., mq, 2) and ds-weights (..., mq) of the edges e (an
+        index, index array or slice), read from the tables of each edge's
+        first triangle (mesh.edge_slots); the points follow the global edge
+        orientation, so either side's agree."""
+        slot = self.mesh.edge_slots[e, 0]
+        return (self.edge_pts.reshape(-1, *self.edge_pts.shape[2:])[slot],
+                self.edge_wts.reshape(-1, self.edge_wts.shape[-1])[slot])
+
     def check(self, v):
         """Raise ValueError unless the weak function v lives on this
         context's mesh object and has its degree."""

@@ -137,7 +137,7 @@ def test_cli_requires_case():
     assert exc.value.code == 1
 
 
-def test_cli_usage_errors_exit_1():
+def test_cli_usage_errors_exit_1(capsys):
     for argv in (
         ["--case", "nope", "--levels", "1,2"],
         ["--case", "t1", "--levels", "abc"],
@@ -148,6 +148,11 @@ def test_cli_usage_errors_exit_1():
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 1, argv
+        if argv[1] == "nope":
+            # the message itself, not the repr that str() of a KeyError gives
+            known = ", ".join(case_ids())
+            assert capsys.readouterr().err.splitlines()[-1] == (
+                f"pdwg: error: unknown case 'nope'; known cases: {known}")
 
 
 def test_cli_success_roundtrip(tmp_path, capsys):

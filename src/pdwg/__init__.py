@@ -19,7 +19,6 @@ from .mesh import (
     build_uniform_mesh,
     classify_boundary,
     dump_mesh,
-    edge_weight,
 )
 from .norms import (
     ErrorReport,
@@ -67,7 +66,6 @@ __all__ = [
     "classify_boundary",
     "condition_estimate",
     "dump_mesh",
-    "edge_weight",
     "emit",
     "error_fields",
     "error_report",

@@ -214,13 +214,6 @@ def edge_quad(mesh, e, rule):
     return pts, wts, rule.edge_points
 
 
-def _tri_basis_values(mesh, t, k, pts):
-    """P_k basis of triangle t (or of each triangle of an index array t)
-    at pts of shape (..., npts, 2)."""
-    return element_basis(k).eval(pts, mesh.tri_centroids[t][..., None, :],
-                                 mesh.h_tri[t][..., None])
-
-
 def gram(vals, wts):
     """Weighted Gram matrices vals^T diag(wts) vals, batched over the
     leading axes of vals (..., npts, dim) and wts (..., npts)."""
@@ -261,13 +254,9 @@ class DofMap:
 
     def fixed_masks(self, config):
         """Read-only dof masks (u_fixed, lam_fixed) of a boundary
-        configuration; nothing is fixed when config is None."""
-        if config is None:
-            flags = (np.zeros(self.mesh.n_edges, dtype=bool),) * 2
-        else:
-            flags = (config.in_gamma_d, self.mesh.is_boundary_edge & ~config.in_gamma_n)
+        configuration."""
         masks = []
-        for edge_flags in flags:
+        for edge_flags in (config.in_gamma_d, self.mesh.is_boundary_edge & ~config.in_gamma_n):
             mask = np.zeros(self.n_dofs, dtype=bool)
             mask[self.n_interior:] = np.repeat(edge_flags, self.edge_dim)
             mask.setflags(write=False)
@@ -301,13 +290,6 @@ class WeakFunction:
     def local_coeffs(self, t):
         """Local dof vector [interior | edge0 | edge1 | edge2] of triangle t."""
         return self.coeffs[self.dofmap.cell_dof_array[t]]
-
-    def interior_value(self, t, pts):
-        vals = element_basis(self.k).eval(pts, self.mesh.tri_centroids[t], self.mesh.h_tri[t])
-        return vals @ self.interior_coeffs(t)
-
-    def edge_value(self, e, tcoords):
-        return edge_basis(self.k).eval(tcoords) @ self.edge_coeffs(e)
 
     def copy(self):
         return WeakFunction(self.mesh, self.k, self.coeffs.copy(), dofmap=self.dofmap)
@@ -346,47 +328,40 @@ def _project(vals, wts, fvals, mass=None):
     return np.linalg.solve(gram(vals, wts) if mass is None else mass, rhs)[..., 0]
 
 
-def l2_project_element(f, mesh, t, k):
-    """Coefficients of the L2 projection of f onto P_k of triangle t; an
-    index array t gives (..., dim) with one call of f on all points."""
-    pts, wts = tri_quad(mesh, t, quadrature_for_degree(k))
-    return _project(_tri_basis_values(mesh, t, k, pts), wts, sample(f, pts))
+def l2_project_element(f, ops, t):
+    """Coefficients of the L2 projection of f onto P_k of triangle t, on
+    the quadrature, basis table and mass matrices of the level context
+    ops; an index array or slice t gives (..., dim) with one call of f on
+    all points."""
+    return _project(ops.vk[t], ops.tri_wts[t], sample(f, ops.tri_pts[t]), ops.mass_k[t])
 
 
-def l2_project_edge(f, mesh, e, k):
-    """Coefficients of the L2 projection of f onto P_k of edge e; an index
-    array e gives (..., k+1) with one call of f on all points."""
-    pts, wts, tc = edge_quad(mesh, e, quadrature_for_degree(k))
-    return _project(edge_basis(k).eval(tc), wts, sample(f, pts))
-
-
-def _edge_projection(f, ops, e):
-    """l2_project_edge(f, ops.mesh, e, ops.k), bit for bit, on the edge
-    points and weights (LocalOperators.edge_rule) and edge basis ops.beta
-    of the level context ops."""
+def l2_project_edge(f, ops, e):
+    """Coefficients of the L2 projection of f onto P_k of edge e, on the
+    edge points and weights (LocalOperators.edge_rule) and edge basis
+    ops.beta of the level context ops; an index array or slice e gives
+    (..., k+1) with one call of f on all points."""
     pts, wts = ops.edge_rule(e)
     return _project(ops.beta, wts, sample(f, pts))
 
 
 def l2_project_weak(u, ops):
     """Projection of u into the weak space of the level context ops:
-    elementwise L2 projection in the interior blocks and edgewise L2
-    projection in the edge blocks, with one call of u per point set, on the
-    context's dof map, quadrature, basis tables and mass matrices."""
-    mesh, n_int = ops.mesh, ops.dofmap.n_interior
-    wf = WeakFunction(mesh, ops.k, dofmap=ops.dofmap)
-    wf.coeffs[:n_int] = _project(ops.vk, ops.tri_wts, sample(u, ops.tri_pts), ops.mass_k).ravel()
-    wf.coeffs[n_int:] = _edge_projection(u, ops, np.arange(mesh.n_edges)).ravel()
+    l2_project_element in every interior block and l2_project_edge in
+    every edge block, on the context's dof map."""
+    n_int = ops.dofmap.n_interior
+    wf = WeakFunction(ops.mesh, ops.k, dofmap=ops.dofmap)
+    wf.coeffs[:n_int] = l2_project_element(u, ops, slice(None)).ravel()
+    wf.coeffs[n_int:] = l2_project_edge(u, ops, slice(None)).ravel()
     return wf
 
 
-def l2_project_vector(q, mesh, k):
+def l2_project_vector(q, ops):
     """Componentwise L2 projection of a vector field onto piecewise
-    [P_{k-1}]^2; q(x, y) returns the component pair.  Shape (T, 2, dim)."""
-    t = np.arange(mesh.n_triangles)
-    pts, wts = tri_quad(mesh, t, quadrature_for_degree(k))
-    vals = _tri_basis_values(mesh, t, k - 1, pts)
-    x, y = pts[..., 0].ravel(), pts[..., 1].ravel()
-    comps = np.stack([np.broadcast_to(np.asarray(c, dtype=float), x.shape).reshape(wts.shape)
+    [P_{k-1}]^2 of the level context ops; q(x, y) returns the component
+    pair.  Shape (T, 2, dim)."""
+    x, y = ops.tri_pts[..., 0].ravel(), ops.tri_pts[..., 1].ravel()
+    shape = ops.tri_wts.shape
+    comps = np.stack([np.broadcast_to(np.asarray(c, dtype=float), x.shape).reshape(shape)
                       for c in q(x, y)], axis=1)
-    return _project(vals[:, None], wts[:, None], comps)
+    return _project(ops.vr[:, None], ops.tri_wts[:, None], comps, ops.mass_r[:, None])

@@ -23,8 +23,6 @@ __all__ = [
     "BoundaryConfig",
     "build_uniform_mesh",
     "classify_boundary",
-    "edge_weight",
-    "boundary_side",
     "dump_mesh",
 ]
 
@@ -56,8 +54,6 @@ class Mesh:
         slot 3 t + loc of each edge, flat indices into (T, 3) tables; the
         same slot twice on boundary edges.  Edges are numbered in order of
         first appearance, so the first slots increase.
-    edge_tris : tuple of 1- or 2-tuples, triangles adjacent to each edge,
-        read from edge_slots
     tri_edges : (T, 3) int array, edge index of local edge (v_i, v_{i+1})
     tri_edge_signs : (T, 3) int array, +1 where the global edge normal
         already points out of the triangle, -1 otherwise
@@ -166,13 +162,6 @@ class Mesh:
         order.setflags(write=False)
         return order
 
-    @cached_property
-    def edge_tris(self):
-        return tuple(
-            (first // 3,) if first == last else (first // 3, last // 3)
-            for first, last in self.edge_slots.tolist()
-        )
-
     @property
     def n_vertices(self):
         return len(self.vertices)
@@ -184,17 +173,6 @@ class Mesh:
     @property
     def n_edges(self):
         return len(self.edges)
-
-    def tri_vertices(self, t):
-        """Coordinates (3, 2) of triangle t."""
-        return self.vertices[self.triangles[t]]
-
-    def outward_normal(self, t, e):
-        """Unit normal of edge e pointing out of triangle t."""
-        loc = np.nonzero(self.tri_edges[t] == e)[0]
-        if loc.size == 0:
-            raise ValueError(f"edge {e} is not an edge of triangle {t}")
-        return self.tri_edge_signs[t, loc[0]] * self.edge_normals[e]
 
 
 def _congruence_classes(mesh, classes):
@@ -273,11 +251,6 @@ class BoundaryConfig:
     def gamma_n_edges(self):
         return np.nonzero(self.in_gamma_n)[0]
 
-    @property
-    def gamma_n_complement_edges(self):
-        """Boundary edges not in Gamma_n."""
-        return np.nonzero(self.mesh.is_boundary_edge & ~self.in_gamma_n)[0]
-
 
 def build_uniform_mesh(n):
     """Uniform triangulation of (0,1)^2 with 2*n^2 triangles.
@@ -314,14 +287,6 @@ def _side_indices(mesh, edges):
     return on.argmax(axis=1)
 
 
-def boundary_side(mesh, e):
-    """Side of the unit square ('bottom'/'right'/'top'/'left') that
-    boundary edge e lies on."""
-    if not mesh.is_boundary_edge[e]:
-        raise ValueError(f"edge {e} is not a boundary edge")
-    return SIDES[_side_indices(mesh, np.array([e]))[0]]
-
-
 def classify_boundary(mesh, dirichlet_sides, neumann_sides):
     """Flag every boundary edge lying on a named side of the square.
 
@@ -339,14 +304,6 @@ def classify_boundary(mesh, dirichlet_sides, neumann_sides):
     flags = np.zeros((2, mesh.n_edges), dtype=bool)
     flags[:, mesh.boundary_edges] = named[:, _side_indices(mesh, mesh.boundary_edges)]
     return BoundaryConfig(mesh, *flags)
-
-
-def edge_weight(mesh, e):
-    """Mesh weight of an edge in the residual norms: the max diameter of
-    the adjacent triangles (the single one, on boundary edges)."""
-    if not 0 <= e < mesh.n_edges:
-        raise ValueError(f"edge index {e} out of range")
-    return float(mesh.h_tri[mesh.edge_slots[e] // 3].max())
 
 
 def dump_mesh(mesh, config=None):

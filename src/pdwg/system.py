@@ -43,7 +43,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .fespace import WeakFunction, _edge_projection, edge_basis, sample, tri_exponents
+from .fespace import WeakFunction, edge_basis, l2_project_edge, sample, tri_exponents
 from .weakops import LocalOperators
 
 __all__ = [
@@ -219,7 +219,7 @@ def assemble(config, case, ops):
     gd = config.gamma_d_edges
     u_fixed_values = np.zeros(n_dofs)
     if gd.size:
-        u_fixed_values[dofmap.edge_block(gd)] = _edge_projection(case.g1, ops, gd)
+        u_fixed_values[dofmap.edge_block(gd)] = l2_project_edge(case.g1, ops, gd)
 
     u_fixed, lam_fixed = dofmap.fixed_masks(config)
     uf, lf, up = np.flatnonzero(~u_fixed), np.flatnonzero(~lam_fixed), np.flatnonzero(u_fixed)

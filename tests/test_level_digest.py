@@ -4,6 +4,8 @@ from outside; a rename in either must not break it silently."""
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "level_digest.py"
 
 
@@ -22,6 +24,22 @@ def test_level_digest_is_repeatable_and_tells_levels_apart():
     assert gauge == tool.level_digest("t3", 3, 1)
     assert len(gauge) == 64 and gauge != tool.level_digest("t6", 1, 1)
     assert tool.combined([gauge]) != gauge
+
+
+def test_level_digest_covers_the_error_report(monkeypatch):
+    # the same level, its solution and local matrices unchanged, with one
+    # error functional one ulp off: the digest moves
+    tool = load_tool()
+    before = tool.level_digest("t6", 1, 2)
+    real = tool.error_report
+
+    def nudged(*args):
+        report = real(*args)
+        report.stab_u = np.nextafter(report.stab_u, np.inf)
+        return report
+
+    monkeypatch.setattr(tool, "error_report", nudged)
+    assert tool.level_digest("t6", 1, 2) != before
 
 
 def test_per_level_digests_name_each_level_and_make_up_the_sum(capsys):

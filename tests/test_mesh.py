@@ -6,11 +6,9 @@ import pytest
 from pdwg.mesh import (
     BoundaryConfig,
     Mesh,
-    boundary_side,
     build_uniform_mesh,
     classify_boundary,
     dump_mesh,
-    edge_weight,
 )
 from test_weakops import jittered_mesh
 
@@ -45,7 +43,7 @@ def test_exhaustive_adjacency_enumeration_n4():
     assert len(expected) == 56
     for e in range(mesh.n_edges):
         key = tuple(mesh.edges[e])
-        assert sorted(mesh.edge_tris[e]) == sorted(expected[key])
+        assert np.unique(mesh.edge_slots[e] // 3).tolist() == sorted(expected[key])
     n_boundary = sum(1 for adj in expected.values() if len(adj) == 1)
     assert n_boundary == len(mesh.boundary_edges) == 16
 
@@ -65,9 +63,9 @@ def test_adjacency_symmetry():
     mesh = build_uniform_mesh(4)
     for t in range(mesh.n_triangles):
         for e in mesh.tri_edges[t]:
-            assert t in mesh.edge_tris[e]
+            assert t in mesh.edge_slots[e] // 3
     for e in range(mesh.n_edges):
-        for t in mesh.edge_tris[e]:
+        for t in mesh.edge_slots[e] // 3:
             assert e in mesh.tri_edges[t]
 
 
@@ -170,16 +168,19 @@ def test_non_manifold_edge_rejected():
         Mesh(verts, [(0, 1, 2), (0, 1, 3), (1, 0, 4)])
 
 
+# the mesh weight of an edge in the residual norms is the max diameter of
+# the triangles of its first and last slot: h_tri[edge_slots // 3].max(axis=1)
+
+
 def test_edge_weight_uniform_mesh():
     mesh = build_uniform_mesh(4)
-    for e in range(mesh.n_edges):
-        assert edge_weight(mesh, e) == pytest.approx(math.sqrt(2.0) / 4, rel=1e-14)
+    weight = mesh.h_tri[mesh.edge_slots // 3].max(axis=1)
+    assert np.allclose(weight, math.sqrt(2.0) / 4, rtol=1e-14, atol=0.0)
 
 
 def test_edge_weight_single_triangle_boundary():
     mesh = Mesh([(0, 0), (1, 0), (0, 1)], [(0, 1, 2)])
-    for e in range(mesh.n_edges):
-        assert edge_weight(mesh, e) == pytest.approx(mesh.h_tri[0], rel=1e-15)
+    assert np.all(mesh.h_tri[mesh.edge_slots // 3].max(axis=1) == mesh.h_tri[0])
 
 
 def test_edge_weight_max_rule_two_triangles():
@@ -188,9 +189,9 @@ def test_edge_weight_max_rule_two_triangles():
     mesh = Mesh(verts, [(0, 1, 2), (0, 3, 1)])
     assert mesh.h_tri[0] == pytest.approx(1.0, abs=1e-15)
     assert mesh.h_tri[1] == pytest.approx(0.5, abs=1e-15)
-    shared = [e for e in range(mesh.n_edges) if len(mesh.edge_tris[e]) == 2]
+    shared = np.flatnonzero(~mesh.is_boundary_edge)
     assert len(shared) == 1
-    assert edge_weight(mesh, shared[0]) == pytest.approx(1.0, abs=1e-15)
+    assert mesh.h_tri[mesh.edge_slots[shared[0]] // 3].max() == pytest.approx(1.0, abs=1e-15)
 
 
 @pytest.mark.parametrize("n", [1, 3, 8])
@@ -200,35 +201,20 @@ def test_edge_slots_are_the_first_and_last_slot_of_each_edge(n):
     for e in range(mesh.n_edges):
         slots = np.flatnonzero(flat == e)
         assert tuple(mesh.edge_slots[e]) == (slots[0], slots[-1])
-        assert tuple(slots // 3) == mesh.edge_tris[e]
     assert mesh.edge_slots.dtype.kind == "i" and not mesh.edge_slots.flags.writeable
     # edges numbered in order of first appearance: the dof layout depends on it
     assert np.all(np.diff(mesh.edge_slots[:, 0]) > 0)
 
 
-def test_edge_weight_invalid_index():
-    mesh = build_uniform_mesh(1)
-    with pytest.raises(ValueError):
-        edge_weight(mesh, mesh.n_edges)
-
-
-def test_outward_normal_rejects_foreign_edge():
-    mesh = build_uniform_mesh(2)
-    foreign = [e for e in range(mesh.n_edges) if e not in mesh.tri_edges[0]][0]
-    with pytest.raises(ValueError):
-        mesh.outward_normal(0, foreign)
-
-
 def test_classify_cauchy_bottom():
     mesh = build_uniform_mesh(4)
     config = classify_boundary(mesh, {"bottom"}, {"bottom"})
-    for e in mesh.boundary_edges:
-        side = boundary_side(mesh, e)
-        assert config.in_gamma_d[e] == (side == "bottom")
-        assert config.in_gamma_n[e] == (side == "bottom")
-    comp_sides = {boundary_side(mesh, e) for e in config.gamma_n_complement_edges}
-    assert comp_sides == {"right", "top", "left"}
-    assert len(config.gamma_n_complement_edges) == 12
+    bottom = mesh.is_boundary_edge & (mesh.edge_midpoints[:, 1] == 0.0)
+    assert np.count_nonzero(bottom) == 4
+    assert np.array_equal(config.in_gamma_d, bottom)
+    assert np.array_equal(config.in_gamma_n, bottom)
+    # the right, top and left sides, where lambda is fixed
+    assert np.count_nonzero(mesh.is_boundary_edge & ~config.in_gamma_n) == 12
     interior = ~mesh.is_boundary_edge
     assert not np.any(config.in_gamma_d[interior])
     assert not np.any(config.in_gamma_n[interior])
@@ -240,15 +226,16 @@ def test_classify_disjoint_mixed_problem():
     assert not np.any(config.in_gamma_d & config.in_gamma_n)
     assert len(config.gamma_d_edges) == 8
     assert len(config.gamma_n_edges) == 8
-    comp = {boundary_side(mesh, e) for e in config.gamma_n_complement_edges}
-    assert comp == {"bottom", "left"}
+    bottom_or_left = np.any(mesh.edge_midpoints == 0.0, axis=1)
+    assert np.array_equal(mesh.is_boundary_edge & ~config.in_gamma_n, bottom_or_left)
+    assert np.array_equal(config.in_gamma_d, bottom_or_left)
 
 
 def test_classify_pure_dirichlet():
     mesh = build_uniform_mesh(2)
     config = classify_boundary(mesh, {"bottom", "right", "top", "left"}, set())
     assert len(config.gamma_d_edges) == len(mesh.boundary_edges)
-    assert len(config.gamma_n_complement_edges) == len(mesh.boundary_edges)
+    assert np.array_equal(mesh.is_boundary_edge & ~config.in_gamma_n, mesh.is_boundary_edge)
     assert len(config.gamma_n_edges) == 0
 
 
@@ -266,12 +253,8 @@ def test_classify_rejects_unknown_side():
 
 def test_edge_off_the_square_rejected():
     mesh = Mesh([(0, 0), (1, 0), (0, 1)], [(0, 1, 2)])
-    hypotenuse = [e for e in range(mesh.n_edges) if tuple(mesh.edges[e]) == (1, 2)][0]
     with pytest.raises(ValueError, match="does not lie on"):
         classify_boundary(mesh, {"bottom"}, {"left"})
-    with pytest.raises(ValueError, match="does not lie on"):
-        boundary_side(mesh, hypotenuse)
-    assert boundary_side(mesh, 0) == "bottom"
 
 
 def test_boundary_config_rejects_interior_flags():
@@ -283,8 +266,6 @@ def test_boundary_config_rejects_interior_flags():
         BoundaryConfig(mesh, bad, np.zeros(mesh.n_edges, dtype=bool))
     with pytest.raises(ValueError, match="every edge"):
         BoundaryConfig(mesh, bad[1:], np.zeros(mesh.n_edges, dtype=bool))
-    with pytest.raises(ValueError, match="not a boundary edge"):
-        boundary_side(mesh, interior[0])
 
 
 GOLDEN_N1_DUMP = (

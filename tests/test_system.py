@@ -53,7 +53,7 @@ def test_system_dimension_n1_cauchy_bottom():
     dm = DofMap(mesh, 1)
     u_fixed, lam_fixed = dm.fixed_masks(config)
     n_u_free = dm.n_dofs - 2 * len(config.gamma_d_edges)
-    n_lam_free = dm.n_dofs - 2 * len(config.gamma_n_complement_edges)
+    n_lam_free = dm.n_dofs - 2 * np.count_nonzero(mesh.is_boundary_edge & ~config.in_gamma_n)
     assert int((~u_fixed).sum()) == len(system.u_free) == n_u_free == 2 * 3 + (5 - 1) * 2
     assert int((~lam_fixed).sum()) == len(system.lam_free) == n_lam_free == 2 * 3 + (5 - 3) * 2
     assert system.matrix.shape == (24, 24)

@@ -36,7 +36,7 @@ def lstsq_weak_gradient_oracle(mesh, t, k, local_dofs):
     x01 = 0.5 * (x01 + 1.0)
     w01 = 0.5 * w01
     # collapsed product rule on the triangle
-    a, b, c = mesh.tri_vertices(t)
+    a, b, c = mesh.vertices[mesh.triangles[t]]
     xi = np.outer(x01, 1.0 - x01).ravel()
     eta = np.tile(x01, m)
     wts = np.outer(w01, w01 * (1.0 - x01)).ravel() * 2.0 * mesh.tri_areas[t]
@@ -213,7 +213,7 @@ def test_commutativity_property_polynomials(k):
     }[k]
     for u, grad_u in polys:
         wf = l2_project_weak(u, ops)
-        projected = l2_project_vector(grad_u, mesh, k)
+        projected = l2_project_vector(grad_u, ops)
         for t in range(mesh.n_triangles):
             grad = local_gradient(ops, t, wf.local_coeffs(t))
             assert np.max(np.abs(grad - projected[t])) <= 1e-11
@@ -227,7 +227,7 @@ def test_commutativity_property_smooth(k):
     u = lambda x, y: np.cos(x) * np.cos(y)
     grad_u = lambda x, y: (-np.sin(x) * np.cos(y), -np.cos(x) * np.sin(y))
     wf = l2_project_weak(u, ops)
-    projected = l2_project_vector(grad_u, mesh, k)
+    projected = l2_project_vector(grad_u, ops)
     for t in range(mesh.n_triangles):
         grad = local_gradient(ops, t, wf.local_coeffs(t))
         assert np.max(np.abs(grad - projected[t])) <= 1e-10
@@ -460,7 +460,8 @@ def loop_assemble(mesh, config, case, k, rule):
         load[dm.interior_block(t)] += vals.T @ (wts * case.f(pts[:, 0], pts[:, 1]))
     for e in config.gamma_n_edges:
         pts, wts, tc = edge_quad(mesh, e, rule)
-        g2 = case.g2(pts[:, 0], pts[:, 1], mesh.outward_normal(mesh.edge_tris[e][0], e))
+        t, loc = divmod(mesh.edge_slots[e, 0], 3)
+        g2 = case.g2(pts[:, 0], pts[:, 1], mesh.tri_edge_signs[t, loc] * mesh.edge_normals[e])
         load[dm.edge_block(e)] += edge_basis(k).eval(tc).T @ (wts * g2)
     lift = np.zeros(dm.n_dofs)
     projected = loop_project(case.g1, mesh, k, rule)

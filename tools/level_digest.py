@@ -10,14 +10,15 @@ whose stored reference values are roundoff.  With ``--levels`` it prints
 one line per level instead, its key and digest in key order, so that a
 diff of two outputs names the levels that changed.  ``--workload`` runs
 that workload's levels only.  A level's digest covers its key, the free
-and fixed coefficients of u_h and lam_h, and the local weak-gradient maps,
-stabilizers and diffusion forms.  Every array is +0.0-normalized first, so
+and fixed coefficients of u_h and lam_h, the five values of its error
+report, and the local weak-gradient maps, stabilizers and diffusion forms.  Every array is +0.0-normalized first, so
 the sign of an exact zero does not count.  Compare the output of two trees
 on the same machine: BLAS is held to one thread, but its kernels still
 differ between builds.
 """
 
 import argparse
+import dataclasses
 import hashlib
 import os
 import sys
@@ -34,7 +35,7 @@ import numpy as np  # noqa: E402
 
 import workloads  # noqa: E402
 from pdwg import (LocalOperators, SingularSystemError, assemble, build_uniform_mesh,  # noqa: E402
-                  classify_boundary, get_case, solve)
+                  classify_boundary, error_report, get_case, solve)
 
 # the levels whose reference values store roundoff: gauge-singular with a
 # two-dimensional multiplier kernel
@@ -42,17 +43,20 @@ FROZEN = "t3-t5 k=3"
 
 
 def level_digest(case_id, k, n):
-    """sha256 of one level's solution and local matrices."""
+    """sha256 of one level's solution, error report and local matrices."""
     case = get_case(case_id)
     mesh = build_uniform_mesh(n)
     config = classify_boundary(mesh, case.dirichlet_sides, case.neumann_sides)
     ops = LocalOperators(mesh, k, case.a)
     digest = hashlib.sha256(workloads.level_key(case_id, k, n).encode())
     try:
-        fields = [f.coeffs for f in solve(assemble(config, case, ops))]
+        u_h, lam_h = solve(assemble(config, case, ops))
     except SingularSystemError as exc:
         digest.update(str(exc).encode())
         fields = []
+    else:
+        report = error_report(u_h, lam_h, case.u, config, ops)
+        fields = [u_h.coeffs, lam_h.coeffs, np.array(dataclasses.astuple(report))]
     for arr in fields + [ops.grad_maps, ops.stabilizers, ops.diffusion_forms]:
         digest.update(np.ascontiguousarray(arr + 0.0).tobytes())
     return digest.hexdigest()

@@ -54,7 +54,8 @@ def tri_exponents(k):
 
 class ElementBasis:
     """Monomials ((x-xc)/s)^p ((y-yc)/s)^q, p+q <= k, centered at the
-    triangle centroid xc and scaled by the diameter s."""
+    triangle centroid xc and scaled by the diameter s; eval and grad take
+    the scaled coordinates ((x-xc)/s, (y-yc)/s) of the points."""
 
     def __init__(self, degree):
         if degree < 0:
@@ -63,33 +64,29 @@ class ElementBasis:
         self.exponents = np.array(tri_exponents(degree))
         self.dim = len(self.exponents)
 
-    def eval(self, pts, center, scale):
-        """Basis values at pts, shape (npts, dim).  Leading axes
-        broadcast: pts (T, npts, 2) with center (T, 1, 2) and scale
-        (T, 1) gives (T, npts, dim)."""
-        pts = np.atleast_2d(pts)
-        X = (pts[..., 0] - center[..., 0]) / scale
-        Y = (pts[..., 1] - center[..., 1]) / scale
+    def eval(self, scaled):
+        """Basis values at the scaled points (p - center) / scale, shape
+        (npts, dim) for scaled (npts, 2); leading axes carry through:
+        (T, npts, 2) gives (T, npts, dim)."""
         # each power once per point, then one product per basis function.
-        # Z^0 = 1 and Z^1 = Z are exact; the higher powers are libm's pow,
-        # as Z**P computes them, in one call on both coordinates with a
-        # full-size exponent array: numpy squares where an exponent 2 is
-        # broadcast (or the call has one element), and a square differs
-        # from pow in the last bit
-        XY = np.stack([X, Y])
+        # Z^0 = 1 and Z^1 = Z are exact; the higher powers are numpy's
+        # power ufunc, as Z**P computes them (its AVX-512 kernel where the
+        # CPU has one, else libm's pow), in one call on both coordinates
+        # with a full-size exponent array: numpy squares where an exponent
+        # 2 is broadcast (or the call has one element), and a square
+        # differs from pow in the last bit
+        XY = _coordinates(scaled)
         powers = np.repeat(np.arange(2.0, self.degree + 1), XY.size).reshape((-1,) + XY.shape)
         xs, ys = zip((1.0, 1.0), XY, *(XY**powers))
-        out = np.empty(X.shape + (self.dim,))
+        out = np.empty(XY.shape[1:] + (self.dim,))
         for m, (p, q) in enumerate(self.exponents):
             np.multiply(xs[p], ys[q], out=out[..., m])
         return out
 
-    def grad(self, pts, center, scale):
-        """Basis gradients at pts, shape (npts, dim, 2); leading axes
-        broadcast as in eval."""
-        pts = np.atleast_2d(pts)
-        X = (pts[..., 0] - center[..., 0]) / scale
-        Y = (pts[..., 1] - center[..., 1]) / scale
+    def grad(self, scaled, scale):
+        """Basis gradients at the scaled points, shape (npts, dim, 2); scale
+        broadcasts against scaled[..., 0], as (T, 1) against (T, npts)."""
+        X, Y = _coordinates(scaled)
         out = np.zeros(X.shape + (self.dim, 2))
         for m, (p, q) in enumerate(self.exponents):
             if p:
@@ -97,6 +94,11 @@ class ElementBasis:
             if q:
                 out[..., m, 1] = (q / scale) * X**p * Y ** (q - 1)
         return out
+
+
+def _coordinates(scaled):
+    """The contiguous coordinate pair (2, ...) of points (..., 2)."""
+    return np.moveaxis(np.atleast_2d(scaled), -1, 0).copy()
 
 
 class EdgeBasis:
@@ -197,9 +199,14 @@ def quadrature_for_degree(k):
 def tri_quad(mesh, t, rule):
     """Physical quadrature points and weights on triangle t; an index
     array t adds its shape as leading axes: (..., nq, 2) and (..., nq)."""
-    a, b, c = (mesh.vertices[mesh.triangles[t, i]][..., None, :] for i in range(3))
-    ref = rule.tri_points
-    pts = a + ref[:, 0, None] * (b - a) + ref[:, 1, None] * (c - a)
+    # coordinate by coordinate, so that the inner loops run over the
+    # points rather than over the two coordinates; same operations
+    a, b, c = (mesh.vertices.T[:, mesh.triangles[t, i], None] for i in range(3))
+    ref = rule.tri_points.T
+    pts = np.empty(a.shape[1:-1] + rule.tri_points.shape)
+    xy = np.moveaxis(pts, -1, 0)
+    np.add(a, ref[0] * (b - a), out=xy)
+    xy += ref[1] * (c - a)
     wts = rule.tri_weights * (2.0 * mesh.tri_areas[t])[..., None]
     return pts, wts
 
@@ -208,8 +215,11 @@ def edge_quad(mesh, e, rule):
     """Physical points, ds-weights and edge-basis coordinates on edge e,
     in the global edge orientation; an index array e adds leading axes."""
     lo, hi = mesh.edges[e, 0], mesh.edges[e, 1]
-    direction = (mesh.vertices[hi] - mesh.vertices[lo])[..., None, :]
-    pts = mesh.edge_midpoints[e][..., None, :] + rule.edge_points[:, None] * direction
+    # coordinate by coordinate, as in tri_quad
+    direction = (mesh.vertices.T[:, hi] - mesh.vertices.T[:, lo])[..., None]
+    pts = np.empty(direction.shape[1:-1] + (len(rule.edge_points), 2))
+    np.add(mesh.edge_midpoints.T[:, e, None], rule.edge_points * direction,
+           out=np.moveaxis(pts, -1, 0))
     wts = rule.edge_weights * mesh.edge_lengths[e][..., None]
     return pts, wts, rule.edge_points
 

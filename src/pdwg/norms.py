@@ -93,7 +93,10 @@ def _flux_maps(ops):
 
     div (T, nq, 2 dim_r)          div(a G) at the triangle points, by the
                                   product rule div(a G) = sum_ij a_ij d_i G_j
-                                  + sum_j (sum_i d_i a_ij) G_j
+                                  + sum_j (sum_i d_i a_ij) G_j; computed on
+                                  one triangle per group of byte-equal
+                                  kernel inputs and divergence samples
+                                  (ops.groups_with), then gathered
     trace (E, 2, mq, 2 dim_r)     (a G) . n_e at the points of every edge from
                                   the triangle of either side (mesh.edge_slots),
                                   against the fixed global edge normal n_e
@@ -101,11 +104,13 @@ def _flux_maps(ops):
     mesh = ops.mesh
     nt, nq = ops.tri_wts.shape
     x, y = ops.tri_pts.reshape(-1, 2).T
-    tensor, gr = ops.a.tensor(x, y).reshape(nt, nq, 2, 2), ops.gr
+    divergence = ops.a.divergence(x, y).reshape(nt, nq, 2, 1)
+    reps, group = ops.groups_with(divergence)
+    tensor, gr = ops.a.tensor(x, y).reshape(nt, nq, 2, 2)[reps], ops.gr[reps]
     # sum_i a_ij d_i phi_m, as the sum of its two products
     div = tensor[:, :, 0, :, None] * gr[:, :, None, :, 0]
     div += tensor[:, :, 1, :, None] * gr[:, :, None, :, 1]
-    div += ops.a.divergence(x, y).reshape(nt, nq, 2, 1) * ops.vr[:, :, None, :]
+    div += divergence[reps] * ops.vr[reps][:, :, None, :]
     mq, dimr = ops.edge_vr.shape[-2:]
     # both sides' points are those of side 0: edge points follow the edge
     slots = mesh.edge_slots
@@ -113,7 +118,7 @@ def _flux_maps(ops):
     tensor, normal = ops.a.tensor(x, y).reshape(-1, mq, 2, 2), mesh.edge_normals[:, None, :, None]
     normal_a = normal[:, :, 0] * tensor[:, :, 0] + normal[:, :, 1] * tensor[:, :, 1]
     trace = normal_a[:, None, :, :, None] * ops.edge_vr.reshape(-1, mq, dimr)[slots][:, :, :, None]
-    return div.reshape(nt, nq, -1), trace.reshape(*trace.shape[:3], -1)
+    return div[group].reshape(nt, nq, -1), trace.reshape(*trace.shape[:3], -1)
 
 
 def _residual_terms(ops, fields, edge_flags, weak=True):

@@ -13,6 +13,8 @@ b_T(u, v) = (a grad_w u, grad_w v)_T.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .fespace import (
@@ -100,54 +102,112 @@ IDENTITY = Diffusion(1.0)
 # into one batched call, which keeps each entry's bits.
 # This matters beyond taste: at k=3 the gauge-singular cases t3-t5 leave one
 # multiplier kernel direction to roundoff, and their results move with the
-# last bit of the matrix.
+# last bit of the matrix.  The kernels read only their array arguments, one
+# row per triangle, so LocalOperators runs them on one triangle of each group
+# of byte-equal inputs (_equal_rows) and gathers the rows: on a uniform mesh
+# of dyadic n the groups are few (72 of 2048 triangles at k=1, n=32; 50 of
+# 512 at k=2, n=16).  Most of _grad_maps' time is its three-operand einsums,
+# which numpy runs as a generic loop; on the groups they cost a tenth.
 
 
-def _grad_maps(ops):
+def _grad_maps(tri_wts, vk, gr, edge_wts, edge_vr, beta, normals, mass_r):
     """Weak-gradient maps (T, 2 dim_r, nloc) from the defining equations
     (G, psi)_T = -(v_0, div psi)_T + <v_b, psi . n>_{dT}, one per component;
     both components' right-hand sides side by side, so that each mass
     matrix is factored once."""
-    nt, dimk, dimr, dime = len(ops.h), ops.vk.shape[-1], ops.vr.shape[-1], ops.beta.shape[-1]
+    nt, dimk, dimr, dime = len(tri_wts), vk.shape[-1], gr.shape[-2], beta.shape[-1]
     rhs = np.empty((nt, dimr, 2, dimk + 3 * dime))
     for c in range(2):
         # interior columns: -(v_0, div psi)_T
-        rhs[:, :, c, :dimk] = -np.einsum("tn,tnj,tni->tji", ops.tri_wts, ops.gr[..., c], ops.vk)
+        rhs[:, :, c, :dimk] = -np.einsum("tn,tnj,tni->tji", tri_wts, gr[..., c], vk)
     # edge columns: <v_b, psi . n>_{dT} with the outward normal
-    block = np.einsum("tln,tlnj,nm->tljm", ops.edge_wts, ops.edge_vr, ops.beta)
+    block = np.einsum("tln,tlnj,nm->tljm", edge_wts, edge_vr, beta)
     for loc in range(3):
         cols = slice(dimk + loc * dime, dimk + (loc + 1) * dime)
         for c in range(2):
-            rhs[:, :, c, cols] = ops.normals[:, loc, c, None, None] * block[:, loc]
-    maps = np.linalg.solve(ops.mass_r, rhs.reshape(nt, dimr, -1)).reshape(rhs.shape)
+            rhs[:, :, c, cols] = normals[:, loc, c, None, None] * block[:, loc]
+    maps = np.linalg.solve(mass_r, rhs.reshape(nt, dimr, -1)).reshape(rhs.shape)
     return maps.swapaxes(1, 2).reshape(nt, 2 * dimr, -1)
 
 
-def _stabilizers(ops):
+def _stabilizers(edge_vk, edge_wts, beta, h):
     """Matrices (T, nloc, nloc) of h_T^{-1} sum_e int_e (v_0 - v_b)^2."""
-    nt, _, mq, dimk = ops.edge_vk.shape
-    dime = ops.beta.shape[-1]
+    nt, _, mq, dimk = edge_vk.shape
+    dime = beta.shape[-1]
     z = np.zeros((nt, 3, mq, dimk + 3 * dime))
-    z[..., :dimk] = ops.edge_vk
+    z[..., :dimk] = edge_vk
     for loc in range(3):
-        z[:, loc, :, dimk + loc * dime : dimk + (loc + 1) * dime] = -ops.beta
-    mat = gram(z[:, 0], ops.edge_wts[:, 0])
+        z[:, loc, :, dimk + loc * dime : dimk + (loc + 1) * dime] = -beta
+    mat = gram(z[:, 0], edge_wts[:, 0])
     for loc in (1, 2):
-        mat += gram(z[:, loc], ops.edge_wts[:, loc])
-    mat /= ops.h[:, None, None]
+        mat += gram(z[:, loc], edge_wts[:, loc])
+    mat /= h[:, None, None]
     return 0.5 * (mat + mat.swapaxes(1, 2))
 
 
-def _diffusion_forms(ops):
-    """Matrices (T, nloc, nloc) of b_T(u, v) = (a grad_w u, grad_w v)_T."""
-    gmaps, nt, dimr = ops.grad_maps, len(ops.h), ops.vr.shape[-1]
+def _diffusion_forms(grad_maps, vr, tri_wts, tensor):
+    """Matrices (T, nloc, nloc) of b_T(u, v) = (a grad_w u, grad_w v)_T,
+    tensor (T, nq, 2, 2) being a at the triangle points."""
+    nt, dimr = len(tri_wts), vr.shape[-1]
     # the distinct entries a00, a01, a11 as weights (T, 3, nq)
-    entries = ops.a.tensor(*ops.tri_pts.reshape(-1, 2).T).reshape(nt, -1, 4)[..., [0, 1, 3]]
-    blocks = gram(ops.vr[:, None], ops.tri_wts[:, None] * entries.swapaxes(1, 2))
+    entries = tensor.reshape(nt, -1, 4)[..., [0, 1, 3]]
+    blocks = gram(vr[:, None], tri_wts[:, None] * entries.swapaxes(1, 2))
     # the (2 dimr)^2 matrix of blocks [[m00, m01], [m01, m11]]
     mass2 = blocks[:, [0, 1, 1, 2]].reshape(nt, 2, 2, dimr, dimr).swapaxes(2, 3)
-    form = gmaps.swapaxes(1, 2) @ mass2.reshape(nt, 2 * dimr, 2 * dimr) @ gmaps
+    form = grad_maps.swapaxes(1, 2) @ mass2.reshape(nt, 2 * dimr, 2 * dimr) @ grad_maps
     return 0.5 * (form + form.swapaxes(1, 2))
+
+
+@lru_cache(maxsize=None)
+def _multipliers(width):
+    """Fixed odd 64-bit multipliers, one per word of a row (a splitmix64
+    step of the word's position)."""
+    z = np.arange(1, width + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    z ^= z >> np.uint64(31)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    return z | np.uint64(1)
+
+
+def _row_hash(words):
+    """A uint64 key per row of the (T, width) uint64 arrays words: the
+    wrapping sum of every word times its multiplier."""
+    return sum(w @ _multipliers(w.shape[1]) for w in words)
+
+
+def _equal_rows(*arrays):
+    """Representatives (G,) and group (T,) of the rows of the arrays (each
+    with leading axis T) that agree byte for byte in every array: groups
+    numbered in order of first appearance, each represented by its first
+    row.  An array broadcast along T (stride 0) has equal rows and is
+    skipped.  The hash keys only shortlist; where rows share a key, a byte
+    comparison of every row with its group's representative decides, and
+    if any differs, the rows are grouped by sorting them whole."""
+    words = [arr.reshape(len(arr), -1).view(np.uint64) for arr in arrays if arr.strides[0]]
+    _, reps, group = np.unique(_row_hash(words), return_index=True, return_inverse=True)
+    twins = reps[group]
+    if len(reps) < len(twins) and not all((w == w[twins]).all() for w in words):
+        _, reps, group = np.unique(np.concatenate(words, axis=1), axis=0,
+                                   return_index=True, return_inverse=True)
+    order = np.argsort(reps)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return reps[order], rank[group.reshape(-1)]
+
+
+def _scaled(pts, center, scale):
+    """(pts - center) / scale, one coordinate at a time so that the inner
+    loops run over the points: the same operations and bits."""
+    out = np.empty(pts.shape)
+    for i in (0, 1):
+        np.subtract(pts[..., i], center[..., i], out=out[..., i])
+        out[..., i] /= scale[..., 0]
+    return out
+
+
+def _pickers(reps, group):
+    """reps and group as indices into the tables: two full slices, which
+    index by view, where every triangle is its own group."""
+    return (slice(None), slice(None)) if len(reps) == len(group) else (reps, group)
 
 
 class LocalOperators:
@@ -177,10 +237,18 @@ class LocalOperators:
                                           one class per triangle for a callable
     class_members (C, T / C)              the triangles of each class, in index
                                           order; the first is its representative
+    input_groups (T,), input_reps (G,)    group of each triangle whose kernel
+                                          inputs (scaled points, weights,
+                                          normals, h, a at the points) equal
+                                          another's byte for byte, numbered in
+                                          order of first appearance, and the
+                                          first triangle of each group
 
     Triangle t's matrices are the rows grad_maps[t], stabilizers[t] and
-    diffusion_forms[t]; those of one class agree up to roundoff.
-    assemble, solve and error_report all read the same instance.
+    diffusion_forms[t]; those of one class agree up to roundoff, those of
+    one input group bit for bit.  The basis tables and local matrices are
+    computed on input_reps and gathered.  assemble, solve and error_report
+    all read the same instance.
     """
 
     def __init__(self, mesh, k, a=IDENTITY):
@@ -188,27 +256,47 @@ class LocalOperators:
         self.cell_dofs = self.dofmap.cell_dof_array
         self.mesh, self.k, self.a = mesh, k, a
         self.rule = rule = quadrature_for_degree(k)
-        self.h = mesh.h_tri
-        center, scale = mesh.tri_centroids[:, None, :], self.h[:, None]
+        self.h = h = mesh.h_tri
+        center, scale = mesh.tri_centroids[:, None, :], h[:, None, None]
         kbasis, rdim = element_basis(k), element_basis(k - 1).dim
         self.tri_pts, self.tri_wts = tri_quad(mesh, np.arange(mesh.n_triangles), rule)
         self.edge_pts, self.edge_wts, _ = edge_quad(mesh, mesh.tri_edges, rule)
         self.normals = mesh.tri_edge_signs[..., None] * mesh.edge_normals[mesh.tri_edges]
-        # the graded P_{k-1} basis is the leading part of the P_k basis
-        self.vk = kbasis.eval(self.tri_pts, center, scale)
-        self.vr = self.vk[..., :rdim]
-        self.gr = element_basis(k - 1).grad(self.tri_pts, center, scale)
-        self.edge_vk = kbasis.eval(self.edge_pts, center[:, None], scale[:, None])
-        self.edge_vr = self.edge_vk[..., :rdim]
         self.beta = edge_basis(k).eval(rule.edge_points)
-        self.mass_k = gram(self.vk, self.tri_wts)
-        self.mass_r = gram(self.vr, self.tri_wts)
-        self.grad_maps = _grad_maps(self)
-        self.stabilizers = _stabilizers(self)
-        self.diffusion_forms = _diffusion_forms(self)
+        # everything the kernels read, one row per triangle
+        tri_scaled = _scaled(self.tri_pts, center, scale)
+        edge_scaled = _scaled(self.edge_pts, center[:, None], scale[:, None])
+        tensor = a.tensor(*self.tri_pts.reshape(-1, 2).T).reshape(len(h), -1, 2, 2)
+        self.input_reps, self.input_groups = _equal_rows(
+            tri_scaled, edge_scaled, self.tri_wts, self.edge_wts, self.normals, h, tensor)
+        reps, group = _pickers(self.input_reps, self.input_groups)
+        tri_wts = self.tri_wts[reps]
+        # the graded P_{k-1} basis is the leading part of the P_k basis
+        vk = kbasis.eval(tri_scaled[reps])
+        gr = element_basis(k - 1).grad(tri_scaled[reps], h[reps, None])
+        edge_vk = kbasis.eval(edge_scaled[reps])
+        mass_r = gram(vk[..., :rdim], tri_wts)
+        grad_maps = _grad_maps(tri_wts, vk, gr, self.edge_wts[reps], edge_vk[..., :rdim],
+                               self.beta, self.normals[reps], mass_r)
+        self.vk, self.gr, self.edge_vk, self.mass_k, self.mass_r = (
+            table[group] for table in (vk, gr, edge_vk, gram(vk, tri_wts), mass_r))
+        self.vr, self.edge_vr = self.vk[..., :rdim], self.edge_vk[..., :rdim]
+        self.grad_maps = grad_maps[group]
+        self.stabilizers = _stabilizers(edge_vk, self.edge_wts[reps], self.beta, h[reps])[group]
+        self.diffusion_forms = _diffusion_forms(grad_maps, vk[..., :rdim], tri_wts,
+                                                tensor[reps])[group]
         self.classes = mesh.tri_classes if a.constant else np.arange(mesh.n_triangles)
         self.class_members = np.argsort(self.classes, kind="stable").reshape(
             self.classes.max() + 1, -1)
+
+    def groups_with(self, *arrays):
+        """Representatives and groups of the triangles whose kernel inputs
+        and whose rows of the arrays (leading axis T) agree byte for byte,
+        as indices into the tables: index arrays as input_reps and
+        input_groups, or two full slices where no two triangles agree."""
+        if any(arr.strides[0] for arr in arrays):
+            return _pickers(*_equal_rows(self.input_groups, *arrays))
+        return _pickers(self.input_reps, self.input_groups)
 
     def edge_rule(self, e):
         """Points (..., mq, 2) and ds-weights (..., mq) of the edges e (an

@@ -86,7 +86,7 @@ def test_project_element_identity_on_subspace():
 
     def f(x, y):
         pts = np.column_stack([x, y])
-        return basis.eval(pts, mesh.tri_centroids[t], mesh.h_tri[t]) @ target
+        return basis.eval((pts - mesh.tri_centroids[t]) / mesh.h_tri[t]) @ target
 
     coeffs = l2_project_element(f, LocalOperators(mesh, 1), t)
     assert np.max(np.abs(coeffs - target)) <= 1e-12
@@ -99,7 +99,7 @@ def test_project_element_linear_exactness_everywhere():
     for t in range(mesh.n_triangles):
         coeffs = l2_project_element(lambda x, y: 1 + x + y, ops, t)
         pts, _ = tri_quad(mesh, t, rule)
-        vals = element_basis(1).eval(pts, mesh.tri_centroids[t], mesh.h_tri[t]) @ coeffs
+        vals = element_basis(1).eval((pts - mesh.tri_centroids[t]) / mesh.h_tri[t]) @ coeffs
         assert np.max(np.abs(vals - (1 + pts[:, 0] + pts[:, 1]))) <= 1e-12
 
 
@@ -109,7 +109,7 @@ def projection_l2_error(u, mesh, k, rule):
     for t in range(mesh.n_triangles):
         coeffs = l2_project_element(u, ops, t)
         pts, wts = tri_quad(mesh, t, rule)
-        vals = basis.eval(pts, mesh.tri_centroids[t], mesh.h_tri[t]) @ coeffs
+        vals = basis.eval((pts - mesh.tri_centroids[t]) / mesh.h_tri[t]) @ coeffs
         err2 += wts @ (vals - u(pts[:, 0], pts[:, 1])) ** 2
     return math.sqrt(err2)
 
@@ -155,7 +155,7 @@ def test_orthogonality_property_element():
     for t in (0, 5):
         coeffs = l2_project_element(f, ops, t)
         pts, wts = tri_quad(mesh, t, rule)
-        vals = element_basis(2).eval(pts, mesh.tri_centroids[t], mesh.h_tri[t])
+        vals = element_basis(2).eval((pts - mesh.tri_centroids[t]) / mesh.h_tri[t])
         resid = f(pts[:, 0], pts[:, 1]) - vals @ coeffs
         fnorm = math.sqrt(wts @ f(pts[:, 0], pts[:, 1]) ** 2)
         for m in range(vals.shape[1]):
@@ -173,7 +173,7 @@ def test_projection_idempotence(k):
 
         def via_coeffs(x, y, t=t, c=once):
             pts = np.column_stack([x, y])
-            return element_basis(k).eval(pts, mesh.tri_centroids[t], mesh.h_tri[t]) @ c
+            return element_basis(k).eval((pts - mesh.tri_centroids[t]) / mesh.h_tri[t]) @ c
 
         twice = l2_project_element(via_coeffs, ops, t)
         assert np.max(np.abs(twice - once)) <= 1e-13 * max(1.0, np.max(np.abs(once)))
@@ -211,7 +211,7 @@ def test_project_weak_interior_matches_elementwise():
         wf = l2_project_weak(u, LocalOperators(mesh, k))
         for t in range(mesh.n_triangles):
             pts, wts = tri_quad(mesh, t, rule)
-            vals = element_basis(k).eval(pts, mesh.tri_centroids[t], mesh.h_tri[t])
+            vals = element_basis(k).eval((pts - mesh.tri_centroids[t]) / mesh.h_tri[t])
             want = np.linalg.solve(gram(vals, wts), vals.T @ (wts * u(pts[:, 0], pts[:, 1])))
             assert np.allclose(wf.interior_coeffs(t), want, rtol=0.0, atol=1e-13)
         for e in range(mesh.n_edges):
@@ -247,7 +247,7 @@ def vector_projection_error(q, mesh, k, rule):
     coeffs = l2_project_vector(q, LocalOperators(mesh, k))
     for t in range(mesh.n_triangles):
         pts, wts = tri_quad(mesh, t, rule)
-        vals = basis.eval(pts, mesh.tri_centroids[t], mesh.h_tri[t])
+        vals = basis.eval((pts - mesh.tri_centroids[t]) / mesh.h_tri[t])
         qx, qy = q(pts[:, 0], pts[:, 1])
         err2 += wts @ ((vals @ coeffs[t, 0] - qx) ** 2 + (vals @ coeffs[t, 1] - qy) ** 2)
     return math.sqrt(err2)
@@ -330,7 +330,7 @@ def test_weak_function_evaluation_views():
     wf = l2_project_weak(u, LocalOperators(mesh, 1))
     for t in (0, 5):
         pts = mesh.tri_centroids[t] + np.array([[0.0, 0.0], [0.02, -0.01]])
-        vals = element_basis(1).eval(pts, mesh.tri_centroids[t], mesh.h_tri[t])
+        vals = element_basis(1).eval((pts - mesh.tri_centroids[t]) / mesh.h_tri[t])
         assert np.allclose(vals @ wf.interior_coeffs(t), u(pts[:, 0], pts[:, 1]), atol=1e-12)
     for e in (0, 4):
         tc = np.array([-0.3, 0.0, 0.25])
@@ -352,19 +352,20 @@ def test_gradient_coefficient_maps_against_finite_differences():
     h = 1e-6
     b2 = element_basis(2)
     b1 = element_basis(1)
-    fd_x = (b2.eval(pts + [h, 0], center, scale) - b2.eval(pts - [h, 0], center, scale)) @ c / (2 * h)
-    fd_y = (b2.eval(pts + [0, h], center, scale) - b2.eval(pts - [0, h], center, scale)) @ c / (2 * h)
-    assert np.max(np.abs(b1.eval(pts, center, scale) @ (dx @ c) - fd_x)) < 1e-8
-    assert np.max(np.abs(b1.eval(pts, center, scale) @ (dy @ c) - fd_y)) < 1e-8
+    at = lambda basis, p: basis.eval((p - center) / scale)
+    fd_x = (at(b2, pts + [h, 0]) - at(b2, pts - [h, 0])) @ c / (2 * h)
+    fd_y = (at(b2, pts + [0, h]) - at(b2, pts - [0, h])) @ c / (2 * h)
+    assert np.max(np.abs(at(b1, pts) @ (dx @ c) - fd_x)) < 1e-8
+    assert np.max(np.abs(at(b1, pts) @ (dy @ c) - fd_y)) < 1e-8
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("kind", ["uniform", "jittered"])
 def test_basis_table_is_the_all_pow_table_bit_for_bit(k, kind):
-    # ElementBasis.eval takes Z^1 = Z and libm's pow for the higher powers,
-    # which is the table Z**P with the exponents P = 1..k, bit for bit, at
-    # the triangle and edge points of a level and at a single point.  At
-    # k = 2 numpy squares a broadcast exponent 2 instead, and the square
+    # ElementBasis.eval takes Z^1 = Z and numpy's power ufunc for the higher
+    # powers, which is the table Z**P with the exponents P = 1..k, bit for
+    # bit, at the triangle and edge points of a level and at a single point.
+    # At k = 2 numpy squares a broadcast exponent 2 instead, and the square
     # differs from pow in the last bit at some of these points
     from test_weakops import jittered_mesh
 
@@ -379,9 +380,10 @@ def test_basis_table_is_the_all_pow_table_bit_for_bit(k, kind):
         xp, yp = (np.concatenate([np.ones(Z.shape + (1,)), Z[..., None] ** np.arange(1, k + 1)],
                                  axis=-1) for Z in (X, Y))
         want = xp[..., basis.exponents[:, 0]] * yp[..., basis.exponents[:, 1]]
-        assert basis.eval(pts, c, s).tobytes() == want.tobytes()
+        scaled = np.stack([X, Y], axis=-1)
+        assert basis.eval(scaled).tobytes() == want.tobytes()
         # the first point, of triangle 0, alone
-        one = basis.eval(pts.reshape(-1, 2)[0], center[0, 0], scale[0, 0])
+        one = basis.eval(scaled.reshape(-1, 2)[0])
         assert one.tobytes() == want.reshape(-1, basis.dim)[:1].tobytes()
         if k == 2:
             assert np.any(X**2 != xp[..., 2])

@@ -161,7 +161,7 @@ def test_interior_field_evaluation():
     wf = l2_project_weak(u, ops)
     for t in (1, 6):
         pts = mesh.tri_centroids[t][None, :]
-        vals = element_basis(1).eval(pts, mesh.tri_centroids[t], mesh.h_tri[t])
+        vals = element_basis(1).eval((pts - mesh.tri_centroids[t]) / mesh.h_tri[t])
         assert np.allclose(vals @ wf.interior_coeffs(t), u(pts[:, 0], pts[:, 1]), atol=1e-12)
     # closed form: int (0.5 - x + 3y)^2 over the unit square = 37/12
     assert interior_l2_norm(wf, ops) == pytest.approx(math.sqrt(37 / 12), rel=1e-12)
@@ -268,8 +268,8 @@ def loop_residual_pieces(v, mesh, a, ops, include_boundary):
     div_total = 0.0
     for t in range(mesh.n_triangles):
         pts, wts = tri_quad(mesh, t, rule)
-        vals = rbasis.eval(pts, mesh.tri_centroids[t], mesh.h_tri[t])
-        grads = rbasis.grad(pts, mesh.tri_centroids[t], mesh.h_tri[t])
+        vals = rbasis.eval((pts - mesh.tri_centroids[t]) / mesh.h_tri[t])
+        grads = rbasis.grad((pts - mesh.tri_centroids[t]) / mesh.h_tri[t], mesh.h_tri[t])
         gvals = vals @ gamma[t].T
         gder = np.einsum("jm,nmi->nij", gamma[t], grads)
         div = np.einsum("nij,nij->n", a.tensor(pts[:, 0], pts[:, 1]), gder)
@@ -283,7 +283,7 @@ def loop_residual_pieces(v, mesh, a, ops, include_boundary):
         pts, wts, _ = edge_quad(mesh, e, rule)
         traces = []
         for t in adj:
-            vals = rbasis.eval(pts, mesh.tri_centroids[t], mesh.h_tri[t])
+            vals = rbasis.eval((pts - mesh.tri_centroids[t]) / mesh.h_tri[t])
             flux = a.flux(pts[:, 0], pts[:, 1], vals @ gamma[t].T)
             traces.append(flux @ mesh.edge_normals[e])
         jump = traces[0] if len(traces) == 1 else traces[0] - traces[1]
@@ -313,6 +313,33 @@ def test_residual_pieces_match_loop_reference(k, coefficient):
         div, jump = loop_residual_pieces(wf, mesh, a, ops, include)
         assert terms[0] == pytest.approx(div, rel=1e-12)
         assert terms[1] == pytest.approx(jump, rel=1e-12)
+
+
+FLUX_COEFFICIENTS = {
+    "identity": IDENTITY,
+    "matrix": Diffusion([[2.0, 0.5], [0.5, 1.0]]),
+    "variable": Diffusion(lambda x, y: 1.0 + x * y, grad=lambda x, y: np.column_stack([y, x])),
+    # a = I everywhere with a divergence that varies: triangles of equal
+    # kernel inputs then differ in the divergence samples alone
+    "divergence only": Diffusion(lambda x, y: np.ones_like(x),
+                                 grad=lambda x, y: np.column_stack([x, y])),
+}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("coefficient", sorted(FLUX_COEFFICIENTS))
+def test_flux_divergence_map_is_the_all_triangle_map_bit_for_bit(k, coefficient):
+    # _flux_maps computes the divergence map on one triangle per group of
+    # byte-equal kernel inputs and divergence samples, then gathers it
+    ops = LocalOperators(build_uniform_mesh(8), k, FLUX_COEFFICIENTS[coefficient])
+    nt, nq = ops.tri_wts.shape
+    x, y = ops.tri_pts.reshape(-1, 2).T
+    tensor = ops.a.tensor(x, y).reshape(nt, nq, 2, 2)
+    want = tensor[:, :, 0, :, None] * ops.gr[:, :, None, :, 0]
+    want += tensor[:, :, 1, :, None] * ops.gr[:, :, None, :, 1]
+    want += ops.a.divergence(x, y).reshape(nt, nq, 2, 1) * ops.vr[:, :, None, :]
+    div = norms._flux_maps(ops)[0]
+    assert div.tobytes() == want.reshape(nt, nq, -1).tobytes()
 
 
 def test_error_report_fields_consistent(monkeypatch):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from pdwg.cases import get_case
+from pdwg import weakops
 from pdwg.fespace import (
     DofMap,
     WeakFunction,
@@ -12,6 +13,7 @@ from pdwg.fespace import (
     edge_basis,
     edge_quad,
     element_basis,
+    gram,
     l2_project_vector,
     l2_project_weak,
     tri_quad,
@@ -53,9 +55,9 @@ def lstsq_weak_gradient_oracle(mesh, t, k, local_dofs):
     rows = []
     rhs = []
     # scalar conditions for each vector test function (chi_j, 0) and (0, chi_j)
-    vr = rbasis.eval(pts, center, scale)
-    gr = rbasis.grad(pts, center, scale)
-    vk = kbasis.eval(pts, center, scale)
+    vr = rbasis.eval((pts - center) / scale)
+    gr = rbasis.grad((pts - center) / scale, scale)
+    vk = kbasis.eval((pts - center) / scale)
     for comp in range(2):
         for j in range(dimr):
             row = np.zeros(2 * dimr)
@@ -73,7 +75,7 @@ def lstsq_weak_gradient_oracle(mesh, t, k, local_dofs):
                 vb = ebasis.eval(s) @ local_dofs[
                     kbasis.dim + loc * ebasis.dim : kbasis.dim + (loc + 1) * ebasis.dim
                 ]
-                chi_j = rbasis.eval(epts, center, scale)[:, j]
+                chi_j = rbasis.eval((epts - center) / scale)[:, j]
                 val += n_out[comp] * (ws @ (vb * chi_j))
             rows.append(row)
             rhs.append(val)
@@ -175,7 +177,7 @@ def test_integration_by_parts_identity(k):
         local = rng.uniform(-1, 1, dim_pk(k) + 3 * (k + 1))
         grad = local_gradient(ops, t, local)
         pts, wts = tri_quad(mesh, t, rule)
-        vr = rbasis.eval(pts, center, scale)
+        vr = rbasis.eval((pts - center) / scale)
         dx, dy = gradient_coefficient_maps(k, scale)
         g0 = np.column_stack([vr @ (dx @ local[: kbasis.dim]), vr @ (dy @ local[: kbasis.dim])])
         for comp in range(2):
@@ -187,11 +189,11 @@ def test_integration_by_parts_identity(k):
                     sign = mesh.tri_edge_signs[t, loc]
                     n_out = sign * mesh.edge_normals[e]
                     epts, ewts, tc = edge_quad(mesh, e, rule)
-                    v0_tr = kbasis.eval(epts, center, scale) @ local[: kbasis.dim]
+                    v0_tr = kbasis.eval((epts - center) / scale) @ local[: kbasis.dim]
                     vb = ebasis.eval(tc) @ local[
                         kbasis.dim + loc * ebasis.dim : kbasis.dim + (loc + 1) * ebasis.dim
                     ]
-                    chi_j = rbasis.eval(epts, center, scale)[:, j]
+                    chi_j = rbasis.eval((epts - center) / scale)[:, j]
                     rhs -= n_out[comp] * (ewts @ ((v0_tr - vb) * chi_j))
                 assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
@@ -251,7 +253,7 @@ def test_stabilizer_kernel_is_conforming_trace():
             mid = mesh.edge_midpoints[e]
             d = mesh.vertices[hi] - mesh.vertices[lo]
             pts = np.array([mid - 0.5 * d, mid + 0.5 * d])
-            vals = kbasis.eval(pts, mesh.tri_centroids[t], mesh.h_tri[t]) @ c0
+            vals = kbasis.eval((pts - mesh.tri_centroids[t]) / mesh.h_tri[t]) @ c0
             # linear on the edge: value at midpoint and slope in t
             local[dim_pk(k) + loc * (k + 1)] = 0.5 * (vals[0] + vals[1])
             local[dim_pk(k) + loc * (k + 1) + 1] = vals[1] - vals[0]
@@ -396,9 +398,9 @@ def loop_local_matrices(mesh, t, k, a, rule):
     dk, dr, de = kbasis.dim, rbasis.dim, ebasis.dim
     nloc = dk + 3 * de
     pts, wts = tri_quad(mesh, t, rule)
-    vk = kbasis.eval(pts, center, scale)
-    vr = rbasis.eval(pts, center, scale)
-    gr = rbasis.grad(pts, center, scale)
+    vk = kbasis.eval((pts - center) / scale)
+    vr = rbasis.eval((pts - center) / scale)
+    gr = rbasis.grad((pts - center) / scale, scale)
     mass_r = vr.T @ (wts[:, None] * vr)
     rhs = np.zeros((2 * dr, nloc))
     stab = np.zeros((nloc, nloc))
@@ -409,11 +411,12 @@ def loop_local_matrices(mesh, t, k, a, rule):
         n_out = mesh.tri_edge_signs[t, loc] * mesh.edge_normals[e]
         epts, ewts, tc = edge_quad(mesh, e, rule)
         cols = slice(dk + loc * de, dk + (loc + 1) * de)
-        block = np.einsum("n,nj,nm->jm", ewts, rbasis.eval(epts, center, scale), ebasis.eval(tc))
+        block = np.einsum("n,nj,nm->jm", ewts, rbasis.eval((epts - center) / scale),
+                          ebasis.eval(tc))
         rhs[:dr, cols] = n_out[0] * block
         rhs[dr:, cols] = n_out[1] * block
         z = np.zeros((len(ewts), nloc))
-        z[:, :dk] = kbasis.eval(epts, center, scale)
+        z[:, :dk] = kbasis.eval((epts - center) / scale)
         z[:, cols] = -ebasis.eval(tc)
         stab += z.T @ (ewts[:, None] * z)
     gmap = np.vstack([np.linalg.solve(mass_r, rhs[:dr]), np.linalg.solve(mass_r, rhs[dr:])])
@@ -431,7 +434,7 @@ def loop_project(u, mesh, k, rule):
     wf = WeakFunction(mesh, k)
     for t in range(mesh.n_triangles):
         pts, wts = tri_quad(mesh, t, rule)
-        vals = element_basis(k).eval(pts, mesh.tri_centroids[t], mesh.h_tri[t])
+        vals = element_basis(k).eval((pts - mesh.tri_centroids[t]) / mesh.h_tri[t])
         wf.coeffs[wf.dofmap.interior_block(t)] = np.linalg.solve(
             vals.T @ (wts[:, None] * vals), vals.T @ (wts * u(pts[:, 0], pts[:, 1])))
     for e in range(mesh.n_edges):
@@ -456,7 +459,7 @@ def loop_assemble(mesh, config, case, k, rule):
         stab[np.ix_(dofs, dofs)] += s_t
         diff[np.ix_(dofs, dofs)] += b_t
         pts, wts = tri_quad(mesh, t, rule)
-        vals = element_basis(k).eval(pts, mesh.tri_centroids[t], mesh.h_tri[t])
+        vals = element_basis(k).eval((pts - mesh.tri_centroids[t]) / mesh.h_tri[t])
         load[dm.interior_block(t)] += vals.T @ (wts * case.f(pts[:, 0], pts[:, 1]))
     for e in config.gamma_n_edges:
         pts, wts, tc = edge_quad(mesh, e, rule)
@@ -540,3 +543,112 @@ def test_callable_coefficient_gives_one_class_per_triangle():
     ops = LocalOperators(mesh, 1, COEFFICIENTS["variable"])
     assert np.array_equal(ops.classes, np.arange(mesh.n_triangles))
     assert np.array_equal(ops.class_members, np.arange(mesh.n_triangles)[:, None])
+
+
+TABLES = ("vk", "gr", "edge_vk", "mass_k", "mass_r", "grad_maps", "stabilizers",
+          "diffusion_forms")
+
+
+def all_triangle_tables(ops):
+    """The tables of ops as the kernels compute them on every triangle at
+    once, with no grouping of triangles of equal inputs."""
+    mesh, k = ops.mesh, ops.k
+    center, scale = mesh.tri_centroids[:, None, :], mesh.h_tri[:, None, None]
+    tri_scaled = (ops.tri_pts - center) / scale
+    edge_scaled = (ops.edge_pts - center[:, None]) / scale[:, None]
+    tensor = ops.a.tensor(*ops.tri_pts.reshape(-1, 2).T).reshape(mesh.n_triangles, -1, 2, 2)
+    rdim = element_basis(k - 1).dim
+    vk = element_basis(k).eval(tri_scaled)
+    gr = element_basis(k - 1).grad(tri_scaled, mesh.h_tri[:, None])
+    edge_vk = element_basis(k).eval(edge_scaled)
+    mass_r = gram(vk[..., :rdim], ops.tri_wts)
+    grad_maps = weakops._grad_maps(ops.tri_wts, vk, gr, ops.edge_wts, edge_vk[..., :rdim],
+                                   ops.beta, ops.normals, mass_r)
+    return dict(
+        vk=vk, gr=gr, edge_vk=edge_vk, mass_k=gram(vk, ops.tri_wts), mass_r=mass_r,
+        grad_maps=grad_maps,
+        stabilizers=weakops._stabilizers(edge_vk, ops.edge_wts, ops.beta, mesh.h_tri),
+        diffusion_forms=weakops._diffusion_forms(grad_maps, vk[..., :rdim], ops.tri_wts, tensor))
+
+
+def assert_tables_are_all_triangle_tables(ops):
+    reference = all_triangle_tables(ops)
+    for name in TABLES:
+        table = getattr(ops, name)
+        assert table.shape == reference[name].shape, name
+        assert table.tobytes() == reference[name].tobytes(), name
+    # every group is represented by its first triangle, in order of first appearance
+    reps, groups = ops.input_reps, ops.input_groups
+    assert np.all(np.diff(reps) > 0)
+    assert np.array_equal(np.unique(groups, return_index=True)[1], reps)
+
+
+@pytest.mark.parametrize("coefficient", sorted(COEFFICIENTS))
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 16, "jittered"])
+def test_tables_are_the_all_triangle_tables_bit_for_bit(n, k, coefficient):
+    # each table is computed on one triangle per group of byte-equal kernel
+    # inputs and gathered; it must be the all-triangle batch byte for byte
+    mesh = jittered_mesh() if n == "jittered" else build_uniform_mesh(n)
+    assert_tables_are_all_triangle_tables(LocalOperators(mesh, k, COEFFICIENTS[coefficient]))
+
+
+@pytest.mark.parametrize("k,n,most", [(1, 32, 100), (2, 16, 64)])
+def test_dyadic_uniform_meshes_share_their_tables(k, n, most):
+    # measured: 72 groups of 2048 triangles at k=1, n=32, and 50 of 512 at
+    # k=2, n=16; a key that splits byte-equal inputs would lose the gain
+    ops = LocalOperators(build_uniform_mesh(n), k)
+    assert len(ops.input_reps) <= most
+
+
+def test_non_dyadic_and_callable_levels_share_nothing():
+    for ops in (LocalOperators(build_uniform_mesh(3), 2),
+                LocalOperators(build_uniform_mesh(4), 1, COEFFICIENTS["variable"])):
+        assert np.array_equal(ops.input_reps, np.arange(ops.mesh.n_triangles))
+
+
+def test_colliding_hash_keys_still_give_the_tables(monkeypatch):
+    # the hash only shortlists: with every key equal, the byte comparison
+    # finds the mismatch and the rows are grouped by sorting them whole
+    mesh = build_uniform_mesh(8)
+    honest = LocalOperators(mesh, 2)
+    monkeypatch.setattr(weakops, "_row_hash", lambda words: np.zeros(len(words[0]), np.uint64))
+    ops = LocalOperators(mesh, 2)
+    assert np.array_equal(ops.input_reps, honest.input_reps)
+    assert np.array_equal(ops.input_groups, honest.input_groups)
+    assert_tables_are_all_triangle_tables(ops)
+
+
+@pytest.mark.parametrize("name", ["h_tri", "tri_areas", "tri_centroids", "edge_normals",
+                                  "edge_lengths", "edge_midpoints"])
+def test_one_ulp_apart_is_another_group(name):
+    # move the kernel inputs made from one mesh quantity of triangle 9, or
+    # of its first edge, by one ulp: the triangles moved leave their groups
+    mesh = build_uniform_mesh(8)
+    before = LocalOperators(mesh, 2).input_groups
+    on_edge = name.startswith("edge_")
+    row = mesh.tri_edges[9, 0] if on_edge else 9
+    arr = getattr(mesh, name).copy()
+    arr[row] = np.nextafter(arr[row], np.inf)
+    setattr(mesh, name, arr)
+    ops = LocalOperators(mesh, 2)
+    assert_tables_are_all_triangle_tables(ops)
+    moved = np.unique(mesh.edge_slots[row] // 3) if on_edge else [9]
+    for t in moved:
+        members = np.flatnonzero(ops.input_groups == ops.input_groups[t])
+        assert set(members) <= set(moved)
+        assert np.sum(before == before[t]) > 1  # it had twins before the move
+
+
+def test_one_dofmap_per_context(monkeypatch):
+    builds = []
+    init = DofMap.__init__
+
+    def counting(self, *args, **kwargs):
+        builds.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(DofMap, "__init__", counting)
+    for k in (1, 2, 3):
+        LocalOperators(build_uniform_mesh(4), k)
+    assert len(builds) == 3

@@ -199,14 +199,9 @@ def quadrature_for_degree(k):
 def tri_quad(mesh, t, rule):
     """Physical quadrature points and weights on triangle t; an index
     array t adds its shape as leading axes: (..., nq, 2) and (..., nq)."""
-    # coordinate by coordinate, so that the inner loops run over the
-    # points rather than over the two coordinates; same operations
-    a, b, c = (mesh.vertices.T[:, mesh.triangles[t, i], None] for i in range(3))
-    ref = rule.tri_points.T
-    pts = np.empty(a.shape[1:-1] + rule.tri_points.shape)
-    xy = np.moveaxis(pts, -1, 0)
-    np.add(a, ref[0] * (b - a), out=xy)
-    xy += ref[1] * (c - a)
+    a, b, c = (mesh.vertices[mesh.triangles[t, i]][..., None, :] for i in range(3))
+    ref = rule.tri_points
+    pts = a + ref[:, 0, None] * (b - a) + ref[:, 1, None] * (c - a)
     wts = rule.tri_weights * (2.0 * mesh.tri_areas[t])[..., None]
     return pts, wts
 
@@ -215,11 +210,8 @@ def edge_quad(mesh, e, rule):
     """Physical points, ds-weights and edge-basis coordinates on edge e,
     in the global edge orientation; an index array e adds leading axes."""
     lo, hi = mesh.edges[e, 0], mesh.edges[e, 1]
-    # coordinate by coordinate, as in tri_quad
-    direction = (mesh.vertices.T[:, hi] - mesh.vertices.T[:, lo])[..., None]
-    pts = np.empty(direction.shape[1:-1] + (len(rule.edge_points), 2))
-    np.add(mesh.edge_midpoints.T[:, e, None], rule.edge_points * direction,
-           out=np.moveaxis(pts, -1, 0))
+    direction = (mesh.vertices[hi] - mesh.vertices[lo])[..., None, :]
+    pts = mesh.edge_midpoints[e][..., None, :] + rule.edge_points[:, None] * direction
     wts = rule.edge_weights * mesh.edge_lengths[e][..., None]
     return pts, wts, rule.edge_points
 

@@ -13,8 +13,6 @@ b_T(u, v) = (a grad_w u, grad_w v)_T.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 from .fespace import (
@@ -158,56 +156,18 @@ def _diffusion_forms(grad_maps, vr, tri_wts, tensor):
     return 0.5 * (form + form.swapaxes(1, 2))
 
 
-@lru_cache(maxsize=None)
-def _multipliers(width):
-    """Fixed odd 64-bit multipliers, one per word of a row (a splitmix64
-    step of the word's position)."""
-    z = np.arange(1, width + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-    z ^= z >> np.uint64(31)
-    z *= np.uint64(0xBF58476D1CE4E5B9)
-    return z | np.uint64(1)
-
-
-def _row_hash(words):
-    """A uint64 key per row of the (T, width) uint64 arrays words: the
-    wrapping sum of every word times its multiplier."""
-    return sum(w @ _multipliers(w.shape[1]) for w in words)
-
-
 def _equal_rows(*arrays):
     """Representatives (G,) and group (T,) of the rows of the arrays (each
     with leading axis T) that agree byte for byte in every array: groups
     numbered in order of first appearance, each represented by its first
     row.  An array broadcast along T (stride 0) has equal rows and is
-    skipped.  The hash keys only shortlist; where rows share a key, a byte
-    comparison of every row with its group's representative decides, and
-    if any differs, the rows are grouped by sorting them whole."""
-    words = [arr.reshape(len(arr), -1).view(np.uint64) for arr in arrays if arr.strides[0]]
-    _, reps, group = np.unique(_row_hash(words), return_index=True, return_inverse=True)
-    twins = reps[group]
-    if len(reps) < len(twins) and not all((w == w[twins]).all() for w in words):
-        _, reps, group = np.unique(np.concatenate(words, axis=1), axis=0,
-                                   return_index=True, return_inverse=True)
-    order = np.argsort(reps)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    return reps[order], rank[group.reshape(-1)]
-
-
-def _scaled(pts, center, scale):
-    """(pts - center) / scale, one coordinate at a time so that the inner
-    loops run over the points: the same operations and bits."""
-    out = np.empty(pts.shape)
-    for i in (0, 1):
-        np.subtract(pts[..., i], center[..., i], out=out[..., i])
-        out[..., i] /= scale[..., 0]
-    return out
-
-
-def _pickers(reps, group):
-    """reps and group as indices into the tables: two full slices, which
-    index by view, where every triangle is its own group."""
-    return (slice(None), slice(None)) if len(reps) == len(group) else (reps, group)
+    skipped.  Each row's bytes key a dict, whose hash only shortlists: a
+    row joins a group only if its bytes equal the representative's."""
+    rows = np.concatenate([arr.reshape(len(arr), -1).view(np.uint64)
+                           for arr in arrays if arr.strides[0]], axis=1)
+    first = {}
+    owner = [first.setdefault(row.tobytes(), t) for t, row in enumerate(rows)]
+    return np.unique(owner, return_inverse=True)
 
 
 class LocalOperators:
@@ -264,12 +224,12 @@ class LocalOperators:
         self.normals = mesh.tri_edge_signs[..., None] * mesh.edge_normals[mesh.tri_edges]
         self.beta = edge_basis(k).eval(rule.edge_points)
         # everything the kernels read, one row per triangle
-        tri_scaled = _scaled(self.tri_pts, center, scale)
-        edge_scaled = _scaled(self.edge_pts, center[:, None], scale[:, None])
+        tri_scaled = (self.tri_pts - center) / scale
+        edge_scaled = (self.edge_pts - center[:, None]) / scale[:, None]
         tensor = a.tensor(*self.tri_pts.reshape(-1, 2).T).reshape(len(h), -1, 2, 2)
         self.input_reps, self.input_groups = _equal_rows(
             tri_scaled, edge_scaled, self.tri_wts, self.edge_wts, self.normals, h, tensor)
-        reps, group = _pickers(self.input_reps, self.input_groups)
+        reps, group = self.input_reps, self.input_groups
         tri_wts = self.tri_wts[reps]
         # the graded P_{k-1} basis is the leading part of the P_k basis
         vk = kbasis.eval(tri_scaled[reps])
@@ -290,13 +250,12 @@ class LocalOperators:
             self.classes.max() + 1, -1)
 
     def groups_with(self, *arrays):
-        """Representatives and groups of the triangles whose kernel inputs
-        and whose rows of the arrays (leading axis T) agree byte for byte,
-        as indices into the tables: index arrays as input_reps and
-        input_groups, or two full slices where no two triangles agree."""
+        """Representatives and groups, as input_reps and input_groups, of the
+        triangles whose kernel inputs and whose rows of the arrays (leading
+        axis T) agree byte for byte."""
         if any(arr.strides[0] for arr in arrays):
-            return _pickers(*_equal_rows(self.input_groups, *arrays))
-        return _pickers(self.input_reps, self.input_groups)
+            return _equal_rows(self.input_groups, *arrays)
+        return self.input_reps, self.input_groups
 
     def edge_rule(self, e):
         """Points (..., mq, 2) and ds-weights (..., mq) of the edges e (an

@@ -607,16 +607,23 @@ def test_non_dyadic_and_callable_levels_share_nothing():
         assert np.array_equal(ops.input_reps, np.arange(ops.mesh.n_triangles))
 
 
-def test_colliding_hash_keys_still_give_the_tables(monkeypatch):
-    # the hash only shortlists: with every key equal, the byte comparison
-    # finds the mismatch and the rows are grouped by sorting them whole
-    mesh = build_uniform_mesh(8)
-    honest = LocalOperators(mesh, 2)
-    monkeypatch.setattr(weakops, "_row_hash", lambda words: np.zeros(len(words[0]), np.uint64))
-    ops = LocalOperators(mesh, 2)
-    assert np.array_equal(ops.input_reps, honest.input_reps)
-    assert np.array_equal(ops.input_groups, honest.input_groups)
-    assert_tables_are_all_triangle_tables(ops)
+def test_groups_are_the_byte_equal_classes():
+    # rows equal as floats but not as bytes (+0.0 and -0.0), or one ulp
+    # apart, fall in different groups; an array broadcast along T is skipped
+    x = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0], [0.0, np.nextafter(1.0, 2.0)], [-0.0, 1.0]])
+    reps, groups = weakops._equal_rows(x, np.full(5, 2.0), np.broadcast_to(3.0, (5, 4)))
+    assert reps.tolist() == [0, 1, 3]
+    assert groups.tolist() == [0, 1, 0, 2, 1]
+    # on a level: each triangle's representative is the first triangle whose
+    # kernel inputs equal its own byte for byte, as sorting whole rows finds it
+    ops = LocalOperators(build_uniform_mesh(8), 2)
+    mesh = ops.mesh
+    center, scale = mesh.tri_centroids[:, None, :], mesh.h_tri[:, None, None]
+    inputs = ((ops.tri_pts - center) / scale, (ops.edge_pts - center[:, None]) / scale[:, None],
+              ops.tri_wts, ops.edge_wts, ops.normals, mesh.h_tri)
+    rows = np.concatenate([arr.reshape(len(arr), -1).view(np.uint64) for arr in inputs], axis=1)
+    _, first, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+    assert np.array_equal(ops.input_reps[ops.input_groups], first[inverse.reshape(-1)])
 
 
 @pytest.mark.parametrize("name", ["h_tri", "tri_areas", "tri_centroids", "edge_normals",

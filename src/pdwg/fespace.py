@@ -335,7 +335,9 @@ def l2_project_element(f, ops, t):
     the quadrature, basis table and mass matrices of the level context
     ops; an index array or slice t gives (..., dim) with one call of f on
     all points."""
-    return _project(ops.vk[t], ops.tri_wts[t], sample(f, ops.tri_pts[t]), ops.mass_k[t])
+    g = ops.input_groups[t]
+    return _project(ops.group_vk[g], ops.tri_wts[t], sample(f, ops.tri_pts[t]),
+                    ops.group_mass_k[g])
 
 
 def l2_project_edge(f, ops, e):
@@ -366,4 +368,5 @@ def l2_project_vector(q, ops):
     shape = ops.tri_wts.shape
     comps = np.stack([np.broadcast_to(np.asarray(c, dtype=float), x.shape).reshape(shape)
                       for c in q(x, y)], axis=1)
-    return _project(ops.vr[:, None], ops.tri_wts[:, None], comps, ops.mass_r[:, None])
+    g = ops.input_groups
+    return _project(ops.group_vr[g, None], ops.tri_wts[:, None], comps, ops.group_mass_r[g, None])

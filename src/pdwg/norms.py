@@ -61,14 +61,16 @@ def interior_l2_norm(v, ops):
     """L2 norm of v_0 with the P_k mass matrices of the level's context."""
     ops.check(v)
     c = v.interior_coeffs(np.arange(ops.mesh.n_triangles))
-    return float(np.sqrt(max(np.einsum("ti,tij,tj->", c, ops.mass_k, c), 0.0)))
+    mass = ops.group_mass_k[ops.input_groups]
+    return float(np.sqrt(max(np.einsum("ti,tij,tj->", c, mass, c), 0.0)))
 
 
 def broken_h1(v, ops):
     """Elementwise L2 norm of the gradient of v_0, summed over the mesh."""
     ops.check(v)
     gamma = _interior_gradient_coefficients(v, ops)
-    return float(np.sqrt(max(np.einsum("tci,tij,tcj->", gamma, ops.mass_r, gamma), 0.0)))
+    mass = ops.group_mass_r[ops.input_groups]
+    return float(np.sqrt(max(np.einsum("tci,tij,tcj->", gamma, mass, gamma), 0.0)))
 
 
 def stabilizer_seminorm(v, ops):
@@ -106,18 +108,21 @@ def _flux_maps(ops):
     x, y = ops.tri_pts.reshape(-1, 2).T
     divergence = ops.a.divergence(x, y).reshape(nt, nq, 2, 1)
     reps, group = ops.groups_with(divergence)
-    tensor, gr = ops.a.tensor(x, y).reshape(nt, nq, 2, 2)[reps], ops.gr[reps]
+    tensor = ops.a.tensor(x, y).reshape(nt, nq, 2, 2)[reps]
+    rows = ops.input_groups[reps]
+    gr, vr = ops.group_gr[rows], ops.group_vr[rows]
     # sum_i a_ij d_i phi_m, as the sum of its two products
     div = tensor[:, :, 0, :, None] * gr[:, :, None, :, 0]
     div += tensor[:, :, 1, :, None] * gr[:, :, None, :, 1]
-    div += divergence[reps] * ops.vr[reps][:, :, None, :]
-    mq, dimr = ops.edge_vr.shape[-2:]
+    div += divergence[reps] * vr[:, :, None, :]
+    mq, dimr = ops.group_edge_vr.shape[-2:]
     # both sides' points are those of side 0: edge points follow the edge
     slots = mesh.edge_slots
     x, y = ops.edge_rule(slice(None))[0].reshape(-1, 2).T
     tensor, normal = ops.a.tensor(x, y).reshape(-1, mq, 2, 2), mesh.edge_normals[:, None, :, None]
     normal_a = normal[:, :, 0] * tensor[:, :, 0] + normal[:, :, 1] * tensor[:, :, 1]
-    trace = normal_a[:, None, :, :, None] * ops.edge_vr.reshape(-1, mq, dimr)[slots][:, :, :, None]
+    edge_vr = ops.group_edge_vr[ops.input_groups[slots // 3], slots % 3]
+    trace = normal_a[:, None, :, :, None] * edge_vr[:, :, :, None]
     return div[group].reshape(nt, nq, -1), trace.reshape(*trace.shape[:3], -1)
 
 

@@ -25,9 +25,9 @@ direction, and projects v out; two or more send the solve to the natural
 free-dof matrix and a bordered one, with SuperLU's defaults.  That
 natural matrix (SaddleSystem.matrix) is assembled only where it is read
 (that path and the matrix export): solve checks its residual, and takes
-the 1-norm that scales it, from the per-triangle local matrices, so the
-check also tests the class tables on every level.  condition_estimate
-reads the same norm and the inverse of solve's LU.  The
+the 1-norm that scales it, from the local matrices of the context's input
+groups, so the check also tests the class tables on every level.
+condition_estimate reads the same norm and the inverse of solve's LU.  The
 level's LocalOperators is the one source of mesh, degree, dof layout and
 local matrices: assemble takes it, and the assembled system keeps it as
 ops for solve to read.
@@ -114,7 +114,8 @@ def _blocks(ops, positions):
     stacked local matrices: (row positions, column positions, values),
     positions the (T, nloc) positions of the local u and lam dofs."""
     pu, pl = positions
-    stab, diff = ops.stabilizers, ops.diffusion_forms
+    groups = ops.input_groups
+    stab, diff = ops.group_stabilizers[groups], ops.group_diffusion_forms[groups]
     return ((pu, pu, -stab), (pu, pl, diff), (pl, pu, diff), (pl, pl, stab))
 
 
@@ -205,7 +206,8 @@ def assemble(config, case, ops):
     n_dofs = dofmap.n_dofs
     rhs_full = np.zeros(n_dofs)
     # matrix-vector products per triangle and edge, as a loop would form them
-    load = ops.vk.swapaxes(1, 2) @ (ops.tri_wts * sample(case.f, ops.tri_pts))[..., None]
+    load = (ops.group_vk[ops.input_groups].swapaxes(1, 2)
+            @ (ops.tri_wts * sample(case.f, ops.tri_pts))[..., None])
     rhs_full[: dofmap.n_interior] = load.ravel()
     gn = config.gamma_n_edges
     if gn.size:
@@ -226,8 +228,12 @@ def assemble(config, case, ops):
     pu, pl, pp = _positions(ops, uf), _positions(ops, lf, len(uf)), _positions(ops, up)
     # the lift columns [[S_fp], [K_gp]] (p: fixed primal dofs) in CSR, so
     # that the product sums each row in ascending column order: the rhs
-    # feeds the t3-t5 k=3 levels, whose reference values store roundoff
-    lift_cols = _sparse_sum([(pu, pp, ops.stabilizers), (pl, pp, ops.diffusion_forms)],
+    # feeds the t3-t5 k=3 levels, whose reference values store roundoff.
+    # Only the triangles that hold a fixed u dof have a column there
+    t = np.flatnonzero((pp >= 0).any(axis=1))
+    g = ops.input_groups[t]
+    lift_cols = _sparse_sum([(pu[t], pp[t], ops.group_stabilizers[g]),
+                             (pl[t], pp[t], ops.group_diffusion_forms[g])],
                             (len(uf) + len(lf), len(up))).tocsr()
     lifted = lift_cols @ u_fixed_values[up]
     rhs = np.concatenate([lifted[: len(uf)], rhs_full[lf] - lifted[len(uf):]])
@@ -264,30 +270,39 @@ def _local_product(system, x):
 
 def _local_column_sums(system):
     """Absolute column sums of the free-dof matrix, the largest of which is
-    its 1-norm, from the local matrices.  A global entry sums two local
-    ones only where its row and column both lie in the block of one
-    interior edge, which its two triangles hold at the same local dofs;
-    there the sum of the local absolute values is corrected by
-    |s1 + s2| - |s1| - |s2|."""
-    mesh, dofmap = system.ops.mesh, system.ops.dofmap
+    its 1-norm, from the group tables of the local matrices.  The column
+    sums of each group's absolute local matrices are taken once; only a
+    triangle that holds a fixed dof of a block's row field sums its free
+    rows alone.  A global entry sums two local ones only where its row and
+    column both lie in the block of one interior edge, which its two
+    triangles hold at the same local dofs; there the sum of the local
+    absolute values is corrected by |s1 + s2| - |s1| - |s2|."""
+    ops = system.ops
+    mesh, dofmap, groups = ops.mesh, ops.dofmap, ops.input_groups
     dim, edim = dofmap.interior_dim, dofmap.edge_dim
     slots = mesh.edge_slots[~mesh.is_boundary_edge]
     tris = (slots // 3)[..., None, None]
     local = dim + (slots % 3)[..., None] * edim + np.arange(edim)   # (E, side, edim)
-    # per field (u, lam): positions of the local dofs and of side 0's edge block
+    # per field (u, lam): positions of the local dofs and of side 0's edge
+    # block, and the triangles that hold a fixed dof, with their free rows
     pos = system.positions
     edge_pos = [p[tris[:, 0, :, 0], local[:, 0]] for p in pos]
-    free, edge_free = ([(p >= 0).astype(float)[..., None, :] for p in ps] for ps in (pos, edge_pos))
+    edge_free = [(p >= 0).astype(float)[..., None, :] for p in edge_pos]
+    fixed = [np.flatnonzero((p < 0).any(axis=1)) for p in pos]
+    free = [(p[t] >= 0).astype(float)[:, None, :] for p, t in zip(pos, fixed)]
     sums = np.zeros(system.n_free)
     # one pass per local matrix rather than per block of _blocks: S fills the
     # (u, u) block, negated, and the (lam, lam) block; B the other two
-    for vals, blocks in ((system.ops.stabilizers, ((0, 0), (1, 1))),
-                         (system.ops.diffusion_forms, ((0, 1), (1, 0)))):
-        s1, s2 = vals[tris, local[..., None], local[..., None, :]].swapaxes(0, 1)
+    for vals, blocks in ((ops.group_stabilizers, ((0, 0), (1, 1))),
+                         (ops.group_diffusion_forms, ((0, 1), (1, 0)))):
+        s1, s2 = vals[groups[tris], local[..., None], local[..., None, :]].swapaxes(0, 1)
         excess = np.abs(s1 + s2) - np.abs(s1) - np.abs(s2)
         absolute = np.abs(vals)
+        column = absolute.sum(axis=1)
         for row, col in blocks:
-            sums += _scatter(pos[col], (free[row] @ absolute)[..., 0, :], system.n_free)
+            column_sums = column[groups]
+            column_sums[fixed[row]] = (free[row] @ absolute[groups[fixed[row]]])[:, 0]
+            sums += _scatter(pos[col], column_sums, system.n_free)
             sums += _scatter(edge_pos[col], (edge_free[row] @ excess)[..., 0, :], system.n_free)
     return sums
 
@@ -333,15 +348,16 @@ class _Condensation:
         interior, edge = slice(None, dim), slice(dim, None)
         self.members = ops.class_members
         reps = self.members[:, 0]
+        rep_groups = ops.input_groups[reps]
 
         def coupled(rows, cols):
             # the rows x cols block of [[-S, B], [B, S]] of each representative,
             # fields stacked u then lam
-            stab = ops.stabilizers[:, rows, cols][reps]
-            diff = ops.diffusion_forms[:, rows, cols][reps]
+            stab = ops.group_stabilizers[rep_groups, rows, cols]
+            diff = ops.group_diffusion_forms[rep_groups, rows, cols]
             return np.block([[-stab, diff], [diff, stab]])
 
-        chol = np.linalg.cholesky(ops.mass_k[reps] / mesh.tri_areas[reps, None, None])
+        chol = np.linalg.cholesky(ops.group_mass_k[rep_groups] / mesh.tri_areas[reps, None, None])
         self.basis = np.zeros((len(reps), 2 * dim, 2 * dim))
         self.basis[:, :dim, :dim] = self.basis[:, dim:, dim:] = np.linalg.inv(chol).swapaxes(1, 2)
         basis_t = self.basis.swapaxes(1, 2)

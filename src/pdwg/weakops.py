@@ -102,7 +102,7 @@ IDENTITY = Diffusion(1.0)
 # multiplier kernel direction to roundoff, and their results move with the
 # last bit of the matrix.  The kernels read only their array arguments, one
 # row per triangle, so LocalOperators runs them on one triangle of each group
-# of byte-equal inputs (_equal_rows) and gathers the rows: on a uniform mesh
+# of byte-equal inputs (_equal_rows) and keeps the group rows: on a uniform mesh
 # of dyadic n the groups are few (72 of 2048 triangles at k=1, n=32; 50 of
 # 512 at k=2, n=16).  Most of _grad_maps' time is its three-operand einsums,
 # which numpy runs as a generic loop; on the groups they cost a tenth.
@@ -172,24 +172,33 @@ def _equal_rows(*arrays):
 
 class LocalOperators:
     """Discretization context of one level (mesh, k, a): the level's single
-    DofMap, the rule quadrature_for_degree(k), and the quadrature and basis
-    tables and local matrices of every triangle, batched along a leading
-    triangle axis T:
+    DofMap, the rule quadrature_for_degree(k), the quadrature tables of
+    every triangle, batched along a leading triangle axis T, and the basis
+    tables and local matrices of every group of triangles whose kernel
+    inputs agree byte for byte, batched along a leading group axis G:
 
     tri_pts (T, nq, 2), tri_wts (T, nq)   physical triangle rule
     edge_pts (T, 3, mq, 2), edge_wts (T, 3, mq)
                                           local edge l = (v_l, v_{l+1}), points
                                           in the global edge orientation
     normals (T, 3, 2)                     outward unit normals of the local edges
-    vk, vr (T, nq, dim)                   P_k and P_{k-1} values
-    gr (T, nq, dim_r, 2)                  P_{k-1} gradients
-    edge_vk, edge_vr (T, 3, mq, dim)      P_k and P_{k-1} traces on the local edges
+    input_groups (T,), input_reps (G,)    group of each triangle whose kernel
+                                          inputs (scaled points, weights,
+                                          normals, h, a at the points) equal
+                                          another's byte for byte, numbered in
+                                          order of first appearance, and the
+                                          first triangle of each group
+    group_vk, group_vr (G, nq, dim)       P_k and P_{k-1} values
+    group_gr (G, nq, dim_r, 2)            P_{k-1} gradients
+    group_edge_vk, group_edge_vr (G, 3, mq, dim)
+                                          P_k and P_{k-1} traces on the local edges
     beta (mq, k+1)                        edge basis
-    mass_k, mass_r (T, dim, dim)          P_k and P_{k-1} mass matrices
-    grad_maps (T, 2 dim_r, nloc)          weak-gradient maps: the local dof vector
+    group_mass_k, group_mass_r (G, dim, dim)
+                                          P_k and P_{k-1} mass matrices
+    group_grad_maps (G, 2 dim_r, nloc)    weak-gradient maps: the local dof vector
                                           [interior | edge0 | edge1 | edge2] to the
                                           stacked (x-part, y-part) coefficients
-    stabilizers, diffusion_forms (T, nloc, nloc)
+    group_stabilizers, group_diffusion_forms (G, nloc, nloc)
                                           s_T and b_T on the local dofs
     classes (T,)                          congruence class of each triangle
                                           that the local matrices honour: the
@@ -197,18 +206,14 @@ class LocalOperators:
                                           one class per triangle for a callable
     class_members (C, T / C)              the triangles of each class, in index
                                           order; the first is its representative
-    input_groups (T,), input_reps (G,)    group of each triangle whose kernel
-                                          inputs (scaled points, weights,
-                                          normals, h, a at the points) equal
-                                          another's byte for byte, numbered in
-                                          order of first appearance, and the
-                                          first triangle of each group
 
-    Triangle t's matrices are the rows grad_maps[t], stabilizers[t] and
-    diffusion_forms[t]; those of one class agree up to roundoff, those of
-    one input group bit for bit.  The basis tables and local matrices are
-    computed on input_reps and gathered.  assemble, solve and error_report
-    all read the same instance.
+    Triangle t's matrices are the rows group_grad_maps[g],
+    group_stabilizers[g] and group_diffusion_forms[g] of its group
+    g = input_groups[t], bit for bit those that the kernels compute on t;
+    those of one class agree up to roundoff.  No table is kept per
+    triangle: a call whose arithmetic is batched per triangle gathers the
+    rows it reads (table[input_groups]) and drops them on return.
+    assemble, solve and error_report all read the same instance.
     """
 
     def __init__(self, mesh, k, a=IDENTITY):
@@ -229,22 +234,22 @@ class LocalOperators:
         tensor = a.tensor(*self.tri_pts.reshape(-1, 2).T).reshape(len(h), -1, 2, 2)
         self.input_reps, self.input_groups = _equal_rows(
             tri_scaled, edge_scaled, self.tri_wts, self.edge_wts, self.normals, h, tensor)
-        reps, group = self.input_reps, self.input_groups
+        reps = self.input_reps
         tri_wts = self.tri_wts[reps]
         # the graded P_{k-1} basis is the leading part of the P_k basis
-        vk = kbasis.eval(tri_scaled[reps])
-        gr = element_basis(k - 1).grad(tri_scaled[reps], h[reps, None])
-        edge_vk = kbasis.eval(edge_scaled[reps])
-        mass_r = gram(vk[..., :rdim], tri_wts)
-        grad_maps = _grad_maps(tri_wts, vk, gr, self.edge_wts[reps], edge_vk[..., :rdim],
-                               self.beta, self.normals[reps], mass_r)
-        self.vk, self.gr, self.edge_vk, self.mass_k, self.mass_r = (
-            table[group] for table in (vk, gr, edge_vk, gram(vk, tri_wts), mass_r))
-        self.vr, self.edge_vr = self.vk[..., :rdim], self.edge_vk[..., :rdim]
-        self.grad_maps = grad_maps[group]
-        self.stabilizers = _stabilizers(edge_vk, self.edge_wts[reps], self.beta, h[reps])[group]
-        self.diffusion_forms = _diffusion_forms(grad_maps, vk[..., :rdim], tri_wts,
-                                                tensor[reps])[group]
+        self.group_vk = vk = kbasis.eval(tri_scaled[reps])
+        self.group_gr = element_basis(k - 1).grad(tri_scaled[reps], h[reps, None])
+        self.group_edge_vk = kbasis.eval(edge_scaled[reps])
+        self.group_vr, self.group_edge_vr = vk[..., :rdim], self.group_edge_vk[..., :rdim]
+        self.group_mass_k = gram(vk, tri_wts)
+        self.group_mass_r = gram(self.group_vr, tri_wts)
+        self.group_grad_maps = _grad_maps(tri_wts, vk, self.group_gr, self.edge_wts[reps],
+                                          self.group_edge_vr, self.beta, self.normals[reps],
+                                          self.group_mass_r)
+        self.group_stabilizers = _stabilizers(self.group_edge_vk, self.edge_wts[reps],
+                                              self.beta, h[reps])
+        self.group_diffusion_forms = _diffusion_forms(self.group_grad_maps, self.group_vr,
+                                                      tri_wts, tensor[reps])
         self.classes = mesh.tri_classes if a.constant else np.arange(mesh.n_triangles)
         self.class_members = np.argsort(self.classes, kind="stable").reshape(
             self.classes.max() + 1, -1)
@@ -282,7 +287,7 @@ class LocalOperators:
     def gradient_coefficients(self, v):
         """Weak-gradient coefficients of every triangle, shape (T, 2, dimr)."""
         local = v.coeffs[self.cell_dofs]
-        flat = np.einsum("tij,tj->ti", self.grad_maps, local)
+        flat = np.einsum("tij,tj->ti", self.group_grad_maps[self.input_groups], local)
         return flat.reshape(self.mesh.n_triangles, 2, -1)
 
     def stabilizer_value(self, u, v=None):
@@ -294,4 +299,4 @@ class LocalOperators:
         # contraction of xu with the batched products S xv instead moved
         # t5, k=3, n=1's resid_lambda from 7.88 to 4.24, and t3, k=3, n=8's
         # by 21 tolerances
-        return float(np.einsum("ti,tij,tj->", xu, self.stabilizers, xv))
+        return float(np.einsum("ti,tij,tj->", xu, self.group_stabilizers[self.input_groups], xv))

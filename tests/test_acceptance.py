@@ -204,11 +204,11 @@ def test_criterion_6_property_suite():
     worst_oracle = 0.0
     for k in (1, 2):
         nloc = dim_pk(k) + 3 * (k + 1)
-        grad_maps = LocalOperators(mesh_a, k).grad_maps
+        ops = LocalOperators(mesh_a, k)
         for _ in range(50):
             t = int(rng.integers(mesh_a.n_triangles))
             local = rng.uniform(-1, 1, nloc)
-            grad = (grad_maps[t] @ local).reshape(2, -1)
+            grad = (ops.group_grad_maps[ops.input_groups[t]] @ local).reshape(2, -1)
             oracle = lstsq_weak_gradient_oracle(mesh_a, t, k, local)
             worst_oracle = max(worst_oracle, float(np.max(np.abs(grad - oracle))))
     ok_b = worst_oracle <= 1e-12

@@ -64,7 +64,7 @@ def test_local_mass_spd_and_uniformly_conditioned(k):
     conds = []
     for n in (1, 4, 16):
         mesh = build_uniform_mesh(n)
-        mass = LocalOperators(mesh, k).mass_k[0]
+        mass = LocalOperators(mesh, k).group_mass_k[0]
         np.linalg.cholesky(mass)  # SPD
         conds.append(np.linalg.cond(mass))
     # scaled monomials: congruent triangles give the same condition number

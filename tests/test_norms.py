@@ -335,9 +335,10 @@ def test_flux_divergence_map_is_the_all_triangle_map_bit_for_bit(k, coefficient)
     nt, nq = ops.tri_wts.shape
     x, y = ops.tri_pts.reshape(-1, 2).T
     tensor = ops.a.tensor(x, y).reshape(nt, nq, 2, 2)
-    want = tensor[:, :, 0, :, None] * ops.gr[:, :, None, :, 0]
-    want += tensor[:, :, 1, :, None] * ops.gr[:, :, None, :, 1]
-    want += ops.a.divergence(x, y).reshape(nt, nq, 2, 1) * ops.vr[:, :, None, :]
+    gr, vr = ops.group_gr[ops.input_groups], ops.group_vr[ops.input_groups]
+    want = tensor[:, :, 0, :, None] * gr[:, :, None, :, 0]
+    want += tensor[:, :, 1, :, None] * gr[:, :, None, :, 1]
+    want += ops.a.divergence(x, y).reshape(nt, nq, 2, 1) * vr[:, :, None, :]
     div = norms._flux_maps(ops)[0]
     assert div.tobytes() == want.reshape(nt, nq, -1).tobytes()
 

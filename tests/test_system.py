@@ -12,7 +12,7 @@ import pdwg.system
 from pdwg.cases import CaseSpec, case_ids, get_case
 from pdwg.fespace import DofMap, l2_project_weak
 from pdwg.mesh import BoundaryConfig, Mesh, build_uniform_mesh, classify_boundary
-from pdwg.norms import (error_fields, interior_l2_norm, residual_norm_multiplier,
+from pdwg.norms import (error_fields, error_report, interior_l2_norm, residual_norm_multiplier,
                         residual_norm_primal)
 from pdwg.system import (
     SingularSystemError,
@@ -20,8 +20,10 @@ from pdwg.system import (
     _local_column_sums,
     _local_product,
     _one_norm,
+    _positions,
     _schur_inverse,
     _solve_full,
+    _sparse_sum,
     assemble,
     condition_estimate,
     matrix_to_coordinate_text,
@@ -608,7 +610,7 @@ def test_condensation_eliminates_in_an_orthonormal_interior_basis(k):
     ops, dim = system.ops, system.ops.dofmap.interior_dim
     assert condensed.basis.shape == (2, 2 * dim, 2 * dim)
     r = condensed.basis[ops.classes, :dim, :dim]
-    mass = ops.mass_k / ops.mesh.tri_areas[:, None, None]
+    mass = ops.group_mass_k[ops.input_groups] / ops.mesh.tri_areas[:, None, None]
     assert np.allclose(r.swapaxes(1, 2) @ mass @ r, np.eye(dim), rtol=0.0, atol=1e-12)
     # the inverse has the interior block's condition number
     assert np.linalg.cond(condensed.inverse).max() <= 100
@@ -804,12 +806,24 @@ def local_systems(k):
         yield assemble(config, case, LocalOperators(mesh, k, case.a))
 
 
+def one_group_per_triangle(ops):
+    """A copy of the context ops with one input group per triangle, each
+    group table gathered to the triangles, so that a test can set every
+    triangle's local matrices on their own."""
+    ops = copy.copy(ops)
+    for name in [name for name in vars(ops) if name.startswith("group_")]:
+        setattr(ops, name, getattr(ops, name)[ops.input_groups])
+    ops.input_reps = ops.input_groups = np.arange(ops.mesh.n_triangles)
+    return ops
+
+
 def with_random_local_matrices(system, rng):
     """system with random local matrices in place of s_T and b_T, whose
     signs, unlike those of s_T and b_T, cancel in the entries that the two
     triangles of an interior edge sum."""
-    ops = copy.copy(system.ops)
-    ops.stabilizers, ops.diffusion_forms = rng.standard_normal((2,) + ops.stabilizers.shape)
+    ops = one_group_per_triangle(system.ops)
+    shape = (2,) + ops.group_stabilizers.shape
+    ops.group_stabilizers, ops.group_diffusion_forms = rng.standard_normal(shape)
     return dataclasses.replace(system, ops=ops)
 
 
@@ -849,9 +863,9 @@ def test_sparse_assembly_is_scipys_coo_conversion_bit_for_bit(monkeypatch, k):
     n_systems = 0
     for system in local_systems(k):
         _Condensation(system)
-        ops = copy.copy(system.ops)
-        shape = (2,) + ops.stabilizers.shape
-        ops.stabilizers, ops.diffusion_forms = rng.integers(-1, 2, shape).astype(float)
+        ops = one_group_per_triangle(system.ops)
+        shape = (2,) + ops.group_stabilizers.shape
+        ops.group_stabilizers, ops.group_diffusion_forms = rng.integers(-1, 2, shape).astype(float)
         for built in (system, dataclasses.replace(system, ops=ops)):
             assert built.matrix.shape == (built.n_free, built.n_free)
         n_systems += 1
@@ -881,7 +895,57 @@ def test_local_residual_and_norm_match_the_matrix(k):
             want = np.asarray(abs(matrix).sum(axis=0)).ravel()
             sums = _local_column_sums(system)
             assert np.all(np.abs(sums - want) <= 1e-14 * want)
-            assert sums.max() == pytest.approx(_one_norm(matrix), rel=1e-14)
+            # the largest sum is the matrix's 1-norm to 4 ulp (3 measured)
+            norm = _one_norm(matrix)
+            assert abs(sums.max() - norm) <= 4 * np.spacing(norm)
             x = rng.standard_normal(system.n_free)
             bound = abs(matrix) @ np.abs(x)
             assert np.all(np.abs(_local_product(system, x) - matrix @ x) <= 1e-13 * bound)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("mesh_name", ["uniform", "jittered"])
+def test_lift_from_the_dirichlet_triangles_is_the_all_triangle_lift(mesh_name, k):
+    # assemble builds the lift columns from the triangles that hold a fixed
+    # u dof only; the rhs is byte for byte the one that the lift columns of
+    # all triangles give, with the load and flux data of the same case
+    # without Dirichlet values, whose rhs holds no lift
+    mesh = build_uniform_mesh(8) if mesh_name == "uniform" else jittered_mesh()
+    case = dataclasses.replace(get_case("t6"), dirichlet_sides=("bottom", "left"),
+                               neumann_sides=("bottom", "right"))
+    config = classify_boundary(mesh, case.dirichlet_sides, case.neumann_sides)
+    ops = LocalOperators(mesh, k, case.a)
+    system = assemble(config, case, ops)
+    unlifted = assemble(config, dataclasses.replace(case, u=lambda x, y: np.zeros_like(x)),
+                        ops).rhs
+    up = np.flatnonzero(ops.dofmap.fixed_masks(config)[0])
+    pp, (pu, pl), groups = _positions(ops, up), system.positions, ops.input_groups
+    assert np.any(np.all(pp < 0, axis=1))
+    lift = _sparse_sum([(pu, pp, ops.group_stabilizers[groups]),
+                        (pl, pp, ops.group_diffusion_forms[groups])],
+                       (system.n_free, len(up))).tocsr() @ system.u_fixed_values[up]
+    nf = len(system.u_free)
+    assert not np.any(unlifted[:nf])
+    want = np.concatenate([lift[:nf], unlifted[nf:] - lift[nf:]])
+    assert system.rhs.tobytes() == want.tobytes()
+
+
+# what a context keeps per triangle: its quadrature and the kernel inputs
+# made from it, the dof layout, the input groups and the congruence classes
+PER_TRIANGLE = {"tri_pts", "tri_wts", "edge_pts", "edge_wts", "normals", "h", "cell_dofs",
+                "input_groups", "classes"}
+
+
+def test_no_per_triangle_table_outlives_the_call_that_reads_it():
+    # solve and error_report gather the table rows of each triangle inside
+    # the call that reads them; nothing gathered stays on the context
+    case = get_case("t6")
+    mesh = build_uniform_mesh(8)
+    config = classify_boundary(mesh, case.dirichlet_sides, case.neumann_sides)
+    ops = LocalOperators(mesh, 2, case.a)
+    u_h, lam_h = solve(assemble(config, case, ops))
+    error_report(u_h, lam_h, case.u, config, ops)
+    per_triangle = {name for name, value in vars(ops).items()
+                    if isinstance(value, np.ndarray) and value.ndim
+                    and len(value) == mesh.n_triangles}
+    assert per_triangle == PER_TRIANGLE

@@ -25,8 +25,8 @@ from pdwg.weakops import IDENTITY, Diffusion, LocalOperators
 
 def local_gradient(ops, t, local_dofs):
     """Weak-gradient coefficients (2, dim P_{k-1}) of a local dof vector on
-    triangle t, read from the context's row grad_maps[t]."""
-    return (ops.grad_maps[t] @ local_dofs).reshape(2, -1)
+    triangle t, read from its group's row of the context's grad maps."""
+    return (ops.group_grad_maps[ops.input_groups[t]] @ local_dofs).reshape(2, -1)
 
 
 def lstsq_weak_gradient_oracle(mesh, t, k, local_dofs):
@@ -240,7 +240,7 @@ def test_stabilizer_kernel_is_conforming_trace():
     mesh = build_uniform_mesh(2)
     k = 1
     kbasis = element_basis(k)
-    stabilizers = LocalOperators(mesh, k).stabilizers
+    ops = LocalOperators(mesh, k)
     rng = np.random.default_rng(5)
     for t in (0, 6):
         c0 = rng.standard_normal(dim_pk(k))
@@ -257,7 +257,7 @@ def test_stabilizer_kernel_is_conforming_trace():
             # linear on the edge: value at midpoint and slope in t
             local[dim_pk(k) + loc * (k + 1)] = 0.5 * (vals[0] + vals[1])
             local[dim_pk(k) + loc * (k + 1) + 1] = vals[1] - vals[0]
-        s = stabilizers[t]
+        s = ops.group_stabilizers[ops.input_groups[t]]
         assert abs(local @ s @ local) <= 1e-13
 
 
@@ -265,7 +265,7 @@ def test_stabilizer_single_edge_value():
     # v_0 = 0, v_b = 1 on one edge of length l: s_T(v,v) = l / h_T
     mesh = Mesh([(0, 0), (1, 0), (0, 1)], [(0, 1, 2)])
     k = 1
-    s = LocalOperators(mesh, k).stabilizers[0]
+    s = LocalOperators(mesh, k).group_stabilizers[0]
     for loc in range(3):
         e = mesh.tri_edges[0, loc]
         local = np.zeros(dim_pk(k) + 3 * (k + 1))
@@ -277,7 +277,8 @@ def test_stabilizer_single_edge_value():
 def test_stabilizer_positive_semidefinite():
     mesh = build_uniform_mesh(2)
     for k in (1, 2):
-        s = LocalOperators(mesh, k).stabilizers[1]
+        ops = LocalOperators(mesh, k)
+        s = ops.group_stabilizers[ops.input_groups[1]]
         assert np.max(np.abs(s - s.T)) <= 1e-14
         assert np.min(np.linalg.eigvalsh(s)) >= -1e-12
 
@@ -306,7 +307,8 @@ def test_diffusion_form_constant_kernel():
     local[0] = 1.0
     for loc in range(3):
         local[dim_pk(k) + loc * (k + 1)] = 1.0
-    b = LocalOperators(mesh, k).diffusion_forms[4]
+    ops = LocalOperators(mesh, k)
+    b = ops.group_diffusion_forms[ops.input_groups[4]]
     assert abs(local @ b @ local) <= 1e-13
 
 
@@ -315,9 +317,8 @@ def test_diffusion_form_linear_energy():
     mesh = build_uniform_mesh(2)
     ops = LocalOperators(mesh, 1)
     wf = l2_project_weak(lambda x, y: 1 + x + y, ops)
-    forms = ops.diffusion_forms
     for t in (0, 3):
-        b = forms[t]
+        b = ops.group_diffusion_forms[ops.input_groups[t]]
         local = wf.local_coeffs(t)
         assert local @ b @ local == pytest.approx(2.0 * mesh.tri_areas[t], rel=1e-12)
 
@@ -326,7 +327,8 @@ def test_diffusion_form_symmetric_on_random_dofs():
     mesh = build_uniform_mesh(2)
     rng = np.random.default_rng(9)
     for k in (1, 2):
-        b = LocalOperators(mesh, k).diffusion_forms[2]
+        ops = LocalOperators(mesh, k)
+        b = ops.group_diffusion_forms[ops.input_groups[2]]
         assert np.max(np.abs(b - b.T)) <= 1e-13
         x = rng.standard_normal(b.shape[0])
         assert x @ b @ x >= -1e-12
@@ -336,8 +338,9 @@ def test_diffusion_matrix_coefficient_matches_scalar():
     mesh = build_uniform_mesh(2)
     scalar = Diffusion(2.5)
     matrix = Diffusion(2.5 * np.eye(2))
-    bs = LocalOperators(mesh, 1, scalar).diffusion_forms[1]
-    bm = LocalOperators(mesh, 1, matrix).diffusion_forms[1]
+    ops_s, ops_m = LocalOperators(mesh, 1, scalar), LocalOperators(mesh, 1, matrix)
+    bs = ops_s.group_diffusion_forms[ops_s.input_groups[1]]
+    bm = ops_m.group_diffusion_forms[ops_m.input_groups[1]]
     assert np.max(np.abs(bs - bm)) <= 1e-13
 
 
@@ -497,11 +500,11 @@ def test_batched_context_matches_loop_on_jittered_mesh(k, coefficient):
     a = COEFFICIENTS[coefficient]
     mesh = jittered_mesh()
     ops = LocalOperators(mesh, k, a)
-    for t in range(mesh.n_triangles):
+    for t, g in enumerate(ops.input_groups):
         gmap, stab, diff = loop_local_matrices(mesh, t, k, a, ops.rule)
-        assert_close(ops.grad_maps[t], gmap)
-        assert_close(ops.stabilizers[t], stab)
-        assert_close(ops.diffusion_forms[t], diff)
+        assert_close(ops.group_grad_maps[g], gmap)
+        assert_close(ops.group_stabilizers[g], stab)
+        assert_close(ops.group_diffusion_forms[g], diff)
 
     # Cauchy data on the bottom, Dirichlet on the left, flux on the right
     case = dataclasses.replace(get_case("t6"), a=a, dirichlet_sides=("bottom", "left"),
@@ -531,8 +534,9 @@ def test_local_matrices_of_a_class_match_its_representative(coefficient, k, n):
     assert np.array_equal(ops.classes, ops.mesh.tri_classes)
     assert np.array_equal(ops.class_members, [[0], [1]] + 2 * np.arange(n * n))
     reps = ops.class_members[:, 0]
-    mass = ops.mass_k / ops.mesh.tri_areas[:, None, None]
-    for tables in (ops.stabilizers, ops.diffusion_forms, mass):
+    groups = ops.input_groups
+    mass = ops.group_mass_k[groups] / ops.mesh.tri_areas[:, None, None]
+    for tables in (ops.group_stabilizers[groups], ops.group_diffusion_forms[groups], mass):
         scale = np.abs(tables[reps]).max(axis=(1, 2))[ops.classes]
         spread = np.abs(tables - tables[reps][ops.classes]).max(axis=(1, 2))
         assert np.all(spread <= 2e-14 * scale)
@@ -572,9 +576,12 @@ def all_triangle_tables(ops):
 
 
 def assert_tables_are_all_triangle_tables(ops):
+    # a group table gathered to the triangles is the all-triangle table
     reference = all_triangle_tables(ops)
     for name in TABLES:
-        table = getattr(ops, name)
+        table = getattr(ops, "group_" + name)
+        assert len(table) == len(ops.input_reps), name
+        table = table[ops.input_groups]
         assert table.shape == reference[name].shape, name
         assert table.tobytes() == reference[name].tobytes(), name
     # every group is represented by its first triangle, in order of first appearance
@@ -588,7 +595,7 @@ def assert_tables_are_all_triangle_tables(ops):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 16, "jittered"])
 def test_tables_are_the_all_triangle_tables_bit_for_bit(n, k, coefficient):
     # each table is computed on one triangle per group of byte-equal kernel
-    # inputs and gathered; it must be the all-triangle batch byte for byte
+    # inputs; gathered, it must be the all-triangle batch byte for byte
     mesh = jittered_mesh() if n == "jittered" else build_uniform_mesh(n)
     assert_tables_are_all_triangle_tables(LocalOperators(mesh, k, COEFFICIENTS[coefficient]))
 
@@ -599,6 +606,16 @@ def test_dyadic_uniform_meshes_share_their_tables(k, n, most):
     # k=2, n=16; a key that splits byte-equal inputs would lose the gain
     ops = LocalOperators(build_uniform_mesh(n), k)
     assert len(ops.input_reps) <= most
+
+
+def test_local_tables_hold_one_row_per_group():
+    # no local table is kept per triangle, and the old per-triangle names
+    # are gone, so code that indexes a table by triangle fails loudly
+    ops = LocalOperators(build_uniform_mesh(8), 2, get_case("t6").a)
+    assert len(ops.input_reps) < ops.mesh.n_triangles
+    for name in TABLES + ("vr", "edge_vr"):
+        assert len(getattr(ops, "group_" + name)) == len(ops.input_reps), name
+        assert not hasattr(ops, name), name
 
 
 def test_non_dyadic_and_callable_levels_share_nothing():

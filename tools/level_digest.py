@@ -57,7 +57,9 @@ def level_digest(case_id, k, n):
     else:
         report = error_report(u_h, lam_h, case.u, config, ops)
         fields = [u_h.coeffs, lam_h.coeffs, np.array(dataclasses.astuple(report))]
-    for arr in fields + [ops.grad_maps, ops.stabilizers, ops.diffusion_forms]:
+    # each triangle's local matrices, gathered from its group's rows
+    tables = [ops.group_grad_maps, ops.group_stabilizers, ops.group_diffusion_forms]
+    for arr in fields + [table[ops.input_groups] for table in tables]:
         digest.update(np.ascontiguousarray(arr + 0.0).tobytes())
     return digest.hexdigest()
 

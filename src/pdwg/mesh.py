@@ -90,24 +90,32 @@ class Mesh:
         if np.any(cross <= 0.0):
             raise ValueError("triangles must be counter-clockwise with positive area")
         self.tri_areas = 0.5 * cross
-        self.tri_centroids = v[triangles].mean(axis=1)
+        self.tri_centroids = v[triangles].sum(axis=1) / 3
 
         # local edge l runs from v_l to v_{l+1}; number the sorted vertex
         # pairs in order of first appearance over the slots 3 t + l
-        heads = np.roll(triangles, -1, axis=1)
+        heads = triangles[:, [1, 2, 0]]
         lo = np.minimum(triangles, heads).ravel()
         hi = np.maximum(triangles, heads).ravel()
-        _, first, inverse, counts = np.unique(
-            lo * len(v) + hi, return_index=True, return_inverse=True, return_counts=True)
-        if np.any(counts > 2):
+        # sorted by vertex pair, the slots of one edge are adjacent
+        key = lo * len(v) + hi
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        same = key[1:] == key[:-1]
+        if np.any(same[1:] & same[:-1]):
             raise ValueError("non-manifold mesh: an edge with more than 2 triangles")
-        order = np.argsort(first)
-        first, counts = first[order], counts[order]
-        tri_edges = np.argsort(order)[inverse].reshape(triangles.shape)
-        # the slots sorted by edge: each edge's last slot ends its run
-        last = np.argsort(tri_edges.ravel(), kind="stable")[np.cumsum(counts) - 1]
-        self.edges = np.column_stack([lo[first], hi[first]])
-        self.edge_slots = np.column_stack([first, last])
+        # the other slot of each slot's edge, the slot itself on the boundary
+        slot = np.arange(len(key))
+        partner = slot.copy()
+        partner[order[1:][same]] = order[:-1][same]
+        partner[order[:-1][same]] = order[1:][same]
+        # an edge takes its number at its first slot
+        first = np.minimum(slot, partner)
+        opens = first == slot
+        tri_edges = (np.cumsum(opens) - 1)[first].reshape(triangles.shape)
+        starts = slot[opens]
+        self.edges = np.column_stack([lo[starts], hi[starts]])
+        self.edge_slots = np.column_stack([starts, partner[starts]])
         self.tri_edges = tri_edges
         # a counter-clockwise triangle has its outward normal on the tangent's
         # right, so the global normal points out exactly where v_l < v_{l+1}
@@ -187,7 +195,7 @@ def _congruence_classes(mesh, classes):
     counts = np.bincount(classes)
     if np.any(counts != counts[0]):
         raise ValueError("every class index from 0 on must hold equally many triangles")
-    first = np.unique(classes, return_index=True)[1]
+    first = np.argsort(classes, kind="stable")[::counts[0]]
     if np.any(mesh.tri_edge_signs != mesh.tri_edge_signs[first][classes]):
         raise ValueError("the triangles of one class must have the same edge signs")
     return classes
@@ -263,8 +271,8 @@ def build_uniform_mesh(n):
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError("refinement level n must be a positive integer")
     coords = np.linspace(0.0, 1.0, n + 1)
-    xg, yg = np.meshgrid(coords, coords)        # row-major in j (y), then i (x)
-    vertices = np.column_stack([xg.ravel(), yg.ravel()])
+    # row-major in j (y), then i (x)
+    vertices = np.column_stack([np.tile(coords, n + 1), np.repeat(coords, n + 1)])
 
     j, i = divmod(np.arange(n * n), n)          # sub-squares, row-major in j
     v00 = j * (n + 1) + i

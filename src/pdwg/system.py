@@ -23,8 +23,9 @@ raises SingularSystemError; along one multiplier (gauge) direction the
 Schur LU solves the compatible data (I - v v^T) rhs, v its own null
 direction, and projects v out; two or more send the solve to the natural
 free-dof matrix and a bordered one, with SuperLU's defaults.  That
-natural matrix (SaddleSystem.matrix) is assembled only where it is read
-(that path and the matrix export): solve checks its residual, and takes
+natural matrix is assembled only where it is read: that path builds its
+own and drops it before the bordered LU, and the matrix export reads
+SaddleSystem.matrix, which keeps one.  solve checks its residual, and takes
 the 1-norm that scales it, from the local matrices of the context's input
 groups, so the check also tests the class tables on every level.
 condition_estimate reads the same norm and the inverse of solve's LU.  The
@@ -37,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -104,19 +105,18 @@ class SaddleSystem:
     @cached_property
     def matrix(self):
         """The free-dof matrix [[-S_ff, K_fg], [K_fg^T, S_gg]] in CSC, the
-        format the sparse LU takes, assembled straight from the stacked
-        local matrices and kept once built."""
-        return _sparse_sum(_blocks(self.ops, self.positions), (self.n_free, self.n_free))
+        format the sparse LU takes, kept once built (_free_matrix)."""
+        return _free_matrix(self)
 
 
-def _blocks(ops, positions):
-    """The free-dof matrix [[-S_ff, K_fg], [K_fg^T, S_gg]] as blocks of
-    stacked local matrices: (row positions, column positions, values),
-    positions the (T, nloc) positions of the local u and lam dofs."""
-    pu, pl = positions
+def _free_matrix(system):
+    """The free-dof matrix of system in CSC, assembled straight from the
+    stacked local matrices."""
+    (pu, pl), ops = system.positions, system.ops
     groups = ops.input_groups
     stab, diff = ops.group_stabilizers[groups], ops.group_diffusion_forms[groups]
-    return ((pu, pu, -stab), (pu, pl, diff), (pl, pu, diff), (pl, pl, stab))
+    return _sparse_sum([(pu, pu, -stab), (pu, pl, diff), (pl, pu, diff), (pl, pl, stab)],
+                       (system.n_free, system.n_free))
 
 
 def _positions(ops, dofs, offset=0):
@@ -164,15 +164,11 @@ def _scatter(pos, vals, n):
     return np.bincount(pos[keep], weights=vals[keep], minlength=n)
 
 
-def _sparse_sum(blocks, shape):
-    """Sum of stacked local matrices as a CSC matrix, each block a triple
-    of row positions (T, m), column positions (T, m') and values
-    (T, m, m'); entries at a -1 position are dropped.  The result is
-    scipy's COO to CSC conversion bit for bit: row indices sorted within
-    each column, duplicates summed, explicit zeros kept, so SuperLU sees
-    the same matrix.  A global entry sums at most two local ones (an
-    edge has at most two triangles), so it does not depend on the order of
-    the sum."""
+def _triplets(blocks):
+    """Row positions, column positions and values of the entries of
+    stacked local matrices, each block a triple of row positions (T, m),
+    column positions (T, m') and values (T, m, m'); entries at a -1
+    position are dropped."""
     parts = []
     for rows, cols, vals in blocks:
         # the mask by broadcasting the small per-triangle masks: cheaper
@@ -180,9 +176,30 @@ def _sparse_sum(blocks, shape):
         keep = ((rows >= 0)[:, :, None] & (cols >= 0)[:, None, :]).ravel()
         parts.append((np.repeat(rows, cols.shape[1], axis=1).ravel()[keep],
                       np.tile(cols, (1, rows.shape[1])).ravel()[keep], vals.ravel()[keep]))
-    r, c, v = (np.concatenate(part) if len(part) > 1 else part[0] for part in zip(*parts))
-    # one conversion of the transpose to CSR, read as CSC
-    return sp.csr_matrix((v, (c, r)), shape=shape[::-1]).T
+    return (np.concatenate(part) if len(part) > 1 else part[0] for part in zip(*parts))
+
+
+def _sparse_sum(blocks, shape):
+    """Sum of stacked local matrices (blocks as _triplets takes them) as a
+    CSC matrix.  The result is scipy's COO to CSC conversion bit for bit:
+    row indices sorted within each column, duplicates summed, explicit
+    zeros kept, so SuperLU sees the same matrix.  A global entry sums at
+    most two local ones (an edge has at most two triangles), so it does not
+    depend on the order of the sum."""
+    r, c, v = _triplets(blocks)
+    return sp.csc_matrix((v, (r, c)), shape=shape)
+
+
+def _distinct_csr(blocks, shape):
+    """Stacked local matrices (blocks as _triplets takes them) none of
+    whose entries share a position, as a CSR matrix: scipy's COO to CSR
+    conversion bit for bit (column indices sorted within each row, explicit
+    zeros kept), from one sort of the entries, which costs little where
+    they are few."""
+    r, c, v = _triplets(blocks)
+    order = np.argsort(r.astype(np.int64) * shape[1] + c)
+    indptr = np.append(0, np.cumsum(np.bincount(r, minlength=shape[0])))
+    return sp.csr_matrix((v[order], c[order], indptr), shape=shape)
 
 
 def assemble(config, case, ops):
@@ -229,12 +246,14 @@ def assemble(config, case, ops):
     # the lift columns [[S_fp], [K_gp]] (p: fixed primal dofs) in CSR, so
     # that the product sums each row in ascending column order: the rhs
     # feeds the t3-t5 k=3 levels, whose reference values store roundoff.
-    # Only the triangles that hold a fixed u dof have a column there
+    # Only the triangles that hold a fixed u dof have a column there, and
+    # no two of their entries share a position: a boundary edge has one
+    # triangle, and the u and lam rows are apart
     t = np.flatnonzero((pp >= 0).any(axis=1))
     g = ops.input_groups[t]
-    lift_cols = _sparse_sum([(pu[t], pp[t], ops.group_stabilizers[g]),
-                             (pl[t], pp[t], ops.group_diffusion_forms[g])],
-                            (len(uf) + len(lf), len(up))).tocsr()
+    lift_cols = _distinct_csr([(pu[t], pp[t], ops.group_stabilizers[g]),
+                               (pl[t], pp[t], ops.group_diffusion_forms[g])],
+                              (len(uf) + len(lf), len(up)))
     lifted = lift_cols @ u_fixed_values[up]
     rhs = np.concatenate([lifted[: len(uf)], rhs_full[lf] - lifted[len(uf):]])
     return SaddleSystem(rhs=rhs, ops=ops, u_free=uf, lam_free=lf,
@@ -260,12 +279,18 @@ def _one_norm(matrix):
 
 def _local_product(system, x):
     """A x for a free-dof vector x without the matrix A: each triangle's
-    local matrices applied to its part of x, summed into the free dofs."""
-    out = np.zeros(system.n_free)
-    for rows, cols, vals in _blocks(system.ops, system.positions):
-        local = vals @ np.where(cols >= 0, x[cols], 0.0)[..., None]
-        out += _scatter(rows, local[..., 0], system.n_free)
-    return out
+    local matrices applied to its parts x_u, x_lam of x, the u rows
+    -S x_u + B x_lam and the lam rows B x_u + S x_lam summed into the free
+    dofs."""
+    (pu, pl), ops = system.positions, system.ops
+    groups = ops.input_groups
+    # (T, nloc, 2): x_u and x_lam side by side, so that each local matrix
+    # is applied once
+    local = np.stack([np.where(p >= 0, x[p], 0.0) for p in (pu, pl)], axis=-1)
+    stab = ops.group_stabilizers[groups] @ local
+    diff = ops.group_diffusion_forms[groups] @ local
+    return (_scatter(pu, diff[..., 1] - stab[..., 0], system.n_free)
+            + _scatter(pl, diff[..., 0] + stab[..., 1], system.n_free))
 
 
 def _local_column_sums(system):
@@ -281,29 +306,38 @@ def _local_column_sums(system):
     mesh, dofmap, groups = ops.mesh, ops.dofmap, ops.input_groups
     dim, edim = dofmap.interior_dim, dofmap.edge_dim
     slots = mesh.edge_slots[~mesh.is_boundary_edge]
-    tris = (slots // 3)[..., None, None]
-    local = dim + (slots % 3)[..., None] * edim + np.arange(edim)   # (E, side, edim)
+    tris, sides = slots // 3, slots % 3                             # (E, side)
     # per field (u, lam): positions of the local dofs and of side 0's edge
     # block, and the triangles that hold a fixed dof, with their free rows
     pos = system.positions
-    edge_pos = [p[tris[:, 0, :, 0], local[:, 0]] for p in pos]
+    local = dim + sides[:, :1] * edim + np.arange(edim)
+    edge_pos = [p[tris[:, :1], local] for p in pos]
     edge_free = [(p >= 0).astype(float)[..., None, :] for p in edge_pos]
     fixed = [np.flatnonzero((p < 0).any(axis=1)) for p in pos]
     free = [(p[t] >= 0).astype(float)[:, None, :] for p, t in zip(pos, fixed)]
+    tables = (ops.group_stabilizers, ops.group_diffusion_forms)
+    absolute = [np.abs(vals) for vals in tables]
+    column = [a.sum(axis=1) for a in absolute]
+    excess = []
+    for vals in tables:
+        # each group's three diagonal edge blocks, then those of both sides
+        blocks = np.stack([vals[:, b:b + edim, b:b + edim]
+                           for b in range(dim, dim + 3 * edim, edim)], axis=1)
+        s1, s2 = blocks[groups[tris], sides].swapaxes(0, 1)
+        excess.append(np.abs(s1 + s2) - np.abs(s1) - np.abs(s2))
     sums = np.zeros(system.n_free)
-    # one pass per local matrix rather than per block of _blocks: S fills the
-    # (u, u) block, negated, and the (lam, lam) block; B the other two
-    for vals, blocks in ((ops.group_stabilizers, ((0, 0), (1, 1))),
-                         (ops.group_diffusion_forms, ((0, 1), (1, 0)))):
-        s1, s2 = vals[groups[tris], local[..., None], local[..., None, :]].swapaxes(0, 1)
-        excess = np.abs(s1 + s2) - np.abs(s1) - np.abs(s2)
-        absolute = np.abs(vals)
-        column = absolute.sum(axis=1)
-        for row, col in blocks:
-            column_sums = column[groups]
-            column_sums[fixed[row]] = (free[row] @ absolute[groups[fixed[row]]])[:, 0]
-            sums += _scatter(pos[col], column_sums, system.n_free)
-            sums += _scatter(edge_pos[col], (edge_free[row] @ excess)[..., 0, :], system.n_free)
+    for col in (0, 1):
+        # the rows of each field: S fills the (u, u) block, negated, and the
+        # (lam, lam) block; B the other two
+        column_sums = edge_sums = 0.0
+        for row in (0, 1):
+            m = int(row != col)
+            part = column[m][groups]
+            part[fixed[row]] = (free[row] @ absolute[m][groups[fixed[row]]])[:, 0]
+            column_sums = column_sums + part
+            edge_sums = edge_sums + (edge_free[row] @ excess[m])[..., 0, :]
+        sums += (_scatter(pos[col], column_sums, system.n_free)
+                 + _scatter(edge_pos[col], edge_sums, system.n_free))
     return sums
 
 
@@ -349,13 +383,18 @@ class _Condensation:
         self.members = ops.class_members
         reps = self.members[:, 0]
         rep_groups = ops.input_groups[reps]
+        stab, diff = ops.group_stabilizers[rep_groups], ops.group_diffusion_forms[rep_groups]
 
         def coupled(rows, cols):
             # the rows x cols block of [[-S, B], [B, S]] of each representative,
             # fields stacked u then lam
-            stab = ops.group_stabilizers[rep_groups, rows, cols]
-            diff = ops.group_diffusion_forms[rep_groups, rows, cols]
-            return np.block([[-stab, diff], [diff, stab]])
+            s, b = stab[:, rows, cols], diff[:, rows, cols]
+            m, n = s.shape[1:]
+            out = np.empty((len(s), 2 * m, 2 * n))
+            np.negative(s, out=out[:, :m, :n])
+            out[:, :m, n:] = out[:, m:, :n] = b
+            out[:, m:, n:] = s
+            return out
 
         chol = np.linalg.cholesky(ops.group_mass_k[rep_groups] / mesh.tri_areas[reps, None, None])
         self.basis = np.zeros((len(reps), 2 * dim, 2 * dim))
@@ -415,36 +454,51 @@ class _Condensation:
         singular values of [matrix X; X_fixed] at or below
         _KERNEL_CUTOFF ||matrix||_1."""
         ops = self.ops
-        mesh, k, n_int = ops.mesh, ops.k, ops.dofmap.n_interior
+        mesh, n_int = ops.mesh, ops.dofmap.n_interior
         # a monomial restricted to an edge lies in P_k: interpolating it at
         # k + 1 points of the edge coordinate gives Q_b p exactly
-        t = np.linspace(-0.5, 0.5, k + 1)
+        t, interpolate, px, py = _edge_interpolation(ops.k)
         ends = mesh.vertices[mesh.edges]
         pts = mesh.edge_midpoints[:, None] + t[:, None] * (ends[:, 1] - ends[:, 0])[:, None]
         # the monomials from products of the coordinates, not pow: only the
         # counts below are read, and they keep their 100x margins
         powers = [np.ones_like(pts), pts]
-        for _ in range(k - 1):
+        for _ in range(ops.k - 1):
             powers.append(powers[-1] * pts)
-        values = np.stack([powers[i][..., 0] * powers[j][..., 1] for i, j in tri_exponents(k)],
-                          axis=-1)
-        cand = np.linalg.qr((np.linalg.inv(edge_basis(k).eval(t)) @ values)
-                            .reshape(-1, values.shape[-1]))[0]
+        powers = np.stack(powers, axis=-1)
+        cand = np.linalg.qr((interpolate @ (powers[..., 0, px] * powers[..., 1, py]))
+                            .reshape(-1, len(px)))[0]
         dofs = self.free[self.numbered] - n_int
+        n = len(dofs)
         cutoff = _KERNEL_CUTOFF * _one_norm(self.matrix)
-        fields = (self.primal, ~self.primal)
         # both fields' candidate columns side by side, in one sparse product
-        x = np.zeros((len(dofs), 2, cand.shape[1]))
-        for i, field in enumerate(fields):
+        x = np.zeros((n, 2, cand.shape[1]))
+        fixed = np.ones((2, len(cand)), dtype=bool)
+        for i, field in enumerate((self.primal, ~self.primal)):
             x[field, i] = cand[dofs[field]]
-        product = (self.matrix @ x.reshape(len(dofs), -1)).reshape(x.shape)
-        dims = []
-        for i, field in enumerate(fields):
-            fixed = np.ones(len(cand), dtype=bool)
-            fixed[dofs[field]] = False
-            sv = np.linalg.svd(np.vstack([product[:, i], cand[fixed]]), compute_uv=False)
-            dims.append(int(np.count_nonzero(sv <= cutoff)))
-        return tuple(dims)
+            fixed[i, dofs[field]] = False
+        # both fields' [matrix X; X_fixed] in one batched SVD, the shorter
+        # padded with zero rows, which leave the singular values as they are
+        n_fixed = fixed.sum(axis=1)
+        stacked = np.zeros((2, n + n_fixed.max(), cand.shape[1]))
+        stacked[:, :n] = (self.matrix @ x.reshape(n, -1)).reshape(x.shape).swapaxes(0, 1)
+        for i in range(2):
+            stacked[i, n:n + n_fixed[i]] = cand[fixed[i]]
+        sv = np.linalg.svd(stacked, compute_uv=False)
+        return tuple(int(d) for d in np.count_nonzero(sv <= cutoff, axis=1))
+
+
+@lru_cache(maxsize=None)
+def _edge_interpolation(k):
+    """Per degree k: k + 1 points t of the edge coordinate, the inverse of
+    the edge basis at them, which takes the values there of a polynomial of
+    degree <= k in t to its coefficients, and the exponents (px, py) of the
+    monomials of degree <= k."""
+    t = np.linspace(-0.5, 0.5, k + 1)
+    out = (t, np.linalg.inv(edge_basis(k).eval(t)), *np.array(tri_exponents(k)).T)
+    for arr in out:
+        arr.setflags(write=False)
+    return out
 
 
 def _schur_inverse(reduced, gauge_dim):
@@ -482,10 +536,24 @@ def _solve_full(matrix, rhs, gauge_dim):
     # regularizes the factorization along it and pins its component to
     # zero; the others are left to roundoff
     del lu  # one factorization alive at a time
-    n = matrix.shape[0]
-    col = sp.csc_matrix(null_dir.reshape(n, 1))
-    bordered = sp.bmat([[matrix, col], [col.T, None]], format="csc")
-    return _factor(bordered).solve(np.append(rhs, 0.0))[:n], null_dir
+    bordered = _bordered(matrix, null_dir)
+    del matrix  # solve passes a temporary, which goes before the bordered LU
+    return _factor(bordered).solve(np.append(rhs, 0.0))[:len(null_dir)], null_dir
+
+
+def _bordered(matrix, col):
+    """The CSC matrix [[matrix, c], [c^T, 0]] of a CSC matrix with sorted
+    indices and a dense column c, as sp.bmat builds it from c's sparse
+    column: every stored entry of matrix kept, the exact zeros of c not
+    stored.  Row n ends each of the first n columns; column n holds c."""
+    n = len(col)
+    has = col != 0
+    rows = np.flatnonzero(has).astype(matrix.indices.dtype)
+    ends = matrix.indptr[1:][has]
+    indptr = matrix.indptr + np.append(0, np.cumsum(has)).astype(matrix.indptr.dtype)
+    return sp.csc_matrix((np.concatenate([np.insert(matrix.data, ends, col[has]), col[has]]),
+                          np.concatenate([np.insert(matrix.indices, ends, n), rows]),
+                          np.append(indptr, indptr[-1] + len(rows))), shape=(n + 1, n + 1))
 
 
 def solve(system):
@@ -503,7 +571,7 @@ def solve(system):
         raise SingularSystemError("singular system: the primal field is not unique")
     if gauge_dim > 1:
         del reduced  # its arrays go before the full matrix is built
-        x, null_dir = _solve_full(system.matrix, system.rhs, gauge_dim)
+        x, null_dir = _solve_full(_free_matrix(system), system.rhs, gauge_dim)
     else:
         inverse, null_dir = _schur_inverse(reduced, gauge_dim)
         x = inverse(system.rhs)

@@ -167,7 +167,11 @@ def _equal_rows(*arrays):
                            for arr in arrays if arr.strides[0]], axis=1)
     first = {}
     owner = [first.setdefault(row.tobytes(), t) for t, row in enumerate(rows)]
-    return np.unique(owner, return_inverse=True)
+    # the dict keeps its groups in order of first appearance
+    reps = np.fromiter(first.values(), dtype=np.intp, count=len(first))
+    group = np.empty(len(rows), dtype=np.intp)
+    group[reps] = np.arange(len(reps))
+    return reps, group[owner]
 
 
 class LocalOperators:

@@ -1,0 +1,55 @@
+"""tools/reference_margins.py reads the library and the benchmark's
+reference check from outside; a rename in either must not break it
+silently, and its tolerance must stay the check's."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from pdwg.cli import LevelResult
+from pdwg.norms import ErrorReport
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "reference_margins.py"
+GAUGE_LEVELS = ["t3:k2:n2", "t3:k2:n4", "t3:k2:n8", "t3:k2:n16"]
+
+
+def load_tool():
+    spec = importlib.util.spec_from_file_location("reference_margins", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_margins_of_the_gauge_workload_are_sorted_and_pass(capsys):
+    # one row per level and error functional, largest margin first; every
+    # level passes the benchmark's check, so every margin is below 1
+    tool = load_tool()
+    tool.main(["--workload", "gauge-k2-n16"])
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+    assert sorted((row[1], row[2]) for row in rows) == sorted(
+        (key, column) for key in GAUGE_LEVELS for column in tool.workloads.COLUMNS)
+    margins = [float(row[0]) for row in rows]
+    assert margins == sorted(margins, reverse=True)
+    assert 0.0 <= margins[-1] and margins[0] < 1.0
+    for margin, _, _, got, want, tol in rows:
+        assert float(margin) == pytest.approx(abs(float(got) - float(want)) / float(tol),
+                                              rel=1e-2, abs=1e-6)
+
+
+@pytest.mark.parametrize("column", ["l2_e0", "resid_u"])
+def test_tolerance_is_the_reference_checks(column):
+    # a value off its reference by just under the tool's tolerance passes
+    # the benchmark's check; just over it fails there
+    tool = load_tool()
+    reference = tool.workloads.load_reference()
+    case_id, k, n = "t3", 2, 16
+    want = reference.values[(case_id, k, n)]
+    tol = tool.tolerance(reference, k, n, column, want[column])
+    exact = {name: want[name] for name in tool.workloads.COLUMNS}
+    for factor, passes in ((0.99, True), (1.01, False)):
+        report = ErrorReport(**{**exact, column: want[column] + factor * tol})
+        level = LevelResult(n=n, h=1.0 / n, wall_ms=0.0, report=report)
+        reason = reference.check_level(case_id, k, level)
+        assert (reason is None) == passes
+        assert passes or column in reason

@@ -16,9 +16,11 @@ from pdwg.norms import (error_fields, error_report, interior_l2_norm, residual_n
                         residual_norm_primal)
 from pdwg.system import (
     SingularSystemError,
+    _bordered,
     _Condensation,
     _local_column_sums,
     _local_product,
+    _null_direction,
     _one_norm,
     _positions,
     _schur_inverse,
@@ -623,6 +625,42 @@ def test_primal_non_uniqueness_is_reported_before_factoring(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("change,message", [
+    pytest.param(lambda x, rng: np.full_like(x, np.nan),
+                 "direct solver produced a non-finite solution", id="non-finite"),
+    pytest.param(lambda x, rng: x + 1e-6 * np.linalg.norm(x) * rng.standard_normal(len(x)),
+                 r"solver residual \S+ exceeds 1e-09 \* \S+$", id="residual"),
+])
+def test_solve_rejects_a_solution_that_fails_its_check(monkeypatch, change, message):
+    # the factorization and solve succeed, but the solution they hand back
+    # is changed: a non-finite entry, or a relative residual of about 1e-6,
+    # far above _RESIDUAL_TOL, raises with its own message
+    rng = np.random.default_rng(0)
+    real_solve = _Condensation.solve
+    monkeypatch.setattr(_Condensation, "solve",
+                        lambda self, lu, rhs: change(real_solve(self, lu, rhs), rng))
+    with pytest.raises(SingularSystemError, match=message):
+        solve(catalog_system("t6", 1, 2))
+
+
+@pytest.mark.parametrize("case_id", ["t3", "t4", "t5"])
+def test_bordered_matrix_is_the_bmat_one_bit_for_bit(case_id):
+    # the fallback of a two-dimensional gauge kernel borders the natural
+    # matrix with its LU's null direction; built in place, the bordered
+    # matrix has the indptr, indices and data of sp.bmat's CSC result,
+    # which leaves the exact zeros of the column unstored
+    matrix = catalog_system(case_id, 3, 2).matrix
+    v = _null_direction(spla.splu(matrix))
+    for col in (v, np.where(np.arange(len(v)) % 3 == 0, 0.0, v)):
+        sparse = sp.csc_matrix(col.reshape(-1, 1))
+        want = sp.bmat([[matrix, sparse], [sparse.T, None]], format="csc")
+        got = _bordered(matrix, col)
+        assert got.format == "csc" and got.shape == want.shape
+        for part in ("indptr", "indices", "data"):
+            assert getattr(got, part).dtype == getattr(want, part).dtype
+            assert getattr(got, part).tobytes() == getattr(want, part).tobytes()
+
+
 class NoFactorCopies:
     """Stands in for a SuperLU object; building the L or U copy fails."""
 
@@ -729,9 +767,10 @@ def test_gauge_solve_factors_once(monkeypatch, k, n):
 ])
 def test_full_matrix_built_only_where_solve_factors_it(monkeypatch, case_id, k, builds):
     # assemble builds no free-dof matrix; solve builds it only for the
-    # fallback of a two-dimensional gauge kernel (t3 at k=3, natural order)
-    # and otherwise factors the Schur matrix and checks its residual from
-    # the local matrices.  condition_estimate builds it nowhere
+    # fallback of a two-dimensional gauge kernel (t3 at k=3, natural order),
+    # without keeping it on the system, and otherwise factors the Schur
+    # matrix and checks its residual from the local matrices.
+    # condition_estimate builds it nowhere
     real_sparse_sum = pdwg.system._sparse_sum
     shapes = []
 
@@ -747,7 +786,7 @@ def test_full_matrix_built_only_where_solve_factors_it(monkeypatch, case_id, k, 
     assert full not in shapes
     solve(system)
     assert shapes.count(full) == builds
-    assert ("matrix" in vars(system)) == (case_id == "t3" and k == 3)
+    assert "matrix" not in vars(system)
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -848,17 +887,19 @@ def test_sparse_assembly_is_scipys_coo_conversion_bit_for_bit(monkeypatch, k):
     # catalog at n <= 4 and of the jittered mesh, and the free-dof matrix
     # of local matrices in {-1, 0, 1}, whose sums cancel: each has the
     # indptr, indices and data of scipy's COO to CSC conversion, explicit
-    # zeros included, and so has its CSR form, which the lift multiplies
-    # with
-    real_sparse_sum = pdwg.system._sparse_sum
+    # zeros included, and so has its CSR form, in which the lift is built
+    # and multiplied with
     calls = []
 
-    def sparse_sum(*args):
-        out = real_sparse_sum(*args)
-        calls.append((args, out))
-        return out
+    def recorded(build):
+        def record(*args):
+            out = build(*args)
+            calls.append((args, out))
+            return out
+        return record
 
-    monkeypatch.setattr(pdwg.system, "_sparse_sum", sparse_sum)
+    for name in ("_sparse_sum", "_distinct_csr"):
+        monkeypatch.setattr(pdwg.system, name, recorded(getattr(pdwg.system, name)))
     rng = np.random.default_rng(k)
     n_systems = 0
     for system in local_systems(k):
@@ -872,7 +913,7 @@ def test_sparse_assembly_is_scipys_coo_conversion_bit_for_bit(monkeypatch, k):
     explicit_zeros = 0
     for args, got in calls:
         coo = coo_matrix_of(*args)
-        for mine, want in ((got, coo.tocsc()), (got.tocsr(), coo.tocsr())):
+        for mine, want in ((got.tocsc(), coo.tocsc()), (got.tocsr(), coo.tocsr())):
             assert mine.format == want.format and mine.shape == want.shape
             for part in ("indptr", "indices", "data"):
                 assert getattr(mine, part).dtype == getattr(want, part).dtype

@@ -9,16 +9,20 @@ dofs fixed to zero on the complement of Gamma_n):
 
 After eliminating the fixed dofs and negating the first block row, the
 free-dof matrix [[-S_ff, K_fg], [K_fg^T, S_gg]] is symmetric indefinite.
-solve condenses each triangle's interior dofs out (in an orthonormal
-interior basis), factors the Schur matrix on the free edge dofs and
-recovers the interiors.  The dense local algebra of that condensation is
-done once per congruence class of the level's context (ops.classes: two
-on the uniform mesh under a constant coefficient, else one per
-triangle), and each triangle reads its class's tables.  The Schur matrix is
+Each triangle adds to it one local matrix [[-S, B], [B, S]], u local dofs
+first, written only by _coupled: the free-dof matrix, the Dirichlet lift,
+solve's residual check and the condensation all read that table.  solve
+condenses each triangle's interior dofs out (in an orthonormal interior
+basis), factors the Schur matrix on the free edge dofs and recovers the
+interiors.  The dense local algebra of that condensation is done once per
+congruence class of the level's context (ops.classes: two on the uniform
+mesh under a constant coefficient, else one per triangle), and each
+triangle reads its class's tables.  The Schur matrix is
 assembled straight in the mesh's nested-dissection order
 (Mesh.nested_dissection), the u and lam dofs of one edge adjacent, and
 factored in that order in symmetric mode.  The kernel is decided first,
-from polynomial candidates (_Condensation.kernel_dims): a primal one
+from polynomial candidates (_Condensation.kernel_dims), and picks the
+path that solve and condition_estimate share (_inverse): a primal one
 raises SingularSystemError; along one multiplier (gauge) direction the
 Schur LU solves the compatible data (I - v v^T) rhs, v its own null
 direction, and projects v out; two or more send the solve to the natural
@@ -96,7 +100,7 @@ class SaddleSystem:
     u_free: np.ndarray               # free dofs of u and of lam in the layout ops.dofmap
     lam_free: np.ndarray
     u_fixed_values: np.ndarray       # full-length vector, zero on free dofs
-    positions: tuple                 # free-dof positions (T, nloc) of u and lam, -1 where fixed
+    positions: np.ndarray            # free-dof positions (T, 2 nloc), u then lam, -1 where fixed
 
     @property
     def n_free(self):
@@ -109,14 +113,25 @@ class SaddleSystem:
         return _free_matrix(self)
 
 
+def _coupled(stab, diff):
+    """The saddle system's local matrices [[-S, B], [B, S]] (..., 2 m, 2 m)
+    of stacked stabilizers S and diffusion forms B (..., m, m): the u
+    local dofs first, then the lam ones.  The one place that orders the two
+    fields' blocks and negates S."""
+    m = stab.shape[-1]
+    out = np.empty(stab.shape[:-2] + (2 * m, 2 * m))
+    np.negative(stab, out=out[..., :m, :m])
+    out[..., :m, m:] = out[..., m:, :m] = diff
+    out[..., m:, m:] = stab
+    return out
+
+
 def _free_matrix(system):
     """The free-dof matrix of system in CSC, assembled straight from the
     stacked local matrices."""
-    (pu, pl), ops = system.positions, system.ops
-    groups = ops.input_groups
-    stab, diff = ops.group_stabilizers[groups], ops.group_diffusion_forms[groups]
-    return _sparse_sum([(pu, pu, -stab), (pu, pl, diff), (pl, pu, diff), (pl, pl, stab)],
-                       (system.n_free, system.n_free))
+    pos, ops = system.positions, system.ops
+    local = _coupled(ops.group_stabilizers, ops.group_diffusion_forms)[ops.input_groups]
+    return _sparse_sum([(pos, pos, local)], (system.n_free, system.n_free))
 
 
 def _positions(ops, dofs, offset=0):
@@ -242,22 +257,23 @@ def assemble(config, case, ops):
 
     u_fixed, lam_fixed = dofmap.fixed_masks(config)
     uf, lf, up = np.flatnonzero(~u_fixed), np.flatnonzero(~lam_fixed), np.flatnonzero(u_fixed)
-    pu, pl, pp = _positions(ops, uf), _positions(ops, lf, len(uf)), _positions(ops, up)
-    # the lift columns [[S_fp], [K_gp]] (p: fixed primal dofs) in CSR, so
-    # that the product sums each row in ascending column order: the rhs
-    # feeds the t3-t5 k=3 levels, whose reference values store roundoff.
-    # Only the triangles that hold a fixed u dof have a column there, and
-    # no two of their entries share a position: a boundary edge has one
-    # triangle, and the u and lam rows are apart
+    pos = np.concatenate([_positions(ops, uf), _positions(ops, lf, len(uf))], axis=1)
+    pp = _positions(ops, up)
+    # the lift columns [[-S_fp], [K_gp]] (p: fixed primal dofs), the u
+    # columns of the local matrices, in CSR, so that the product sums each
+    # row in ascending column order: the rhs feeds the t3-t5 k=3 levels,
+    # whose reference values store roundoff.  Only the triangles that hold
+    # a fixed u dof have a column there, and no two of their entries share
+    # a position: a boundary edge has one triangle, and the u and lam rows
+    # are apart.  Subtracted from (0, data), the lift negates the u rows back
     t = np.flatnonzero((pp >= 0).any(axis=1))
     g = ops.input_groups[t]
-    lift_cols = _distinct_csr([(pu[t], pp[t], ops.group_stabilizers[g]),
-                               (pl[t], pp[t], ops.group_diffusion_forms[g])],
+    local = _coupled(ops.group_stabilizers[g], ops.group_diffusion_forms[g])
+    lift_cols = _distinct_csr([(pos[t], pp[t], local[..., :pp.shape[1]])],
                               (len(uf) + len(lf), len(up)))
-    lifted = lift_cols @ u_fixed_values[up]
-    rhs = np.concatenate([lifted[: len(uf)], rhs_full[lf] - lifted[len(uf):]])
+    rhs = np.append(np.zeros(len(uf)), rhs_full[lf]) - lift_cols @ u_fixed_values[up]
     return SaddleSystem(rhs=rhs, ops=ops, u_free=uf, lam_free=lf,
-                        u_fixed_values=u_fixed_values, positions=(pu, pl))
+                        u_fixed_values=u_fixed_values, positions=pos)
 
 
 def _factor(matrix, **options):
@@ -279,71 +295,51 @@ def _one_norm(matrix):
 
 def _local_product(system, x):
     """A x for a free-dof vector x without the matrix A: each triangle's
-    local matrices applied to its parts x_u, x_lam of x, the u rows
-    -S x_u + B x_lam and the lam rows B x_u + S x_lam summed into the free
-    dofs."""
-    (pu, pl), ops = system.positions, system.ops
-    groups = ops.input_groups
-    # (T, nloc, 2): x_u and x_lam side by side, so that each local matrix
-    # is applied once
-    local = np.stack([np.where(p >= 0, x[p], 0.0) for p in (pu, pl)], axis=-1)
-    stab = ops.group_stabilizers[groups] @ local
-    diff = ops.group_diffusion_forms[groups] @ local
-    return (_scatter(pu, diff[..., 1] - stab[..., 0], system.n_free)
-            + _scatter(pl, diff[..., 0] + stab[..., 1], system.n_free))
+    local matrix applied to its part of x, summed into the free dofs.  The
+    local matrices are gathered 128 triangles at a time: a gather of all of
+    them is a large fresh allocation, which page-faults on every level
+    (measured: 143 more minor faults per t6, k=1, n=32 level)."""
+    pos, ops = system.positions, system.ops
+    tables = _coupled(ops.group_stabilizers, ops.group_diffusion_forms)
+    local = np.where(pos >= 0, x[pos], 0.0)
+    for start in range(0, len(local), 128):
+        part = slice(start, start + 128)
+        local[part] = (tables[ops.input_groups[part]] @ local[part, :, None])[..., 0]
+    return _scatter(pos, local, system.n_free)
 
 
 def _local_column_sums(system):
     """Absolute column sums of the free-dof matrix, the largest of which is
-    its 1-norm, from the group tables of the local matrices.  The column
-    sums of each group's absolute local matrices are taken once; only a
-    triangle that holds a fixed dof of a block's row field sums its free
-    rows alone.  A global entry sums two local ones only where its row and
-    column both lie in the block of one interior edge, which its two
-    triangles hold at the same local dofs; there the sum of the local
-    absolute values is corrected by |s1 + s2| - |s1| - |s2|."""
-    ops = system.ops
+    its 1-norm, from the local matrices.  The column sums of each group's
+    absolute local matrix are taken once; only a triangle that holds a
+    fixed dof sums its free rows alone.  A global entry sums two local ones
+    only where its row and column both lie in the block of one interior
+    edge, which its two triangles hold at the same local dofs; there the
+    sum of the local absolute values is corrected by |c1 + c2| - |c1| - |c2|."""
+    ops, pos = system.ops, system.positions
     mesh, dofmap, groups = ops.mesh, ops.dofmap, ops.input_groups
-    dim, edim = dofmap.interior_dim, dofmap.edge_dim
-    slots = mesh.edge_slots[~mesh.is_boundary_edge]
-    tris, sides = slots // 3, slots % 3                             # (E, side)
-    # per field (u, lam): positions of the local dofs and of side 0's edge
-    # block, and the triangles that hold a fixed dof, with their free rows
-    pos = system.positions
-    local = dim + sides[:, :1] * edim + np.arange(edim)
-    edge_pos = [p[tris[:, :1], local] for p in pos]
-    edge_free = [(p >= 0).astype(float)[..., None, :] for p in edge_pos]
-    fixed = [np.flatnonzero((p < 0).any(axis=1)) for p in pos]
-    free = [(p[t] >= 0).astype(float)[:, None, :] for p, t in zip(pos, fixed)]
-    tables = (ops.group_stabilizers, ops.group_diffusion_forms)
-    absolute = [np.abs(vals) for vals in tables]
-    column = [a.sum(axis=1) for a in absolute]
-    excess = []
-    for vals in tables:
-        # each group's three diagonal edge blocks, then those of both sides
-        blocks = np.stack([vals[:, b:b + edim, b:b + edim]
-                           for b in range(dim, dim + 3 * edim, edim)], axis=1)
-        s1, s2 = blocks[groups[tris], sides].swapaxes(0, 1)
-        excess.append(np.abs(s1 + s2) - np.abs(s1) - np.abs(s2))
-    sums = np.zeros(system.n_free)
-    for col in (0, 1):
-        # the rows of each field: S fills the (u, u) block, negated, and the
-        # (lam, lam) block; B the other two
-        column_sums = edge_sums = 0.0
-        for row in (0, 1):
-            m = int(row != col)
-            part = column[m][groups]
-            part[fixed[row]] = (free[row] @ absolute[m][groups[fixed[row]]])[:, 0]
-            column_sums = column_sums + part
-            edge_sums = edge_sums + (edge_free[row] @ excess[m])[..., 0, :]
-        sums += (_scatter(pos[col], column_sums, system.n_free)
-                 + _scatter(edge_pos[col], edge_sums, system.n_free))
-    return sums
+    coupled = _coupled(ops.group_stabilizers, ops.group_diffusion_forms)
+    absolute = np.abs(coupled)
+    column = absolute.sum(axis=1)[groups]
+    fixed = np.flatnonzero((pos < 0).any(axis=1))
+    column[fixed] = ((pos[fixed] >= 0).astype(float)[:, None, :] @ absolute[groups[fixed]])[:, 0]
+    # the local dofs of each side's edge block, both fields, and those
+    # blocks of an interior edge's two triangles
+    edges = np.arange(coupled.shape[-1]).reshape(2, -1)[:, dofmap.interior_dim:]
+    sides = edges.reshape(2, 3, -1).swapaxes(0, 1).reshape(3, -1)      # (side, 2 edim)
+    tris, side = np.divmod(mesh.edge_slots[~mesh.is_boundary_edge], 3)  # (E, 2)
+    blocks = coupled[:, sides[:, :, None], sides[:, None, :]]
+    c1, c2 = blocks[groups[tris], side].swapaxes(0, 1)
+    edge_pos = pos[tris[:, :1], sides[side[:, 0]]]
+    edge_sums = ((edge_pos >= 0).astype(float)[:, None, :]
+                 @ (np.abs(c1 + c2) - np.abs(c1) - np.abs(c2)))[:, 0]
+    return _scatter(pos, column, system.n_free) + _scatter(edge_pos, edge_sums, system.n_free)
 
 
 def _project_out(vec, unit):
-    """vec with its component along the unit vector removed."""
-    return vec - (vec @ unit) * unit
+    """vec with its component along the unit vector removed; vec itself
+    where unit is None."""
+    return vec if unit is None else vec - (vec @ unit) * unit
 
 
 def _null_direction(lu):
@@ -357,9 +353,10 @@ def _null_direction(lu):
 
 class _Condensation:
     """Static condensation of a system onto its free edge dofs.  Interior
-    dofs couple only within their triangle, so each triangle's coupled
-    local matrix [[-S, B], [B, S]], split into interior (I) and edge (E)
-    dofs, gives the local Schur block M_EE - M_EI M_II^-1 M_IE; matrix sums
+    dofs couple only within their triangle, so each triangle's local
+    matrix M = [[-S, B], [B, S]] (_coupled), split into interior (I) and
+    edge (E) dofs, gives the local Schur block M_EE - M_EI M_II^-1 M_IE,
+    the blocks taken by index from M; matrix sums
     them over the free edge dofs, numbered in nested-dissection order.  The
     interior block is eliminated in an orthonormal interior basis R = L^-T,
     L L^T = mass_k / area (block-diagonal over u_0 and lam_0): at k = 1, 2,
@@ -379,34 +376,24 @@ class _Condensation:
         self.ops = ops
         self.free = np.concatenate([system.u_free, system.lam_free])
         dim, n_tri = dofmap.interior_dim, mesh.n_triangles
-        interior, edge = slice(None, dim), slice(dim, None)
         self.members = ops.class_members
         reps = self.members[:, 0]
         rep_groups = ops.input_groups[reps]
-        stab, diff = ops.group_stabilizers[rep_groups], ops.group_diffusion_forms[rep_groups]
-
-        def coupled(rows, cols):
-            # the rows x cols block of [[-S, B], [B, S]] of each representative,
-            # fields stacked u then lam
-            s, b = stab[:, rows, cols], diff[:, rows, cols]
-            m, n = s.shape[1:]
-            out = np.empty((len(s), 2 * m, 2 * n))
-            np.negative(s, out=out[:, :m, :n])
-            out[:, :m, n:] = out[:, m:, :n] = b
-            out[:, m:, n:] = s
-            return out
-
+        local = _coupled(ops.group_stabilizers[rep_groups], ops.group_diffusion_forms[rep_groups])
+        # the local dofs of both fields' interiors (I) and edges (E)
+        fields = np.arange(local.shape[-1]).reshape(2, -1)
+        interior, edge = fields[:, :dim].ravel(), fields[:, dim:].ravel()
         chol = np.linalg.cholesky(ops.group_mass_k[rep_groups] / mesh.tri_areas[reps, None, None])
         self.basis = np.zeros((len(reps), 2 * dim, 2 * dim))
         self.basis[:, :dim, :dim] = self.basis[:, dim:, dim:] = np.linalg.inv(chol).swapaxes(1, 2)
         basis_t = self.basis.swapaxes(1, 2)
         # the interior block and the interior rows, in the orthonormal basis
-        inner = basis_t @ coupled(interior, interior) @ self.basis
+        inner = basis_t @ local[:, interior[:, None], interior] @ self.basis
         self.inverse = np.linalg.inv(inner)
-        coupling = basis_t @ coupled(interior, edge)
+        coupling = basis_t @ local[:, interior[:, None], edge]
         # C = M_II^-1 M_IE, so the local Schur block is M_EE - M_IE^T C
         self.coupling = np.linalg.solve(inner, coupling)
-        schur = coupled(edge, edge) - coupling.swapaxes(1, 2) @ self.coupling
+        schur = local[:, edge[:, None], edge] - coupling.swapaxes(1, 2) @ self.coupling
         # free-dof positions of the unknowns of matrix, the free edge dofs
         self.numbered, self.edge_pos = _nested_numbering(system)
         self.primal = self.numbered < nf
@@ -501,22 +488,6 @@ def _edge_interpolation(k):
     return out
 
 
-def _schur_inverse(reduced, gauge_dim):
-    """The inverse that the LU of reduced's Schur matrix with _ORDERED_LU
-    applies to a free-dof vector, as a function, and the gauge kernel
-    vector v (None without one), for a gauge kernel of dimension gauge_dim,
-    0 or 1: b -> A^-1 b, or b -> P A^-1 P b with P = I - v v^T."""
-    lu = _factor(reduced.matrix, **_ORDERED_LU)
-    if not gauge_dim:
-        return lambda b: reduced.solve(lu, b), None
-    # the full kernel vector, unit in the original coordinates, so the
-    # representative is the full path's: v.x = 0
-    null_dir = reduced.expand(_null_direction(lu))
-    null_dir /= np.linalg.norm(null_dir)
-    return (lambda b: _project_out(reduced.solve(lu, _project_out(b, null_dir)), null_dir),
-            null_dir)
-
-
 def _solve_full(matrix, rhs, gauge_dim):
     """Solution and gauge kernel vector (None without one) from an LU of
     the full free-dof matrix with SuperLU's defaults, for a gauge kernel
@@ -556,35 +527,51 @@ def _bordered(matrix, col):
                           np.append(indptr, indptr[-1] + len(rows))), shape=(n + 1, n + 1))
 
 
-def solve(system):
-    """Factorize and solve; returns the primal and multiplier fields with
-    the fixed boundary values merged back in.  The kernel dimensions
+def _inverse(system):
+    """The path that solve takes: the function b -> (x, v) that solves
+    A x = b for the free-dof matrix A, v its gauge kernel vector (None
+    without one), the gauge kernel's dimension and the condensation (None
+    where it is not factored).  The kernel dimensions
     (_Condensation.kernel_dims) come before any factorization: a primal
-    kernel raises SingularSystemError; up to one gauge direction factors
-    the Schur matrix; two or more (t3-t5 at k = 3) free the condensation
-    unfactored and factor the natural free-dof matrix, which only this
-    path builds.  The residual check applies the local matrices."""
-    ops, nf = system.ops, len(system.u_free)
+    kernel raises SingularSystemError.  Up to one gauge direction the Schur
+    matrix is factored here, with _ORDERED_LU, and x is A^-1 b, or
+    P A^-1 P b with P = I - v v^T.  Two or more (t3-t5 at k = 3) free the
+    condensation unfactored, and the function factors the natural free-dof
+    matrix, which only this path builds (_solve_full)."""
     reduced = _Condensation(system)
     primal_dim, gauge_dim = reduced.kernel_dims()
     if primal_dim:
         raise SingularSystemError("singular system: the primal field is not unique")
     if gauge_dim > 1:
-        del reduced  # its arrays go before the full matrix is built
-        x, null_dir = _solve_full(_free_matrix(system), system.rhs, gauge_dim)
-    else:
-        inverse, null_dir = _schur_inverse(reduced, gauge_dim)
-        x = inverse(system.rhs)
-        del inverse  # its LU goes before the residual check
+        return (lambda b: _solve_full(_free_matrix(system), b, gauge_dim)), gauge_dim, None
+    lu = _factor(reduced.matrix, **_ORDERED_LU)
+    null_dir = None
+    if gauge_dim:
+        # the full kernel vector, unit in the original coordinates, so the
+        # representative is the full path's: v.x = 0
+        null_dir = reduced.expand(_null_direction(lu))
+        null_dir /= np.linalg.norm(null_dir)
+    return (lambda b: (_project_out(reduced.solve(lu, _project_out(b, null_dir)), null_dir),
+                       null_dir)), gauge_dim, reduced
+
+
+def solve(system):
+    """Factorize and solve on the path of _inverse; returns the primal and
+    multiplier fields with the fixed boundary values merged back in.  The
+    residual check applies the local matrices."""
+    ops, nf = system.ops, len(system.u_free)
+    inverse, _, reduced = _inverse(system)
+    x, null_dir = inverse(system.rhs)
+    # the LU goes before the residual check, the condensation on return:
+    # freed earlier, its pages go back to the system, and the next level
+    # faults them in again (measured: +5% on a t3, k=2, n=16 level)
+    del inverse
     if not np.all(np.isfinite(x)):
         raise SingularSystemError("direct solver produced a non-finite solution")
 
-    residual_vec = _local_product(system, x) - system.rhs
-    if null_dir is not None:
-        # the component along the kernel image is a data-compatibility
-        # defect (quadrature-level), not a solver error
-        residual_vec = _project_out(residual_vec, null_dir)
-    residual = np.linalg.norm(residual_vec)
+    # the component along the kernel image is a data-compatibility defect
+    # (quadrature-level), not a solver error
+    residual = np.linalg.norm(_project_out(_local_product(system, x) - system.rhs, null_dir))
     norm = _local_column_sums(system).max()
     scale = np.linalg.norm(system.rhs) + norm * np.linalg.norm(x)
     if residual > _RESIDUAL_TOL * max(scale, 1e-300):
@@ -606,28 +593,26 @@ def condition_estimate(system):
     """Estimate of the 1-norm condition number ||A||_1 ||A^-1||_1 of the
     free-dof matrix A, from the LU that solve factors.
 
-    The kernel dimensions are solve's (_Condensation.kernel_dims), read
+    The kernel dimensions and the path are solve's (_inverse), decided
     before anything is factored.  A primal kernel, or a gauge kernel of
     two or more directions (t3-t5 at k = 3), gives +inf at once, and so
     does a failed factorization.  ||A||_1 is the exact norm that scales
     solve's residual check.  A^-1 is the inverse that solve applies
-    (_schur_inverse); along one gauge direction v it is P A^-1 P with
+    (_inverse); along one gauge direction v it is P A^-1 P with
     P = I - v v^T, so the estimate is that of the system solve solves, on
     the complement of v.  Up to _DENSE_COND_LIMIT free dofs the inverse is
     applied to every unit vector, above it the Higham-Tisseur 1-norm
     estimator applies it, from a fixed random state on every call."""
-    reduced = _Condensation(system)
-    primal_dim, gauge_dim = reduced.kernel_dims()
-    if primal_dim or gauge_dim > 1:
-        return math.inf
     try:
-        inverse = _schur_inverse(reduced, gauge_dim)[0]
+        inverse, gauge_dim, _ = _inverse(system)
     except SingularSystemError:
+        return math.inf
+    if gauge_dim > 1:
         return math.inf
     n = system.n_free
     # A is symmetric, and so is the inverse; matmat hands matvec columns
-    op = spla.LinearOperator((n, n), matvec=lambda b: inverse(b.ravel()),
-                             rmatvec=lambda b: inverse(b.ravel()), dtype=float)
+    op = spla.LinearOperator((n, n), matvec=lambda b: inverse(b.ravel())[0],
+                             rmatvec=lambda b: inverse(b.ravel())[0], dtype=float)
     if n <= _DENSE_COND_LIMIT:
         inv_norm = np.linalg.norm(op @ np.eye(n), 1)
     else:

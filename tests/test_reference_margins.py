@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from pdwg.cli import LevelResult
+from pdwg.cli import ConvergenceReport, LevelResult
 from pdwg.norms import ErrorReport
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "reference_margins.py"
@@ -23,9 +23,10 @@ def load_tool():
 
 def test_margins_of_the_gauge_workload_are_sorted_and_pass(capsys):
     # one row per level and error functional, largest margin first; every
-    # level passes the benchmark's check, so every margin is below 1
+    # level passes the benchmark's check, so every margin is below 1 and
+    # the exit status is 0
     tool = load_tool()
-    tool.main(["--workload", "gauge-k2-n16"])
+    assert tool.main(["--workload", "gauge-k2-n16"]) == 0
     rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
     assert sorted((row[1], row[2]) for row in rows) == sorted(
         (key, column) for key in GAUGE_LEVELS for column in tool.workloads.COLUMNS)
@@ -53,3 +54,34 @@ def test_tolerance_is_the_reference_checks(column):
         reason = reference.check_level(case_id, k, level)
         assert (reason is None) == passes
         assert passes or column in reason
+
+
+def test_a_margin_of_one_or_more_exits_with_1(monkeypatch, capsys):
+    # the loaded reference moved by twice its tolerance on one value: that
+    # row leads with a margin of about 2, and the exit status is 1
+    tool = load_tool()
+    reference = tool.workloads.load_reference()
+    want = reference.values[("t3", 2, 4)]
+    want["resid_u"] += 2 * tool.tolerance(reference, 2, 4, "resid_u", want["resid_u"])
+    monkeypatch.setattr(tool.workloads, "load_reference", lambda: reference)
+    assert tool.main(["--workload", "gauge-k2-n16"]) == 1
+    top = capsys.readouterr().out.splitlines()[1].split()
+    assert top[1:3] == ["t3:k2:n4", "resid_u"] and float(top[0]) == pytest.approx(2.0, rel=1e-3)
+
+
+def test_a_level_that_fails_to_solve_exits_with_1(monkeypatch, capsys):
+    # a level without a report leads with an infinite margin and its
+    # message, and the exit status is 1
+    tool = load_tool()
+    real_run_study = tool.run_study
+
+    def run_study(case_id, ladder, k):
+        if ladder == [8]:
+            failed = LevelResult(n=8, h=0.125, wall_ms=0.0, message="singular")
+            return ConvergenceReport(case_id=case_id, k=k, levels=[failed])
+        return real_run_study(case_id, ladder, k=k)
+
+    monkeypatch.setattr(tool, "run_study", run_study)
+    assert tool.main(["--workload", "gauge-k2-n16"]) == 1
+    top = capsys.readouterr().out.splitlines()[1].split()
+    assert top[:3] == ["inf", "t3:k2:n8", "singular"]

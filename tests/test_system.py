@@ -18,12 +18,12 @@ from pdwg.system import (
     SingularSystemError,
     _bordered,
     _Condensation,
+    _inverse,
     _local_column_sums,
     _local_product,
     _null_direction,
     _one_norm,
     _positions,
-    _schur_inverse,
     _solve_full,
     _sparse_sum,
     assemble,
@@ -394,14 +394,9 @@ def polynomial_exact(case_id, k):
 
 def solve_path(system):
     """The free-dof solution and gauge kernel vector (None without one) of
-    the path solve takes: the Schur matrix's ordered LU up to one gauge
-    direction, the full matrix's with two or more."""
-    reduced = _Condensation(system)
-    gauge_dim = reduced.kernel_dims()[1]
-    if gauge_dim > 1:
-        return _solve_full(system.matrix, system.rhs, gauge_dim)
-    inverse, null_dir = _schur_inverse(reduced, gauge_dim)
-    return inverse(system.rhs), null_dir
+    the path solve takes (_inverse): the Schur matrix's ordered LU up to
+    one gauge direction, the full matrix's with two or more."""
+    return _inverse(system)[0](system.rhs)
 
 
 def test_kernel_cutoff_keeps_a_hundredfold_margin_on_both_sides(monkeypatch):
@@ -481,6 +476,23 @@ def test_variable_coefficients_without_a_candidate_leave_no_kernel():
     # (1 + x) and 1.3e-8 (exp(y)), both at k=3, n=8
     assert not [(a, k, n) for a in NO_CANDIDATE for k in (1, 2, 3) for n in (2, 4, 8)
                 if kernel_dims("t3", k, n, a) != (0, 0)]
+
+
+@pytest.mark.parametrize("n,ratio", [(16, 8.3e-10), (32, 5.3e-11)])
+def test_near_kernel_of_exp_y_keeps_a_tenfold_margin_above_the_cutoff(monkeypatch, n, ratio):
+    # on t3's sides a = exp(y) leaves the multiplier a near kernel, which
+    # closes in on the cutoff as h^(k+1): the smallest singular value ratio
+    # of kernel_dims's stacked matrix reads 8.3e-10 at k=3, n=16 and
+    # 5.3e-11 at n=32 (the _KERNEL_CUTOFF comment), the next one 3.2e-5 and
+    # 8.7e-6.  No kernel is counted, also at 10x the cutoff; and the ratio
+    # lies within 2x of the comment's figure: a cutoff of half of it counts
+    # no direction, one of twice it counts that one
+    reduced = _Condensation(catalog_system("t3", 3, n, NO_CANDIDATE[1]))
+    cutoff = pdwg.system._KERNEL_CUTOFF
+    assert reduced.kernel_dims() == (0, 0)
+    for value, dims in ((10 * cutoff, (0, 0)), (ratio / 2, (0, 0)), (2 * ratio, (0, 1))):
+        monkeypatch.setattr(pdwg.system, "_KERNEL_CUTOFF", value)
+        assert reduced.kernel_dims() == dims, value
 
 
 @pytest.mark.parametrize("a", NO_CANDIDATE, ids=["1+x", "exp(y)"])
@@ -960,7 +972,8 @@ def test_lift_from_the_dirichlet_triangles_is_the_all_triangle_lift(mesh_name, k
     unlifted = assemble(config, dataclasses.replace(case, u=lambda x, y: np.zeros_like(x)),
                         ops).rhs
     up = np.flatnonzero(ops.dofmap.fixed_masks(config)[0])
-    pp, (pu, pl), groups = _positions(ops, up), system.positions, ops.input_groups
+    pp, groups = _positions(ops, up), ops.input_groups
+    pu, pl = np.split(system.positions, 2, axis=1)
     assert np.any(np.all(pp < 0, axis=1))
     lift = _sparse_sum([(pu, pp, ops.group_stabilizers[groups]),
                         (pl, pp, ops.group_diffusion_forms[groups])],

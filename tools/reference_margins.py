@@ -8,9 +8,10 @@ per level and error functional: |value - reference| / tolerance, the
 tolerance being the one the benchmark's reference check applies
 (``perfbench/workloads.py``), largest margin first.  A margin of 1 or more
 fails that check; a level that fails to solve prints an infinite margin and
-its message.  ``--workload`` runs that workload's levels only.  Reads
-``perfbench/reference.json`` and ``perfbench/workloads.py`` and changes
-neither.
+its message.  Exits with 1 when any margin is 1 or more, else with 0, so a
+change that moves solution bits can gate on it.  ``--workload`` runs that
+workload's levels only.  Reads ``perfbench/reference.json`` and
+``perfbench/workloads.py`` and changes neither.
 """
 
 import argparse
@@ -53,6 +54,8 @@ def level_margins(reference, case_id, k, n):
 
 
 def main(argv=None):
+    """Print the margins; returns the exit status, 1 when any margin is 1
+    or more."""
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", choices=workloads.WORKLOADS,
                         help="run this workload's levels only")
@@ -69,7 +72,8 @@ def main(argv=None):
           f"{'tolerance':>9s}")
     for margin, key, column, got, want, tol in rows:
         print(f"{margin:9.3g}  {key:14s} {column:13s} {got!r:>24s} {want!r:>24s} {tol:9.2e}")
+    return int(not all(row[0] < 1.0 for row in rows))
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -342,11 +342,10 @@ def l2_project_element(f, ops, t):
 
 def l2_project_edge(f, ops, e):
     """Coefficients of the L2 projection of f onto P_k of edge e, on the
-    edge points and weights (LocalOperators.edge_rule) and edge basis
-    ops.beta of the level context ops; an index array or slice e gives
-    (..., k+1) with one call of f on all points."""
-    pts, wts = ops.edge_rule(e)
-    return _project(ops.beta, wts, sample(f, pts))
+    edge rule (ops.edge_pts, ops.edge_wts) and edge basis ops.beta of the
+    level context ops; an index array or slice e gives (..., k+1) with one
+    call of f on all points."""
+    return _project(ops.beta, ops.edge_wts[e], sample(f, ops.edge_pts[e]))
 
 
 def l2_project_weak(u, ops):

@@ -95,35 +95,36 @@ def _flux_maps(ops):
 
     div (T, nq, 2 dim_r)          div(a G) at the triangle points, by the
                                   product rule div(a G) = sum_ij a_ij d_i G_j
-                                  + sum_j (sum_i d_i a_ij) G_j; computed on
-                                  one triangle per group of byte-equal
-                                  kernel inputs and divergence samples
-                                  (ops.groups_with), then gathered
-    trace (E, 2, mq, 2 dim_r)     (a G) . n_e at the points of every edge from
-                                  the triangle of either side (mesh.edge_slots),
-                                  against the fixed global edge normal n_e
+                                  + sum_j (sum_i d_i a_ij) G_j; the first sum
+                                  computed on one triangle per group of
+                                  byte-equal kernel inputs (ops.input_reps),
+                                  which include a at the points, and gathered;
+                                  the second, zero for a constant a, added
+                                  per triangle
+    trace (E, 2, mq, 2 dim_r)     (a G) . n_e at the points of every edge
+                                  (ops.edge_pts) from the triangle of either
+                                  side (mesh.edge_slots), against the fixed
+                                  global edge normal n_e
     """
     mesh = ops.mesh
     nt, nq = ops.tri_wts.shape
     x, y = ops.tri_pts.reshape(-1, 2).T
-    divergence = ops.a.divergence(x, y).reshape(nt, nq, 2, 1)
-    reps, group = ops.groups_with(divergence)
-    tensor = ops.a.tensor(x, y).reshape(nt, nq, 2, 2)[reps]
-    rows = ops.input_groups[reps]
-    gr, vr = ops.group_gr[rows], ops.group_vr[rows]
+    tensor, gr = ops.a.tensor(x, y).reshape(nt, nq, 2, 2)[ops.input_reps], ops.group_gr
     # sum_i a_ij d_i phi_m, as the sum of its two products
     div = tensor[:, :, 0, :, None] * gr[:, :, None, :, 0]
     div += tensor[:, :, 1, :, None] * gr[:, :, None, :, 1]
-    div += divergence[reps] * vr[:, :, None, :]
-    mq, dimr = ops.group_edge_vr.shape[-2:]
-    # both sides' points are those of side 0: edge points follow the edge
-    slots = mesh.edge_slots
-    x, y = ops.edge_rule(slice(None))[0].reshape(-1, 2).T
-    tensor, normal = ops.a.tensor(x, y).reshape(-1, mq, 2, 2), mesh.edge_normals[:, None, :, None]
+    div = div[ops.input_groups]
+    if not ops.a.constant:
+        vr = ops.group_vr[ops.input_groups, :, None, :]
+        div += ops.a.divergence(x, y).reshape(nt, nq, 2, 1) * vr
+    x, y = ops.edge_pts.reshape(-1, 2).T
+    tensor = ops.a.tensor(x, y).reshape(*ops.edge_wts.shape, 2, 2)
+    normal = mesh.edge_normals[:, None, :, None]
     normal_a = normal[:, :, 0] * tensor[:, :, 0] + normal[:, :, 1] * tensor[:, :, 1]
+    slots = mesh.edge_slots
     edge_vr = ops.group_edge_vr[ops.input_groups[slots // 3], slots % 3]
     trace = normal_a[:, None, :, :, None] * edge_vr[:, :, :, None]
-    return div[group].reshape(nt, nq, -1), trace.reshape(*trace.shape[:3], -1)
+    return div.reshape(nt, nq, -1), trace.reshape(*trace.shape[:3], -1)
 
 
 def _residual_terms(ops, fields, edge_flags, weak=True):
@@ -146,7 +147,7 @@ def _residual_terms(ops, fields, edge_flags, weak=True):
     traces = trace_map @ gamma[tris]
     jump = traces[:, 0] - np.where((slots[:, 0] != slots[:, 1])[:, None, None], traces[:, 1], 0.0)
     weight = mesh.h_tri[tris].max(axis=1)
-    wts = ops.edge_rule(slice(None))[1]
+    wts = ops.edge_wts
     terms = []
     for f, (v, flags) in enumerate(zip(fields, edge_flags)):
         edges = ~mesh.is_boundary_edge | flags

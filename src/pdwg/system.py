@@ -42,13 +42,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .fespace import WeakFunction, edge_basis, l2_project_edge, sample, tri_exponents
+from .fespace import WeakFunction, gram, l2_project_edge, sample, tri_exponents
 from .weakops import LocalOperators
 
 __all__ = [
@@ -143,33 +143,19 @@ def _positions(ops, dofs, offset=0):
 
 
 def _nested_numbering(system):
-    """The free edge unknowns numbered in the mesh's nested-dissection
-    order, each edge's free u dofs followed by its free lam dofs.  Returns
-    the natural free-dof index of each numbered unknown, in order, and the
-    int32 positions (T, 2 nloc_edge) of each triangle's local edge dofs, u
-    then lam, -1 where fixed."""
+    """The natural free-dof index of each free edge unknown, in the order
+    of the Schur matrix: sorted by the nested-dissection rank of the edge
+    (Mesh.nested_dissection), then by field (u before lam), then by slot
+    in the edge block."""
     ops, nf = system.ops, len(system.u_free)
-    dofmap = ops.dofmap
-    n_int, edim = dofmap.n_interior, dofmap.edge_dim
-    # an edge's u slots start where the edges before it end; its lam slots follow
+    n_int, edim = ops.dofmap.n_interior, ops.dofmap.edge_dim
     rank = np.empty(ops.mesh.n_edges, dtype=np.int64)
     rank[ops.mesh.nested_dissection] = np.arange(len(rank))
-    u_slot = ((2 * edim * rank)[:, None] + np.arange(edim)).ravel()
-    slots = (u_slot, u_slot + edim)
+    free = np.concatenate([system.u_free, system.lam_free])
     # interior dofs are never fixed and lead each field's free dofs
-    dofs = (system.u_free[n_int:] - n_int, system.lam_free[n_int:] - n_int)
-    taken = np.zeros(2 * len(u_slot), dtype=bool)
-    for slot, free in zip(slots, dofs):
-        taken[slot[free]] = True
-    place = (np.cumsum(taken) - 1).astype(np.int32)
-    numbered = np.empty(len(dofs[0]) + len(dofs[1]), dtype=np.int64)
-    positions = []
-    for slot, free, offset in zip(slots, dofs, (n_int, nf + n_int)):
-        pos = np.full(len(u_slot), -1, dtype=np.int32)
-        pos[free] = place[slot[free]]
-        numbered[pos[free]] = offset + np.arange(len(free))
-        positions.append(pos[ops.cell_dofs[:, dofmap.interior_dim:] - n_int])
-    return numbered, np.concatenate(positions, axis=1)
+    natural = np.concatenate([np.arange(n_int, nf), np.arange(nf + n_int, len(free))])
+    edge, slot = np.divmod(free[natural] - n_int, edim)
+    return natural[np.argsort((2 * rank[edge] + (natural >= nf)) * edim + slot)]
 
 
 def _scatter(pos, vals, n):
@@ -243,7 +229,7 @@ def assemble(config, case, ops):
     rhs_full[: dofmap.n_interior] = load.ravel()
     gn = config.gamma_n_edges
     if gn.size:
-        pts, wts = ops.edge_rule(gn)
+        pts, wts = ops.edge_pts[gn], ops.edge_wts[gn]
         # the one adjacent triangle of a boundary edge gives its outward normal
         slot = mesh.edge_slots[gn, 0]
         normals = np.repeat(ops.normals.reshape(-1, 2)[slot], wts.shape[1], axis=0)
@@ -372,10 +358,9 @@ class _Condensation:
 
     def __init__(self, system):
         ops, nf = system.ops, len(system.u_free)
-        dofmap, mesh = ops.dofmap, ops.mesh
+        dim, mesh = ops.dofmap.interior_dim, ops.mesh
         self.ops = ops
         self.free = np.concatenate([system.u_free, system.lam_free])
-        dim, n_tri = dofmap.interior_dim, mesh.n_triangles
         self.members = ops.class_members
         reps = self.members[:, 0]
         rep_groups = ops.input_groups[reps]
@@ -394,15 +379,19 @@ class _Condensation:
         # C = M_II^-1 M_IE, so the local Schur block is M_EE - M_IE^T C
         self.coupling = np.linalg.solve(inner, coupling)
         schur = local[:, edge[:, None], edge] - coupling.swapaxes(1, 2) @ self.coupling
-        # free-dof positions of the unknowns of matrix, the free edge dofs
-        self.numbered, self.edge_pos = _nested_numbering(system)
+        # free-dof positions of the unknowns of matrix, the free edge dofs,
+        # and each triangle's local dofs among them (-1 where fixed), read
+        # off the free-dof positions through the inverse of that order
+        self.numbered = _nested_numbering(system)
         self.primal = self.numbered < nf
         n_edge = len(self.numbered)
+        # one spare last entry, -1, which the position -1 of a fixed dof reads
+        place = np.full(system.n_free + 1, -1, dtype=np.int32)
+        place[self.numbered] = np.arange(n_edge)
+        self.interior = system.positions[:, interior]
+        self.edge_pos = place[system.positions[:, edge]]
         self.matrix = _sparse_sum([(self.edge_pos, self.edge_pos, schur[ops.classes])],
                                   (n_edge, n_edge))
-        # free-dof positions: every interior dof is free and leads its block
-        cells = dofmap.interior_block(np.arange(n_tri))
-        self.interior = np.concatenate([cells, nf + cells], axis=1)
 
     def _by_class(self, rows, tables):
         """Each triangle's row vector rows[t] times its class's matrix,
@@ -441,19 +430,20 @@ class _Condensation:
         singular values of [matrix X; X_fixed] at or below
         _KERNEL_CUTOFF ||matrix||_1."""
         ops = self.ops
-        mesh, n_int = ops.mesh, ops.dofmap.n_interior
-        # a monomial restricted to an edge lies in P_k: interpolating it at
-        # k + 1 points of the edge coordinate gives Q_b p exactly
-        t, interpolate, px, py = _edge_interpolation(ops.k)
-        ends = mesh.vertices[mesh.edges]
-        pts = mesh.edge_midpoints[:, None] + t[:, None] * (ends[:, 1] - ends[:, 0])[:, None]
+        n_int, w0 = ops.dofmap.n_interior, ops.rule.edge_weights
+        # Q_b p from the values of p at each edge's points (ops.edge_pts):
+        # every edge's Gram matrix is its length times the reference one,
+        # so one matrix projects them all, exactly for p of degree <= k
+        project = np.linalg.solve(gram(ops.beta, w0), ops.beta.T * w0)
+        px, py = np.array(tri_exponents(ops.k)).T
+        pts = ops.edge_pts
         # the monomials from products of the coordinates, not pow: only the
         # counts below are read, and they keep their 100x margins
         powers = [np.ones_like(pts), pts]
         for _ in range(ops.k - 1):
             powers.append(powers[-1] * pts)
         powers = np.stack(powers, axis=-1)
-        cand = np.linalg.qr((interpolate @ (powers[..., 0, px] * powers[..., 1, py]))
+        cand = np.linalg.qr((project @ (powers[..., 0, px] * powers[..., 1, py]))
                             .reshape(-1, len(px)))[0]
         dofs = self.free[self.numbered] - n_int
         n = len(dofs)
@@ -473,19 +463,6 @@ class _Condensation:
             stacked[i, n:n + n_fixed[i]] = cand[fixed[i]]
         sv = np.linalg.svd(stacked, compute_uv=False)
         return tuple(int(d) for d in np.count_nonzero(sv <= cutoff, axis=1))
-
-
-@lru_cache(maxsize=None)
-def _edge_interpolation(k):
-    """Per degree k: k + 1 points t of the edge coordinate, the inverse of
-    the edge basis at them, which takes the values there of a polynomial of
-    degree <= k in t to its coefficients, and the exponents (px, py) of the
-    monomials of degree <= k."""
-    t = np.linspace(-0.5, 0.5, k + 1)
-    out = (t, np.linalg.inv(edge_basis(k).eval(t)), *np.array(tri_exponents(k)).T)
-    for arr in out:
-        arr.setflags(write=False)
-    return out
 
 
 def _solve_full(matrix, rhs, gauge_dim):

@@ -177,14 +177,16 @@ def _equal_rows(*arrays):
 class LocalOperators:
     """Discretization context of one level (mesh, k, a): the level's single
     DofMap, the rule quadrature_for_degree(k), the quadrature tables of
-    every triangle, batched along a leading triangle axis T, and the basis
-    tables and local matrices of every group of triangles whose kernel
-    inputs agree byte for byte, batched along a leading group axis G:
+    every triangle and of every edge, batched along a leading triangle
+    axis T or edge axis E, and the basis tables and local matrices of
+    every group of triangles whose kernel inputs agree byte for byte,
+    batched along a leading group axis G:
 
     tri_pts (T, nq, 2), tri_wts (T, nq)   physical triangle rule
-    edge_pts (T, 3, mq, 2), edge_wts (T, 3, mq)
-                                          local edge l = (v_l, v_{l+1}), points
-                                          in the global edge orientation
+    edge_pts (E, mq, 2), edge_wts (E, mq) physical edge rule of every edge,
+                                          points in the global edge orientation;
+                                          local edge l = (v_l, v_{l+1}) of
+                                          triangle t is edge mesh.tri_edges[t, l]
     normals (T, 3, 2)                     outward unit normals of the local edges
     input_groups (T,), input_reps (G,)    group of each triangle whose kernel
                                           inputs (scaled points, weights,
@@ -215,8 +217,9 @@ class LocalOperators:
     group_stabilizers[g] and group_diffusion_forms[g] of its group
     g = input_groups[t], bit for bit those that the kernels compute on t;
     those of one class agree up to roundoff.  No table is kept per
-    triangle: a call whose arithmetic is batched per triangle gathers the
-    rows it reads (table[input_groups]) and drops them on return.
+    triangle, and no edge table per local edge: a call whose arithmetic is
+    batched per triangle gathers the rows it reads (table[input_groups],
+    edge_wts[mesh.tri_edges]) and drops them on return.
     assemble, solve and error_report all read the same instance.
     """
 
@@ -229,15 +232,17 @@ class LocalOperators:
         center, scale = mesh.tri_centroids[:, None, :], h[:, None, None]
         kbasis, rdim = element_basis(k), element_basis(k - 1).dim
         self.tri_pts, self.tri_wts = tri_quad(mesh, np.arange(mesh.n_triangles), rule)
-        self.edge_pts, self.edge_wts, _ = edge_quad(mesh, mesh.tri_edges, rule)
+        self.edge_pts, self.edge_wts, _ = edge_quad(mesh, np.arange(mesh.n_edges), rule)
         self.normals = mesh.tri_edge_signs[..., None] * mesh.edge_normals[mesh.tri_edges]
         self.beta = edge_basis(k).eval(rule.edge_points)
-        # everything the kernels read, one row per triangle
+        # everything the kernels read, one row per triangle; the edge rule
+        # gathered to the local edges only for this call
+        edge_wts = self.edge_wts[mesh.tri_edges]
         tri_scaled = (self.tri_pts - center) / scale
-        edge_scaled = (self.edge_pts - center[:, None]) / scale[:, None]
+        edge_scaled = (self.edge_pts[mesh.tri_edges] - center[:, None]) / scale[:, None]
         tensor = a.tensor(*self.tri_pts.reshape(-1, 2).T).reshape(len(h), -1, 2, 2)
         self.input_reps, self.input_groups = _equal_rows(
-            tri_scaled, edge_scaled, self.tri_wts, self.edge_wts, self.normals, h, tensor)
+            tri_scaled, edge_scaled, self.tri_wts, edge_wts, self.normals, h, tensor)
         reps = self.input_reps
         tri_wts = self.tri_wts[reps]
         # the graded P_{k-1} basis is the leading part of the P_k basis
@@ -247,33 +252,16 @@ class LocalOperators:
         self.group_vr, self.group_edge_vr = vk[..., :rdim], self.group_edge_vk[..., :rdim]
         self.group_mass_k = gram(vk, tri_wts)
         self.group_mass_r = gram(self.group_vr, tri_wts)
-        self.group_grad_maps = _grad_maps(tri_wts, vk, self.group_gr, self.edge_wts[reps],
+        self.group_grad_maps = _grad_maps(tri_wts, vk, self.group_gr, edge_wts[reps],
                                           self.group_edge_vr, self.beta, self.normals[reps],
                                           self.group_mass_r)
-        self.group_stabilizers = _stabilizers(self.group_edge_vk, self.edge_wts[reps],
+        self.group_stabilizers = _stabilizers(self.group_edge_vk, edge_wts[reps],
                                               self.beta, h[reps])
         self.group_diffusion_forms = _diffusion_forms(self.group_grad_maps, self.group_vr,
                                                       tri_wts, tensor[reps])
         self.classes = mesh.tri_classes if a.constant else np.arange(mesh.n_triangles)
         self.class_members = np.argsort(self.classes, kind="stable").reshape(
             self.classes.max() + 1, -1)
-
-    def groups_with(self, *arrays):
-        """Representatives and groups, as input_reps and input_groups, of the
-        triangles whose kernel inputs and whose rows of the arrays (leading
-        axis T) agree byte for byte."""
-        if any(arr.strides[0] for arr in arrays):
-            return _equal_rows(self.input_groups, *arrays)
-        return self.input_reps, self.input_groups
-
-    def edge_rule(self, e):
-        """Points (..., mq, 2) and ds-weights (..., mq) of the edges e (an
-        index, index array or slice), read from the tables of each edge's
-        first triangle (mesh.edge_slots); the points follow the global edge
-        orientation, so either side's agree."""
-        slot = self.mesh.edge_slots[e, 0]
-        return (self.edge_pts.reshape(-1, *self.edge_pts.shape[2:])[slot],
-                self.edge_wts.reshape(-1, self.edge_wts.shape[-1])[slot])
 
     def check(self, v):
         """Raise ValueError unless the weak function v lives on this

@@ -329,8 +329,9 @@ FLUX_COEFFICIENTS = {
 @pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("coefficient", sorted(FLUX_COEFFICIENTS))
 def test_flux_divergence_map_is_the_all_triangle_map_bit_for_bit(k, coefficient):
-    # _flux_maps computes the divergence map on one triangle per group of
-    # byte-equal kernel inputs and divergence samples, then gathers it
+    # _flux_maps computes the a . grad part of the divergence map on one
+    # triangle per group of byte-equal kernel inputs, gathers it, and adds
+    # the divergence samples of a callable coefficient per triangle
     ops = LocalOperators(build_uniform_mesh(8), k, FLUX_COEFFICIENTS[coefficient])
     nt, nq = ops.tri_wts.shape
     x, y = ops.tri_pts.reshape(-1, 2).T

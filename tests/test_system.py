@@ -717,6 +717,39 @@ def test_one_factorization_alive_and_no_factor_copies(monkeypatch, case_id, k, s
     assert len(made) == solve_calls + estimate_calls
 
 
+@pytest.mark.parametrize("case_id,k", [("t6", 1), ("t3", 2)])
+def test_solve_frees_its_lu_before_the_check_and_its_condensation_on_return(monkeypatch,
+                                                                            case_id, k):
+    # the Schur LU goes before the residual check, the condensation only on
+    # return: freed earlier, its pages go back to the system and the next
+    # level faults them in again.  t6 has no gauge kernel, t3 at k=2 one
+    real_splu, real_product = spla.splu, pdwg.system._local_product
+    made, built, checks = [], [], []
+
+    def splu(*args, **kwargs):
+        lu = NoFactorCopies(real_splu(*args, **kwargs))
+        made.append(weakref.ref(lu))
+        return lu
+
+    class RecordingCondensation(_Condensation):
+        def __init__(self, system):
+            super().__init__(system)
+            built.append(weakref.ref(self))
+
+    def local_product(*args):
+        assert made and all(ref() is None for ref in made), "an LU is alive in the check"
+        assert len(built) == 1 and built[0]() is not None, "the condensation is gone"
+        checks.append(1)
+        return real_product(*args)
+
+    monkeypatch.setattr(pdwg.system.spla, "splu", splu)
+    monkeypatch.setattr(pdwg.system, "_Condensation", RecordingCondensation)
+    monkeypatch.setattr(pdwg.system, "_local_product", local_product)
+    solve(catalog_system(case_id, k, 4))
+    assert len(checks) == 1
+    assert built[0]() is None
+
+
 def record_factorizations(monkeypatch):
     """Route pdwg.system's splu through a recorder: one (number of
     positional arguments, keyword arguments, LU fill, order) per call."""
@@ -799,6 +832,30 @@ def test_full_matrix_built_only_where_solve_factors_it(monkeypatch, case_id, k, 
     solve(system)
     assert shapes.count(full) == builds
     assert "matrix" not in vars(system)
+
+
+@pytest.mark.parametrize("case_id,k", [("t3", 2), ("t1", 3)])
+def test_schur_numbering_is_one_sort_key(case_id, k):
+    # the free edge unknowns are numbered by the key (nested-dissection rank
+    # of the edge, field, slot in the edge block), and each triangle's
+    # edge_pos reads that numbering off the free-dof positions; both cases
+    # fix u edge dofs and lam edge dofs
+    system = catalog_system(case_id, k, 4)
+    reduced = _Condensation(system)
+    ops, nf, n = system.ops, len(system.u_free), system.n_free
+    dofmap = ops.dofmap
+    n_int, edim = dofmap.n_interior, dofmap.edge_dim
+    assert nf < dofmap.n_dofs and n - nf < dofmap.n_dofs
+    assert np.array_equal(np.sort(reduced.numbered), np.r_[n_int:nf, nf + n_int:n])
+    rank = np.argsort(ops.mesh.nested_dissection)
+    dofs = np.concatenate([system.u_free, system.lam_free])[reduced.numbered] - n_int
+    keys = list(zip(rank[dofs // edim], reduced.numbered >= nf, dofs % edim))
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+    cols = np.arange(system.positions.shape[1]).reshape(2, -1)[:, dofmap.interior_dim:].ravel()
+    natural = system.positions[:, cols]
+    free = natural >= 0
+    assert np.array_equal(reduced.edge_pos >= 0, free)
+    assert np.array_equal(reduced.numbered[reduced.edge_pos[free]], natural[free])
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -985,9 +1042,9 @@ def test_lift_from_the_dirichlet_triangles_is_the_all_triangle_lift(mesh_name, k
 
 
 # what a context keeps per triangle: its quadrature and the kernel inputs
-# made from it, the dof layout, the input groups and the congruence classes
-PER_TRIANGLE = {"tri_pts", "tri_wts", "edge_pts", "edge_wts", "normals", "h", "cell_dofs",
-                "input_groups", "classes"}
+# made from it, the dof layout, the input groups and the congruence classes;
+# the edge rule is kept per edge
+PER_TRIANGLE = {"tri_pts", "tri_wts", "normals", "h", "cell_dofs", "input_groups", "classes"}
 
 
 def test_no_per_triangle_table_outlives_the_call_that_reads_it():

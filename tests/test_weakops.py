@@ -558,20 +558,21 @@ def all_triangle_tables(ops):
     once, with no grouping of triangles of equal inputs."""
     mesh, k = ops.mesh, ops.k
     center, scale = mesh.tri_centroids[:, None, :], mesh.h_tri[:, None, None]
+    edge_pts, edge_wts = ops.edge_pts[mesh.tri_edges], ops.edge_wts[mesh.tri_edges]
     tri_scaled = (ops.tri_pts - center) / scale
-    edge_scaled = (ops.edge_pts - center[:, None]) / scale[:, None]
+    edge_scaled = (edge_pts - center[:, None]) / scale[:, None]
     tensor = ops.a.tensor(*ops.tri_pts.reshape(-1, 2).T).reshape(mesh.n_triangles, -1, 2, 2)
     rdim = element_basis(k - 1).dim
     vk = element_basis(k).eval(tri_scaled)
     gr = element_basis(k - 1).grad(tri_scaled, mesh.h_tri[:, None])
     edge_vk = element_basis(k).eval(edge_scaled)
     mass_r = gram(vk[..., :rdim], ops.tri_wts)
-    grad_maps = weakops._grad_maps(ops.tri_wts, vk, gr, ops.edge_wts, edge_vk[..., :rdim],
+    grad_maps = weakops._grad_maps(ops.tri_wts, vk, gr, edge_wts, edge_vk[..., :rdim],
                                    ops.beta, ops.normals, mass_r)
     return dict(
         vk=vk, gr=gr, edge_vk=edge_vk, mass_k=gram(vk, ops.tri_wts), mass_r=mass_r,
         grad_maps=grad_maps,
-        stabilizers=weakops._stabilizers(edge_vk, ops.edge_wts, ops.beta, mesh.h_tri),
+        stabilizers=weakops._stabilizers(edge_vk, edge_wts, ops.beta, mesh.h_tri),
         diffusion_forms=weakops._diffusion_forms(grad_maps, vk[..., :rdim], ops.tri_wts, tensor))
 
 
@@ -598,6 +599,24 @@ def test_tables_are_the_all_triangle_tables_bit_for_bit(n, k, coefficient):
     # inputs; gathered, it must be the all-triangle batch byte for byte
     mesh = jittered_mesh() if n == "jittered" else build_uniform_mesh(n)
     assert_tables_are_all_triangle_tables(LocalOperators(mesh, k, COEFFICIENTS[coefficient]))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("n", [3, "jittered"])
+def test_edge_rule_is_kept_once_per_edge_bit_for_bit(n, k):
+    # row e of the edge rule is edge e's own rule, and gathered to the local
+    # edges it is the rule computed per local edge: both triangles of an
+    # edge read the same points and weights
+    mesh = jittered_mesh() if n == "jittered" else build_uniform_mesh(n)
+    ops = LocalOperators(mesh, k)
+    assert len(ops.edge_pts) == len(ops.edge_wts) == mesh.n_edges
+    for e in range(mesh.n_edges):
+        pts, wts, _ = edge_quad(mesh, e, ops.rule)
+        assert ops.edge_pts[e].tobytes() == pts.tobytes()
+        assert ops.edge_wts[e].tobytes() == wts.tobytes()
+    pts, wts, _ = edge_quad(mesh, mesh.tri_edges, ops.rule)
+    assert ops.edge_pts[mesh.tri_edges].tobytes() == pts.tobytes()
+    assert ops.edge_wts[mesh.tri_edges].tobytes() == wts.tobytes()
 
 
 @pytest.mark.parametrize("k,n,most", [(1, 32, 100), (2, 16, 64)])
@@ -636,8 +655,9 @@ def test_groups_are_the_byte_equal_classes():
     ops = LocalOperators(build_uniform_mesh(8), 2)
     mesh = ops.mesh
     center, scale = mesh.tri_centroids[:, None, :], mesh.h_tri[:, None, None]
-    inputs = ((ops.tri_pts - center) / scale, (ops.edge_pts - center[:, None]) / scale[:, None],
-              ops.tri_wts, ops.edge_wts, ops.normals, mesh.h_tri)
+    edge_pts, edge_wts = ops.edge_pts[mesh.tri_edges], ops.edge_wts[mesh.tri_edges]
+    inputs = ((ops.tri_pts - center) / scale, (edge_pts - center[:, None]) / scale[:, None],
+              ops.tri_wts, edge_wts, ops.normals, mesh.h_tri)
     rows = np.concatenate([arr.reshape(len(arr), -1).view(np.uint64) for arr in inputs], axis=1)
     _, first, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
     assert np.array_equal(ops.input_reps[ops.input_groups], first[inverse.reshape(-1)])

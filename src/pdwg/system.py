@@ -17,10 +17,10 @@ basis), factors the Schur matrix on the free edge dofs and recovers the
 interiors.  The dense local algebra of that condensation is done once per
 congruence class of the level's context (ops.classes: two on the uniform
 mesh under a constant coefficient, else one per triangle), and each
-triangle reads its class's tables.  The Schur matrix is
-assembled straight in the mesh's nested-dissection order
-(Mesh.nested_dissection), the u and lam dofs of one edge adjacent, and
-factored in that order in symmetric mode.  The kernel is decided first,
+triangle reads its class's tables.  The Schur matrix is assembled straight
+in the mesh's nested-dissection order (Mesh.nested_dissection), the u and
+lam dofs of one edge adjacent, unpaired ones (the other field fixed) last,
+and factored in that order in symmetric mode.  The kernel is decided first,
 from polynomial candidates (_Condensation.kernel_dims), and picks the
 path that solve and condition_estimate share (_inverse): a primal one
 raises SingularSystemError; along one multiplier (gauge) direction the
@@ -77,7 +77,10 @@ _KERNEL_CUTOFF = 1e-12
 _DENSE_COND_LIMIT = 800
 # SuperLU options for a matrix numbered in the mesh's nested-dissection
 # order (Mesh.nested_dissection): no column permutation, and pivots taken on
-# the diagonal, in symmetric mode, while they pass a 0.1 threshold
+# the diagonal, in symmetric mode, while they pass a 0.1 threshold.  Most
+# fail it and take a row of the same edge, which has the same pattern; the
+# unpaired unknowns are numbered last (_nested_numbering), as otherwise more
+# pivots leave the edge and fill (t1, k=3, n=16: 561 rows, 30 when last)
 _ORDERED_LU = dict(permc_spec="NATURAL", diag_pivot_thresh=0.1,
                    options=dict(SymmetricMode=True))
 
@@ -144,9 +147,9 @@ def _positions(ops, dofs, offset=0):
 
 def _nested_numbering(system):
     """The natural free-dof index of each free edge unknown, in the order
-    of the Schur matrix: sorted by the nested-dissection rank of the edge
-    (Mesh.nested_dissection), then by field (u before lam), then by slot
-    in the edge block."""
+    of the Schur matrix: the unpaired ones (the other field fixed) last,
+    each part sorted by the nested-dissection rank of the edge
+    (Mesh.nested_dissection), then by field (u before lam), then by slot."""
     ops, nf = system.ops, len(system.u_free)
     n_int, edim = ops.dofmap.n_interior, ops.dofmap.edge_dim
     rank = np.empty(ops.mesh.n_edges, dtype=np.int64)
@@ -154,8 +157,11 @@ def _nested_numbering(system):
     free = np.concatenate([system.u_free, system.lam_free])
     # interior dofs are never fixed and lead each field's free dofs
     natural = np.concatenate([np.arange(n_int, nf), np.arange(nf + n_int, len(free))])
-    edge, slot = np.divmod(free[natural] - n_int, edim)
-    return natural[np.argsort((2 * rank[edge] + (natural >= nf)) * edim + slot)]
+    dof = free[natural] - n_int
+    unpaired = np.bincount(dof)[dof] < 2
+    edge, slot = np.divmod(dof, edim)
+    key = (2 * rank[edge] + (natural >= nf)) * edim + slot
+    return natural[np.argsort(key + unpaired * 2 * len(rank) * edim)]
 
 
 def _scatter(pos, vals, n):

@@ -23,6 +23,7 @@ from pdwg.system import (
     _local_product,
     _null_direction,
     _one_norm,
+    _ORDERED_LU,
     _positions,
     _solve_full,
     _sparse_sum,
@@ -503,9 +504,9 @@ def test_near_kernel_of_a_variable_coefficient_is_not_projected_out(a):
     # one with a direction projected out.  t3's data do not fit these
     # coefficients, so lam_h is large (|lam| 2.5e12 and 1.3e13) and two
     # LUs agree only loosely.  Measured against an LU of the free-dof
-    # matrix: u 1.0e-3 and 1.8e-2, lam 6.7e-4 and 1.8e-2 relative (a
-    # projected solve: 0.98 to 1.0), and relative residuals 6.1e-17 and
-    # 5.3e-17 on the full matrix (projected: 1.2e-14 and 4.8e-15)
+    # matrix: u 9.1e-4 and 2.2e-3, lam 7.8e-4 and 1.5e-3 relative (a
+    # projected solve: 0.98 to 1.0), and relative residuals 5.9e-17 and
+    # 4.5e-17 on the full matrix (projected: 1.2e-14 and 4.8e-15)
     system = catalog_system("t3", 3, 8, a)
     assert _Condensation(system).kernel_dims() == (0, 0)
     nf = len(system.u_free)
@@ -525,10 +526,10 @@ def test_projected_gauge_solve_matches_the_bordered_solve(case_id, k, n):
     # with the kernel vector v that solve projects out (at k=2 recovered
     # from the Schur matrix's), returns the representative with v.x = 0,
     # the one solve's projection picks from the singular LU.  Largest
-    # relative differences measured: 3.0e-11 on u (t5, k=2, n=4), 1.9e-7 on
-    # lam (t3, k=2, n=8, where the exact multiplier is 0 and the discrete
-    # one is small), and 2.7e-13 for v.x against |lam| (t3, k=2, n=4); the
-    # bounds keep 33x, 10x and 36x
+    # relative differences measured, all at t3, k=2, n=8 (where the exact
+    # multiplier is 0 and the discrete one is small): 4.7e-12 on u, 2.3e-7
+    # on lam and 1.6e-12 for v.x against |lam|; the bounds keep 210x, 8x
+    # and 6x
     system = catalog_system(case_id, k, n)
     matrix, nf, n_free = system.matrix, len(system.u_free), system.n_free
     _, v = solve_path(system)
@@ -547,12 +548,12 @@ def test_projected_gauge_solve_matches_the_bordered_solve(case_id, k, n):
 def test_condensed_solve_matches_the_full_path(case_id, k):
     # the full path, an LU of the whole free-dof matrix, is the reference
     # for static condensation.  Largest relative differences measured over
-    # n = 1, 2, 4: u 3.0e-14 at k=1 (t14a, n=4), 1.2e-11 at k=2 (t3, n=2)
-    # and 3.5e-10 at k=3 (t1, n=4); lam 4.4e-13 at k=1 (t13, n=4), 2.8e-9
+    # n = 1, 2, 4: u 3.0e-14 at k=1 (t14c, n=4), 1.2e-11 at k=2 (t3, n=2)
+    # and 4.5e-10 at k=3 (t2, n=4); lam 3.7e-13 at k=1 (t13, n=4), 3.8e-9
     # at k=2 (t3, n=4) and 2.5e-7 at k=3 (t6, n=4), leaving out the
     # polynomial-exact cases, whose multiplier is pure roundoff.  Relative
     # residuals on the full matrix (kernel image projected out) reach
-    # 8.5e-17 at k=1 (t3, n=4) and 9.3e-16 at k >= 2 (t3, k=2, n=1),
+    # 9.1e-17 at k=1 (t3, n=4) and 7.1e-15 at k >= 2 (t3, k=2, n=4),
     # condensed, and 1.2e-15 on the full path.  Every bound keeps at least
     # 10x.  t3-t5 at k=3 have a two-dimensional gauge kernel and take the
     # full path itself, bit for bit
@@ -834,12 +835,15 @@ def test_full_matrix_built_only_where_solve_factors_it(monkeypatch, case_id, k, 
     assert "matrix" not in vars(system)
 
 
-@pytest.mark.parametrize("case_id,k", [("t3", 2), ("t1", 3)])
+@pytest.mark.parametrize("case_id,k", [("t3", 2), ("t1", 3), ("t6", 3)])
 def test_schur_numbering_is_one_sort_key(case_id, k):
-    # the free edge unknowns are numbered by the key (nested-dissection rank
-    # of the edge, field, slot in the edge block), and each triangle's
-    # edge_pos reads that numbering off the free-dof positions; both cases
-    # fix u edge dofs and lam edge dofs
+    # the free edge unknowns are numbered by the key (unpaired, nested-
+    # dissection rank of the edge, field, slot in the edge block), an
+    # unknown being unpaired when the other field of its edge dof is fixed,
+    # and each triangle's edge_pos reads that numbering off the free-dof
+    # positions.  All three fix u edge dofs and lam edge dofs; t6 fixes both
+    # on the same edges, so it has no unpaired unknown and its order is the
+    # (rank, field, slot) one
     system = catalog_system(case_id, k, 4)
     reduced = _Condensation(system)
     ops, nf, n = system.ops, len(system.u_free), system.n_free
@@ -849,13 +853,36 @@ def test_schur_numbering_is_one_sort_key(case_id, k):
     assert np.array_equal(np.sort(reduced.numbered), np.r_[n_int:nf, nf + n_int:n])
     rank = np.argsort(ops.mesh.nested_dissection)
     dofs = np.concatenate([system.u_free, system.lam_free])[reduced.numbered] - n_int
-    keys = list(zip(rank[dofs // edim], reduced.numbered >= nf, dofs % edim))
+    unpaired = ~np.isin(dofs, system.u_free - n_int) | ~np.isin(dofs, system.lam_free - n_int)
+    # increasing keys put every unpaired unknown after every paired one
+    keys = list(zip(unpaired, rank[dofs // edim], reduced.numbered >= nf, dofs % edim))
     assert all(a < b for a, b in zip(keys, keys[1:]))
+    if case_id == "t6":
+        assert not unpaired.any()
+    else:
+        assert 0 < unpaired.sum() < len(unpaired)
     cols = np.arange(system.positions.shape[1]).reshape(2, -1)[:, dofmap.interior_dim:].ravel()
     natural = system.positions[:, cols]
     free = natural >= 0
     assert np.array_equal(reduced.edge_pos >= 0, free)
     assert np.array_equal(reduced.numbered[reduced.edge_pos[free]], natural[free])
+
+
+@pytest.mark.parametrize("case_id,k,before", [("t1", 3, 275120), ("t3", 2, 134982),
+                                              ("t13", 3, 247756), ("t6", 3, 148096)])
+def test_unpaired_last_cuts_the_schur_lu_fill(case_id, k, before):
+    # numbering the unpaired unknowns last keeps SuperLU's pivots in the
+    # nested-dissection structure.  SuperLU.nnz of the Schur LU at n=8,
+    # measured with the (rank, field, slot) order that numbered them among
+    # the paired ones, and with them last: t1, k=3 275,120 -> 200,896;
+    # t3, k=2 134,982 -> 105,198; t13, k=3 247,756 -> 182,432.  t6 has no
+    # unpaired unknown, so its order and its LU (148,096) are the same
+    reduced = _Condensation(catalog_system(case_id, k, 8))
+    nnz = spla.splu(reduced.matrix, **_ORDERED_LU).nnz
+    if case_id == "t6":
+        assert nnz == before
+    else:
+        assert nnz < before
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -882,8 +909,9 @@ def test_ordered_solve_matches_the_default_lu_on_a_jittered_mesh(k):
     # on the jittered mesh no grid line separates the nodes exactly, so the
     # order is only a permutation: solve agrees with an LU of the same
     # matrix under SuperLU's defaults to roundoff.  Largest relative
-    # differences measured: u 8.5e-15, 3.4e-13, 1.3e-11 and lam 5.0e-13,
-    # 6.9e-11, 5.7e-9 at k = 1, 2, 3; every bound keeps at least 10x
+    # differences measured, the unpaired unknowns numbered last: u 9.7e-15,
+    # 4.2e-13, 9.5e-12 and lam 2.1e-13, 6.5e-11, 3.7e-9 at k = 1, 2, 3;
+    # every bound keeps at least 10x
     mesh = jittered_mesh()
     for a in COEFFICIENTS.values():
         case = dataclasses.replace(get_case("t6"), a=a, dirichlet_sides=("bottom", "left"),

@@ -12,12 +12,14 @@ free-dof matrix [[-S_ff, K_fg], [K_fg^T, S_gg]] is symmetric indefinite.
 Each triangle adds to it one local matrix [[-S, B], [B, S]], u local dofs
 first, written only by _coupled: the free-dof matrix, the Dirichlet lift,
 solve's residual check and the condensation all read that table.  solve
-condenses each triangle's interior dofs out (in an orthonormal interior
-basis), factors the Schur matrix on the free edge dofs and recovers the
-interiors.  The dense local algebra of that condensation is done once per
-congruence class of the level's context (ops.classes: two on the uniform
-mesh under a constant coefficient, else one per triangle), and each
-triangle reads its class's tables.  The Schur matrix is assembled straight
+condenses each triangle's interior dofs out (each local Schur block formed
+in an orthonormal interior basis), factors the Schur matrix on the free
+edge dofs and recovers the interiors, through two class maps in the
+original coordinates, M_II^-1 M_IE and M_II^-1.  The dense local algebra
+of that condensation is done once per congruence class of the level's
+context (ops.classes: two on the uniform mesh under a constant
+coefficient, else one per triangle), and each triangle reads its class's
+tables.  The Schur matrix is assembled straight
 in the mesh's nested-dissection order (Mesh.nested_dissection), the u and
 lam dofs of one edge adjacent, unpaired ones (the other field fixed) last,
 and factored in that order in symmetric mode.  The kernel is decided first,
@@ -32,7 +34,8 @@ own and drops it before the bordered LU, and the matrix export reads
 SaddleSystem.matrix, which keeps one.  solve checks its residual, and takes
 the 1-norm that scales it, from the local matrices of the context's input
 groups, so the check also tests the class tables on every level.
-condition_estimate reads the same norm and the inverse of solve's LU.  The
+condition_estimate reads the same norm and applies solve's inverse, which
+takes one right-hand side or a block of them, to a block at once.  The
 level's LocalOperators is the one source of mesh, degree, dof layout and
 local matrices: assemble takes it, and the assembled system keeps it as
 ops for solve to read.
@@ -48,7 +51,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .fespace import WeakFunction, gram, l2_project_edge, sample, tri_exponents
+from .fespace import WeakFunction, element_basis, gram, l2_project_edge, sample
 from .weakops import LocalOperators
 
 __all__ = [
@@ -134,7 +137,7 @@ def _free_matrix(system):
     stacked local matrices."""
     pos, ops = system.positions, system.ops
     local = _coupled(ops.group_stabilizers, ops.group_diffusion_forms)[ops.input_groups]
-    return _sparse_sum([(pos, pos, local)], (system.n_free, system.n_free))
+    return _sparse_sum(pos, pos, local, (system.n_free, system.n_free))
 
 
 def _positions(ops, dofs, offset=0):
@@ -165,48 +168,37 @@ def _nested_numbering(system):
 
 
 def _scatter(pos, vals, n):
-    """Length-n vector of the sums of vals at positions pos; values at a
-    -1 position are dropped."""
+    """Length-n vector of the sums of vals (..., *pos.shape) at positions
+    pos, one per leading index of vals; values at a -1 position are
+    dropped."""
     keep = pos >= 0
-    return np.bincount(pos[keep], weights=vals[keep], minlength=n)
+    vals = vals[..., keep]
+    count = math.prod(vals.shape[:-1])
+    index = pos[keep] + n * np.arange(count)[:, None]
+    return np.bincount(index.ravel(), weights=vals.ravel(),
+                       minlength=n * count).reshape(vals.shape[:-1] + (n,))
 
 
-def _triplets(blocks):
+def _triplets(rows, cols, vals):
     """Row positions, column positions and values of the entries of
-    stacked local matrices, each block a triple of row positions (T, m),
-    column positions (T, m') and values (T, m, m'); entries at a -1
-    position are dropped."""
-    parts = []
-    for rows, cols, vals in blocks:
-        # the mask by broadcasting the small per-triangle masks: cheaper
-        # than comparing the repeated index arrays
-        keep = ((rows >= 0)[:, :, None] & (cols >= 0)[:, None, :]).ravel()
-        parts.append((np.repeat(rows, cols.shape[1], axis=1).ravel()[keep],
-                      np.tile(cols, (1, rows.shape[1])).ravel()[keep], vals.ravel()[keep]))
-    return (np.concatenate(part) if len(part) > 1 else part[0] for part in zip(*parts))
+    stacked local matrices, given row positions (T, m), column positions
+    (T, m') and values (T, m, m'); entries at a -1 position are dropped."""
+    # the mask by broadcasting the small per-triangle masks: cheaper than
+    # comparing the repeated index arrays
+    keep = ((rows >= 0)[:, :, None] & (cols >= 0)[:, None, :]).ravel()
+    return (np.repeat(rows, cols.shape[1], axis=1).ravel()[keep],
+            np.tile(cols, (1, rows.shape[1])).ravel()[keep], vals.ravel()[keep])
 
 
-def _sparse_sum(blocks, shape):
-    """Sum of stacked local matrices (blocks as _triplets takes them) as a
-    CSC matrix.  The result is scipy's COO to CSC conversion bit for bit:
+def _sparse_sum(rows, cols, vals, shape):
+    """Sum of stacked local matrices (as _triplets takes them) as a CSC
+    matrix.  The result is scipy's COO to CSC conversion bit for bit:
     row indices sorted within each column, duplicates summed, explicit
     zeros kept, so SuperLU sees the same matrix.  A global entry sums at
     most two local ones (an edge has at most two triangles), so it does not
     depend on the order of the sum."""
-    r, c, v = _triplets(blocks)
+    r, c, v = _triplets(rows, cols, vals)
     return sp.csc_matrix((v, (r, c)), shape=shape)
-
-
-def _distinct_csr(blocks, shape):
-    """Stacked local matrices (blocks as _triplets takes them) none of
-    whose entries share a position, as a CSR matrix: scipy's COO to CSR
-    conversion bit for bit (column indices sorted within each row, explicit
-    zeros kept), from one sort of the entries, which costs little where
-    they are few."""
-    r, c, v = _triplets(blocks)
-    order = np.argsort(r.astype(np.int64) * shape[1] + c)
-    indptr = np.append(0, np.cumsum(np.bincount(r, minlength=shape[0])))
-    return sp.csr_matrix((v[order], c[order], indptr), shape=shape)
 
 
 def assemble(config, case, ops):
@@ -255,14 +247,13 @@ def assemble(config, case, ops):
     # columns of the local matrices, in CSR, so that the product sums each
     # row in ascending column order: the rhs feeds the t3-t5 k=3 levels,
     # whose reference values store roundoff.  Only the triangles that hold
-    # a fixed u dof have a column there, and no two of their entries share
-    # a position: a boundary edge has one triangle, and the u and lam rows
-    # are apart.  Subtracted from (0, data), the lift negates the u rows back
+    # a fixed u dof have a column there.  Subtracted from (0, data), the
+    # lift negates the u rows back
     t = np.flatnonzero((pp >= 0).any(axis=1))
     g = ops.input_groups[t]
     local = _coupled(ops.group_stabilizers[g], ops.group_diffusion_forms[g])
-    lift_cols = _distinct_csr([(pos[t], pp[t], local[..., :pp.shape[1]])],
-                              (len(uf) + len(lf), len(up)))
+    r, c, v = _triplets(pos[t], pp[t], local[..., :pp.shape[1]])
+    lift_cols = sp.csr_matrix((v, (r, c)), shape=(len(uf) + len(lf), len(up)))
     rhs = np.append(np.zeros(len(uf)), rhs_full[lf]) - lift_cols @ u_fixed_values[up]
     return SaddleSystem(rhs=rhs, ops=ops, u_free=uf, lam_free=lf,
                         u_fixed_values=u_fixed_values, positions=pos)
@@ -329,9 +320,13 @@ def _local_column_sums(system):
 
 
 def _project_out(vec, unit):
-    """vec with its component along the unit vector removed; vec itself
-    where unit is None."""
-    return vec if unit is None else vec - (vec @ unit) * unit
+    """vec (n,), or each column of vec (n, r), with its component along
+    the unit vector removed; vec itself where unit is None.  Each column's
+    dot product sums as one vector's does, which a matrix product would not."""
+    if unit is None:
+        return vec
+    dots = np.ascontiguousarray(vec.T)[..., None, :] @ unit
+    return vec - (dots * unit).T
 
 
 def _null_direction(lu):
@@ -349,18 +344,22 @@ class _Condensation:
     matrix M = [[-S, B], [B, S]] (_coupled), split into interior (I) and
     edge (E) dofs, gives the local Schur block M_EE - M_EI M_II^-1 M_IE,
     the blocks taken by index from M; matrix sums
-    them over the free edge dofs, numbered in nested-dissection order.  The
-    interior block is eliminated in an orthonormal interior basis R = L^-T,
-    L L^T = mass_k / area (block-diagonal over u_0 and lam_0): at k = 1, 2,
-    3 it takes the local block's condition number from 37, 2.5e4 and 3.9e6
-    to 2.1, 6.1 and 16.
+    them over the free edge dofs, numbered in nested-dissection order.
 
     The dense algebra is done once per congruence class (ops.classes), on
-    the local matrices of the class's representative: the tables basis R,
-    inverse M_II^-1 (orthonormal coordinates) and coupling C =
-    M_II^-1 M_IE hold one row per class, and each triangle reads the row of
-    its class.  With one class per triangle this is the triangle-by-triangle
-    condensation, and the Schur matrix is the same bit for bit."""
+    the local matrices of the class's representative, and each triangle
+    reads the tables of its class: the two class maps coupling C =
+    M_II^-1 M_IE and inverse M_II^-1, in the original coordinates, which
+    solve and expand apply.  With one class per triangle this is the
+    triangle-by-triangle condensation, and the Schur matrix is the same
+    bit for bit.  The Schur block itself is formed in an orthonormal
+    interior basis R = L^-T, L L^T = mass_k / area (block-diagonal over
+    u_0 and lam_0), which at k = 1, 2, 3 takes the interior block's
+    condition number from 37, 2.5e4 and 3.9e6 to 2.1, 6.1 and 16; the maps
+    are formed from that basis's inverse only afterwards.  A Schur block
+    formed as M_EE - M_EI M_II^-1 M_IE from the map instead raises the
+    roundoff of the polynomial-exact t1, k=3, n=8 from 7.8e-10 to 8.8e-7
+    in the l2 error, 60 times the benchmark's tolerance for that level."""
 
     def __init__(self, system):
         ops, nf = system.ops, len(system.u_free)
@@ -375,16 +374,16 @@ class _Condensation:
         fields = np.arange(local.shape[-1]).reshape(2, -1)
         interior, edge = fields[:, :dim].ravel(), fields[:, dim:].ravel()
         chol = np.linalg.cholesky(ops.group_mass_k[rep_groups] / mesh.tri_areas[reps, None, None])
-        self.basis = np.zeros((len(reps), 2 * dim, 2 * dim))
-        self.basis[:, :dim, :dim] = self.basis[:, dim:, dim:] = np.linalg.inv(chol).swapaxes(1, 2)
-        basis_t = self.basis.swapaxes(1, 2)
+        basis = np.zeros((len(reps), 2 * dim, 2 * dim))
+        basis[:, :dim, :dim] = basis[:, dim:, dim:] = np.linalg.inv(chol).swapaxes(1, 2)
         # the interior block and the interior rows, in the orthonormal basis
-        inner = basis_t @ local[:, interior[:, None], interior] @ self.basis
-        self.inverse = np.linalg.inv(inner)
-        coupling = basis_t @ local[:, interior[:, None], edge]
-        # C = M_II^-1 M_IE, so the local Schur block is M_EE - M_IE^T C
-        self.coupling = np.linalg.solve(inner, coupling)
-        schur = local[:, edge[:, None], edge] - coupling.swapaxes(1, 2) @ self.coupling
+        inner = basis.swapaxes(1, 2) @ local[:, interior[:, None], interior] @ basis
+        rows = basis.swapaxes(1, 2) @ local[:, interior[:, None], edge]
+        coupling = np.linalg.solve(inner, rows)
+        schur = local[:, edge[:, None], edge] - rows.swapaxes(1, 2) @ coupling
+        # the maps back in the original coordinates
+        self.coupling = basis @ coupling
+        self.inverse = basis @ np.linalg.inv(inner) @ basis.swapaxes(1, 2)
         # free-dof positions of the unknowns of matrix, the free edge dofs,
         # and each triangle's local dofs among them (-1 where fixed), read
         # off the free-dof positions through the inverse of that order
@@ -396,35 +395,38 @@ class _Condensation:
         place[self.numbered] = np.arange(n_edge)
         self.interior = system.positions[:, interior]
         self.edge_pos = place[system.positions[:, edge]]
-        self.matrix = _sparse_sum([(self.edge_pos, self.edge_pos, schur[ops.classes])],
+        self.matrix = _sparse_sum(self.edge_pos, self.edge_pos, schur[ops.classes],
                                   (n_edge, n_edge))
 
     def _by_class(self, rows, tables):
-        """Each triangle's row vector rows[t] times its class's matrix,
-        tables (C, m, m'): the rows (T, m'), one product batched over the
-        classes."""
-        out = np.empty((len(rows), tables.shape[-1]))
-        out[self.members] = rows[self.members] @ tables
+        """Each triangle's row vector rows[..., t, :] times its class's
+        matrix, tables (C, m, m'): the rows (..., T, m'), one product per
+        class and leading index, on contiguous rows: a strided one-row
+        product sums in another order than the rows of one index alone."""
+        out = np.empty(rows.shape[:-1] + tables.shape[-1:])
+        out[..., self.members, :] = np.ascontiguousarray(rows[..., self.members, :]) @ tables
         return out
 
     def solve(self, lu, rhs):
-        """Free-dof solution of A x = rhs, lu factoring the Schur matrix:
-        condense rhs, solve for the edge dofs, recover the interiors."""
-        y = self._by_class(rhs[self.interior], self.basis)
-        shift = self._by_class(y, self.coupling)
-        edge_rhs = rhs[self.numbered] - _scatter(self.edge_pos, shift, len(self.numbered))
-        return self.expand(lu.solve(edge_rhs), self._by_class(y, self.inverse.swapaxes(1, 2)))
+        """Free-dof solution of A x = rhs for rhs (n,) or a block (n, r), lu
+        factoring the Schur matrix: condense rhs, solve for the edge dofs,
+        recover the interiors."""
+        b = rhs.T  # one row per right-hand side
+        b_int = b[..., self.interior]
+        shift = self._by_class(b_int, self.coupling)
+        edge_rhs = b[..., self.numbered] - _scatter(self.edge_pos, shift, len(self.numbered))
+        return self.expand(lu.solve(edge_rhs.T), self._by_class(b_int, self.inverse.swapaxes(1, 2)))
 
     def expand(self, x_edge, z=0.0):
-        """Free-dof vector with edge part x_edge and each triangle's
-        interior from its local equations, M_II^-1 (b_I - M_IE x_E), given
-        M_II^-1 b_I in orthonormal coordinates as z (0: no interior data)."""
-        local = np.where(self.edge_pos >= 0, x_edge[self.edge_pos], 0.0)
-        interior = z - self._by_class(local, self.coupling.swapaxes(1, 2))
-        x = np.empty(len(self.numbered) + self.interior.size)
-        x[self.numbered] = x_edge
-        x[self.interior] = self._by_class(interior, self.basis.swapaxes(1, 2))
-        return x
+        """Free-dof vector (or block, for x_edge (n_edge, r)) with edge part
+        x_edge and each triangle's interior from its local equations,
+        M_II^-1 b_I - C x_E, given M_II^-1 b_I as z (0: no interior data)."""
+        x_edge = x_edge.T
+        local = np.where(self.edge_pos >= 0, x_edge[..., self.edge_pos], 0.0)
+        x = np.empty(x_edge.shape[:-1] + (len(self.numbered) + self.interior.size,))
+        x[..., self.numbered] = x_edge
+        x[..., self.interior] = z - self._by_class(local, self.coupling.swapaxes(1, 2))
+        return x.T
 
     def kernel_dims(self):
         """Dimensions (primal, multiplier) of the kernel of matrix.  A
@@ -441,16 +443,8 @@ class _Condensation:
         # every edge's Gram matrix is its length times the reference one,
         # so one matrix projects them all, exactly for p of degree <= k
         project = np.linalg.solve(gram(ops.beta, w0), ops.beta.T * w0)
-        px, py = np.array(tri_exponents(ops.k)).T
-        pts = ops.edge_pts
-        # the monomials from products of the coordinates, not pow: only the
-        # counts below are read, and they keep their 100x margins
-        powers = [np.ones_like(pts), pts]
-        for _ in range(ops.k - 1):
-            powers.append(powers[-1] * pts)
-        powers = np.stack(powers, axis=-1)
-        cand = np.linalg.qr((project @ (powers[..., 0, px] * powers[..., 1, py]))
-                            .reshape(-1, len(px)))[0]
+        monomials = element_basis(ops.k).eval(ops.edge_pts)
+        cand = np.linalg.qr((project @ monomials).reshape(-1, monomials.shape[-1]))[0]
         dofs = self.free[self.numbered] - n_int
         n = len(dofs)
         cutoff = _KERNEL_CUTOFF * _one_norm(self.matrix)
@@ -492,7 +486,7 @@ def _solve_full(matrix, rhs, gauge_dim):
     del lu  # one factorization alive at a time
     bordered = _bordered(matrix, null_dir)
     del matrix  # solve passes a temporary, which goes before the bordered LU
-    return _factor(bordered).solve(np.append(rhs, 0.0))[:len(null_dir)], null_dir
+    return _factor(bordered).solve(np.r_[rhs, np.zeros_like(rhs[:1])])[:len(null_dir)], null_dir
 
 
 def _bordered(matrix, col):
@@ -512,7 +506,8 @@ def _bordered(matrix, col):
 
 def _inverse(system):
     """The path that solve takes: the function b -> (x, v) that solves
-    A x = b for the free-dof matrix A, v its gauge kernel vector (None
+    A x = b for b (n,) or a block (n, r), one column of x per column of b,
+    for the free-dof matrix A, v its gauge kernel vector (None
     without one), the gauge kernel's dimension and the condensation (None
     where it is not factored).  The kernel dimensions
     (_Condensation.kernel_dims) come before any factorization: a primal
@@ -584,8 +579,9 @@ def condition_estimate(system):
     (_inverse); along one gauge direction v it is P A^-1 P with
     P = I - v v^T, so the estimate is that of the system solve solves, on
     the complement of v.  Up to _DENSE_COND_LIMIT free dofs the inverse is
-    applied to every unit vector, above it the Higham-Tisseur 1-norm
-    estimator applies it, from a fixed random state on every call."""
+    applied to the identity in one call, above it the Higham-Tisseur 1-norm
+    estimator applies it to its blocks, from a fixed random state on every
+    call."""
     try:
         inverse, gauge_dim, _ = _inverse(system)
     except SingularSystemError:
@@ -593,12 +589,13 @@ def condition_estimate(system):
     if gauge_dim > 1:
         return math.inf
     n = system.n_free
-    # A is symmetric, and so is the inverse; matmat hands matvec columns
-    op = spla.LinearOperator((n, n), matvec=lambda b: inverse(b.ravel())[0],
-                             rmatvec=lambda b: inverse(b.ravel())[0], dtype=float)
+    apply = lambda b: inverse(b)[0]
     if n <= _DENSE_COND_LIMIT:
-        inv_norm = np.linalg.norm(op @ np.eye(n), 1)
+        inv_norm = np.linalg.norm(apply(np.eye(n)), 1)
     else:
+        # A is symmetric, and so is the inverse
+        op = spla.LinearOperator((n, n), matvec=apply, rmatvec=apply, matmat=apply,
+                                 rmatmat=apply, dtype=float)
         # the estimator draws its start vectors from numpy's global
         # generator: draw them from a fixed state and restore the caller's
         state = np.random.get_state()

@@ -18,6 +18,7 @@ from pdwg.system import (
     SingularSystemError,
     _bordered,
     _Condensation,
+    _coupled,
     _inverse,
     _local_column_sums,
     _local_product,
@@ -527,9 +528,9 @@ def test_projected_gauge_solve_matches_the_bordered_solve(case_id, k, n):
     # from the Schur matrix's), returns the representative with v.x = 0,
     # the one solve's projection picks from the singular LU.  Largest
     # relative differences measured, all at t3, k=2, n=8 (where the exact
-    # multiplier is 0 and the discrete one is small): 4.7e-12 on u, 2.3e-7
-    # on lam and 1.6e-12 for v.x against |lam|; the bounds keep 210x, 8x
-    # and 6x
+    # multiplier is 0 and the discrete one is small): 5.7e-12 on u, 2.4e-7
+    # on lam and 9.9e-13 for v.x against |lam|; the bounds keep 170x, 8x
+    # and 10x
     system = catalog_system(case_id, k, n)
     matrix, nf, n_free = system.matrix, len(system.u_free), system.n_free
     _, v = solve_path(system)
@@ -579,6 +580,33 @@ def test_condensed_solve_matches_the_full_path(case_id, k):
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("case_id", ["t6", "t3"])
+def test_inverse_of_a_block_is_that_of_its_columns(case_id, k):
+    # _inverse's function applied to an (n, 8) block at once and to its
+    # columns one at a time.  The condensation's class products, scatters
+    # and gauge projection treat each column of a block as they treat one
+    # vector, so the two agree bit for bit wherever SuperLU's triangular
+    # solves do.  Measured bit for bit at every level here but three:
+    # SuperLU solves a block otherwise at t6, k=2, n=4 (9.6e-17 of the
+    # largest entry), and t3 at k=3 takes the full path, whose bordered LU
+    # leaves a second kernel direction to roundoff (2.2e-12 at n=2, 7.9e-11
+    # at n=4).  The bounds keep 10x and 12x
+    rng = np.random.default_rng(k)
+    for n in (1, 2, 4):
+        system = catalog_system(case_id, k, n)
+        inverse = _inverse(system)[0]
+        b = rng.standard_normal((system.n_free, 8))
+        block = inverse(b)[0]
+        columns = np.column_stack([inverse(col)[0] for col in b.T])
+        assert block.shape == b.shape
+        if k == 1:
+            assert np.array_equal(block, columns), n
+        else:
+            bound = 1e-9 if (case_id, k) == ("t3", 3) else 1e-15
+            assert np.abs(block - columns).max() <= bound * np.abs(columns).max(), n
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
 def test_condensation_per_class_matches_per_triangle(k):
     # Mesh(m.vertices, m.triangles) is the uniform mesh as a general mesh:
     # the same local matrices, but one congruence class per triangle, so
@@ -600,7 +628,7 @@ def test_condensation_per_class_matches_per_triangle(k):
                 config = classify_boundary(mesh, case.dirichlet_sides, case.neumann_sides)
                 system = assemble(config, case, LocalOperators(mesh, k, case.a))
                 condensed = _Condensation(system)
-                assert len(condensed.basis) == n_classes
+                assert len(condensed.coupling) == len(condensed.inverse) == n_classes
                 u_h, lam_h = solve(system)
                 results.append((condensed.matrix.toarray(), u_h.coeffs, lam_h.coeffs))
             (schur, u, lam), (want_schur, want_u, want_lam) = results
@@ -619,16 +647,31 @@ def test_condensation_eliminates_in_an_orthonormal_interior_basis(k):
     # basis orthonormal (up to the area), which takes the interior block's
     # condition number from 37 (k=1), 2.5e4 (k=2) and 3.9e6 (k=3) to 2.1,
     # 6.1 and 16.3.  The basis is one per congruence class, taken from the
-    # class's representative, and must be orthonormal for every member
+    # class's representative, and must be orthonormal for every member.
+    # The inverse kept in the original coordinates is M_II^-1 of each
+    # class: max |M_II M_II^-1 - I| measured 4.4e-16, 7.4e-14 and 1.8e-12
+    # at k = 1, 2, 3; the bounds keep 10x
     system = catalog_system("t6", k, 4)
     condensed = _Condensation(system)
     ops, dim = system.ops, system.ops.dofmap.interior_dim
-    assert condensed.basis.shape == (2, 2 * dim, 2 * dim)
-    r = condensed.basis[ops.classes, :dim, :dim]
+    reps = ops.class_members[:, 0]
+    groups = ops.input_groups[reps]
+    chol = np.linalg.cholesky(ops.group_mass_k[groups] / ops.mesh.tri_areas[reps, None, None])
+    r = np.linalg.inv(chol).swapaxes(1, 2)
+    assert r.shape == (2, dim, dim)
     mass = ops.group_mass_k[ops.input_groups] / ops.mesh.tri_areas[:, None, None]
-    assert np.allclose(r.swapaxes(1, 2) @ mass @ r, np.eye(dim), rtol=0.0, atol=1e-12)
-    # the inverse has the interior block's condition number
-    assert np.linalg.cond(condensed.inverse).max() <= 100
+    member_r = r[ops.classes]
+    assert np.allclose(member_r.swapaxes(1, 2) @ mass @ member_r, np.eye(dim), rtol=0.0, atol=1e-12)
+    # the interior block, both fields, has in that basis the condition
+    # number above
+    local = _coupled(ops.group_stabilizers[groups], ops.group_diffusion_forms[groups])
+    interior = np.arange(local.shape[-1]).reshape(2, -1)[:, :dim].ravel()
+    m_ii = local[:, interior[:, None], interior]
+    basis = np.zeros((2, 2 * dim, 2 * dim))
+    basis[:, :dim, :dim] = basis[:, dim:, dim:] = r
+    assert np.linalg.cond(basis.swapaxes(1, 2) @ m_ii @ basis).max() <= 100
+    error = np.abs(m_ii @ condensed.inverse - np.eye(2 * dim)).max(axis=(1, 2))
+    assert np.all(error <= {1: 5e-15, 2: 1e-12, 3: 2e-11}[k])
 
 
 def test_primal_non_uniqueness_is_reported_before_factoring(monkeypatch):
@@ -820,9 +863,9 @@ def test_full_matrix_built_only_where_solve_factors_it(monkeypatch, case_id, k, 
     real_sparse_sum = pdwg.system._sparse_sum
     shapes = []
 
-    def sparse_sum(blocks, shape):
+    def sparse_sum(rows, cols, vals, shape):
         shapes.append(shape)
-        return real_sparse_sum(blocks, shape)
+        return real_sparse_sum(rows, cols, vals, shape)
 
     monkeypatch.setattr(pdwg.system, "_sparse_sum", sparse_sum)
     system = catalog_system(case_id, k, 4)
@@ -963,29 +1006,23 @@ def with_random_local_matrices(system, rng):
     return dataclasses.replace(system, ops=ops)
 
 
-def coo_matrix_of(blocks, shape):
-    """The COO matrix of the blocks (row positions, column positions,
-    stacked local matrices), -1 positions dropped: scipy's conversions of
+def coo_matrix_of(rows, cols, vals, shape):
+    """The COO matrix of stacked local matrices vals at row positions rows
+    and column positions cols, -1 positions dropped: scipy's conversions of
     it are what _sparse_sum must give bit for bit."""
-    triplets = [[], [], []]
-    for rows, cols, vals in blocks:
-        r = np.repeat(rows, cols.shape[1], axis=1).ravel()
-        c = np.tile(cols, (1, rows.shape[1])).ravel()
-        keep = (r >= 0) & (c >= 0)
-        for out, part in zip(triplets, (r, c, vals.ravel())):
-            out.append(part[keep])
-    r, c, v = (np.concatenate(parts) for parts in triplets)
-    return sp.coo_matrix((v, (r, c)), shape=shape)
+    r = np.repeat(rows, cols.shape[1], axis=1).ravel()
+    c = np.tile(cols, (1, rows.shape[1])).ravel()
+    keep = (r >= 0) & (c >= 0)
+    return sp.coo_matrix((vals.ravel()[keep], (r[keep], c[keep])), shape=shape)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_sparse_assembly_is_scipys_coo_conversion_bit_for_bit(monkeypatch, k):
-    # the lift columns, the Schur matrix and the free-dof matrix of the
-    # catalog at n <= 4 and of the jittered mesh, and the free-dof matrix
-    # of local matrices in {-1, 0, 1}, whose sums cancel: each has the
-    # indptr, indices and data of scipy's COO to CSC conversion, explicit
-    # zeros included, and so has its CSR form, in which the lift is built
-    # and multiplied with
+    # the Schur matrix and the free-dof matrix of the catalog at n <= 4 and
+    # of the jittered mesh, and the free-dof matrix of local matrices in
+    # {-1, 0, 1}, whose sums cancel: each has the indptr, indices and data
+    # of scipy's COO to CSC conversion, explicit zeros included, and so has
+    # its CSR form
     calls = []
 
     def recorded(build):
@@ -995,8 +1032,7 @@ def test_sparse_assembly_is_scipys_coo_conversion_bit_for_bit(monkeypatch, k):
             return out
         return record
 
-    for name in ("_sparse_sum", "_distinct_csr"):
-        monkeypatch.setattr(pdwg.system, name, recorded(getattr(pdwg.system, name)))
+    monkeypatch.setattr(pdwg.system, "_sparse_sum", recorded(pdwg.system._sparse_sum))
     rng = np.random.default_rng(k)
     n_systems = 0
     for system in local_systems(k):
@@ -1016,8 +1052,8 @@ def test_sparse_assembly_is_scipys_coo_conversion_bit_for_bit(monkeypatch, k):
                 assert getattr(mine, part).dtype == getattr(want, part).dtype
                 assert getattr(mine, part).tobytes() == getattr(want, part).tobytes()
         explicit_zeros += np.count_nonzero(got.data == 0.0)
-    # per system: the lift, the Schur matrix and two free-dof matrices
-    assert len(calls) == 4 * n_systems
+    # per system: the Schur matrix and two free-dof matrices
+    assert len(calls) == 3 * n_systems
     assert explicit_zeros > 0
 
 
@@ -1058,10 +1094,10 @@ def test_lift_from_the_dirichlet_triangles_is_the_all_triangle_lift(mesh_name, k
                         ops).rhs
     up = np.flatnonzero(ops.dofmap.fixed_masks(config)[0])
     pp, groups = _positions(ops, up), ops.input_groups
-    pu, pl = np.split(system.positions, 2, axis=1)
     assert np.any(np.all(pp < 0, axis=1))
-    lift = _sparse_sum([(pu, pp, ops.group_stabilizers[groups]),
-                        (pl, pp, ops.group_diffusion_forms[groups])],
+    lift = _sparse_sum(system.positions, pp,
+                       np.concatenate([ops.group_stabilizers[groups],
+                                       ops.group_diffusion_forms[groups]], axis=1),
                        (system.n_free, len(up))).tocsr() @ system.u_fixed_values[up]
     nf = len(system.u_free)
     assert not np.any(unlifted[:nf])

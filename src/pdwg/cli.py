@@ -14,6 +14,8 @@ import sys
 import time
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .cases import case_ids, get_case
 from .fespace import SUPPORTED_DEGREES
 from .mesh import build_uniform_mesh, classify_boundary
@@ -91,6 +93,9 @@ def run_study(case_id, levels, k=1, dump_matrix=None):
     A singular level is recorded as failed and the study continues.
     """
     case = get_case(case_id)
+    levels = list(levels)
+    if any(isinstance(n, bool) or not isinstance(n, (int, np.integer)) for n in levels):
+        raise ValueError("refinement levels must be integers")
     levels = [int(n) for n in levels]
     if not levels:
         raise ValueError("refinement ladder must not be empty")

@@ -230,7 +230,9 @@ class DofMap:
     complement of Gamma_n.  Interior dofs are never fixed."""
 
     def __init__(self, mesh, k):
-        if k not in SUPPORTED_DEGREES:
+        # the one degree gate: 2.0 and True compare equal to degrees but are not
+        integral = isinstance(k, (int, np.integer)) and not isinstance(k, bool)
+        if not integral or k not in SUPPORTED_DEGREES:
             raise ValueError(f"degree k={k} not supported; expected one of {SUPPORTED_DEGREES}")
         self.mesh = mesh
         self.k = k

@@ -12,33 +12,25 @@ free-dof matrix [[-S_ff, K_fg], [K_fg^T, S_gg]] is symmetric indefinite.
 Each triangle adds to it one local matrix [[-S, B], [B, S]], u local dofs
 first, written only by _coupled: the free-dof matrix, the Dirichlet lift,
 solve's residual check and the condensation all read that table.  solve
-condenses each triangle's interior dofs out (each local Schur block formed
-in an orthonormal interior basis), factors the Schur matrix on the free
-edge dofs and recovers the interiors, through two class maps in the
-original coordinates, M_II^-1 M_IE and M_II^-1.  The dense local algebra
-of that condensation is done once per congruence class of the level's
-context (ops.classes: two on the uniform mesh under a constant
-coefficient, else one per triangle), and each triangle reads its class's
-tables.  The Schur matrix is assembled straight
-in the mesh's nested-dissection order (Mesh.nested_dissection), the u and
-lam dofs of one edge adjacent, unpaired ones (the other field fixed) last,
-and factored in that order in symmetric mode.  The kernel is decided first,
-from polynomial candidates (_Condensation.kernel_dims), and picks the
-path that solve and condition_estimate share (_inverse): a primal one
-raises SingularSystemError; along one multiplier (gauge) direction the
-Schur LU solves the compatible data (I - v v^T) rhs, v its own null
-direction, and projects v out; two or more send the solve to the natural
-free-dof matrix and a bordered one, with SuperLU's defaults.  That
-natural matrix is assembled only where it is read: that path builds its
-own and drops it before the bordered LU, and the matrix export reads
-SaddleSystem.matrix, which keeps one.  solve checks its residual, and takes
-the 1-norm that scales it, from the local matrices of the context's input
-groups, so the check also tests the class tables on every level.
-condition_estimate reads the same norm and applies solve's inverse, which
-takes one right-hand side or a block of them, to a block at once.  The
-level's LocalOperators is the one source of mesh, degree, dof layout and
-local matrices: assemble takes it, and the assembled system keeps it as
-ops for solve to read.
+condenses each triangle's interior dofs out, once per congruence class of
+the level's context (_Condensation), and factors the Schur matrix on the
+free edge dofs, assembled straight in the mesh's nested-dissection order
+(Mesh.nested_dissection, unpaired unknowns last), in that order and in
+symmetric mode.  solve and condition_estimate share two steps.  The kernel
+step (_decide_kernel) decides the kernel from polynomial candidates
+(_Condensation.kernel_dims) before anything is factored: a primal one
+raises SingularSystemError, and two or more multiplier (gauge) directions
+drop the condensation.  _inverse then factors once per path and returns
+the inverse for any number of right-hand sides: along one gauge direction
+the Schur LU solves the compatible data (I - v v^T) rhs, v its own null
+direction, and projects v out; two or more factor the natural free-dof
+matrix, which only that branch builds, for its null direction, then the
+bordered matrix, with SuperLU's defaults.  solve checks its residual, and
+takes the 1-norm that scales it, from the local matrices, which also tests
+the class tables on every level; condition_estimate reads the same norm.
+The level's LocalOperators is the one source of mesh, degree, dof layout
+and local matrices: assemble takes it, and the assembled system keeps it
+as ops for solve to read.
 """
 
 from __future__ import annotations
@@ -465,30 +457,6 @@ class _Condensation:
         return tuple(int(d) for d in np.count_nonzero(sv <= cutoff, axis=1))
 
 
-def _solve_full(matrix, rhs, gauge_dim):
-    """Solution and gauge kernel vector (None without one) from an LU of
-    the full free-dof matrix with SuperLU's defaults, for a gauge kernel
-    of dimension gauge_dim: the path of two or more directions, and the
-    tests' reference for the condensed one."""
-    lu = _factor(matrix)
-    if not gauge_dim:
-        return lu.solve(rhs), None
-    null_dir = _null_direction(lu)
-    if gauge_dim == 1:
-        # the symmetric matrix's range is orthogonal to the kernel, so the
-        # projected rhs is compatible data that the singular LU solves;
-        # projecting the result gives the minimal representative across
-        # the multiplier gauge
-        return _project_out(lu.solve(_project_out(rhs, null_dir)), null_dir), null_dir
-    # two or more (t3-t5 at k=3): border the LU's null direction, which
-    # regularizes the factorization along it and pins its component to
-    # zero; the others are left to roundoff
-    del lu  # one factorization alive at a time
-    bordered = _bordered(matrix, null_dir)
-    del matrix  # solve passes a temporary, which goes before the bordered LU
-    return _factor(bordered).solve(np.r_[rhs, np.zeros_like(rhs[:1])])[:len(null_dir)], null_dir
-
-
 def _bordered(matrix, col):
     """The CSC matrix [[matrix, c], [c^T, 0]] of a CSC matrix with sorted
     indices and a dense column c, as sp.bmat builds it from c's sparse
@@ -504,42 +472,62 @@ def _bordered(matrix, col):
                           np.append(indptr, indptr[-1] + len(rows))), shape=(n + 1, n + 1))
 
 
-def _inverse(system):
-    """The path that solve takes: the function b -> (x, v) that solves
-    A x = b for b (n,) or a block (n, r), one column of x per column of b,
-    for the free-dof matrix A, v its gauge kernel vector (None
-    without one), the gauge kernel's dimension and the condensation (None
-    where it is not factored).  The kernel dimensions
-    (_Condensation.kernel_dims) come before any factorization: a primal
-    kernel raises SingularSystemError.  Up to one gauge direction the Schur
-    matrix is factored here, with _ORDERED_LU, and x is A^-1 b, or
-    P A^-1 P b with P = I - v v^T.  Two or more (t3-t5 at k = 3) free the
-    condensation unfactored, and the function factors the natural free-dof
-    matrix, which only this path builds (_solve_full)."""
+def _decide_kernel(system):
+    """The kernel step, before anything is factored: the condensation of
+    system and its gauge kernel's dimension (_Condensation.kernel_dims).
+    A primal kernel raises SingularSystemError.  Two or more gauge
+    directions (t3-t5 at k = 3) drop the condensation, which their path
+    never factors, and give None in its place."""
     reduced = _Condensation(system)
     primal_dim, gauge_dim = reduced.kernel_dims()
     if primal_dim:
         raise SingularSystemError("singular system: the primal field is not unique")
+    return (reduced if gauge_dim < 2 else None), gauge_dim
+
+
+def _inverse(system, reduced, gauge_dim):
+    """(apply, v): apply solves A x = b for the free-dof matrix A and b
+    (n,) or a block (n, r), one column of x per column of b, and v is the
+    gauge kernel vector (None without one), given _decide_kernel's
+    condensation and gauge dimension.  All factoring happens here, once for
+    any number of right-hand sides.  Up to one gauge direction the Schur
+    matrix is factored with _ORDERED_LU, and x is A^-1 b, or P A^-1 P b
+    with P = I - v v^T.  Two or more (t3-t5 at k = 3) factor the natural
+    free-dof matrix, which only this branch builds, for its null direction
+    v, then the bordered [[A, v], [v^T, 0]], with SuperLU's defaults."""
     if gauge_dim > 1:
-        return (lambda b: _solve_full(_free_matrix(system), b, gauge_dim)), gauge_dim, None
+        # bordering with the LU's null direction regularizes the
+        # factorization along it and pins its component to zero; the other
+        # directions are left to roundoff.  One factorization alive at a
+        # time, and the natural matrix goes before the bordered LU
+        matrix = _free_matrix(system)
+        null_dir = _null_direction(_factor(matrix))
+        bordered = _bordered(matrix, null_dir)
+        del matrix
+        lu = _factor(bordered)
+        return (lambda b: lu.solve(np.r_[b, np.zeros_like(b[:1])])[:len(null_dir)]), null_dir
     lu = _factor(reduced.matrix, **_ORDERED_LU)
     null_dir = None
     if gauge_dim:
-        # the full kernel vector, unit in the original coordinates, so the
-        # representative is the full path's: v.x = 0
+        # the symmetric matrix's range is orthogonal to the kernel, so the
+        # projected rhs is compatible data that the singular LU solves;
+        # projecting the result gives the minimal representative across the
+        # gauge.  v is the full kernel vector, unit in the original
+        # coordinates, so that representative has v.x = 0
         null_dir = reduced.expand(_null_direction(lu))
         null_dir /= np.linalg.norm(null_dir)
-    return (lambda b: (_project_out(reduced.solve(lu, _project_out(b, null_dir)), null_dir),
-                       null_dir)), gauge_dim, reduced
+    return (lambda b: _project_out(reduced.solve(lu, _project_out(b, null_dir)), null_dir),
+            null_dir)
 
 
 def solve(system):
-    """Factorize and solve on the path of _inverse; returns the primal and
-    multiplier fields with the fixed boundary values merged back in.  The
-    residual check applies the local matrices."""
+    """Solve on the kernel step's path with _inverse's one factorization;
+    returns the primal and multiplier fields with the fixed boundary values
+    merged back in.  The residual check applies the local matrices."""
     ops, nf = system.ops, len(system.u_free)
-    inverse, _, reduced = _inverse(system)
-    x, null_dir = inverse(system.rhs)
+    reduced, gauge_dim = _decide_kernel(system)
+    inverse, null_dir = _inverse(system, reduced, gauge_dim)
+    x = inverse(system.rhs)
     # the LU goes before the residual check, the condensation on return:
     # freed earlier, its pages go back to the system, and the next level
     # faults them in again (measured: +5% on a t3, k=2, n=16 level)
@@ -571,25 +559,24 @@ def condition_estimate(system):
     """Estimate of the 1-norm condition number ||A||_1 ||A^-1||_1 of the
     free-dof matrix A, from the LU that solve factors.
 
-    The kernel dimensions and the path are solve's (_inverse), decided
-    before anything is factored.  A primal kernel, or a gauge kernel of
-    two or more directions (t3-t5 at k = 3), gives +inf at once, and so
-    does a failed factorization.  ||A||_1 is the exact norm that scales
-    solve's residual check.  A^-1 is the inverse that solve applies
-    (_inverse); along one gauge direction v it is P A^-1 P with
-    P = I - v v^T, so the estimate is that of the system solve solves, on
-    the complement of v.  Up to _DENSE_COND_LIMIT free dofs the inverse is
-    applied to the identity in one call, above it the Higham-Tisseur 1-norm
-    estimator applies it to its blocks, from a fixed random state on every
-    call."""
+    The kernel step is solve's (_decide_kernel).  A primal kernel, or a
+    gauge kernel of two or more directions (t3-t5 at k = 3), gives +inf
+    right after it, with nothing factored, and so does a failed
+    factorization.  ||A||_1 is the exact norm that scales solve's residual
+    check.  A^-1 is the inverse that solve applies (_inverse); along one
+    gauge direction v it is P A^-1 P with P = I - v v^T, so the estimate
+    is that of the system solve solves, on the complement of v.  Up to
+    _DENSE_COND_LIMIT free dofs the inverse is applied to the identity in
+    one call, above it the Higham-Tisseur 1-norm estimator applies it to
+    its blocks, from a fixed random state on every call."""
     try:
-        inverse, gauge_dim, _ = _inverse(system)
+        reduced, gauge_dim = _decide_kernel(system)
+        if gauge_dim > 1:
+            return math.inf
+        apply = _inverse(system, reduced, gauge_dim)[0]
     except SingularSystemError:
         return math.inf
-    if gauge_dim > 1:
-        return math.inf
     n = system.n_free
-    apply = lambda b: inverse(b)[0]
     if n <= _DENSE_COND_LIMIT:
         inv_norm = np.linalg.norm(apply(np.eye(n)), 1)
     else:

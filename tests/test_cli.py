@@ -102,6 +102,15 @@ def test_run_study_validations():
         run_study("t1", [2, 1])
     with pytest.raises(ValueError):
         run_study("t1", [0, 1])
+    # levels that are not integers are rejected up front, not truncated
+    for levels in ([1.5, 2.9], [1, 2.0], [True, 2]):
+        with pytest.raises(ValueError, match="refinement levels must be integers"):
+            run_study("t6", levels)
+    # a degree that is not an integer is rejected by the dof map's gate
+    for k in (2.0, True):
+        with pytest.raises(ValueError, match="not supported"):
+            run_study("t6", [1, 2], k=k)
+    assert [lvl.n for lvl in run_study("t6", [np.int64(1), 2], k=np.int64(1)).levels] == [1, 2]
 
 
 def test_run_study_t1_machine_precision():

@@ -297,6 +297,14 @@ def test_dofmap_rejects_unsupported_degree():
         DofMap(mesh, 4)
 
 
+@pytest.mark.parametrize("k", [2.0, np.float64(1.0), True, np.bool_(True), "2"])
+def test_dofmap_rejects_a_degree_that_is_not_an_integer(k):
+    # 2.0 and True compare equal to supported degrees but are not integers:
+    # the one degree gate rejects them as unsupported degrees
+    with pytest.raises(ValueError, match="not supported"):
+        DofMap(build_uniform_mesh(1), k)
+
+
 @pytest.mark.parametrize("basis", [ElementBasis, EdgeBasis])
 def test_basis_rejects_negative_degree(basis):
     with pytest.raises(ValueError, match="nonnegative"):

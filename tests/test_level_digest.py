@@ -5,6 +5,7 @@ import importlib.util
 from pathlib import Path
 
 import numpy as np
+from test_reference_margins import run_into_a_closed_pipe
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "level_digest.py"
 
@@ -54,3 +55,8 @@ def test_per_level_digests_name_each_level_and_make_up_the_sum(capsys):
     sums = capsys.readouterr().out.splitlines()
     assert sums[0].split() == ["gauge-k2-n16", "4", "levels",
                                tool.combined(digest for _, digest in lines)]
+
+
+def test_a_closed_pipe_exits_with_0_without_a_traceback():
+    assert run_into_a_closed_pipe(TOOL, "--workload", "gauge-k2-n16") == (0, "")
+    assert run_into_a_closed_pipe(TOOL, "--levels", "--workload", "gauge-k2-n16") == (0, "")

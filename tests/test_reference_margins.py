@@ -3,6 +3,9 @@ reference check from outside; a rename in either must not break it
 silently, and its tolerance must stay the check's."""
 
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -85,3 +88,36 @@ def test_a_level_that_fails_to_solve_exits_with_1(monkeypatch, capsys):
     assert tool.main(["--workload", "gauge-k2-n16"]) == 1
     top = capsys.readouterr().out.splitlines()[1].split()
     assert top[:3] == ["inf", "t3:k2:n8", "singular"]
+
+
+def run_into_a_closed_pipe(tool, *args):
+    """Exit status and stderr of the tool run as a script with its stdout a
+    pipe whose reader closed before the tool writes, as `| head` does."""
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, str(tool), *args], stdout=write,
+                              stderr=subprocess.PIPE)
+    finally:
+        os.close(write)
+    return proc.returncode, proc.stderr.decode()
+
+
+def test_a_closed_pipe_keeps_the_margin_status_without_a_traceback():
+    # every margin of the gauge workload is below 1, so the status is 0
+    assert run_into_a_closed_pipe(TOOL, "--workload", "gauge-k2-n16") == (0, "")
+
+
+def test_a_closed_pipe_keeps_the_status_of_a_failing_margin(monkeypatch):
+    # the reference moved by twice its tolerance on one value, as above:
+    # the table cannot be written, and the status is still 1
+    tool = load_tool()
+    reference = tool.workloads.load_reference()
+    want = reference.values[("t3", 2, 4)]
+    want["resid_u"] += 2 * tool.tolerance(reference, 2, 4, "resid_u", want["resid_u"])
+    monkeypatch.setattr(tool.workloads, "load_reference", lambda: reference)
+    read, write = os.pipe()
+    os.close(read)
+    with os.fdopen(write, "w") as out:
+        monkeypatch.setattr(sys, "stdout", out)
+        assert tool.main(["--workload", "gauge-k2-n16"]) == 1

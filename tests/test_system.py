@@ -19,6 +19,7 @@ from pdwg.system import (
     _bordered,
     _Condensation,
     _coupled,
+    _decide_kernel,
     _inverse,
     _local_column_sums,
     _local_product,
@@ -26,7 +27,7 @@ from pdwg.system import (
     _one_norm,
     _ORDERED_LU,
     _positions,
-    _solve_full,
+    _project_out,
     _sparse_sum,
     assemble,
     condition_estimate,
@@ -396,9 +397,27 @@ def polynomial_exact(case_id, k):
 
 def solve_path(system):
     """The free-dof solution and gauge kernel vector (None without one) of
-    the path solve takes (_inverse): the Schur matrix's ordered LU up to
-    one gauge direction, the full matrix's with two or more."""
-    return _inverse(system)[0](system.rhs)
+    the path solve takes: the kernel step (_decide_kernel), then the
+    function of _inverse, which factors the Schur matrix's ordered LU up to
+    one gauge direction and the bordered natural matrix with two or more."""
+    inverse, v = _inverse(system, *_decide_kernel(system))
+    return inverse(system.rhs), v
+
+
+def full_lu_solve(matrix, rhs, gauge_dim):
+    """The oracle for the condensed solve: solution and gauge kernel vector
+    (None without one) from an LU of the full free-dof matrix with
+    SuperLU's defaults, for a gauge kernel of dimension gauge_dim.  One
+    direction is projected out of the data and the result, as solve does on
+    the Schur LU; two or more take the steps of solve's own branch, the
+    bordered matrix of that LU's null direction, so they agree bit for bit."""
+    lu = spla.splu(matrix)
+    if not gauge_dim:
+        return lu.solve(rhs), None
+    v = _null_direction(lu)
+    if gauge_dim == 1:
+        return _project_out(lu.solve(_project_out(rhs, v)), v), v
+    return spla.splu(_bordered(matrix, v)).solve(np.append(rhs, 0.0))[:len(v)], v
 
 
 def test_kernel_cutoff_keeps_a_hundredfold_margin_on_both_sides(monkeypatch):
@@ -547,24 +566,25 @@ def test_projected_gauge_solve_matches_the_bordered_solve(case_id, k, n):
 @pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("case_id", case_ids())
 def test_condensed_solve_matches_the_full_path(case_id, k):
-    # the full path, an LU of the whole free-dof matrix, is the reference
-    # for static condensation.  Largest relative differences measured over
-    # n = 1, 2, 4: u 3.0e-14 at k=1 (t14c, n=4), 1.2e-11 at k=2 (t3, n=2)
-    # and 4.5e-10 at k=3 (t2, n=4); lam 3.7e-13 at k=1 (t13, n=4), 3.8e-9
-    # at k=2 (t3, n=4) and 2.5e-7 at k=3 (t6, n=4), leaving out the
-    # polynomial-exact cases, whose multiplier is pure roundoff.  Relative
-    # residuals on the full matrix (kernel image projected out) reach
-    # 9.1e-17 at k=1 (t3, n=4) and 7.1e-15 at k >= 2 (t3, k=2, n=4),
+    # the full path, an LU of the whole free-dof matrix (full_lu_solve), is
+    # the reference for static condensation.  Largest relative differences
+    # measured over n = 1, 2, 4: u 3.0e-14 at k=1 (t14c, n=4), 1.2e-11 at
+    # k=2 (t3, n=2) and 4.5e-10 at k=3 (t2, n=4); lam 3.7e-13 at k=1 (t13,
+    # n=4), 3.8e-9 at k=2 (t3, n=4) and 2.5e-7 at k=3 (t6, n=4), leaving out
+    # the polynomial-exact cases, whose multiplier is pure roundoff.
+    # Relative residuals on the full matrix (kernel image projected out)
+    # reach 9.1e-17 at k=1 (t3, n=4) and 7.1e-15 at k >= 2 (t3, k=2, n=4),
     # condensed, and 1.2e-15 on the full path.  Every bound keeps at least
-    # 10x.  t3-t5 at k=3 have a two-dimensional gauge kernel and take the
-    # full path itself, bit for bit
+    # 10x.  t3-t5 at k=3 have a two-dimensional gauge kernel, where solve
+    # factors the natural and the bordered matrix as the oracle does, bit
+    # for bit
     exact = polynomial_exact(case_id, k)
     for n in (1, 2, 4):
         system = catalog_system(case_id, k, n)
         nf, norm = len(system.u_free), _one_norm(system.matrix)
         u_h, lam_h = solve(system)
         got = np.concatenate([u_h.coeffs[system.u_free], lam_h.coeffs[system.lam_free]])
-        want, v = _solve_full(system.matrix, system.rhs, catalog_kernel(case_id, k)[1])
+        want, v = full_lu_solve(system.matrix, system.rhs, catalog_kernel(case_id, k)[1])
         if case_id in ("t3", "t4", "t5") and k == 3:
             assert np.array_equal(got, want)
             continue
@@ -588,22 +608,42 @@ def test_inverse_of_a_block_is_that_of_its_columns(case_id, k):
     # vector, so the two agree bit for bit wherever SuperLU's triangular
     # solves do.  Measured bit for bit at every level here but three:
     # SuperLU solves a block otherwise at t6, k=2, n=4 (9.6e-17 of the
-    # largest entry), and t3 at k=3 takes the full path, whose bordered LU
-    # leaves a second kernel direction to roundoff (2.2e-12 at n=2, 7.9e-11
-    # at n=4).  The bounds keep 10x and 12x
+    # largest entry), and t3 at k=3 solves on the bordered LU of the natural
+    # matrix, which leaves a second kernel direction to roundoff (2.2e-12 at
+    # n=2, 7.9e-11 at n=4).  The bounds keep 10x and 12x
     rng = np.random.default_rng(k)
     for n in (1, 2, 4):
         system = catalog_system(case_id, k, n)
-        inverse = _inverse(system)[0]
+        inverse = _inverse(system, *_decide_kernel(system))[0]
         b = rng.standard_normal((system.n_free, 8))
-        block = inverse(b)[0]
-        columns = np.column_stack([inverse(col)[0] for col in b.T])
+        block = inverse(b)
+        columns = np.column_stack([inverse(col) for col in b.T])
         assert block.shape == b.shape
         if k == 1:
             assert np.array_equal(block, columns), n
         else:
             bound = 1e-9 if (case_id, k) == ("t3", 3) else 1e-15
             assert np.abs(block - columns).max() <= bound * np.abs(columns).max(), n
+
+
+@pytest.mark.parametrize("case_id,k,factors", [("t6", 1, 1), ("t3", 2, 1), ("t3", 3, 2)])
+def test_all_factoring_happens_inside_inverse(monkeypatch, case_id, k, factors):
+    # the kernel step factors nothing, and drops the condensation where
+    # two gauge directions (t3 at k=3) send the solve to the natural
+    # matrix.  _inverse factors the Schur matrix once, or there the natural
+    # and the bordered matrix; its function, applied to an (n, 8) block and
+    # then to the 8 columns one at a time, factors nothing more
+    calls = record_factorizations(monkeypatch)
+    system = catalog_system(case_id, k, 4)
+    reduced, gauge_dim = _decide_kernel(system)
+    assert calls == [] and (reduced is None) == (gauge_dim > 1) == (k == 3)
+    inverse, _ = _inverse(system, reduced, gauge_dim)
+    assert len(calls) == factors
+    b = np.random.default_rng(k).standard_normal((system.n_free, 8))
+    inverse(b)
+    for col in b.T:
+        inverse(col)
+    assert len(calls) == factors
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

@@ -14,7 +14,8 @@ and fixed coefficients of u_h and lam_h, the five values of its error
 report, and the local weak-gradient maps, stabilizers and diffusion forms.  Every array is +0.0-normalized first, so
 the sign of an exact zero does not count.  Compare the output of two trees
 on the same machine: BLAS is held to one thread, but its kernels still
-differ between builds.
+differ between builds.  A reader that closes the output early (``| head``)
+gets no traceback, and the exit status stays 0.
 """
 
 import argparse
@@ -68,6 +69,16 @@ def combined(digests):
     return hashlib.sha256("".join(digests).encode()).hexdigest()
 
 
+def write(lines):
+    """Print lines.  A reader that closes the pipe early (as `| head` does)
+    drops the rest without a traceback: stdout then goes to devnull, so the
+    flush at exit does not fail again."""
+    try:
+        print("\n".join(lines), flush=True)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--levels", action="store_true",
@@ -85,15 +96,14 @@ def main(argv=None):
             if key not in done:
                 done[key] = level_digest(*key)
     if args.levels:
-        for key in sorted(done):
-            print(f"{workloads.level_key(*key):16s} {done[key]}")
+        write([f"{workloads.level_key(*key):16s} {done[key]}" for key in sorted(done)])
         return
     frozen = sorted(key for key in done if key[0] in ("t3", "t4", "t5") and key[1] == 3)
     if frozen:
         groups[FROZEN] = frozen
-    for name, keys in groups.items():
-        print(f"{name:16s} {len(keys):4d} levels  {combined(done[key] for key in keys)}")
-    print(f"{'distinct':16s} {len(done):4d} levels  {combined(done[key] for key in sorted(done))}")
+    groups["distinct"] = sorted(done)
+    write([f"{name:16s} {len(keys):4d} levels  {combined(done[key] for key in keys)}"
+           for name, keys in groups.items()])
 
 
 if __name__ == "__main__":

@@ -9,8 +9,9 @@ tolerance being the one the benchmark's reference check applies
 (``perfbench/workloads.py``), largest margin first.  A margin of 1 or more
 fails that check; a level that fails to solve prints an infinite margin and
 its message.  Exits with 1 when any margin is 1 or more, else with 0, so a
-change that moves solution bits can gate on it.  ``--workload`` runs that
-workload's levels only.  Reads ``perfbench/reference.json`` and
+change that moves solution bits can gate on it; a reader that closes the
+output early (``| head``) leaves that status as it is.  ``--workload``
+runs that workload's levels only.  Reads ``perfbench/reference.json`` and
 ``perfbench/workloads.py`` and changes neither.
 """
 
@@ -53,6 +54,16 @@ def level_margins(reference, case_id, k, n):
     return rows
 
 
+def write(lines):
+    """Print lines.  A reader that closes the pipe early (as `| head` does)
+    drops the rest without a traceback: stdout then goes to devnull, so the
+    flush at exit does not fail again."""
+    try:
+        print("\n".join(lines), flush=True)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def main(argv=None):
     """Print the margins; returns the exit status, 1 when any margin is 1
     or more."""
@@ -68,10 +79,10 @@ def main(argv=None):
             for level in levels for margin, *rest in level_margins(reference, *level)]
     # largest margin first, ties in key order
     rows.sort(key=lambda row: -row[0])
-    print(f"{'margin':>9s}  {'level':14s} {'column':13s} {'value':>24s} {'reference':>24s} "
-          f"{'tolerance':>9s}")
-    for margin, key, column, got, want, tol in rows:
-        print(f"{margin:9.3g}  {key:14s} {column:13s} {got!r:>24s} {want!r:>24s} {tol:9.2e}")
+    write([f"{'margin':>9s}  {'level':14s} {'column':13s} {'value':>24s} {'reference':>24s} "
+           f"{'tolerance':>9s}"]
+          + [f"{margin:9.3g}  {key:14s} {column:13s} {got!r:>24s} {want!r:>24s} {tol:9.2e}"
+             for margin, key, column, got, want, tol in rows])
     return int(not all(row[0] < 1.0 for row in rows))
 
 

@@ -268,7 +268,7 @@ def build_uniform_mesh(n):
     (even index) are translates of one another, and so are the upper-right
     ones (odd index): they form the mesh's two congruence classes.
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError("refinement level n must be a positive integer")
     coords = np.linspace(0.0, 1.0, n + 1)
     # row-major in j (y), then i (x)

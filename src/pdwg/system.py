@@ -31,6 +31,12 @@ the class tables on every level; condition_estimate reads the same norm.
 The level's LocalOperators is the one source of mesh, degree, dof layout
 and local matrices: assemble takes it, and the assembled system keeps it
 as ops for solve to read.
+
+Two forms here hold bits that only the t3-t5 k=3 levels read: the load's
+matrix-vector products per triangle and edge in assemble, and _bordered's
+layout, that of sp.bmat.  Those levels' stored reference values hold the
+roundoff of the gauge direction that the bordered LU leaves free; every
+other level's reference check absorbs a change of summation order.
 """
 
 from __future__ import annotations
@@ -171,26 +177,20 @@ def _scatter(pos, vals, n):
                        minlength=n * count).reshape(vals.shape[:-1] + (n,))
 
 
-def _triplets(rows, cols, vals):
-    """Row positions, column positions and values of the entries of
-    stacked local matrices, given row positions (T, m), column positions
-    (T, m') and values (T, m, m'); entries at a -1 position are dropped."""
+def _sparse_sum(rows, cols, vals, shape):
+    """Sum of stacked local matrices as a CSC matrix, given row positions
+    (T, m), column positions (T, m') and values (T, m, m'); entries at a -1
+    position are dropped.  The result is scipy's COO to CSC conversion bit
+    for bit: row indices sorted within each column, duplicates summed,
+    explicit zeros kept, so SuperLU sees the same matrix.  A global entry
+    sums at most two local ones (an edge has at most two triangles), so it
+    does not depend on the order of the sum."""
     # the mask by broadcasting the small per-triangle masks: cheaper than
     # comparing the repeated index arrays
     keep = ((rows >= 0)[:, :, None] & (cols >= 0)[:, None, :]).ravel()
-    return (np.repeat(rows, cols.shape[1], axis=1).ravel()[keep],
-            np.tile(cols, (1, rows.shape[1])).ravel()[keep], vals.ravel()[keep])
-
-
-def _sparse_sum(rows, cols, vals, shape):
-    """Sum of stacked local matrices (as _triplets takes them) as a CSC
-    matrix.  The result is scipy's COO to CSC conversion bit for bit:
-    row indices sorted within each column, duplicates summed, explicit
-    zeros kept, so SuperLU sees the same matrix.  A global entry sums at
-    most two local ones (an edge has at most two triangles), so it does not
-    depend on the order of the sum."""
-    r, c, v = _triplets(rows, cols, vals)
-    return sp.csc_matrix((v, (r, c)), shape=shape)
+    r = np.repeat(rows, cols.shape[1], axis=1).ravel()[keep]
+    c = np.tile(cols, (1, rows.shape[1])).ravel()[keep]
+    return sp.csc_matrix((vals.ravel()[keep], (r, c)), shape=shape)
 
 
 def assemble(config, case, ops):
@@ -236,16 +236,13 @@ def assemble(config, case, ops):
     pos = np.concatenate([_positions(ops, uf), _positions(ops, lf, len(uf))], axis=1)
     pp = _positions(ops, up)
     # the lift columns [[-S_fp], [K_gp]] (p: fixed primal dofs), the u
-    # columns of the local matrices, in CSR, so that the product sums each
-    # row in ascending column order: the rhs feeds the t3-t5 k=3 levels,
-    # whose reference values store roundoff.  Only the triangles that hold
-    # a fixed u dof have a column there.  Subtracted from (0, data), the
-    # lift negates the u rows back
+    # columns of the local matrices.  Only the triangles that hold a fixed u
+    # dof have a column there.  Subtracted from (0, data), the lift negates
+    # the u rows back
     t = np.flatnonzero((pp >= 0).any(axis=1))
     g = ops.input_groups[t]
     local = _coupled(ops.group_stabilizers[g], ops.group_diffusion_forms[g])
-    r, c, v = _triplets(pos[t], pp[t], local[..., :pp.shape[1]])
-    lift_cols = sp.csr_matrix((v, (r, c)), shape=(len(uf) + len(lf), len(up)))
+    lift_cols = _sparse_sum(pos[t], pp[t], local[..., :pp.shape[1]], (len(uf) + len(lf), len(up)))
     rhs = np.append(np.zeros(len(uf)), rhs_full[lf]) - lift_cols @ u_fixed_values[up]
     return SaddleSystem(rhs=rhs, ops=ops, u_free=uf, lam_free=lf,
                         u_fixed_values=u_fixed_values, positions=pos)
@@ -313,12 +310,10 @@ def _local_column_sums(system):
 
 def _project_out(vec, unit):
     """vec (n,), or each column of vec (n, r), with its component along
-    the unit vector removed; vec itself where unit is None.  Each column's
-    dot product sums as one vector's does, which a matrix product would not."""
+    the unit vector removed; vec itself where unit is None."""
     if unit is None:
         return vec
-    dots = np.ascontiguousarray(vec.T)[..., None, :] @ unit
-    return vec - (dots * unit).T
+    return vec - np.multiply.outer(unit, unit @ vec)
 
 
 def _null_direction(lu):
@@ -393,10 +388,9 @@ class _Condensation:
     def _by_class(self, rows, tables):
         """Each triangle's row vector rows[..., t, :] times its class's
         matrix, tables (C, m, m'): the rows (..., T, m'), one product per
-        class and leading index, on contiguous rows: a strided one-row
-        product sums in another order than the rows of one index alone."""
+        class and leading index."""
         out = np.empty(rows.shape[:-1] + tables.shape[-1:])
-        out[..., self.members, :] = np.ascontiguousarray(rows[..., self.members, :]) @ tables
+        out[..., self.members, :] = rows[..., self.members, :] @ tables
         return out
 
     def solve(self, lu, rhs):
@@ -461,7 +455,8 @@ def _bordered(matrix, col):
     """The CSC matrix [[matrix, c], [c^T, 0]] of a CSC matrix with sorted
     indices and a dense column c, as sp.bmat builds it from c's sparse
     column: every stored entry of matrix kept, the exact zeros of c not
-    stored.  Row n ends each of the first n columns; column n holds c."""
+    stored.  Row n ends each of the first n columns; column n holds c.
+    sp.bmat itself gives the same bits but a higher peak memory."""
     n = len(col)
     has = col != 0
     rows = np.flatnonzero(has).astype(matrix.indices.dtype)

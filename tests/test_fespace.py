@@ -373,13 +373,18 @@ def test_basis_table_is_the_all_pow_table_bit_for_bit(k, kind):
     # ElementBasis.eval takes Z^1 = Z and numpy's power ufunc for the higher
     # powers, which is the table Z**P with the exponents P = 1..k, bit for
     # bit, at the triangle and edge points of a level and at a single point.
-    # At k = 2 numpy squares a broadcast exponent 2 instead, and the square
-    # differs from pow in the last bit at some of these points
+    # At k = 2 numpy squares a broadcast exponent 2 instead.  Whether the
+    # square differs from pow is the CPU's: numpy's AVX-512 pow differs in
+    # the last bit at some of these points, libm's pow (numpy's dispatch
+    # without AVX-512) at none of them.  The witness that the table is not
+    # the square's is taken only where the two differ on a fixed probe
     from test_weakops import jittered_mesh
 
     mesh = build_uniform_mesh(8) if kind == "uniform" else jittered_mesh()
     rule = quadrature_for_degree(k)
     basis = element_basis(k)
+    probe = np.linspace(-1.0, 1.0, 1001)
+    pow_differs_from_square = np.any(probe**2 != probe ** np.full_like(probe, 2.0))
     center, scale = mesh.tri_centroids[:, None, :], mesh.h_tri[:, None]
     tri_pts, _ = tri_quad(mesh, np.arange(mesh.n_triangles), rule)
     edge_pts, _, _ = edge_quad(mesh, mesh.tri_edges, rule)
@@ -393,5 +398,5 @@ def test_basis_table_is_the_all_pow_table_bit_for_bit(k, kind):
         # the first point, of triangle 0, alone
         one = basis.eval(scaled.reshape(-1, 2)[0])
         assert one.tobytes() == want.reshape(-1, basis.dim)[:1].tobytes()
-        if k == 2:
+        if k == 2 and pow_differs_from_square:
             assert np.any(X**2 != xp[..., 2])

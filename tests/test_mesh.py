@@ -140,6 +140,13 @@ def test_zero_refinement_rejected():
         build_uniform_mesh(0)
 
 
+@pytest.mark.parametrize("n", [True, 1.0, 2.5])
+def test_refinement_level_that_is_not_an_integer_rejected(n):
+    # a bool is an int to Python, and True would build the n = 1 mesh
+    with pytest.raises(ValueError, match="positive integer"):
+        build_uniform_mesh(n)
+
+
 def test_clockwise_triangle_rejected():
     with pytest.raises(ValueError):
         Mesh([(0, 0), (1, 0), (0, 1)], [(0, 2, 1)])

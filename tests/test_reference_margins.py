@@ -3,7 +3,9 @@ reference check from outside; a rename in either must not break it
 silently, and its tolerance must stay the check's."""
 
 import importlib.util
+import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +17,21 @@ from pdwg.norms import ErrorReport
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "reference_margins.py"
 GAUGE_LEVELS = ["t3:k2:n2", "t3:k2:n4", "t3:k2:n8", "t3:k2:n16"]
+# the levels checked under two BLAS kernels: the gauge workload's top
+# margin, and a polynomial-exact Cauchy level whose errors are roundoff
+KERNEL_LEVELS = [("t3", 2, 16), ("t1", 3, 8)]
+# prints [level, column, margin] for each row of level_margins; loading the
+# tool holds BLAS to one thread before numpy is imported
+MARGINS_SCRIPT = """
+import importlib.util, json, sys
+spec = importlib.util.spec_from_file_location("reference_margins", sys.argv[1])
+tool = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tool)
+reference = tool.workloads.load_reference()
+print(json.dumps([[tool.workloads.level_key(*level), column, margin]
+                  for level in json.loads(sys.argv[2])
+                  for margin, column, *_ in tool.level_margins(reference, *level)]))
+"""
 
 
 def load_tool():
@@ -121,3 +138,23 @@ def test_a_closed_pipe_keeps_the_status_of_a_failing_margin(monkeypatch):
     with os.fdopen(write, "w") as out:
         monkeypatch.setattr(sys, "stdout", out)
         assert tool.main(["--workload", "gauge-k2-n16"]) == 1
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="OPENBLAS_CORETYPE=Prescott names an x86-64 kernel")
+def test_margins_hold_under_the_default_and_the_prescott_blas_kernel():
+    # the same levels in two processes, one under the BLAS kernel that
+    # OpenBLAS picks for the CPU, one under its Prescott kernel, which any
+    # x86-64 CPU runs and which sums in another order.  Top margins measured
+    # on an AVX-512 CPU: t3:k2:n16 0.192 (default) and 0.185 (Prescott;
+    # 0.409 under Haswell), t1:k3:n8 0.056 and 0.057.  Every margin stays
+    # below 1
+    columns = load_tool().workloads.COLUMNS
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_CORETYPE"}
+    for setting in ({}, {"OPENBLAS_CORETYPE": "Prescott"}):
+        proc = subprocess.run([sys.executable, "-c", MARGINS_SCRIPT, str(TOOL),
+                               json.dumps(KERNEL_LEVELS)], env={**env, **setting},
+                              capture_output=True, text=True, check=True)
+        rows = json.loads(proc.stdout)
+        assert len(rows) == len(columns) * len(KERNEL_LEVELS), setting
+        assert all(margin < 1.0 for _, _, margin in rows), (setting, rows)

@@ -3,13 +3,15 @@ ladder, compute errors and observed orders, and emit publication-style tables
 in csv or markdown.
 
 Exit codes: 0 on success, 2 when any refinement level failed to solve,
-1 on usage errors.
+1 on usage errors, among them an output path that cannot be written
+(found before the study runs).
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -230,13 +232,21 @@ def _build_parser():
     return parser
 
 
+def _write_stdout(text):
+    """Write text to stdout, and to devnull once a reader closed the pipe."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
 
     if args.list_cases:
-        for cid in case_ids():
-            print(f"{cid:5s} {get_case(cid).description}")
+        _write_stdout("".join(f"{cid:5s} {get_case(cid).description}\n" for cid in case_ids()))
         return 0
     if not args.case:
         parser.error("--case is required (or use --list-cases)")
@@ -245,6 +255,12 @@ def main(argv=None):
         levels = [int(tok) for tok in args.levels.split(",") if tok.strip()]
     except ValueError:
         parser.error(f"cannot parse --levels {args.levels!r}")
+    for flag, path in (("--out", args.out), ("--dump-matrix", args.dump_matrix)):
+        if path:
+            try:
+                open(path, "a").close()
+            except OSError as exc:
+                parser.exit(1, f"pdwg: error: cannot write {flag} {path!r}: {exc.strerror}\n")
 
     try:
         report = run_study(args.case, levels, k=args.degree, dump_matrix=args.dump_matrix)
@@ -257,7 +273,7 @@ def main(argv=None):
         with open(args.out, "w") as fh:
             fh.write(text)
     else:
-        sys.stdout.write(text)
+        _write_stdout(text)
 
     for lvl in report.levels:
         if lvl.failed:

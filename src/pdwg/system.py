@@ -17,17 +17,14 @@ the level's context (_Condensation), and factors the Schur matrix on the
 free edge dofs, assembled straight in the mesh's nested-dissection order
 (Mesh.nested_dissection, unpaired unknowns last), in that order and in
 symmetric mode.  solve and condition_estimate share two steps.  The kernel
-step (_decide_kernel) decides the kernel from polynomial candidates
-(_Condensation.kernel_dims) before anything is factored: a primal one
-raises SingularSystemError, and two or more multiplier (gauge) directions
-drop the condensation.  _inverse then factors once per path and returns
-the inverse for any number of right-hand sides: along one gauge direction
-the Schur LU solves the compatible data (I - v v^T) rhs, v its own null
-direction, and projects v out; two or more factor the natural free-dof
-matrix, which only that branch builds, for its null direction, then the
-bordered matrix, with SuperLU's defaults.  solve checks its residual, and
-takes the 1-norm that scales it, from the local matrices, which also tests
-the class tables on every level; condition_estimate reads the same norm.
+step (_decide_kernel) counts the kernel on the continuous problem, with no
+mesh size in the count (_kernel_dims), before anything is built or
+factored: a primal one raises SingularSystemError, and two or more
+multiplier (gauge) directions skip the condensation.  _inverse then
+factors once per path and returns the inverse for any number of
+right-hand sides.  solve checks its residual, and takes the 1-norm that
+scales it, from the local matrices, which also tests the class tables on
+every level; condition_estimate reads the same norm.
 The level's LocalOperators is the one source of mesh, degree, dof layout
 and local matrices: assemble takes it, and the assembled system keeps it
 as ops for solve to read.
@@ -49,7 +46,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .fespace import WeakFunction, element_basis, gram, l2_project_edge, sample
+from .fespace import WeakFunction, element_basis, l2_project_edge, sample
 from .weakops import LocalOperators
 
 __all__ = [
@@ -63,17 +60,10 @@ __all__ = [
 
 # relative residual bound accepted from the direct solver
 _RESIDUAL_TOL = 1e-9
-# a singular value of kernel_dims's stacked matrix at or below
-# _KERNEL_CUTOFF ||Schur||_1 counts as a kernel direction.  Measured
-# (sigma / ||Schur||_1): kernel directions at most 2.3e-16 over the catalog
-# at n <= 8 and 2.9e-16 on t3, k=3, n=32 (3.3e-16 at n=64), the others at
-# least 1.4e-5 there (t1, k=3, n=1) and 2.0e-5 on t1, k=3, n=32 (5.9e-6 at
-# n=64).  One regular system closes in on the cutoff: on t3's sides
-# a = exp(y) gives div(a grad x) = 0, so the continuous multiplier problem
-# has the kernel x, which the discrete one approaches as h^(k+1): at k=3
-# the ratio reads 1.3e-8, 8.3e-10, 5.3e-11 and 3.3e-12 at n = 8, 16, 32,
-# 64, and would count as a kernel from about n=128 on
-_KERNEL_CUTOFF = 1e-12
+# a singular value of _kernel_dims's conditions at or below this counts a
+# kernel polynomial: measured at most 1.6e-15 for kernel ones, at least
+# 2.7e-3 for the others (README, "The kernel")
+_KERNEL_CUTOFF = 1e-9
 # largest system whose inverse condition_estimate forms exactly
 _DENSE_COND_LIMIT = 800
 # SuperLU options for a matrix numbered in the mesh's nested-dissection
@@ -256,15 +246,6 @@ def _factor(matrix, **options):
         raise SingularSystemError(f"direct factorization failed: {exc}") from exc
 
 
-def _one_norm(matrix):
-    """Largest absolute column sum, reduced over each CSC column's stored
-    entries; the inf-norm up to roundoff for these symmetric matrices.  An
-    empty column reads the next column's first entry (or the appended 0),
-    never more than the largest sum."""
-    matrix = matrix.tocsc()
-    return np.add.reduceat(np.append(np.abs(matrix.data), 0.0), matrix.indptr[:-1]).max()
-
-
 def _local_product(system, x):
     """A x for a free-dof vector x without the matrix A: each triangle's
     local matrix applied to its part of x, summed into the free dofs.  The
@@ -349,10 +330,8 @@ class _Condensation:
     in the l2 error, 60 times the benchmark's tolerance for that level."""
 
     def __init__(self, system):
-        ops, nf = system.ops, len(system.u_free)
+        ops = system.ops
         dim, mesh = ops.dofmap.interior_dim, ops.mesh
-        self.ops = ops
-        self.free = np.concatenate([system.u_free, system.lam_free])
         self.members = ops.class_members
         reps = self.members[:, 0]
         rep_groups = ops.input_groups[reps]
@@ -375,7 +354,6 @@ class _Condensation:
         # and each triangle's local dofs among them (-1 where fixed), read
         # off the free-dof positions through the inverse of that order
         self.numbered = _nested_numbering(system)
-        self.primal = self.numbered < nf
         n_edge = len(self.numbered)
         # one spare last entry, -1, which the position -1 of a fixed dof reads
         place = np.full(system.n_free + 1, -1, dtype=np.int32)
@@ -414,42 +392,6 @@ class _Condensation:
         x[..., self.interior] = z - self._by_class(local, self.coupling.swapaxes(1, 2))
         return x.T
 
-    def kernel_dims(self):
-        """Dimensions (primal, multiplier) of the kernel of matrix.  A
-        kernel vector (u, lam) has S u = S lam = 0, so (u, 0) and (0, lam)
-        are kernel vectors too, on this catalog each Q_h p for a p of
-        degree <= k.  Per field, the monomials' Q_b p, orthonormalized over
-        all edge dofs, give X on its free edge unknowns (0 on the other
-        field's) and X_fixed on its fixed edge dofs; counted are the
-        singular values of [matrix X; X_fixed] at or below
-        _KERNEL_CUTOFF ||matrix||_1."""
-        ops = self.ops
-        n_int, w0 = ops.dofmap.n_interior, ops.rule.edge_weights
-        # Q_b p from the values of p at each edge's points (ops.edge_pts):
-        # every edge's Gram matrix is its length times the reference one,
-        # so one matrix projects them all, exactly for p of degree <= k
-        project = np.linalg.solve(gram(ops.beta, w0), ops.beta.T * w0)
-        monomials = element_basis(ops.k).eval(ops.edge_pts)
-        cand = np.linalg.qr((project @ monomials).reshape(-1, monomials.shape[-1]))[0]
-        dofs = self.free[self.numbered] - n_int
-        n = len(dofs)
-        cutoff = _KERNEL_CUTOFF * _one_norm(self.matrix)
-        # both fields' candidate columns side by side, in one sparse product
-        x = np.zeros((n, 2, cand.shape[1]))
-        fixed = np.ones((2, len(cand)), dtype=bool)
-        for i, field in enumerate((self.primal, ~self.primal)):
-            x[field, i] = cand[dofs[field]]
-            fixed[i, dofs[field]] = False
-        # both fields' [matrix X; X_fixed] in one batched SVD, the shorter
-        # padded with zero rows, which leave the singular values as they are
-        n_fixed = fixed.sum(axis=1)
-        stacked = np.zeros((2, n + n_fixed.max(), cand.shape[1]))
-        stacked[:, :n] = (self.matrix @ x.reshape(n, -1)).reshape(x.shape).swapaxes(0, 1)
-        for i in range(2):
-            stacked[i, n:n + n_fixed[i]] = cand[fixed[i]]
-        sv = np.linalg.svd(stacked, compute_uv=False)
-        return tuple(int(d) for d in np.count_nonzero(sv <= cutoff, axis=1))
-
 
 def _bordered(matrix, col):
     """The CSC matrix [[matrix, c], [c^T, 0]] of a CSC matrix with sorted
@@ -467,27 +409,66 @@ def _bordered(matrix, col):
                           np.append(indptr, indptr[-1] + len(rows))), shape=(n + 1, n + 1))
 
 
+def _kernel_dims(system):
+    """Dimensions (primal, multiplier) of the kernel of system's free-dof
+    matrix, counted on the continuous problem (README, "The kernel"): the
+    Q_h p of the p in P_k with a grad p = curl psi for a psi in P_k, p = 0
+    where the field's edge dofs are fixed, and a grad p . n = 0 on the
+    boundary edges where the other field's are free.  The conditions are
+    rows on the monomials of the mesh's bounding box scaled to [-1, 1]^2,
+    each weighted by the root of its point's weight: the residual of the
+    least-squares fit of a grad p / max |a| by curl psi at the rule's points
+    on the box's two halves, and the boundary conditions at the boundary
+    edges' points.  One batched SVD counts both fields' singular values at
+    or below _KERNEL_CUTOFF."""
+    ops, rule, bnd = system.ops, system.ops.rule, system.ops.mesh.boundary_edges
+    lo, hi = ops.mesh.vertices.min(axis=0), ops.mesh.vertices.max(axis=0)
+    center, scale = 0.5 * (lo + hi), 0.5 * (hi - lo).max()
+    # the box's halves (lo, (hi_x, lo_y), hi) and (lo, hi, (lo_x, hi_y))
+    sides = np.array([[[hi[0], lo[1]], hi], [hi, [lo[0], hi[1]]]]) - lo
+    box = (lo + rule.tri_points @ sides).reshape(-1, 2)
+    pts, nb = np.concatenate([box, ops.edge_pts[bnd].reshape(-1, 2)]), len(box)
+    root_w = np.sqrt(np.concatenate([np.tile(rule.tri_weights * (hi - lo).prod(), 2) / scale**2,
+                                     ops.edge_wts[bnd].ravel() / scale]))[:, None]
+    grad = element_basis(ops.k).grad((pts - center) / scale, 1.0) * root_w[..., None]
+    tensor = ops.a.tensor(*pts.T)
+    # a grad p (points, 2, dim P_k) in the scaled coordinates, in units of max |a|
+    flux = tensor @ grad.swapaxes(1, 2) / np.abs(tensor).max()
+    fit = flux[:nb].reshape(2 * nb, -1)
+    curl = (grad[:nb] @ [[0.0, -1.0], [1.0, 0.0]]).swapaxes(1, 2).reshape(2 * nb, -1)
+    residual = fit - curl @ np.linalg.lstsq(curl, fit, rcond=None)[0]
+    values = element_basis(ops.k).eval((pts[nb:] - center) / scale) * root_w[nb:]
+    normals = np.repeat(ops.mesh.edge_normals[bnd], rule.edge_weights.size, axis=0)
+    normal_flux = (normals[:, None] @ flux[nb:])[:, 0]
+    # a condition that a field does not have is a zero row, which no singular value reads
+    free = np.zeros((2, ops.dofmap.n_dofs), dtype=bool)
+    free[0, system.u_free] = free[1, system.lam_free] = True
+    free = np.repeat(free[:, ops.dofmap.edge_block(bnd)[:, 0]], rule.edge_weights.size, axis=1)
+    conditions = np.concatenate([np.broadcast_to(residual, (2,) + residual.shape),
+                                 values * ~free[..., None], normal_flux * free[::-1, :, None]],
+                                axis=1)
+    sv = np.linalg.svd(conditions, compute_uv=False)
+    return tuple(int(d) for d in np.count_nonzero(sv <= _KERNEL_CUTOFF, axis=1))
+
+
 def _decide_kernel(system):
-    """The kernel step, before anything is factored: the condensation of
-    system and its gauge kernel's dimension (_Condensation.kernel_dims).
-    A primal kernel raises SingularSystemError.  Two or more gauge
-    directions (t3-t5 at k = 3) drop the condensation, which their path
-    never factors, and give None in its place."""
-    reduced = _Condensation(system)
-    primal_dim, gauge_dim = reduced.kernel_dims()
+    """The kernel step: the gauge kernel's dimension (_kernel_dims), before
+    anything is built or factored; a primal kernel raises SingularSystemError."""
+    primal_dim, gauge_dim = _kernel_dims(system)
     if primal_dim:
         raise SingularSystemError("singular system: the primal field is not unique")
-    return (reduced if gauge_dim < 2 else None), gauge_dim
+    return gauge_dim
 
 
 def _inverse(system, reduced, gauge_dim):
     """(apply, v): apply solves A x = b for the free-dof matrix A and b
     (n,) or a block (n, r), one column of x per column of b, and v is the
-    gauge kernel vector (None without one), given _decide_kernel's
-    condensation and gauge dimension.  All factoring happens here, once for
-    any number of right-hand sides.  Up to one gauge direction the Schur
-    matrix is factored with _ORDERED_LU, and x is A^-1 b, or P A^-1 P b
-    with P = I - v v^T.  Two or more (t3-t5 at k = 3) factor the natural
+    gauge kernel vector (None without one), given system's condensation
+    (None for two or more gauge directions) and _decide_kernel's gauge
+    dimension.  All factoring happens here, once for any number of
+    right-hand sides.  Up to one gauge direction the Schur matrix is
+    factored with _ORDERED_LU, and x is A^-1 b, or P A^-1 P b with
+    P = I - v v^T.  Two or more (t3-t5 at k = 3) factor the natural
     free-dof matrix, which only this branch builds, for its null direction
     v, then the bordered [[A, v], [v^T, 0]], with SuperLU's defaults."""
     if gauge_dim > 1:
@@ -520,7 +501,8 @@ def solve(system):
     returns the primal and multiplier fields with the fixed boundary values
     merged back in.  The residual check applies the local matrices."""
     ops, nf = system.ops, len(system.u_free)
-    reduced, gauge_dim = _decide_kernel(system)
+    gauge_dim = _decide_kernel(system)
+    reduced = _Condensation(system) if gauge_dim < 2 else None
     inverse, null_dir = _inverse(system, reduced, gauge_dim)
     x = inverse(system.rhs)
     # the LU goes before the residual check, the condensation on return:
@@ -565,10 +547,10 @@ def condition_estimate(system):
     one call, above it the Higham-Tisseur 1-norm estimator applies it to
     its blocks, from a fixed random state on every call."""
     try:
-        reduced, gauge_dim = _decide_kernel(system)
+        gauge_dim = _decide_kernel(system)
         if gauge_dim > 1:
             return math.inf
-        apply = _inverse(system, reduced, gauge_dim)[0]
+        apply = _inverse(system, _Condensation(system), gauge_dim)[0]
     except SingularSystemError:
         return math.inf
     n = system.n_free

@@ -36,7 +36,8 @@ class Diffusion:
     """Diffusion coefficient a(x, y), read everywhere as a symmetric
     positive definite 2x2 tensor field: value is a positive scalar c
     (a = c I), a constant symmetric positive definite 2x2 matrix, or a
-    callable positive scalar field a(x, y) (a = a(x, y) I).
+    callable positive scalar field a(x, y) (a = a(x, y) I), read as one
+    smooth field over the mesh's bounding box (system._kernel_dims).
 
     grad is an optional callable returning the gradient (npts, 2) of a
     callable coefficient; residual norms need it, through divergence,

@@ -206,6 +206,56 @@ def test_cli_failed_level_exit_2(monkeypatch, capsys):
     assert "failed" in err
 
 
+@pytest.mark.parametrize("flag", ["--out", "--dump-matrix"])
+@pytest.mark.parametrize("where", ["missing-directory", "a-directory"])
+def test_cli_unwritable_output_path_is_a_usage_error(monkeypatch, capsys, tmp_path, flag, where):
+    # the path is opened before the study runs: one line on stderr, exit 1
+    monkeypatch.setattr(cli, "run_study", lambda *args, **kwargs: pytest.fail("the study ran"))
+    path = str(tmp_path / "missing" / "out.txt" if where == "missing-directory" else tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["--case", "t6", "--levels", "1", flag, path])
+    assert exc.value.code == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"pdwg: error: cannot write {flag} {path!r}: ")
+
+
+def run_into_a_closed_pipe(*args):
+    """Exit status and stderr of `python *args`, pdwg importable, with its
+    stdout a pipe whose reader closed before it writes, as `| head -c 0`
+    does."""
+    src = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, *args], stdout=write, stderr=subprocess.PIPE,
+                              env=dict(os.environ, PYTHONPATH=path), timeout=120)
+    finally:
+        os.close(write)
+    return proc.returncode, proc.stderr.decode()
+
+
+# pdwg with every level failing, its exit status 2
+FAILING_PDWG = """
+import sys
+from pdwg import cli
+from pdwg.system import SingularSystemError
+
+def solve(system):
+    raise SingularSystemError("synthetic failure")
+
+cli.solve = solve
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_a_closed_pipe_keeps_the_exit_status_without_a_traceback():
+    assert run_into_a_closed_pipe("-m", "pdwg", "--case", "t6", "--levels", "1") == (0, "")
+    assert run_into_a_closed_pipe("-m", "pdwg", "--list-cases") == (0, "")
+    assert run_into_a_closed_pipe("-c", FAILING_PDWG, "--case", "t6", "--levels", "1") == (
+        2, "level n=1 failed: synthetic failure\n")
+
+
 def test_csv_determinism_modulo_wall_time():
     def strip_wall(text):
         return "\n".join(",".join(line.split(",")[:-1]) for line in text.splitlines())

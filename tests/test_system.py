@@ -21,10 +21,10 @@ from pdwg.system import (
     _coupled,
     _decide_kernel,
     _inverse,
+    _kernel_dims,
     _local_column_sums,
     _local_product,
     _null_direction,
-    _one_norm,
     _ORDERED_LU,
     _positions,
     _project_out,
@@ -371,11 +371,10 @@ def catalog_system(case_id, k, n, a=None):
 
 
 def kernel_dims(case_id, k, n, a=None):
-    """_Condensation.kernel_dims of the catalog case's system, the
-    dimensions (primal, multiplier) that solve decides its path by; a
-    replaces the case's coefficient."""
-    system = catalog_system(case_id, k, n, a)
-    return _Condensation(system).kernel_dims()
+    """_kernel_dims of the catalog case's system, the dimensions (primal,
+    multiplier) that solve decides its path by; a replaces the case's
+    coefficient."""
+    return _kernel_dims(catalog_system(case_id, k, n, a))
 
 
 def catalog_kernel(case_id, k):
@@ -395,12 +394,21 @@ def polynomial_exact(case_id, k):
     return case_id in ("t1", "t2") or (case_id == "t11" and k >= 2)
 
 
+def path_inverse(system):
+    """_inverse's (function, gauge kernel vector) and the gauge dimension
+    on the path solve takes: the kernel step (_decide_kernel), the
+    condensation up to one gauge direction, then _inverse, which factors
+    the Schur matrix's ordered LU there and the bordered natural matrix
+    with two or more."""
+    gauge_dim = _decide_kernel(system)
+    reduced = _Condensation(system) if gauge_dim < 2 else None
+    return _inverse(system, reduced, gauge_dim), gauge_dim
+
+
 def solve_path(system):
     """The free-dof solution and gauge kernel vector (None without one) of
-    the path solve takes: the kernel step (_decide_kernel), then the
-    function of _inverse, which factors the Schur matrix's ordered LU up to
-    one gauge direction and the bordered natural matrix with two or more."""
-    inverse, v = _inverse(system, *_decide_kernel(system))
+    the path solve takes (path_inverse)."""
+    (inverse, v), _ = path_inverse(system)
     return inverse(system.rhs), v
 
 
@@ -421,42 +429,77 @@ def full_lu_solve(matrix, rhs, gauge_dim):
 
 
 def test_kernel_cutoff_keeps_a_hundredfold_margin_on_both_sides(monkeypatch):
-    # the cutoff sits between the singular value ratios of kernel_dims's
-    # stacked matrix that belong to kernel directions and those that do
-    # not.  Measured: kernel ones at most 2.3e-16 over the catalog at
-    # n <= 8 (t3, k=3, n=8) and 2.9e-16 on t3, k=3, n=32; the others at
-    # least 1.4e-5 over the catalog at n <= 8 (t1, k=3, n=1) and 2.0e-5 on
-    # t1, k=3, n=32.  A cutoff 100x higher or lower must decide every one
-    # of these levels alike
+    # the cutoff sits between the singular values of _kernel_dims's
+    # conditions that belong to kernel polynomials and those that do not.
+    # Measured: kernel ones at most 1.6e-15 over the catalog at n <= 8
+    # (t3, k=3, n=8) and 1.3e-15 on t3, k=3, n=32; the others at least
+    # 2.76e-2 there (t2, k=3, n=1) and on t1, k=3, n=32.  A cutoff 100x
+    # higher or lower must decide every one of these levels alike
     levels = [(case_id, k, n) for case_id in case_ids() for k in (1, 2, 3)
               for n in (1, 2, 4, 8)] + [("t1", 3, 32), ("t3", 3, 32)]
     cutoff = pdwg.system._KERNEL_CUTOFF
     for case_id, k, n in levels:
         system = catalog_system(case_id, k, n)
-        reduced = _Condensation(system)
         for factor in (100.0, 0.01):
             monkeypatch.setattr(pdwg.system, "_KERNEL_CUTOFF", factor * cutoff)
-            assert reduced.kernel_dims() == catalog_kernel(case_id, k), (case_id, k, n)
+            assert _kernel_dims(system) == catalog_kernel(case_id, k), (case_id, k, n)
+
+
+@pytest.mark.parametrize("c", [1e-9, 1e9])
+def test_kernel_count_does_not_change_when_a_is_scaled(c):
+    # the kernel of [[-S, c B], [c B^T, S]] is {S u = S lam = 0, B lam =
+    # B^T u = 0} for any c != 0, so the count of a = c I is the catalog's.
+    # A cutoff on the Schur matrix's singular values relative to its 1-norm
+    # read (1, 0) for a = 1e9 at t1, k=3, n=1: a primal kernel
+    for case_id in case_ids():
+        for k in (1, 2, 3):
+            for n in (1, 2, 4):
+                assert kernel_dims(case_id, k, n, Diffusion(c)) == catalog_kernel(case_id, k), (
+                    case_id, k, n)
+
+
+NO_CANDIDATE = (Diffusion(lambda x, y: 1.0 + x), Diffusion(lambda x, y: np.exp(y)))
+# COEFFICIENTS, 1 + x, exp(y), 1 + y, and a callable that returns ones,
+# which has the identity's kernel
+ORACLE_COEFFICIENTS = (*COEFFICIENTS.values(), *NO_CANDIDATE, Diffusion(lambda x, y: 1.0 + y),
+                       Diffusion(lambda x, y: np.ones_like(x)))
+
+
+def oracle_systems(k):
+    """The catalog at n <= 4; the cases t1, t3, t6, t9, t11 and t13 at
+    n <= 4 with each of ORACLE_COEFFICIENTS in place of theirs; and the
+    jittered mesh with each of them (local_systems' layout)."""
+    for n in (1, 2, 4):
+        for case_id in case_ids():
+            yield catalog_system(case_id, k, n)
+        for case_id in ("t1", "t3", "t6", "t9", "t11", "t13"):
+            for a in ORACLE_COEFFICIENTS:
+                yield catalog_system(case_id, k, n, a)
+    mesh = jittered_mesh()
+    for a in ORACLE_COEFFICIENTS:
+        case = dataclasses.replace(get_case("t6"), a=a, dirichlet_sides=("bottom", "left"),
+                                   neumann_sides=("bottom", "right"))
+        config = classify_boundary(mesh, case.dirichlet_sides, case.neumann_sides)
+        yield assemble(config, case, LocalOperators(mesh, k, case.a))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_kernel_dimensions_match_the_singular_values_of_the_schur_matrix(k):
     # the oracle: the singular values of the dense Schur matrix below
-    # 1e-13 sigma_max count its kernel, and the rank of their right
+    # 4e-15 sigma_max count its kernel, and the rank of their right
     # singular vectors' primal rows gives the primal part of it.  Measured
-    # over the catalog at n <= 4: kernel singular values at most 4.4e-16
-    # sigma_max (t3, k=2, n=4), the others at least 6.6e-9 sigma_max (t3,
-    # k=3, n=4), and the kernel's primal rows have no singular value above
-    # 5.4e-12
-    for case_id in case_ids():
-        for n in (1, 2, 4):
-            system = catalog_system(case_id, k, n)
-            reduced = _Condensation(system)
-            _, sv, vt = np.linalg.svd(reduced.matrix.toarray())
-            kernel = vt[sv < 1e-13 * sv[0]]
-            primal = np.linalg.matrix_rank(kernel[:, reduced.primal], tol=1e-6)
-            want = (primal, len(kernel) - primal)
-            assert reduced.kernel_dims() == want == catalog_kernel(case_id, k), (case_id, n)
+    # over oracle_systems: kernel singular values at most 4.4e-16 sigma_max
+    # (1 + y on t3, k=2, n=2), the others at least 2.9e-14 sigma_max
+    # (exp(y) on t3, k=3, n=4: the ill-posed problem's near kernel; 1.7e-13
+    # with 1 + x, the catalog's at least 6.6e-9), and the kernel's primal
+    # rows have no singular value above 8.5e-12
+    for system in oracle_systems(k):
+        reduced = _Condensation(system)
+        _, sv, vt = np.linalg.svd(reduced.matrix.toarray())
+        kernel = vt[sv < 4e-15 * sv[0]]
+        primal_rows = reduced.numbered < len(system.u_free)
+        primal = np.linalg.matrix_rank(kernel[:, primal_rows], tol=1e-6)
+        assert _kernel_dims(system) == (primal, len(kernel) - primal)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -487,33 +530,29 @@ def test_gauge_kernel_of_a_variable_coefficient(k):
         assert sv[-1] <= 1e-16 * sv[0] and sv[-2] >= 1e-12 * sv[0]
 
 
-NO_CANDIDATE = (Diffusion(lambda x, y: 1.0 + x), Diffusion(lambda x, y: np.exp(y)))
-
-
 def test_variable_coefficients_without_a_candidate_leave_no_kernel():
     # with a = 1 + x, div(a grad x) != 0, and with a = exp(y), a grad x is
     # not in [P_{k-1}]^2: t3's sides leave no kernel.  The smallest singular
-    # value ratio of kernel_dims's stacked matrix reads at least 7.2e-6
-    # (1 + x) and 1.3e-8 (exp(y)), both at k=3, n=8
+    # value of _kernel_dims's conditions reads at least 5.4e-3 (1 + x) and
+    # 2.7e-3 (exp(y)), both at k=3, the same at n = 2, 4 and 8
     assert not [(a, k, n) for a in NO_CANDIDATE for k in (1, 2, 3) for n in (2, 4, 8)
                 if kernel_dims("t3", k, n, a) != (0, 0)]
 
 
-@pytest.mark.parametrize("n,ratio", [(16, 8.3e-10), (32, 5.3e-11)])
-def test_near_kernel_of_exp_y_keeps_a_tenfold_margin_above_the_cutoff(monkeypatch, n, ratio):
-    # on t3's sides a = exp(y) leaves the multiplier a near kernel, which
-    # closes in on the cutoff as h^(k+1): the smallest singular value ratio
-    # of kernel_dims's stacked matrix reads 8.3e-10 at k=3, n=16 and
-    # 5.3e-11 at n=32 (the _KERNEL_CUTOFF comment), the next one 3.2e-5 and
-    # 8.7e-6.  No kernel is counted, also at 10x the cutoff; and the ratio
-    # lies within 2x of the comment's figure: a cutoff of half of it counts
-    # no direction, one of twice it counts that one
-    reduced = _Condensation(catalog_system("t3", 3, n, NO_CANDIDATE[1]))
-    cutoff = pdwg.system._KERNEL_CUTOFF
-    assert reduced.kernel_dims() == (0, 0)
-    for value, dims in ((10 * cutoff, (0, 0)), (ratio / 2, (0, 0)), (2 * ratio, (0, 1))):
+@pytest.mark.parametrize("n", [16, 32, 64])
+def test_exp_y_reads_no_kernel_with_the_same_gap_at_every_n(monkeypatch, n):
+    # on t3's sides a = exp(y) gives div(a grad x) = 0, and the discrete
+    # multiplier a near kernel that closes in on x as h^(k+1), so that no
+    # cutoff on the Schur matrix's singular values holds at every n.  The
+    # count reads the continuous problem, where a grad x = exp(y) e_1 is
+    # not in [P_2]^2: the smallest singular value of _kernel_dims's
+    # conditions is 2.6633e-3 at every n, so a cutoff just below it counts
+    # no direction, one just above it counts that one
+    system = catalog_system("t3", 3, n, NO_CANDIDATE[1])
+    assert _kernel_dims(system) == (0, 0)
+    for value, dims in ((2.6632e-3, (0, 0)), (2.6634e-3, (0, 1))):
         monkeypatch.setattr(pdwg.system, "_KERNEL_CUTOFF", value)
-        assert reduced.kernel_dims() == dims, value
+        assert _kernel_dims(system) == dims, value
 
 
 @pytest.mark.parametrize("a", NO_CANDIDATE, ids=["1+x", "exp(y)"])
@@ -528,13 +567,13 @@ def test_near_kernel_of_a_variable_coefficient_is_not_projected_out(a):
     # projected solve: 0.98 to 1.0), and relative residuals 5.9e-17 and
     # 4.5e-17 on the full matrix (projected: 1.2e-14 and 4.8e-15)
     system = catalog_system("t3", 3, 8, a)
-    assert _Condensation(system).kernel_dims() == (0, 0)
+    assert _kernel_dims(system) == (0, 0)
     nf = len(system.u_free)
     u_h, lam_h = solve(system)
     got = np.concatenate([u_h.coeffs[system.u_free], lam_h.coeffs[system.lam_free]])
     want = spla.splu(system.matrix).solve(system.rhs)
     assert rel(got[:nf], want[:nf]) <= 0.2 and rel(got[nf:], want[nf:]) <= 0.2
-    scale = np.linalg.norm(system.rhs) + _one_norm(system.matrix) * np.linalg.norm(got)
+    scale = np.linalg.norm(system.rhs) + spla.norm(system.matrix, 1) * np.linalg.norm(got)
     assert np.linalg.norm(system.matrix @ got - system.rhs) <= 1e-15 * scale
 
 
@@ -581,7 +620,7 @@ def test_condensed_solve_matches_the_full_path(case_id, k):
     exact = polynomial_exact(case_id, k)
     for n in (1, 2, 4):
         system = catalog_system(case_id, k, n)
-        nf, norm = len(system.u_free), _one_norm(system.matrix)
+        nf, norm = len(system.u_free), spla.norm(system.matrix, 1)
         u_h, lam_h = solve(system)
         got = np.concatenate([u_h.coeffs[system.u_free], lam_h.coeffs[system.lam_free]])
         want, v = full_lu_solve(system.matrix, system.rhs, catalog_kernel(case_id, k)[1])
@@ -617,8 +656,7 @@ def test_inverse_of_a_block_is_that_of_its_columns(case_id, k):
     rng = np.random.default_rng(k)
     for n in (1, 2, 4):
         system = catalog_system(case_id, k, n)
-        reduced, gauge_dim = _decide_kernel(system)
-        inverse = _inverse(system, reduced, gauge_dim)[0]
+        (inverse, _), gauge_dim = path_inverse(system)
         b = rng.standard_normal((system.n_free, 8))
         block = inverse(b)
         columns = np.column_stack([inverse(col) for col in b.T])
@@ -628,16 +666,28 @@ def test_inverse_of_a_block_is_that_of_its_columns(case_id, k):
 
 @pytest.mark.parametrize("case_id,k,factors", [("t6", 1, 1), ("t3", 2, 1), ("t3", 3, 2)])
 def test_all_factoring_happens_inside_inverse(monkeypatch, case_id, k, factors):
-    # the kernel step factors nothing, and drops the condensation where
-    # two gauge directions (t3 at k=3) send the solve to the natural
-    # matrix.  _inverse factors the Schur matrix once, or there the natural
-    # and the bordered matrix; its function, applied to an (n, 8) block and
-    # then to the 8 columns one at a time, factors nothing more
+    # the kernel step builds and factors nothing: no condensation, no LU.
+    # Two gauge directions (t3 at k=3) send the solve to the natural matrix,
+    # and there solve builds no condensation at all.  _inverse factors the
+    # Schur matrix once, or there the natural and the bordered matrix; its
+    # function, applied to an (n, 8) block and then to the 8 columns one at
+    # a time, factors nothing more
     calls = record_factorizations(monkeypatch)
+    built = []
+    real_init = _Condensation.__init__
+
+    def init(self, system):
+        built.append(system)
+        real_init(self, system)
+
+    monkeypatch.setattr(_Condensation, "__init__", init)
     system = catalog_system(case_id, k, 4)
-    reduced, gauge_dim = _decide_kernel(system)
-    assert calls == [] and (reduced is None) == (gauge_dim > 1) == (k == 3)
-    inverse, _ = _inverse(system, reduced, gauge_dim)
+    gauge_dim = _decide_kernel(system)
+    assert calls == [] and built == [] and (gauge_dim > 1) == (k == 3)
+    solve(system)
+    assert len(built) == (k < 3) and len(calls) == factors
+    del calls[:]
+    (inverse, _), _ = path_inverse(system)
     assert len(calls) == factors
     b = np.random.default_rng(k).standard_normal((system.n_free, 8))
     inverse(b)
@@ -1110,7 +1160,7 @@ def test_local_residual_and_norm_match_the_matrix(k):
             sums = _local_column_sums(system)
             assert np.all(np.abs(sums - want) <= 1e-14 * want)
             # the largest sum is the matrix's 1-norm to 4 ulp (3 measured)
-            norm = _one_norm(matrix)
+            norm = spla.norm(matrix, 1)
             assert abs(sums.max() - norm) <= 4 * np.spacing(norm)
             x = rng.standard_normal(system.n_free)
             bound = abs(matrix) @ np.abs(x)

@@ -4,7 +4,8 @@ in csv or markdown.
 
 Exit codes: 0 on success, 2 when any refinement level failed to solve,
 1 on usage errors, among them an output path that cannot be written
-(found before the study runs).
+(found before the study runs, after the case and the ladder are checked,
+so that no other usage error leaves an empty output file).
 """
 
 from __future__ import annotations
@@ -89,12 +90,9 @@ class ConvergenceReport:
         return orders
 
 
-def run_study(case_id, levels, k=1, dump_matrix=None):
-    """Build, solve and measure one case on every refinement level.
-
-    A singular level is recorded as failed and the study continues.
-    """
-    case = get_case(case_id)
+def _ladder(levels):
+    """The refinement levels as a list of ints; ValueError unless they are
+    integers, positive and strictly increasing, at least one of them."""
     levels = list(levels)
     if any(isinstance(n, bool) or not isinstance(n, (int, np.integer)) for n in levels):
         raise ValueError("refinement levels must be integers")
@@ -105,6 +103,16 @@ def run_study(case_id, levels, k=1, dump_matrix=None):
         raise ValueError("refinement levels must be positive")
     if any(b <= a for a, b in zip(levels, levels[1:])):
         raise ValueError("refinement levels must be strictly increasing")
+    return levels
+
+
+def run_study(case_id, levels, k=1, dump_matrix=None):
+    """Build, solve and measure one case on every refinement level.
+
+    A singular level is recorded as failed and the study continues.
+    """
+    case = get_case(case_id)
+    levels = _ladder(levels)
 
     out = ConvergenceReport(case_id=case_id, k=k)
     last_system = None
@@ -255,6 +263,14 @@ def main(argv=None):
         levels = [int(tok) for tok in args.levels.split(",") if tok.strip()]
     except ValueError:
         parser.error(f"cannot parse --levels {args.levels!r}")
+    # the case and the ladder are checked before the output paths are
+    # probed, so that a usage error leaves no empty file behind
+    try:
+        get_case(args.case)
+        _ladder(levels)
+    except (KeyError, ValueError) as exc:
+        # str() of a KeyError is the repr of its message
+        parser.error(exc.args[0])
     for flag, path in (("--out", args.out), ("--dump-matrix", args.dump_matrix)):
         if path:
             try:
@@ -262,12 +278,7 @@ def main(argv=None):
             except OSError as exc:
                 parser.exit(1, f"pdwg: error: cannot write {flag} {path!r}: {exc.strerror}\n")
 
-    try:
-        report = run_study(args.case, levels, k=args.degree, dump_matrix=args.dump_matrix)
-    except (KeyError, ValueError) as exc:
-        # str() of a KeyError is the repr of its message
-        parser.error(exc.args[0])
-
+    report = run_study(args.case, levels, k=args.degree, dump_matrix=args.dump_matrix)
     text = emit(report, args.format)
     if args.out:
         with open(args.out, "w") as fh:

@@ -10,7 +10,7 @@ well-defined and reproducible.
 
 from __future__ import annotations
 
-import bisect
+import collections
 import math
 from functools import cached_property
 
@@ -67,11 +67,25 @@ class Mesh:
         caller and not measured: one class per triangle unless the keyword
         classes gives them, and two on build_uniform_mesh (triangle t in
         class t % 2).
+    macro_elements : (M, p) int array, the triangles of each macro-element,
+        the groups that the solver's second elimination stage works on:
+        one triangle each unless the keyword macro_elements gives them; on
+        build_uniform_mesh the 8 triangles of each 2 x 2 box of squares
+        for even n, the 2 of each square for odd n
+    macro_edges : (M, q) int array, the edges of each macro-element, its
+        macro_inner inner ones (each the edge of two of its triangles)
+        first, each part in order of first appearance
+    macro_layout : (p, 3) int array, the column of macro_edges that holds
+        local edge l of the j-th triangle, the same for every
+        macro-element
+    macro_classes : (M,) int array, congruence class of each
+        macro-element: those whose j-th triangles share a class for every
+        j, numbered from 0 and equally many in each
     nested_dissection : (E,) int array, the edges in nested-dissection
         order; computed on first read
     """
 
-    def __init__(self, vertices, triangles, *, classes=None):
+    def __init__(self, vertices, triangles, *, classes=None, macro_elements=None):
         vertices = np.array(vertices, dtype=float)
         triangles = np.array(triangles, dtype=int)
         if vertices.ndim != 2 or vertices.shape[1] != 2:
@@ -135,32 +149,44 @@ class Mesh:
         self.is_boundary_edge = self.edge_slots[:, 0] == self.edge_slots[:, 1]
         self.boundary_edges = np.nonzero(self.is_boundary_edge)[0]
         self.tri_classes = _congruence_classes(self, classes)
+        (self.macro_elements, self.macro_edges, self.macro_layout,
+         self.macro_inner) = _macro_layout(self, macro_elements)
+        self.macro_classes = _macro_classes(self)
 
         for arr in (self.vertices, self.triangles, self.edges, self.edge_slots, self.tri_edges,
                     self.tri_edge_signs, self.edge_lengths, self.edge_normals,
                     self.edge_midpoints, self.tri_areas, self.tri_centroids,
-                    self.h_tri, self.is_boundary_edge, self.boundary_edges, self.tri_classes):
+                    self.h_tri, self.is_boundary_edge, self.boundary_edges, self.tri_classes,
+                    self.macro_elements, self.macro_edges, self.macro_layout,
+                    self.macro_classes):
             arr.setflags(write=False)
 
     @cached_property
     def nested_dissection(self):
         """Nested-dissection order (E,) of the mesh's edges, each placed at
-        its midpoint.  A box is bisected at the vertex grid line nearest the
-        middle of its longer side (the x side on a tie); the edges exactly
-        on that line form the separator, ordered after both halves, and a
-        box crossed by no grid line keeps its edges in index order.
+        its midpoint.  A box is bisected at a vertex grid line of its
+        longer side (the x side on a tie): the one nearest the middle among
+        the lines that bound macro-elements, those that no macro-element's
+        inner edge lies on, or among all lines where none of those crosses
+        the box.  The edges exactly on that line form the separator,
+        ordered after both halves, and a box crossed by no grid line keeps
+        its edges in index order.
 
         A box's cut on one axis depends only on its extent along that axis,
         so each edge's path through the boxes merges its paths through the
         bisections of the two axes, the wider step first."""
         digits, widths = [], []
+        inner = self.macro_edges[:, :self.macro_inner].ravel()
         for axis in (0, 1):
             coords = np.sort(self.vertices[:, axis])
             line = coords[np.append(True, coords[1:] != coords[:-1])]
             # half-line index of each midpoint: 2 i on grid line i, 2 i - 1 between lines i - 1 and i
             c = self.edge_midpoints[:, axis]
             half = np.searchsorted(line, c) + np.searchsorted(line, c, "right") - 1
-            d, w = _bisection_paths(line.tolist())
+            bounding = np.ones(len(line), dtype=bool)
+            on_line = half[inner][half[inner] % 2 == 0]
+            bounding[on_line // 2] = False
+            d, w = _bisection_paths(line.tolist(), bounding.tolist())
             digits.append(d[half])
             widths.append(w[half])
         # the merged path takes the wider step first, the x one on a tie
@@ -201,14 +227,55 @@ def _congruence_classes(mesh, classes):
     return classes
 
 
-def _bisection_paths(coords):
+def _macro_layout(mesh, macros):
+    """(macro_elements, macro_edges, macro_layout, macro_inner) of the
+    grouping macros (M, p), one triangle each for None (Mesh's attributes of
+    those names).  ValueError unless macros splits the triangles into
+    groups of one size and every group has the layout of the first."""
+    if macros is None:
+        macros = np.arange(mesh.n_triangles)[:, None]
+    macros = np.array(macros, dtype=int)
+    if macros.ndim != 2 or not np.array_equal(np.sort(macros, axis=None),
+                                              np.arange(mesh.n_triangles)):
+        raise ValueError("macro_elements must split the triangles into groups of one size")
+    tri_edges = mesh.tri_edges[macros].reshape(len(macros), -1)
+    # the first macro-element's edges, the inner ones (those of two of its
+    # triangles) first, each part in order of first appearance
+    head = tri_edges[0].tolist()
+    counts = collections.Counter(head)
+    order = sorted(counts, key=lambda e: counts[e] == 1)
+    column = {e: i for i, e in enumerate(order)}
+    layout = np.array([column[e] for e in head])
+    edges = tri_edges[:, [head.index(e) for e in order]]
+    distinct = np.all(np.diff(np.sort(edges, axis=1), axis=1) != 0)
+    if not distinct or not np.array_equal(edges[:, layout], tri_edges):
+        raise ValueError("every macro-element must meet its edges as the first one does")
+    return macros, edges, layout.reshape(-1, 3), sum(c > 1 for c in counts.values())
+
+
+def _macro_classes(mesh):
+    """The (M,) class index of each macro-element, from the classes of its
+    triangles, numbered in their lexicographic order; ValueError unless
+    every class holds equally many."""
+    rows = mesh.tri_classes[mesh.macro_elements]
+    order = np.lexsort(rows.T[::-1])
+    classes = np.empty(len(rows), dtype=int)
+    classes[order] = np.cumsum(np.append(0, np.any(rows[order[1:]] != rows[order[:-1]], axis=1)))
+    counts = np.bincount(classes)
+    if np.any(counts != counts[0]):
+        raise ValueError("every macro-element class must hold equally many macro-elements")
+    return classes
+
+
+def _bisection_paths(coords, bounding):
     """Recursive bisection of the sorted grid lines coords of one axis, each
     interval cut at the inner line nearest its middle (the lower one on a
-    tie) until no inner line is left.  Per half-line index h (2 i on line
-    i, 2 i - 1 between lines i - 1 and i) and per depth, arrays (H, D) of
-    the step digit, 0 to the lower half, 1 to the upper one and 2 on the
-    cut, and of the width of the interval cut there, -inf where the path
-    of h has ended, on a cut or in an uncut interval."""
+    tie) among the lines flagged in bounding, or among all inner lines
+    where it flags none, until no inner line is left.  Per half-line index
+    h (2 i on line i, 2 i - 1 between lines i - 1 and i) and per depth,
+    arrays (H, D) of the step digit, 0 to the lower half, 1 to the upper
+    one and 2 on the cut, and of the width of the interval cut there, -inf
+    where the path of h has ended, on a cut or in an uncut interval."""
     last = len(coords) - 1
     n_half = 2 * last + 1
     digits, widths = [], []
@@ -221,9 +288,9 @@ def _bisection_paths(coords):
             digits.append([0] * n_half)
             widths.append([-math.inf] * n_half)
         middle = 0.5 * (coords[lo] + coords[hi])
-        cut = min(max(bisect.bisect_left(coords, middle), lo + 1), hi - 1)
-        if cut - 1 > lo and middle - coords[cut - 1] <= coords[cut] - middle:
-            cut -= 1
+        inside = range(lo + 1, hi)
+        cut = min([i for i in inside if bounding[i]] or inside,
+                  key=lambda i: (abs(coords[i] - middle), i))
         # the interval holds its inner half-lines, and the outermost grid lines
         start, stop = 2 * lo + (lo > 0), 2 * hi + (hi == last)
         widths[depth][start:stop] = [coords[hi] - coords[lo]] * (stop - start)
@@ -266,7 +333,10 @@ def build_uniform_mesh(n):
     Each of the n x n sub-squares is split along the negative-slope
     diagonal (top-left to bottom-right corner).  The lower-left triangles
     (even index) are translates of one another, and so are the upper-right
-    ones (odd index): they form the mesh's two congruence classes.
+    ones (odd index): they form the mesh's two congruence classes.  The
+    macro-elements are the 8 triangles of each 2 x 2 box of sub-squares
+    for even n, and the 2 of each sub-square for odd n; either way they are
+    translates of one another, in one class.
     """
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError("refinement level n must be a positive integer")
@@ -279,7 +349,14 @@ def build_uniform_mesh(n):
     v10, v01 = v00 + 1, v00 + n + 1
     # two triangles per sub-square, split along the diagonal v01 -- v10
     triangles = np.stack([v00, v10, v01, v10, v01 + 1, v01], axis=1).reshape(-1, 3)
-    mesh = Mesh(vertices, triangles, classes=np.arange(2 * n * n) % 2)
+    if n % 2:
+        squares = np.arange(n * n)[:, None]
+    else:
+        # the four sub-squares of each box, boxes row-major
+        j, i = divmod(np.arange(n * n // 4), n // 2)
+        squares = 2 * (j * n + i)[:, None] + [0, 1, n, n + 1]
+    macros = (2 * squares[..., None] + [0, 1]).reshape(len(squares), -1)
+    mesh = Mesh(vertices, triangles, classes=np.arange(2 * n * n) % 2, macro_elements=macros)
     assert abs(mesh.tri_areas.sum() - 1.0) < 1e-12
     return mesh
 

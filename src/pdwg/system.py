@@ -12,22 +12,25 @@ free-dof matrix [[-S_ff, K_fg], [K_fg^T, S_gg]] is symmetric indefinite.
 Each triangle adds to it one local matrix [[-S, B], [B, S]], u local dofs
 first, written only by _coupled: the free-dof matrix, the Dirichlet lift,
 solve's residual check and the condensation all read that table.  solve
-condenses each triangle's interior dofs out, once per congruence class of
-the level's context (_Condensation), and factors the Schur matrix on the
-free edge dofs, assembled straight in the mesh's nested-dissection order
-(Mesh.nested_dissection, unpaired unknowns last), in that order and in
-symmetric mode.  solve and condition_estimate share two steps.  The kernel
-step (_decide_kernel) counts the kernel on the continuous problem, with no
-mesh size in the count (_kernel_dims), before anything is built or
-factored: a primal one raises SingularSystemError, and two or more
-multiplier (gauge) directions skip the condensation.  _inverse then
-factors once per path and returns the inverse for any number of
-right-hand sides.  solve checks its residual, and takes the 1-norm that
-scales it, from the local matrices, which also tests the class tables on
-every level; condition_estimate reads the same norm.
-The level's LocalOperators is the one source of mesh, degree, dof layout
-and local matrices: assemble takes it, and the assembled system keeps it
-as ops for solve to read.
+condenses in two stages (_Condensation), each done once per congruence
+class of the level's context: each triangle's interior dofs, then the edge
+unknowns inside each of the mesh's macro-elements (mesh.macro_elements:
+2 x 2 boxes of squares on the uniform mesh of even n, the squares at odd
+n, single triangles on a general mesh).  It factors the Schur matrix on the
+free unknowns of the macro-elements' boundaries, assembled straight in the
+mesh's nested-dissection order (Mesh.nested_dissection, unpaired unknowns
+last), in that order and in symmetric mode.  solve and condition_estimate
+share two steps.  The kernel step (_decide_kernel) counts the kernel on
+the continuous problem, with no mesh size in the count (_kernel_dims),
+before anything is built or factored: a primal one raises
+SingularSystemError, and two or more multiplier (gauge) directions skip
+the condensation.  _inverse then factors once per path and returns the
+inverse for any number of right-hand sides.  solve checks its residual,
+and takes the 1-norm that scales it, from the local matrices, which also
+tests the class tables on every level; condition_estimate reads the same
+norm.  The level's LocalOperators is the one source of mesh, degree, dof
+layout and local matrices: assemble takes it, and the assembled system
+keeps it as ops for solve to read.
 
 Two forms here hold bits that only the t3-t5 k=3 levels read: the load's
 matrix-vector products per triangle and edge in assemble, and _bordered's
@@ -137,14 +140,15 @@ def _positions(ops, dofs, offset=0):
 
 
 def _nested_numbering(system):
-    """The natural free-dof index of each free edge unknown, in the order
-    of the Schur matrix: the unpaired ones (the other field fixed) last,
-    each part sorted by the nested-dissection rank of the edge
-    (Mesh.nested_dissection), then by field (u before lam), then by slot."""
+    """The natural free-dof index of each free edge unknown that lies on no
+    macro-element's inner edge, in the order of the Schur matrix: the
+    unpaired ones (the other field fixed) last, each part sorted by the
+    nested-dissection rank of the edge (Mesh.nested_dissection), then by
+    field (u before lam), then by slot."""
     ops, nf = system.ops, len(system.u_free)
-    n_int, edim = ops.dofmap.n_interior, ops.dofmap.edge_dim
-    rank = np.empty(ops.mesh.n_edges, dtype=np.int64)
-    rank[ops.mesh.nested_dissection] = np.arange(len(rank))
+    mesh, n_int, edim = ops.mesh, ops.dofmap.n_interior, ops.dofmap.edge_dim
+    rank = np.empty(mesh.n_edges, dtype=np.int64)
+    rank[mesh.nested_dissection] = np.arange(len(rank))
     free = np.concatenate([system.u_free, system.lam_free])
     # interior dofs are never fixed and lead each field's free dofs
     natural = np.concatenate([np.arange(n_int, nf), np.arange(nf + n_int, len(free))])
@@ -152,7 +156,11 @@ def _nested_numbering(system):
     unpaired = np.bincount(dof)[dof] < 2
     edge, slot = np.divmod(dof, edim)
     key = (2 * rank[edge] + (natural >= nf)) * edim + slot
-    return natural[np.argsort(key + unpaired * 2 * len(rank) * edim)]
+    inner = np.zeros(mesh.n_edges, dtype=bool)
+    inner[mesh.macro_edges[:, :mesh.macro_inner]] = True
+    outer = ~inner[edge]
+    natural, key = natural[outer], (key + unpaired * 2 * len(rank) * edim)[outer]
+    return natural[np.argsort(key)]
 
 
 def _scatter(pos, vals, n):
@@ -173,8 +181,9 @@ def _sparse_sum(rows, cols, vals, shape):
     position are dropped.  The result is scipy's COO to CSC conversion bit
     for bit: row indices sorted within each column, duplicates summed,
     explicit zeros kept, so SuperLU sees the same matrix.  A global entry
-    sums at most two local ones (an edge has at most two triangles), so it
-    does not depend on the order of the sum."""
+    sums at most two local ones (an edge lies in at most two triangles, and
+    so in at most two macro-elements), so it does not depend on the order
+    of the sum."""
     # the mask by broadcasting the small per-triangle masks: cheaper than
     # comparing the repeated index arrays
     keep = ((rows >= 0)[:, :, None] & (cols >= 0)[:, None, :]).ravel()
@@ -307,32 +316,45 @@ def _null_direction(lu):
 
 
 class _Condensation:
-    """Static condensation of a system onto its free edge dofs.  Interior
+    """Static condensation of a system onto the free unknowns on the
+    boundaries of the mesh's macro-elements (mesh.macro_elements), in two
+    stages.  Stage 1 eliminates each triangle's interior dofs: interior
     dofs couple only within their triangle, so each triangle's local
     matrix M = [[-S, B], [B, S]] (_coupled), split into interior (I) and
     edge (E) dofs, gives the local Schur block M_EE - M_EI M_II^-1 M_IE,
-    the blocks taken by index from M; matrix sums
-    them over the free edge dofs, numbered in nested-dissection order.
+    the blocks taken by index from M.  Stage 2 sums those blocks over each
+    macro-element's edges into A and eliminates the unknowns on its inner
+    edges (I'), which couple only within it, leaving A_OO - A_OI A_I'I'^-1
+    A_I'O on its other edges (O); matrix sums these over the free
+    unknowns on the macro-elements' boundaries, numbered in
+    nested-dissection order.  A macro-element of one triangle has no inner
+    edge, and stage 2 leaves its block as it is.
 
-    The dense algebra is done once per congruence class (ops.classes), on
-    the local matrices of the class's representative, and each triangle
-    reads the tables of its class: the two class maps coupling C =
-    M_II^-1 M_IE and inverse M_II^-1, in the original coordinates, which
-    solve and expand apply.  With one class per triangle this is the
-    triangle-by-triangle condensation, and the Schur matrix is the same
-    bit for bit.  The Schur block itself is formed in an orthonormal
-    interior basis R = L^-T, L L^T = mass_k / area (block-diagonal over
-    u_0 and lam_0), which at k = 1, 2, 3 takes the interior block's
-    condition number from 37, 2.5e4 and 3.9e6 to 2.1, 6.1 and 16; the maps
-    are formed from that basis's inverse only afterwards.  A Schur block
-    formed as M_EE - M_EI M_II^-1 M_IE from the map instead raises the
-    roundoff of the polynomial-exact t1, k=3, n=8 from 7.8e-10 to 8.8e-7
-    in the l2 error, 60 times the benchmark's tolerance for that level."""
+    The dense algebra is done once per congruence class, that of stage 1
+    per triangle class (ops.classes) and that of stage 2 per macro-element
+    class (ops.macro_classes), on the class's representative; each
+    triangle or macro-element reads the tables of its class.  Stage 1
+    keeps the coupling C = M_II^-1 M_IE and the inverse M_II^-1 in the
+    original coordinates, stage 2 the inner block A_I'I', its rows A_I'O
+    and the coupling A_I'I'^-1 A_I'O, formed with np.linalg.solve: solve
+    and expand apply them, and solve applies A_I'I'^-1 as a solve too,
+    never as an explicit inverse (one moved the polynomial-exact reference
+    rows by up to 1.57 tolerances in a trial).  With one class per
+    triangle and per macro-element this is the element-by-element
+    condensation, and the Schur matrix is the same bit for bit.  The
+    stage-1 Schur block is formed in an orthonormal interior basis R =
+    L^-T, L L^T = mass_k / area (block-diagonal over u_0 and lam_0), which
+    at k = 1, 2, 3 takes the interior block's condition number from 37,
+    2.5e4 and 3.9e6 to 2.1, 6.1 and 16; the maps are formed from that
+    basis's inverse only afterwards.  A Schur block formed as M_EE - M_EI
+    M_II^-1 M_IE from the map instead raises the roundoff of the
+    polynomial-exact t1, k=3, n=8 from 7.8e-10 to 8.8e-7 in the l2 error,
+    60 times the benchmark's tolerance for that level."""
 
     def __init__(self, system):
         ops = system.ops
-        dim, mesh = ops.dofmap.interior_dim, ops.mesh
-        self.members = ops.class_members
+        dim, mesh, edim = ops.dofmap.interior_dim, ops.mesh, ops.dofmap.edge_dim
+        self.members, self.macro_members = ops.class_members, ops.macro_members
         reps = self.members[:, 0]
         rep_groups = ops.input_groups[reps]
         local = _coupled(ops.group_stabilizers[rep_groups], ops.group_diffusion_forms[rep_groups])
@@ -350,46 +372,105 @@ class _Condensation:
         # the maps back in the original coordinates
         self.coupling = basis @ coupling
         self.inverse = basis @ np.linalg.inv(inner) @ basis.swapaxes(1, 2)
-        # free-dof positions of the unknowns of matrix, the free edge dofs,
-        # and each triangle's local dofs among them (-1 where fixed), read
-        # off the free-dof positions through the inverse of that order
-        self.numbered = _nested_numbering(system)
-        n_edge = len(self.numbered)
-        # one spare last entry, -1, which the position -1 of a fixed dof reads
-        place = np.full(system.n_free + 1, -1, dtype=np.int32)
-        place[self.numbered] = np.arange(n_edge)
-        self.interior = system.positions[:, interior]
-        self.edge_pos = place[system.positions[:, edge]]
-        self.matrix = _sparse_sum(self.edge_pos, self.edge_pos, schur[ops.classes],
-                                  (n_edge, n_edge))
 
-    def _by_class(self, rows, tables):
-        """Each triangle's row vector rows[..., t, :] times its class's
-        matrix, tables (C, m, m'): the rows (..., T, m'), one product per
-        class and leading index."""
+        # stage 2: the macro-element's unknowns (field, edge, slot) over
+        # mesh.macro_edges, and those of the j-th triangle's edge dofs; each
+        # entry of its triangles' blocks goes to its place in its class's
+        # block, and one bincount sums them, in triangle order
+        n_edges = mesh.macro_edges.shape[1]
+        unknowns = np.arange(2 * n_edges * edim).reshape(2, n_edges, edim)
+        tri_unknowns = unknowns[:, mesh.macro_layout].swapaxes(0, 1).reshape(
+            len(mesh.macro_layout), -1)
+        macro_reps = mesh.macro_elements[self.macro_members[:, 0]]
+        size = unknowns.size
+        spots = ((np.arange(len(macro_reps))[:, None, None, None] * size
+                  + tri_unknowns[:, :, None]) * size + tri_unknowns[:, None, :])
+        block = np.bincount(spots.ravel(), weights=schur[ops.classes[macro_reps]].ravel(),
+                            minlength=len(macro_reps) * size**2).reshape(-1, size, size)
+        inner_edges = unknowns[:, :mesh.macro_inner].ravel()
+        outer_edges = unknowns[:, mesh.macro_inner:].ravel()
+        self.inner_block = block[:, inner_edges[:, None], inner_edges]
+        self.inner_rows = block[:, inner_edges[:, None], outer_edges]
+        self.inner_coupling = np.linalg.solve(self.inner_block, self.inner_rows)
+        macro_schur = (block[:, outer_edges[:, None], outer_edges]
+                       - self.inner_rows.swapaxes(1, 2) @ self.inner_coupling)
+
+        # free-dof positions of each triangle's interior and edge dofs, of
+        # each macro-element's unknowns, and of the unknowns of matrix
+        self.n_free = system.n_free
+        self.interior = system.positions[:, interior]
+        self.edges = system.positions[:, edge]
+        place = np.full((2, ops.dofmap.n_dofs), -1, dtype=np.int32)
+        place[0, system.u_free] = np.arange(len(system.u_free))
+        place[1, system.lam_free] = len(system.u_free) + np.arange(len(system.lam_free))
+        macro_pos = place[:, ops.dofmap.edge_block(mesh.macro_edges)].swapaxes(0, 1)
+        macro_pos = macro_pos.reshape(len(macro_pos), -1)
+        self.inner = macro_pos[:, inner_edges]
+        self.numbered = _nested_numbering(system)
+        n_out = len(self.numbered)
+        # each macro-element's outer unknowns among those of matrix (-1
+        # where fixed), read off the free-dof positions through the inverse
+        # of that order, with one spare last entry, -1, which the position
+        # -1 of a fixed dof reads
+        order = np.full(system.n_free + 1, -1, dtype=np.int32)
+        order[self.numbered] = np.arange(n_out)
+        self.outer = order[macro_pos[:, outer_edges]]
+        self.matrix = _sparse_sum(self.outer, self.outer, macro_schur[ops.macro_classes],
+                                  (n_out, n_out))
+
+    @staticmethod
+    def _by_class(members, rows, tables):
+        """Each row vector rows[..., t, :] times its class's matrix, tables
+        (C, m, m'), members (C, T / C) the rows of each class: the rows
+        (..., T, m'), one product per class and leading index."""
         out = np.empty(rows.shape[:-1] + tables.shape[-1:])
-        out[..., self.members, :] = rows[..., self.members, :] @ tables
+        out[..., members, :] = rows[..., members, :] @ tables
+        return out
+
+    def _inner_solve(self, rows):
+        """Each macro-element's inner rows rows[..., m, :] solved against
+        its class's inner block, one np.linalg.solve per class for all its
+        members and leading indices."""
+        lead, members, m = rows.shape[:-2], self.macro_members, rows.shape[-1]
+        # (C, members x leading indices, unknowns), one column per row
+        count = members.shape[1] * math.prod(lead)
+        stacked = np.moveaxis(rows[..., members, :], -3, 0).reshape(len(members), count, m)
+        solved = np.linalg.solve(self.inner_block, stacked.swapaxes(1, 2)).swapaxes(1, 2)
+        out = np.empty(rows.shape)
+        out[..., members, :] = np.moveaxis(solved.reshape((len(members),) + lead
+                                                          + members.shape[1:] + (m,)), 0, -3)
         return out
 
     def solve(self, lu, rhs):
         """Free-dof solution of A x = rhs for rhs (n,) or a block (n, r), lu
-        factoring the Schur matrix: condense rhs, solve for the edge dofs,
-        recover the interiors."""
+        factoring the Schur matrix: condense rhs through both stages,
+        solve for the unknowns of matrix, recover the rest."""
         b = rhs.T  # one row per right-hand side
         b_int = b[..., self.interior]
-        shift = self._by_class(b_int, self.coupling)
-        edge_rhs = b[..., self.numbered] - _scatter(self.edge_pos, shift, len(self.numbered))
-        return self.expand(lu.solve(edge_rhs.T), self._by_class(b_int, self.inverse.swapaxes(1, 2)))
+        edge_rhs = b - _scatter(self.edges, self._by_class(self.members, b_int, self.coupling),
+                                self.n_free)
+        z_inner = self._inner_solve(edge_rhs[..., self.inner])
+        shift = self._by_class(self.macro_members, z_inner, self.inner_rows)
+        out_rhs = edge_rhs[..., self.numbered] - _scatter(self.outer, shift, len(self.numbered))
+        z_interior = self._by_class(self.members, b_int, self.inverse.swapaxes(1, 2))
+        return self.expand(lu.solve(out_rhs.T), z_interior, z_inner)
 
-    def expand(self, x_edge, z=0.0):
-        """Free-dof vector (or block, for x_edge (n_edge, r)) with edge part
-        x_edge and each triangle's interior from its local equations,
-        M_II^-1 b_I - C x_E, given M_II^-1 b_I as z (0: no interior data)."""
-        x_edge = x_edge.T
-        local = np.where(self.edge_pos >= 0, x_edge[..., self.edge_pos], 0.0)
-        x = np.empty(x_edge.shape[:-1] + (len(self.numbered) + self.interior.size,))
-        x[..., self.numbered] = x_edge
-        x[..., self.interior] = z - self._by_class(local, self.coupling.swapaxes(1, 2))
+    def expand(self, x_out, z_interior=0.0, z_inner=0.0):
+        """Free-dof vector (or block, for x_out (n_out, r)) with x_out on
+        the unknowns of matrix, each macro-element's inner unknowns from
+        its equations, A_I'I'^-1 c_I' - A_I'I'^-1 A_I'O x_O, and each
+        triangle's interior from its own, M_II^-1 b_I - C x_E, given the
+        condensed data A_I'I'^-1 c_I' as z_inner and M_II^-1 b_I as
+        z_interior (0: no data)."""
+        x_out = x_out.T
+        x = np.empty(x_out.shape[:-1] + (self.n_free,))
+        x[..., self.numbered] = x_out
+        outer = np.where(self.outer >= 0, x_out[..., self.outer], 0.0)
+        x[..., self.inner] = z_inner - self._by_class(self.macro_members, outer,
+                                                      self.inner_coupling.swapaxes(1, 2))
+        edges = np.where(self.edges >= 0, x[..., self.edges], 0.0)
+        x[..., self.interior] = z_interior - self._by_class(self.members, edges,
+                                                            self.coupling.swapaxes(1, 2))
         return x.T
 
 

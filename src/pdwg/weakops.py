@@ -213,6 +213,11 @@ class LocalOperators:
                                           one class per triangle for a callable
     class_members (C, T / C)              the triangles of each class, in index
                                           order; the first is its representative
+    macro_classes (M,), macro_members (C', M / C')
+                                          the same for the macro-elements
+                                          (mesh.macro_elements): the mesh's
+                                          macro_classes for a constant a, one
+                                          class per macro-element for a callable
 
     Triangle t's matrices are the rows group_grad_maps[g],
     group_stabilizers[g] and group_diffusion_forms[g] of its group
@@ -263,6 +268,10 @@ class LocalOperators:
         self.classes = mesh.tri_classes if a.constant else np.arange(mesh.n_triangles)
         self.class_members = np.argsort(self.classes, kind="stable").reshape(
             self.classes.max() + 1, -1)
+        self.macro_classes = (mesh.macro_classes if a.constant
+                              else np.arange(len(mesh.macro_elements)))
+        self.macro_members = np.argsort(self.macro_classes, kind="stable").reshape(
+            self.macro_classes.max() + 1, -1)
 
     def check(self, v):
         """Raise ValueError unless the weak function v lives on this

@@ -219,6 +219,23 @@ def test_cli_unwritable_output_path_is_a_usage_error(monkeypatch, capsys, tmp_pa
     assert line.startswith(f"pdwg: error: cannot write {flag} {path!r}: ")
 
 
+@pytest.mark.parametrize("flag", ["--out", "--dump-matrix"])
+@pytest.mark.parametrize("argv", [
+    pytest.param(["--case", "nope", "--levels", "1"], id="unknown-case"),
+    pytest.param(["--case", "t6", "--levels", "0"], id="level-0"),
+    pytest.param(["--case", "t6", "--levels", "4,2"], id="decreasing"),
+    pytest.param(["--case", "t6", "--levels", ","], id="empty-ladder"),
+])
+def test_a_usage_error_leaves_no_output_file(tmp_path, capsys, flag, argv):
+    # the case and the ladder are checked before the output path is opened
+    path = tmp_path / "o.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [flag, str(path)])
+    assert exc.value.code == 1
+    assert capsys.readouterr().err.splitlines()[-1].startswith("pdwg: error: ")
+    assert not path.exists()
+
+
 def run_into_a_closed_pipe(*args):
     """Exit status and stderr of `python *args`, pdwg importable, with its
     stdout a pipe whose reader closed before it writes, as `| head -c 0`

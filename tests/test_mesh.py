@@ -311,6 +311,9 @@ def bisection_reference(mesh):
     boxes, from the definition in Mesh.nested_dissection."""
     nodes = mesh.edge_midpoints
     lines = [np.unique(mesh.vertices[:, axis]) for axis in (0, 1)]
+    # the lines that no macro-element's inner edge lies on
+    inner = nodes[mesh.macro_edges[:, :mesh.macro_inner].ravel()]
+    bounding = [~np.isin(line, inner[:, axis]) for axis, line in enumerate(lines)]
 
     def order(idx, lo, hi):
         crossed = [h - l >= 2 for l, h in zip(lo, hi)]
@@ -320,7 +323,9 @@ def bisection_reference(mesh):
         axis = int(crossed[1] and (not crossed[0] or widths[1] > widths[0]))
         line, l, h = lines[axis], lo[axis], hi[axis]
         middle = (line[l] + line[h]) / 2
-        cut = min(range(l + 1, h), key=lambda i: (abs(line[i] - middle), i))
+        inside = range(l + 1, h)
+        cut = min([i for i in inside if bounding[axis][i]] or inside,
+                  key=lambda i: (abs(line[i] - middle), i))
         c = nodes[idx, axis]
         first_hi, second_lo = list(hi), list(lo)
         first_hi[axis] = second_lo[axis] = cut
@@ -330,7 +335,7 @@ def bisection_reference(mesh):
     return order(np.arange(len(nodes)), [0, 0], [len(line) - 1 for line in lines])
 
 
-@pytest.mark.parametrize("kind", [1, 3, 8, "jittered", "graded"])
+@pytest.mark.parametrize("kind", [1, 3, 6, 8, 10, "jittered", "graded"])
 def test_nested_dissection_orders_every_node_once(kind):
     # the order is a permutation of the edges, computed once per mesh, and
     # the one a direct recursion over the boxes gives
@@ -339,3 +344,56 @@ def test_nested_dissection_orders_every_node_once(kind):
     assert np.array_equal(np.sort(order), np.arange(mesh.n_edges))
     assert mesh.nested_dissection is order and not order.flags.writeable
     assert np.array_equal(order, bisection_reference(mesh))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 64])
+def test_uniform_mesh_macro_elements_are_boxes_or_pairs(n):
+    # at even n each macro-element holds the 8 triangles of a 2 x 2 box of
+    # squares, at odd n the 2 of a square; either way they are index
+    # translates of the first, with the first's layout, inner edges (those
+    # of two of its triangles) first, and all in one class
+    mesh = build_uniform_mesh(n)
+    macros = mesh.macro_elements
+    p, n_inner = (8, 8) if n % 2 == 0 else (2, 1)
+    assert macros.shape == (2 * n * n // p, p) and mesh.macro_inner == n_inner
+    assert np.array_equal(np.sort(macros, axis=None), np.arange(mesh.n_triangles))
+    offset = mesh.triangles[macros] - mesh.triangles[macros[0]]
+    assert np.all(offset == offset[:, :1, :1])
+    corner = mesh.vertices[mesh.triangles[macros]].min(axis=(1, 2))
+    extent = mesh.vertices[mesh.triangles[macros]].max(axis=(1, 2)) - corner
+    assert np.allclose(extent, (2 if p == 8 else 1) / n)
+    assert np.array_equal(mesh.macro_edges[:, mesh.macro_layout], mesh.tri_edges[macros])
+    inner = mesh.macro_edges[:, :n_inner]
+    both = mesh.edge_slots[inner] // 3
+    assert np.all([np.isin(both[m], macros[m]).all() for m in range(len(macros))])
+    assert not np.isin(mesh.macro_edges[:, n_inner:], inner).any()
+    assert np.array_equal(mesh.macro_classes, np.zeros(len(macros)))
+
+
+def test_general_mesh_has_one_macro_element_per_triangle():
+    base = build_uniform_mesh(4)
+    for mesh in (Mesh(base.vertices, base.triangles), jittered_mesh()):
+        assert np.array_equal(mesh.macro_elements, np.arange(mesh.n_triangles)[:, None])
+        assert np.array_equal(mesh.macro_edges, mesh.tri_edges)
+        assert mesh.macro_inner == 0 and mesh.macro_layout.tolist() == [[0, 1, 2]]
+        assert np.array_equal(mesh.macro_classes, np.arange(mesh.n_triangles))
+    # the uniform mesh's macro-elements on a general mesh: one class each
+    mesh = Mesh(base.vertices, base.triangles, macro_elements=base.macro_elements)
+    assert np.array_equal(mesh.macro_edges, base.macro_edges)
+    assert np.array_equal(mesh.macro_classes, np.arange(len(base.macro_elements)))
+
+
+@pytest.mark.parametrize("macros,match", [
+    ([[0, 1, 2, 3, 4, 5, 6, 6]], "split the triangles"),
+    ([0, 1, 2, 3, 4, 5, 6, 7], "split the triangles"),
+    ([[0, 1], [3, 2], [4, 5], [6, 7]], "meet its edges"),
+    ([[0, 7], [2, 5], [4, 3], [1, 6]], "equally many"),
+])
+def test_malformed_macro_elements_rejected(macros, match):
+    # on the n=2 mesh: a triangle twice, no grouping axis, a pair whose
+    # triangles come in the other order, and pairs of triangles that share
+    # no edge (so every pair has the same layout) whose classes come as
+    # (0, 1) three times and as (1, 0) once
+    base = build_uniform_mesh(2)
+    with pytest.raises(ValueError, match=match):
+        Mesh(base.vertices, base.triangles, classes=base.tri_classes, macro_elements=macros)

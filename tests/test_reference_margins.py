@@ -18,8 +18,12 @@ from pdwg.norms import ErrorReport
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "reference_margins.py"
 GAUGE_LEVELS = ["t3:k2:n2", "t3:k2:n4", "t3:k2:n8", "t3:k2:n16"]
 # the levels checked under two BLAS kernels: the gauge workload's top
-# margin, and a polynomial-exact Cauchy level whose errors are roundoff
-KERNEL_LEVELS = [("t3", 2, 16), ("t1", 3, 8)]
+# margin, a polynomial-exact Cauchy level whose errors are roundoff, and
+# the regular workload's finest level
+KERNEL_LEVELS = [("t3", 2, 16), ("t1", 3, 8), ("t6", 1, 32)]
+# the catalog's polynomial-exact rows at k >= 2, whose errors are roundoff:
+# the rows that a change of the condensation moves first
+EXACT_LEVELS = [(case_id, k, n) for case_id in ("t1", "t2") for k in (2, 3) for n in (1, 2, 4, 8)]
 # prints [level, column, margin] for each row of level_margins; loading the
 # tool holds BLAS to one thread before numpy is imported
 MARGINS_SCRIPT = """
@@ -56,6 +60,22 @@ def test_margins_of_the_gauge_workload_are_sorted_and_pass(capsys):
     for margin, _, _, got, want, tol in rows:
         assert float(margin) == pytest.approx(abs(float(got) - float(want)) / float(tol),
                                               rel=1e-2, abs=1e-6)
+
+
+def test_margins_of_the_regular_workload_and_the_polynomial_exact_rows_pass(capsys):
+    # every level of regular-k1-n32 passes the benchmark's check, and so
+    # does every polynomial-exact catalog row at k = 2, 3.  Top margins
+    # measured: below 1e-3 on regular-k1-n32, 0.098 on the exact rows
+    # (t1:k3:n1 h1_e0), and 0.099 at most under the Haswell, Prescott and
+    # Sandybridge kernels and numpy's AVX-512 dispatch off
+    tool = load_tool()
+    assert tool.main(["--workload", "regular-k1-n32"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 4 * len(tool.workloads.COLUMNS)
+    reference = tool.workloads.load_reference()
+    rows = [(level, column, margin) for level in EXACT_LEVELS
+            for margin, column, *_ in tool.level_margins(reference, *level)]
+    assert len(rows) == len(EXACT_LEVELS) * len(tool.workloads.COLUMNS)
+    assert all(margin < 1.0 for _, _, margin in rows), max(rows, key=lambda row: row[2])
 
 
 @pytest.mark.parametrize("column", ["l2_e0", "resid_u"])
@@ -146,8 +166,9 @@ def test_margins_hold_under_the_default_and_the_prescott_blas_kernel():
     # the same levels in two processes, one under the BLAS kernel that
     # OpenBLAS picks for the CPU, one under its Prescott kernel, which any
     # x86-64 CPU runs and which sums in another order.  Top margins measured
-    # on an AVX-512 CPU: t3:k2:n16 0.192 (default) and 0.185 (Prescott;
-    # 0.409 under Haswell), t1:k3:n8 0.056 and 0.057.  Every margin stays
+    # on an AVX-512 CPU: t3:k2:n16 0.317 (default) and 0.225 (Prescott;
+    # 0.524 under Haswell, 0.258 under Sandybridge), t1:k3:n8 0.056 and
+    # 0.058, t6:k1:n32 below 1e-3 under every kernel.  Every margin stays
     # below 1
     columns = load_tool().workloads.COLUMNS
     env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_CORETYPE"}

@@ -647,11 +647,12 @@ def test_inverse_of_a_block_is_that_of_its_columns(case_id, k):
     # BLAS kernel decides the order in which those sum, so the two agree to
     # roundoff.  Measured max |block - columns| / max |columns| over n = 1,
     # 2, 4 under the default kernel, OPENBLAS_CORETYPE=Haswell, Prescott and
-    # Sandybridge, and numpy's AVX-512 dispatch off: at most 2.5e-15 on the
-    # regular path (t6), 2.2e-14 along one gauge direction (t3, k <= 2), and
-    # 1.3e-10 along two (t3, k=3), whose bordered LU of the natural matrix
-    # leaves the second direction to roundoff.  The bounds keep 10x, 11x
-    # and 7.7x
+    # Sandybridge, and numpy's AVX-512 dispatch off: at most 4.0e-15 on the
+    # regular path (t6, Prescott), 1.7e-14 along one gauge direction (t3,
+    # k <= 2), and 1.3e-10 along two (t3, k=3), whose bordered LU of the
+    # natural matrix leaves the second direction to roundoff.  Condensing
+    # the interiors alone, those read 2.5e-15, 2.2e-14 and 1.3e-10.  The
+    # bounds keep 6.2x, 14x and 7.7x
     bounds = {0: 2.5e-14, 1: 2.5e-13, 2: 1e-9}
     rng = np.random.default_rng(k)
     for n in (1, 2, 4):
@@ -698,27 +699,35 @@ def test_all_factoring_happens_inside_inverse(monkeypatch, case_id, k, factors):
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_condensation_per_class_matches_per_triangle(k):
-    # Mesh(m.vertices, m.triangles) is the uniform mesh as a general mesh:
-    # the same local matrices, but one congruence class per triangle, so
-    # it is condensed triangle by triangle.  Measured over the catalog at
-    # n <= 4: the Schur matrices differ by at most 8.9e-16 of their largest
-    # entry (t1, k=3, n=2); u by 2.3e-14, 1.6e-12 and 1.7e-10, lam by
-    # 1.3e-13, 5.0e-9 and 2.2e-9 relative at k = 1, 2, 3, leaving out the
-    # polynomial-exact cases' multiplier, which is pure roundoff.  Every
-    # bound keeps at least 10x.  t3-t5 at k=3 solve on the full matrix,
-    # which reads the per-triangle tables, so there they agree bit for bit
+    # Mesh(m.vertices, m.triangles, macro_elements=m.macro_elements) is the
+    # uniform mesh as a general mesh with the same macro-elements: the same
+    # local matrices, but one congruence class per triangle and per
+    # macro-element, so both stages eliminate triangle by triangle and box
+    # by box (pair by pair at n=1).  Measured over the catalog at n <= 4:
+    # the Schur matrices differ by at most 2.1e-15 of their largest entry
+    # (t11, k=3, n=2); u by 1.3e-14, 1.7e-12 and 1.4e-10, lam by 6.5e-14,
+    # 4.2e-9 and 1.9e-9 relative at k = 1, 2, 3, leaving out the
+    # polynomial-exact cases' multiplier, which is pure roundoff.  The
+    # bounds keep 4.8x on the Schur matrix and at least 11x on the rest.
+    # t3-t5 at k=3 solve on the full matrix, which reads the per-triangle
+    # tables, so there they agree bit for bit
     for case_id in case_ids():
         case = get_case(case_id)
         exact = polynomial_exact(case_id, k)
         for n in (1, 2, 4):
             uniform = build_uniform_mesh(n)
+            general = Mesh(uniform.vertices, uniform.triangles,
+                           macro_elements=uniform.macro_elements)
             results = []
-            for mesh, n_classes in ((uniform, 2), (Mesh(uniform.vertices, uniform.triangles),
-                                                   uniform.n_triangles)):
+            for mesh, n_classes, n_macro_classes in ((uniform, 2, 1),
+                                                     (general, uniform.n_triangles,
+                                                      len(uniform.macro_elements))):
                 config = classify_boundary(mesh, case.dirichlet_sides, case.neumann_sides)
                 system = assemble(config, case, LocalOperators(mesh, k, case.a))
                 condensed = _Condensation(system)
                 assert len(condensed.coupling) == len(condensed.inverse) == n_classes
+                assert (len(condensed.inner_block) == len(condensed.inner_coupling)
+                        == n_macro_classes)
                 u_h, lam_h = solve(system)
                 results.append((condensed.matrix.toarray(), u_h.coeffs, lam_h.coeffs))
             (schur, u, lam), (want_schur, want_u, want_lam) = results
@@ -731,9 +740,50 @@ def test_condensation_per_class_matches_per_triangle(k):
                 assert rel(lam, want_lam) <= {1: 2e-12, 2: 5e-8, 3: 3e-8}[k], (case_id, n)
 
 
+def schur_oracle_systems(k):
+    """The catalog at n = 1, 2, 3, 4 (macro-elements of two triangles at odd
+    n, of eight at even n), the same meshes at n = 2, 3 as general meshes
+    (one triangle each), and the jittered mesh with every coefficient and
+    Cauchy data on the bottom, Dirichlet data on the left and flux data on
+    the right."""
+    for case_id in case_ids():
+        case = get_case(case_id)
+        for n in (1, 2, 3, 4):
+            uniform = build_uniform_mesh(n)
+            meshes = [uniform] + [Mesh(uniform.vertices, uniform.triangles)] * (n in (2, 3))
+            for mesh in meshes:
+                config = classify_boundary(mesh, case.dirichlet_sides, case.neumann_sides)
+                yield assemble(config, case, LocalOperators(mesh, k, case.a))
+    mesh = jittered_mesh()
+    for a in COEFFICIENTS.values():
+        case = dataclasses.replace(get_case("t6"), a=a, dirichlet_sides=("bottom", "left"),
+                                   neumann_sides=("bottom", "right"))
+        config = classify_boundary(mesh, case.dirichlet_sides, case.neumann_sides)
+        yield assemble(config, case, LocalOperators(mesh, k, case.a))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_condensed_matrix_is_the_dense_schur_complement(k):
+    # the oracle: the free-dof matrix A, dense, with every unknown that the
+    # two stages eliminate (triangle interiors, macro-elements' inner
+    # edges) eliminated at once, A_KK - A_KE A_EE^-1 A_EK onto the kept
+    # unknowns K = numbered, in their order.  Largest difference measured,
+    # relative to the largest entry: 1.5e-15 (k=1, t1, n=2), 3.2e-15 (k=2,
+    # t9, n=2) and 5.9e-15 (k=3, t11, n=2); the bound keeps 10x
+    for system in schur_oracle_systems(k):
+        reduced = _Condensation(system)
+        matrix, keep = system.matrix.toarray(), reduced.numbered
+        gone = np.setdiff1d(np.arange(system.n_free), keep)
+        assert len(keep) + reduced.inner.size + reduced.interior.size == system.n_free
+        want = matrix[np.ix_(keep, keep)] - matrix[np.ix_(keep, gone)] @ np.linalg.solve(
+            matrix[np.ix_(gone, gone)], matrix[np.ix_(gone, keep)])
+        got = reduced.matrix.toarray()
+        assert np.abs(got - want).max() <= {1: 1.5e-14, 2: 3e-14, 3: 6e-14}[k] * np.abs(want).max()
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_condensation_eliminates_in_an_orthonormal_interior_basis(k):
-    # R = L^-T with L L^T = mass_k / area makes each triangle's interior
+    # stage 1: R = L^-T with L L^T = mass_k / area makes each triangle's interior
     # basis orthonormal (up to the area), which takes the interior block's
     # condition number from 37 (k=1), 2.5e4 (k=2) and 3.9e6 (k=3) to 2.1,
     # 6.1 and 16.3.  The basis is one per congruence class, taken from the
@@ -762,6 +812,17 @@ def test_condensation_eliminates_in_an_orthonormal_interior_basis(k):
     assert np.linalg.cond(basis.swapaxes(1, 2) @ m_ii @ basis).max() <= 100
     error = np.abs(m_ii @ condensed.inverse - np.eye(2 * dim)).max(axis=(1, 2))
     assert np.all(error <= {1: 5e-15, 2: 1e-12, 3: 2e-11}[k])
+    # stage 2 keeps no inverse and takes no second basis: one box class at n=4,
+    # its inner block on the 8 inner edges, both fields, whose condition
+    # numbers measured 163, 3.2e3 and 6.4e4 at k = 1, 2, 3, and the coupling
+    # solved from it, whose residual measured 2.2e-16, 5.9e-16 and 8.9e-16
+    # of the largest inner row; the bounds keep 10x
+    edim = ops.dofmap.edge_dim
+    assert condensed.inner_block.shape == (1, 16 * edim, 16 * edim)
+    assert np.linalg.cond(condensed.inner_block).max() <= {1: 2e3, 2: 4e4, 3: 7e5}[k]
+    residual = condensed.inner_block @ condensed.inner_coupling - condensed.inner_rows
+    assert (np.abs(residual).max()
+            <= {1: 3e-15, 2: 6e-15, 3: 9e-15}[k] * np.abs(condensed.inner_rows).max())
 
 
 def test_primal_non_uniqueness_is_reported_before_factoring(monkeypatch):
@@ -914,7 +975,7 @@ def test_ordered_lu_for_schur_matrices_and_defaults_for_full_ones(monkeypatch, k
         start = len(calls)
         solve(system)
         condition_estimate(system)
-        schur = system.n_free - 2 * system.ops.dofmap.n_interior
+        schur = len(_Condensation(system).numbered)
         for n_args, kwargs, _, order in calls[start:]:
             assert n_args == 1
             assert order in {schur, system.n_free, system.n_free + 1}
@@ -927,13 +988,13 @@ def test_ordered_lu_for_schur_matrices_and_defaults_for_full_ones(monkeypatch, k
 @pytest.mark.parametrize("k,n", [(1, 16), (2, 8)])
 def test_gauge_solve_factors_once(monkeypatch, k, n):
     # a one-dimensional gauge kernel is projected out of the solve on the
-    # LU that found it, that of the Schur matrix on the free edge dofs: no
-    # second, bordered factorization
+    # LU that found it, that of the Schur matrix on the free unknowns of the
+    # macro-elements' boundaries: no second, bordered factorization
     calls = record_factorizations(monkeypatch)
     system = catalog_system("t3", k, n)
     solve(system)
     assert len(calls) == 1
-    assert calls[0][3] == system.n_free - 2 * system.ops.dofmap.n_interior
+    assert calls[0][3] == len(_Condensation(system).numbered)
 
 
 @pytest.mark.parametrize("case_id,k,builds", [
@@ -970,22 +1031,25 @@ def test_full_matrix_built_only_where_solve_factors_it(monkeypatch, case_id, k, 
 
 @pytest.mark.parametrize("case_id,k", [("t3", 2), ("t1", 3), ("t6", 3)])
 def test_schur_numbering_is_one_sort_key(case_id, k):
-    # the free edge unknowns are numbered by the key (unpaired, nested-
-    # dissection rank of the edge, field, slot in the edge block), an
-    # unknown being unpaired when the other field of its edge dof is fixed,
-    # and each triangle's edge_pos reads that numbering off the free-dof
-    # positions.  All three fix u edge dofs and lam edge dofs; t6 fixes both
-    # on the same edges, so it has no unpaired unknown and its order is the
-    # (rank, field, slot) one
+    # the free edge unknowns on no macro-element's inner edge are numbered
+    # by the key (unpaired, nested-dissection rank of the edge, field, slot
+    # in the edge block), an unknown being unpaired when the other field of
+    # its edge dof is fixed; the unknowns of the inner edges are the rest.
+    # Each macro-element's outer positions read that numbering off the
+    # free-dof positions.  All three fix u edge dofs and lam edge dofs; t6
+    # fixes both on the same edges, so it has no unpaired unknown and its
+    # order is the (rank, field, slot) one
     system = catalog_system(case_id, k, 4)
     reduced = _Condensation(system)
     ops, nf, n = system.ops, len(system.u_free), system.n_free
-    dofmap = ops.dofmap
+    mesh, dofmap = ops.mesh, ops.dofmap
     n_int, edim = dofmap.n_interior, dofmap.edge_dim
     assert nf < dofmap.n_dofs and n - nf < dofmap.n_dofs
-    assert np.array_equal(np.sort(reduced.numbered), np.r_[n_int:nf, nf + n_int:n])
-    rank = np.argsort(ops.mesh.nested_dissection)
+    assert np.array_equal(np.sort(np.r_[reduced.numbered, reduced.inner.ravel()]),
+                          np.r_[n_int:nf, nf + n_int:n])
+    rank = np.argsort(mesh.nested_dissection)
     dofs = np.concatenate([system.u_free, system.lam_free])[reduced.numbered] - n_int
+    assert not np.isin(dofs // edim, mesh.macro_edges[:, :mesh.macro_inner]).any()
     unpaired = ~np.isin(dofs, system.u_free - n_int) | ~np.isin(dofs, system.lam_free - n_int)
     # increasing keys put every unpaired unknown after every paired one
     keys = list(zip(unpaired, rank[dofs // edim], reduced.numbered >= nf, dofs % edim))
@@ -994,47 +1058,58 @@ def test_schur_numbering_is_one_sort_key(case_id, k):
         assert not unpaired.any()
     else:
         assert 0 < unpaired.sum() < len(unpaired)
-    cols = np.arange(system.positions.shape[1]).reshape(2, -1)[:, dofmap.interior_dim:].ravel()
-    natural = system.positions[:, cols]
+    # each macro-element's outer unknowns, field by field, in free-dof positions
+    place = np.full((2, dofmap.n_dofs), -1)
+    place[0, system.u_free], place[1, system.lam_free] = np.arange(nf), np.arange(nf, n)
+    outer = dofmap.edge_block(mesh.macro_edges[:, mesh.macro_inner:])
+    natural = np.concatenate([place[0, outer], place[1, outer]], axis=1).reshape(len(outer), -1)
     free = natural >= 0
-    assert np.array_equal(reduced.edge_pos >= 0, free)
-    assert np.array_equal(reduced.numbered[reduced.edge_pos[free]], natural[free])
+    assert np.array_equal(reduced.outer >= 0, free)
+    assert np.array_equal(reduced.numbered[reduced.outer[free]], natural[free])
+
+
+# SuperLU.nnz of the Schur LU at n=8, with the unpaired unknowns numbered
+# among the paired ones in the (rank, field, slot) order, and with them last
+UNPAIRED_LAST_FILL = {"t1": (113656, 107008), "t3": (53982, 46608), "t13": (103528, 90592),
+                      "t6": (66560, 66560)}
 
 
 @pytest.mark.parametrize("case_id,k,before", [("t1", 3, 275120), ("t3", 2, 134982),
                                               ("t13", 3, 247756), ("t6", 3, 148096)])
 def test_unpaired_last_cuts_the_schur_lu_fill(case_id, k, before):
     # numbering the unpaired unknowns last keeps SuperLU's pivots in the
-    # nested-dissection structure.  SuperLU.nnz of the Schur LU at n=8,
-    # measured with the (rank, field, slot) order that numbered them among
-    # the paired ones, and with them last: t1, k=3 275,120 -> 200,896;
-    # t3, k=2 134,982 -> 105,198; t13, k=3 247,756 -> 182,432.  t6 has no
-    # unpaired unknown, so its order and its LU (148,096) are the same
+    # nested-dissection structure: UNPAIRED_LAST_FILL, t1, k=3 113,656 ->
+    # 107,008; t3, k=2 53,982 -> 46,608; t13, k=3 103,528 -> 90,592.  t6 has
+    # no unpaired unknown, so its order and its LU are the same.  before is
+    # the fill in the interleaved order when the interiors alone were
+    # condensed, which numbering the unpaired unknowns last took to 200,896,
+    # 105,198, 182,432 and 148,096
+    interleaved, last = UNPAIRED_LAST_FILL[case_id]
     reduced = _Condensation(catalog_system(case_id, k, 8))
-    nnz = spla.splu(reduced.matrix, **_ORDERED_LU).nnz
-    if case_id == "t6":
-        assert nnz == before
-    else:
-        assert nnz < before
+    assert spla.splu(reduced.matrix, **_ORDERED_LU).nnz == last <= interleaved < before
 
 
 @pytest.mark.parametrize("k", [1, 2])
 def test_halves_before_the_top_separator_do_not_couple(k):
-    # t6 at n=8 is first cut at the vertical grid line x = 1/2.  In the
-    # Schur matrix that solve factors the unknowns of the edges left of it
-    # come first, then those right of it, then those on it, and no entry
+    # t6 is first cut at a vertical grid line that bounds the 2 x 2 boxes
+    # of squares: x = 1/2 at n=8, and at n=6 x = 2/3 (x = 1/3 is as near
+    # the middle in exact arithmetic), not x = 1/2, which crosses boxes.  In
+    # the Schur matrix that solve factors the unknowns of the edges left of
+    # it come first, then those right of it, then those on it, and no entry
     # couples the two halves
-    system = catalog_system("t6", k, 8)
-    reduced = _Condensation(system)
-    mesh, dofmap = system.ops.mesh, system.ops.dofmap
-    dofs = np.concatenate([system.u_free, system.lam_free])[reduced.numbered]
-    x = mesh.edge_midpoints[(dofs - dofmap.n_interior) // dofmap.edge_dim, 0]
-    part = np.select([x < 0.5, x > 0.5], [0, 1], 2)
-    assert np.all(np.diff(part) >= 0)
-    left, right = np.searchsorted(part, [1, 2])
-    assert 0 < left < right < len(part)
-    assert reduced.matrix[:left, left:right].nnz == 0
-    assert reduced.matrix[:left, right:].nnz > 0 and reduced.matrix[left:right, right:].nnz > 0
+    for n, cut in ((8, 0.5), (6, 4 / 6)):
+        system = catalog_system("t6", k, n)
+        reduced = _Condensation(system)
+        mesh, dofmap = system.ops.mesh, system.ops.dofmap
+        assert mesh.edge_midpoints[mesh.nested_dissection[-1], 0] == cut
+        dofs = np.concatenate([system.u_free, system.lam_free])[reduced.numbered]
+        x = mesh.edge_midpoints[(dofs - dofmap.n_interior) // dofmap.edge_dim, 0]
+        part = np.select([x < cut, x > cut], [0, 1], 2)
+        assert np.all(np.diff(part) >= 0)
+        left, right = np.searchsorted(part, [1, 2])
+        assert 0 < left < right < len(part)
+        assert reduced.matrix[:left, left:right].nnz == 0
+        assert reduced.matrix[:left, right:].nnz > 0 and reduced.matrix[left:right, right:].nnz > 0
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

@@ -533,6 +533,8 @@ def test_local_matrices_of_a_class_match_its_representative(coefficient, k, n):
     ops = LocalOperators(build_uniform_mesh(n), k, COEFFICIENTS[coefficient])
     assert np.array_equal(ops.classes, ops.mesh.tri_classes)
     assert np.array_equal(ops.class_members, [[0], [1]] + 2 * np.arange(n * n))
+    assert np.array_equal(ops.macro_classes, ops.mesh.macro_classes)
+    assert np.array_equal(ops.macro_members, [np.arange(len(ops.mesh.macro_elements))])
     reps = ops.class_members[:, 0]
     groups = ops.input_groups
     mass = ops.group_mass_k[groups] / ops.mesh.tri_areas[:, None, None]
@@ -547,6 +549,10 @@ def test_callable_coefficient_gives_one_class_per_triangle():
     ops = LocalOperators(mesh, 1, COEFFICIENTS["variable"])
     assert np.array_equal(ops.classes, np.arange(mesh.n_triangles))
     assert np.array_equal(ops.class_members, np.arange(mesh.n_triangles)[:, None])
+    # and one class per macro-element, where the mesh has one for all
+    assert np.array_equal(mesh.macro_classes, np.zeros(len(mesh.macro_elements)))
+    assert np.array_equal(ops.macro_classes, np.arange(len(mesh.macro_elements)))
+    assert np.array_equal(ops.macro_members, np.arange(len(mesh.macro_elements))[:, None])
 
 
 TABLES = ("vk", "gr", "edge_vk", "mass_k", "mass_r", "grad_maps", "stabilizers",
